@@ -9,9 +9,8 @@ verification of every covariance and ambient-space identity involved.
 from .algebra import Poly, Rational, RationalFunction
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, Rotation, SingularPoint, Translation,
-                        chart_inverse, full_rotation, rho, rho_prime,
-                        stereographic, stereographic_factor,
-                        tangential_rotation)
+                        chart_inverse, full_rotation, stereographic,
+                        stereographic_factor, tangential_rotation)
 from .diffop import DiffOp, NonTangentialForm, TangentialOp, decompose_tangential, op_vars
 from .jets import Jet, coordinate_jets
 from .juhl import (NormalizationMeta, iterated, juhl_coeffs, leading_coeff,
@@ -37,7 +36,7 @@ __all__ = [
     "symbol_mult_after_ks", "symbol_ks_after_onestep", "check_factorization",
     "ConformalMap", "Translation", "Rotation", "Dilation", "Inversion",
     "tangential_rotation", "full_rotation", "SingularPoint",
-    "GaussianBump", "PulledBack", "rho", "rho_prime",
+    "GaussianBump", "PulledBack",
     "stereographic", "stereographic_factor", "chart_inverse",
     "CheckReport", "AmbientPoint", "QuadratureBudgetExceeded",
     "suite_symbolic", "suite_numeric", "suite_ambient", "run_suites",

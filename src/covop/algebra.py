@@ -371,10 +371,6 @@ class RationalFunction:
         self.num = _ufrom(nc, self.var)
         self.den = _ufrom(dc, self.var)
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, None)
-
     def is_zero(self):
         return self.num.is_zero()
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .algebra import Poly
 from .diffop import DiffOp, op_vars
 from .juhl import iterated, juhl_coeffs, leading_factors, normalization_meta
-from .verify import run_suites
+from .verify import TOLERANCES, run_suites
 
 COEFFS_MAX_N = 8
 COEFFS_MAX_ORDER = 12
@@ -116,7 +116,7 @@ def _emit_coeffs_csv(table, stream):
 
 
 def _latex_poly(display):
-    return display.replace("λ", "\\lambda ").replace("^", "^")
+    return display.replace("λ", "\\lambda ")
 
 
 def _emit_coeffs_latex(table, stream):
@@ -169,7 +169,11 @@ def _parse_tols(pairs):
         if "=" not in item:
             raise ValueError(f"--tol expects name=value, got {item!r}")
         name, val = item.split("=", 1)
-        tols[name.strip()] = float(val)
+        name = name.strip()
+        if name not in TOLERANCES:
+            raise ValueError(f"--tol: unknown tolerance {name!r}; known names: "
+                             + ", ".join(TOLERANCES))
+        tols[name] = float(val)
     return tols
 
 

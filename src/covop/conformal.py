@@ -31,14 +31,14 @@ def _norm_sq(xs):
     return total
 
 
-def _too_small(q, guard):
+def _too_small(q):
     """Generic singular-set test on |xi|^2 (works for floats, Fractions, jets,
     and batched numpy arrays)."""
     if isinstance(q, Jet):
         q = q.value
     if isinstance(q, np.ndarray):
-        return bool(np.min(q) < guard * guard)
-    return float(q) < guard * guard
+        return bool(np.min(q) < GUARD_RADIUS * GUARD_RADIUS)
+    return float(q) < GUARD_RADIUS * GUARD_RADIUS
 
 
 class Translation:
@@ -153,15 +153,15 @@ class Inversion:
 
     dim = None
 
-    def act(self, xs, guard=GUARD_RADIUS):
+    def act(self, xs):
         q = _norm_sq(xs)
-        if _too_small(q, guard):
+        if _too_small(q):
             raise SingularPoint("inversion evaluated too close to the origin")
         return [-xs[0] / q] + [x / q for x in xs[1:]]
 
-    def factor(self, xs, guard=GUARD_RADIUS):
+    def factor(self, xs):
         q = _norm_sq(xs)
-        if _too_small(q, guard):
+        if _too_small(q):
             raise SingularPoint("inversion evaluated too close to the origin")
         return 1 / q
 
@@ -234,35 +234,24 @@ class ConformalMap:
     def inverse(self):
         return ConformalMap(self.n, tuple(g.inverse() for g in reversed(self.word)))
 
-    def act(self, point, guard=GUARD_RADIUS):
+    def act(self, point):
         xs = list(point)
         for g in self.word:
-            xs = g.act(xs) if not isinstance(g, Inversion) else g.act(xs, guard)
+            xs = g.act(xs)
         return tuple(xs)
 
-    def factor(self, point, guard=GUARD_RADIUS):
+    def factor(self, point):
         """Conformal factor kappa(self, point) via the cocycle product."""
-        xs = list(point)
-        total = 1.0
-        for g in self.word:
-            if isinstance(g, Inversion):
-                total = g.factor(xs, guard) * total
-                xs = g.act(xs, guard)
-            else:
-                total = g.factor(xs) * total
-                xs = g.act(xs)
-        return total
+        return self.act_and_factor(point)[1]
 
-    def act_and_factor(self, point, guard=GUARD_RADIUS):
+    def act_and_factor(self, point):
+        """Image of the point and the cocycle product of the generator
+        factors along its orbit, in one walk of the word."""
         xs = list(point)
         total = 1.0
         for g in self.word:
-            if isinstance(g, Inversion):
-                total = g.factor(xs, guard) * total
-                xs = g.act(xs, guard)
-            else:
-                total = g.factor(xs) * total
-                xs = g.act(xs)
+            total = g.factor(xs) * total
+            xs = g.act(xs)
         return tuple(xs), total
 
     def preserves_hyperplane(self):
@@ -363,11 +352,7 @@ class PulledBack:
         self.g_inv = g.inverse()
 
     def eval_generic(self, xs):
-        ys = list(xs)
-        total = 1.0
-        for gen in self.g_inv.word:
-            total = gen.factor(ys) * total
-            ys = gen.act(ys)
+        ys, total = self.g_inv.act_and_factor(xs)
         return total ** self.lam * self.f.eval_generic(ys)
 
     def value(self, point):
@@ -375,17 +360,6 @@ class PulledBack:
 
     def jet(self, point, order=2):
         return self.eval_generic(coordinate_jets(point, order))
-
-
-def rho(lam, g, f, point, order=2):
-    """Jet of the principal-series action at a point:
-    rho_lam(g) f (xi) = kappa(g^-1, xi)^lam f(g^-1(xi))."""
-    return PulledBack(lam, g, f).jet(point, order)
-
-
-def rho_prime(mu, g, f_prime, point, order=2):
-    """Same action one dimension down, for the induced map of the hyperplane."""
-    return PulledBack(mu, g.restrict_to_hyperplane(), f_prime).jet(point, order)
 
 
 # -- the chart to the sphere ------------------------------------------------------

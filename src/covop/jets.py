@@ -90,7 +90,10 @@ class Jet:
         return h
 
     def laplacian(self):
-        return sum(self.hess[i][i] for i in range(self.dim))
+        # the diagonal of hess, read directly: 2 * (coefficient of x_i^2)
+        d = self.dim
+        return sum(2.0 * self.terms.get(tuple(2 if k == i else 0 for k in range(d)), 0.0)
+                   for i in range(d))
 
     # -- arithmetic ------------------------------------------------------------
 

@@ -115,6 +115,15 @@ def test_verify_bad_tol_flag(capsys):
     assert code == 2 and "name=value" in err
 
 
+def test_verify_unknown_tol_name(capsys):
+    # a misspelt name must not silently run with the default tolerance
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
+                             "--tol", "covarience=1e-6")
+    assert code == 2 and out == ""
+    assert "'covarience'" in err
+    assert "covariance, covariance_restricted" in err and "ambient_compact" in err
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run([sys.executable, "-m", "covop", "bogus"],
                           capture_output=True, text=True)

@@ -4,9 +4,8 @@ from fractions import Fraction
 import pytest
 
 from covop.algebra import Poly, RationalFunction
-from covop.diffop import DiffOp, op_vars
-from covop.juhl import (iterated, juhl_coeffs, leading_coeff, normalization_meta,
-                        one_step, restricted_iterated)
+from covop.diffop import DiffOp, decompose_tangential, op_vars
+from covop.juhl import iterated, juhl_coeffs, leading_coeff, normalization_meta, one_step
 from covop.special import PoleAtLambda
 
 
@@ -54,10 +53,11 @@ def test_iterated_equals_generic_composition():
             assert iterated(n, N) == direct
 
 
-def test_restricted_iterated_pins_to_generic_route():
+def test_juhl_coeffs_pin_to_generic_route():
+    # the reduced-basis read-off must agree with expand, restrict, decompose
     for n in (1, 2, 3, 4):
         for N in (1, 2, 3, 5, 6):
-            assert restricted_iterated(n, N) == iterated(n, N).restrict()
+            assert juhl_coeffs(n, N) == decompose_tangential(iterated(n, N).restrict(), N)
 
 
 def test_iterated_on_normal_powers():
