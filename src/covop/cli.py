@@ -87,10 +87,8 @@ def normalization_to_dict(meta):
 
 
 def coeff_table(n, N):
-    tang = juhl_coeffs(n, N)
-    polys = tang.coeff_polys()
     rows = []
-    for j, p in enumerate(polys):
+    for j, p in enumerate(juhl_coeffs(n, N).coeffs):
         row = {"j": j, "poly": poly_to_triples(p), "display": p.pretty()}
         if j == 0:
             row["factored"] = "".join(_affine_pretty(b, a)

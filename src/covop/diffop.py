@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product as _cartesian
 from math import comb, factorial
 
-from .algebra import Poly, RationalFunction
+from .algebra import Poly
 
 
 class NonTangentialForm(Exception):
@@ -221,8 +221,8 @@ class DiffOp:
 
 
 class TangentialOp:
-    """Hyperplane operator sum_j a_j d_n^(N-2j) Lap'^j followed by restriction,
-    with rational-function coefficients in lam."""
+    """Hyperplane operator sum_j a_j d_n^(N-2j) Lap'^j followed by restriction;
+    each coefficient a_j is a one-variable Poly in lam."""
 
     __slots__ = ("n", "N", "coeffs")
 
@@ -233,15 +233,6 @@ class TangentialOp:
         self.n = n
         self.N = N
         self.coeffs = coeffs
-
-    def coeff_polys(self):
-        """Coefficients as one-variable polynomials (requires denominator 1)."""
-        out = []
-        for a in self.coeffs:
-            if not a.is_polynomial():
-                raise ValueError("coefficient is not polynomial in lam")
-            out.append(a.num)
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, TangentialOp):
@@ -290,7 +281,7 @@ def decompose_tangential(D, N):
         if n == 1:
             # no tangential directions: only the pure normal term survives
             if j > 0:
-                coeffs.append(RationalFunction(0))
+                coeffs.append(Poly.zero(("lam",)))
                 continue
             probe = (N,)
         else:
@@ -300,7 +291,7 @@ def decompose_tangential(D, N):
             a_univ = Poly.from_univariate(a_j.to_univariate("lam"))
         except ValueError as exc:  # pragma: no cover - guarded above
             raise NonTangentialForm(str(exc))
-        coeffs.append(RationalFunction(a_univ))
+        coeffs.append(a_univ)
         if a_j.is_zero():
             continue
         # subtract a_j * eta_n^(N-2j) |eta'|^(2j) expanded over monomials

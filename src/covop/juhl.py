@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, pi
 
-from .algebra import Poly, RationalFunction
+from .algebra import Poly
 from .diffop import DiffOp, TangentialOp, multinomial, op_vars, weak_compositions
 from .special import gamma_checked
 
@@ -142,8 +142,9 @@ def juhl_coeffs(n, N):
     Restriction to xi_n = 0 keeps the i = 0 part of the reduced basis, whose
     monomials d_n^j Lap^k all have j + 2k = N.  With Lap = Lap' + d_n^2 the
     coefficient of d_n^(N-2m) Lap'^m is a_m = sum_k C(k, m) c_(0, N-2k, k);
-    for n = 1 there is no Lap' and only a_0 survives.  a_0 is checked against
-    the closed form, so a mismatch can only mean an implementation bug.
+    for n = 1 there is no Lap' and only a_0 survives.  Each a_m is a Poly in
+    lam alone.  a_0 is checked against the closed form, so a mismatch can
+    only mean an implementation bug.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -155,7 +156,7 @@ def juhl_coeffs(n, N):
     if coeffs[0] != leading_coeff(n, N):
         raise RuntimeError(
             f"leading tangential coefficient deviates from closed form at n={n}, N={N}")
-    return TangentialOp(n, N, [RationalFunction(a) for a in coeffs])
+    return TangentialOp(n, N, coeffs)
 
 
 # -- normalization metadata ---------------------------------------------------

@@ -205,9 +205,9 @@ def test_criterion_12_geometric_identities():
             ok, f"max_rel_err {worst:.2e}, tol 1e-10")
 
 
-def test_criterion_13_cli_contract(capsys):
+def test_criterion_13_cli_contract(capsys, covop_env):
     proc = subprocess.run([sys.executable, "-m", "covop", "verify", "--suite", "all"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=covop_env)
     suite_ok = proc.returncode == 0 and json.loads(proc.stdout)["passed"]
 
     code = cli_main(["operator", "--n", "3", "--N", "2"])

@@ -124,16 +124,16 @@ def test_verify_unknown_tol_name(capsys):
     assert "covariance, covariance_restricted" in err and "ambient_compact" in err
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(covop_env):
     proc = subprocess.run([sys.executable, "-m", "covop", "bogus"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=covop_env)
     assert proc.returncode == 2
 
 
-def test_subprocess_operator_utf8():
+def test_subprocess_operator_utf8(covop_env):
     proc = subprocess.run([sys.executable, "-m", "covop", "operator",
                            "--n", "2", "--N", "1"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=covop_env)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["n"] == 2

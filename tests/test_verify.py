@@ -22,6 +22,32 @@ def test_report_pass_criterion():
     assert not r.passed and r.diagnostics == "b"
 
 
+def test_sampler_gives_up_on_a_draw_that_always_rejects():
+    seen = []
+
+    def draw(k):
+        seen.append(k)
+        if len(seen) % 2:
+            raise verify.SingularPoint("rejected")
+        return None
+
+    r = verify._sampled("never", 5, 1e-9, draw)
+    assert not r.passed and r.samples == 0
+    assert r.diagnostics == f"accepted 0 of 5 samples in {verify.DRAWS_PER_SAMPLE * 5} draws"
+    assert seen == [0] * (verify.DRAWS_PER_SAMPLE * 5)
+
+
+def test_sampler_counts_accepted_samples():
+    def draw(k):
+        return (1e-12 * k, f"k={k}") if k < 2 else None
+
+    r = verify._sampled("short", 4, 1e-9, draw)
+    assert not r.passed and r.samples == 2 and r.max_rel_err == 1e-12
+    assert r.diagnostics.startswith("accepted 2 of 4 samples")
+    full = verify._sampled("full", 3, 1e-9, lambda k: (1e-12 * k, f"k={k}"))
+    assert full.passed and full.samples == 3 and full.diagnostics == "k=2"
+
+
 def test_covariance_dilation_and_translation_only():
     # affine cases close in closed form; errors are pure rounding
     rng = np.random.default_rng(2)
