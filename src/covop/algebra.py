@@ -259,34 +259,45 @@ class Poly:
     # -- display -----------------------------------------------------------
 
     def pretty(self):
-        if not self.terms:
-            return "0"
-        names = [_subscript_var(v) for v in self.vars]
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            mono = "".join(factors)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append(f"{c}{mono}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return pretty_terms(self.vars, self.terms)
 
     def __repr__(self):
         return f"Poly({self.pretty()})"
+
+
+def pretty_terms(variables, terms):
+    """Display string of {exponent tuple: rational} over ``variables``,
+    highest exponent first; the text of :meth:`Poly.pretty`.
+
+    Coefficients may be ints or Fractions, and a variable whose exponent is
+    0 in every term may be left out of both arguments without changing the
+    text.
+    """
+    if not terms:
+        return "0"
+    names = [_subscript_var(v) for v in variables]
+    parts = []
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        factors = []
+        for name, k in zip(names, e):
+            if k == 1:
+                factors.append(name)
+            elif k > 1:
+                factors.append(f"{name}^{k}")
+        mono = "".join(factors)
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append("-" + mono)
+        else:
+            parts.append(f"{c}{mono}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
 
 
 # -- univariate helpers (for rational-function normalization) -------------

@@ -3,7 +3,11 @@ machine-readable operator export.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error.  JSON output keeps every coefficient exact as integer numerator and
-denominator strings, so parse(emit(D)) reproduces D bit for bit.
+denominator strings, so parse(emit(D)) reproduces D bit for bit.  The
+operator export is streamed term by term from the integer expansion of the
+reduced basis (``juhl.expanded_iterated``), in the bytes ``json.dump`` with
+``indent=2, sort_keys=True, ensure_ascii=False`` would write for the same
+document; no DiffOp or document dict is built.
 """
 
 import argparse
@@ -11,9 +15,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import Poly
+from .algebra import Poly, pretty_terms
 from .diffop import DiffOp, op_vars
-from .juhl import iterated, juhl_coeffs, leading_factors, normalization_meta
+# ``iterated`` is not called here but stays bound: perfbench's self-test
+# checks that its tracer patches a name imported into another covop module.
+from .juhl import (expanded_iterated, iterated, juhl_coeffs,  # noqa: F401
+                   leading_factors, normalization_meta)
 from .verify import TOLERANCES, run_suites
 
 COEFFS_MAX_N = 8
@@ -34,21 +41,6 @@ def poly_from_triples(variables, triples):
     for exps, num, den in triples:
         terms[tuple(exps)] = Fraction(int(num), int(den))
     return Poly(tuple(variables), terms)
-
-
-def operator_to_dict(D, meta=None):
-    out = {
-        "kind": "operator",
-        "n": D.n,
-        "variables": list(op_vars(D.n)),
-        "terms": [{"alpha": list(a),
-                   "coeff": poly_to_triples(c),
-                   "display": c.pretty()}
-                  for a, c in sorted(D.terms.items())],
-    }
-    if meta:
-        out.update(meta)
-    return out
 
 
 def operator_from_dict(d):
@@ -101,6 +93,40 @@ def coeff_table(n, N):
 def _emit_json(obj, stream):
     json.dump(obj, stream, indent=2, sort_keys=True, ensure_ascii=False)
     stream.write("\n")
+
+
+def _json_list(items, indent):
+    """A non-empty JSON list of encoded items whose bracket sits at ``indent``
+    spaces, laid out as json.dump(indent=2) does."""
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+
+
+def _emit_operator(n, N, expansion, stream):
+    """Write the operator document of ``expansion`` (see
+    ``juhl.expanded_iterated``) one term at a time: keys N, kind, n, terms
+    (sorted by alpha, each with alpha, coeff triples sorted by exponent
+    vector, and display) and variables, in the bytes of ``_emit_json``."""
+    variables = op_vars(n)
+    lam_xin = (variables[0], variables[-1])  # the only variables that occur
+    zeros = ["0"] * (n - 1)
+    enc = json.encoder.encode_basestring
+    exps = {}  # (lam_deg, xi_n_deg) -> its exponent vector as JSON
+    stream.write(f'{{\n  "N": {N},\n  "kind": "operator",\n  "n": {n},\n  "terms": [')
+    sep = "\n"
+    for alpha in sorted(expansion):
+        coeff = expansion[alpha]
+        triples = []
+        for (deg, i), c in sorted(coeff.items()):
+            e = exps.get((deg, i))
+            if e is None:
+                e = exps[deg, i] = _json_list([str(deg), *zeros, str(i)], 10)
+            triples.append(_json_list([e, enc(str(c)), '"1"'], 8))
+        stream.write(f'{sep}    {{\n      "alpha": {_json_list(map(str, alpha), 6)},\n'
+                     f'      "coeff": {_json_list(triples, 6)},\n'
+                     f'      "display": {enc(pretty_terms(lam_xin, coeff))}\n    }}')
+        sep = ",\n"
+    stream.write(f'\n  ],\n  "variables": {_json_list(map(enc, variables), 2)}\n}}\n')
 
 
 def _emit_coeffs_csv(table, stream):
@@ -156,8 +182,7 @@ def cmd_operator(args, stream):
     if problem:
         print(f"covop operator: {problem}", file=sys.stderr)
         return 2
-    D = iterated(args.n, args.N)
-    _emit_json(operator_to_dict(D, {"N": args.N}), stream)
+    _emit_operator(args.n, args.N, expanded_iterated(args.n, args.N), stream)
     return 0
 
 

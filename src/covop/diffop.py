@@ -187,11 +187,16 @@ class DiffOp:
         return res
 
     def restrict(self):
-        """Evaluate every coefficient at xi_n = 0; derivative indices are kept
-        (normal derivatives act before restriction)."""
-        name = f"xi{self.n}"
-        return DiffOp(self.n, {a: c.subs_value(name, 0)
-                               for a, c in self.terms.items()})
+        """Evaluate every coefficient at xi_n = 0, i.e. keep the terms free of
+        xi_n; derivative indices are kept (normal derivatives act before
+        restriction)."""
+        slot = self.n  # position of xi_n in op_vars(n)
+        out = {}
+        for a, c in self.terms.items():
+            kept = {e: v for e, v in c.terms.items() if not e[slot]}
+            if kept:
+                out[a] = Poly(c.vars, kept)
+        return DiffOp(self.n, out)
 
     # -- numeric evaluation ---------------------------------------------------
 

@@ -43,7 +43,11 @@ def one_step(n):
 # iterate is a combination of monomials X^i P^j L^k with lam-polynomial
 # coefficients.  Composing in that basis and expanding once at the end is
 # exactly the Leibniz composition (cross-checked in the tests) but does not
-# touch the full multi-index expansion at every step.  The tangential
+# touch the full multi-index expansion at every step.  Every reduced
+# coefficient is an integer polynomial in lam, so the one expansion
+# (_expand_reduced, checked integral) works in plain ints; ``iterated`` makes
+# one Fraction per final coefficient from it, and ``covop operator`` streams
+# it to JSON without building the DiffOp at all.  The tangential
 # coefficients are read straight off the reduced basis (juhl_coeffs); the
 # generic route -- expand, restrict, then decompose_tangential with its
 # zero-residual certificate -- is the independent oracle that
@@ -89,36 +93,64 @@ def _reduced_iterated(n, N):
 
 
 def _expand_reduced(n, reduced):
-    vars_ = op_vars(n)
+    """Expand a reduced form over derivative multi-indices, in integers.
+
+    Lap^k = sum_{|m| = k} multinomial(m) d^(2m), so the term c(lam) X^i P^j
+    L^k adds c * multinomial(m) to the coefficient of d^(2m + j e_n).  The
+    result is {alpha: {(lam_deg, xi_n_deg): int}}; keys appear in the order
+    the terms are first reached, which float evaluation of ``iterated``
+    sums in, so that order is part of the seeded suites' output.  A reduced
+    coefficient that is not an integer polynomial in lam raises ValueError.
+    """
     res = {}
+    spread = {}  # k -> [(2m, multinomial(m)) for |m| = k]
     for (i, j, k), c in reduced.items():
-        lam_coeffs = c.to_univariate("lam")
-        for m in weak_compositions(k, n):
-            mult = multinomial(m)
-            alpha = tuple(2 * mi for mi in m)
-            alpha = alpha[:-1] + (alpha[-1] + j,)
-            poly_terms = {}
-            for deg, cc in enumerate(lam_coeffs):
-                if cc:
-                    key = (deg,) + (0,) * (n - 1) + (i,)
-                    poly_terms[key] = cc * mult
-            contrib = Poly(vars_, poly_terms)
-            s = res.get(alpha)
-            s = contrib if s is None else s + contrib
-            if s:
-                res[alpha] = s
-            elif alpha in res:
+        lam_terms = []
+        for deg, cc in enumerate(c.to_univariate("lam")):
+            if cc.denominator != 1:
+                raise ValueError(f"reduced coefficient of X^{i} P^{j} L^{k} "
+                                 f"is not integral: {c.pretty()}")
+            if cc:
+                lam_terms.append(((deg, i), cc.numerator))
+        if k not in spread:
+            spread[k] = [(tuple(2 * mi for mi in m), multinomial(m))
+                         for m in weak_compositions(k, n)]
+        for even, mult in spread[k]:
+            alpha = even[:-1] + (even[-1] + j,)
+            coeff = res.setdefault(alpha, {})
+            for key, cc in lam_terms:
+                s = coeff.get(key, 0) + cc * mult
+                if s:
+                    coeff[key] = s
+                else:
+                    del coeff[key]
+            if not coeff:
                 del res[alpha]
-    return DiffOp(n, res)
+    return res
+
+
+def expanded_iterated(n, N):
+    """The iterated family in integers: {alpha: {(lam_deg, xi_n_deg): int}}
+    is the coefficient of lam^lam_deg xi_n^xi_n_deg d^alpha (no other xi
+    occurs).  ``iterated`` and the operator export both read it."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return _expand_reduced(n, _reduced_iterated(n, N))
 
 
 @lru_cache(maxsize=None)
 def iterated(n, N):
     """The N-fold composition of one-step operators with per-factor shifts
     lam, lam+1, ..., lam+N-1 (first factor applied first), as a DiffOp."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return _expand_reduced(n, _reduced_iterated(n, N))
+    vars_ = op_vars(n)
+    zeros = (0,) * (n - 1)
+    expansion = expanded_iterated(n, N)
+    terms = {}
+    for alpha in list(expansion):
+        # popped as converted, so the int and Fraction forms are never both whole
+        coeff = expansion.pop(alpha)
+        terms[alpha] = Poly(vars_, {(deg,) + zeros + (i,): c for (deg, i), c in coeff.items()})
+    return DiffOp(n, terms)
 
 
 def leading_coeff(n, N):

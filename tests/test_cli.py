@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -79,6 +81,37 @@ def test_operator_n2_N2_term_count(capsys):
     code, out, _ = run_cli(capsys, "operator", "--n", "2", "--N", "2")
     doc = json.loads(out)
     assert len(doc["terms"]) == 7
+
+
+def _operator_document_via_dict(n, N):
+    # the document as a dict of the DiffOp, dumped by json: the byte oracle
+    # for the streamed writer
+    D = iterated(n, N)
+    doc = {"kind": "operator", "n": n, "N": N, "variables": list(op_vars(n)),
+           "terms": [{"alpha": list(a), "coeff": poly_to_triples(c),
+                      "display": c.pretty()}
+                     for a, c in sorted(D.terms.items())]}
+    buf = io.StringIO()
+    json.dump(doc, buf, indent=2, sort_keys=True, ensure_ascii=False)
+    return buf.getvalue() + "\n"
+
+
+def test_operator_stream_matches_json_dump_bytes(capsys):
+    # n = 1 has no Lap', N = 1 is the one-step operator, (5, 2) has negative
+    # coefficients (a " - " in display)
+    for n, N in ((1, 3), (1, 1), (4, 1), (2, 3), (3, 4), (5, 2)):
+        code, out, _ = run_cli(capsys, "operator", "--n", str(n), "--N", str(N))
+        assert code == 0
+        assert out == _operator_document_via_dict(n, N), (n, N)
+    assert " - " in out
+
+
+def test_operator_n4_N6_bytes_pinned(capsys):
+    # sha256 of the stdout written by the json.dump route before streaming
+    code, out, _ = run_cli(capsys, "operator", "--n", "4", "--N", "6")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "2e5dbfc7f77601c6c7c1630af1054e18faf978ae121652cf71c8a6b213927f49"
 
 
 def test_poly_triples_round_trip():

@@ -5,7 +5,8 @@ import pytest
 
 from covop.algebra import Poly, RationalFunction
 from covop.diffop import DiffOp, decompose_tangential, op_vars
-from covop.juhl import iterated, juhl_coeffs, leading_coeff, normalization_meta, one_step
+from covop.juhl import (_expand_reduced, iterated, juhl_coeffs, leading_coeff,
+                        normalization_meta, one_step)
 from covop.special import PoleAtLambda
 
 
@@ -58,6 +59,24 @@ def test_juhl_coeffs_pin_to_generic_route():
     for n in (1, 2, 3, 4):
         for N in (1, 2, 3, 5, 6):
             assert juhl_coeffs(n, N) == decompose_tangential(iterated(n, N).restrict(), N)
+
+
+def test_restrict_pins_to_subs_value_route():
+    # keeping the xi_n-free terms is evaluation at xi_n = 0, term order included
+    for n in (1, 2, 3, 4):
+        for N in (1, 2, 3, 5, 6):
+            D = iterated(n, N)
+            got = D.restrict()
+            want = DiffOp(n, {a: c.subs_value(f"xi{n}", 0) for a, c in D.terms.items()})
+            assert got == want
+            assert [(a, list(c.terms)) for a, c in got.terms.items()] == \
+                [(a, list(c.terms)) for a, c in want.terms.items()]
+
+
+def test_expansion_rejects_a_non_integral_coefficient():
+    half = Poly(("lam",), {(1,): Fraction(1, 2), (0,): Fraction(3)})
+    with pytest.raises(ValueError, match="not integral"):
+        _expand_reduced(2, {(0, 1, 0): Poly.const(1, ("lam",)), (1, 0, 1): half})
 
 
 def test_iterated_on_normal_powers():
