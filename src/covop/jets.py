@@ -5,9 +5,21 @@ fixed total order, so derivatives obtained from composed jets are exact up to
 rounding -- no finite-difference step-size tuning anywhere.  Order 2 covers
 the second-order operators; higher orders are used when composed operator
 families are evaluated numerically.
+
+Products are table-driven: for each (dim, order) a pair table
+``{e1: {e2: e1 + e2}}`` over the multi-indices of total degree <= order,
+keeping only pairs whose sum stays within the order, is built on the first
+product at that shape and reused (Griewank--Walther, *Evaluating
+Derivatives*, SIAM 2008, ch. 13).  It replaces the per-pair tuple sums and
+degree tests but reorders nothing: a product walks both operands' terms in
+insertion order, so every coefficient comes out of the same float
+operations in the same order as the plain double loop, and seeded reports,
+which print errors with full ``repr``, stay byte-identical.  Dense
+coefficient arrays would sum in another order and change those bits.
 """
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -18,11 +30,38 @@ def _scalar(c):
     return c
 
 
+def _exponents(dim, order):
+    """Every multi-index of length dim and total degree <= order."""
+    if dim == 0:
+        return [()]
+    return [(a,) + rest for a in range(order + 1)
+            for rest in _exponents(dim - 1, order - a)]
+
+
+@functools.cache
+def _pair_table(dim, order):
+    """{e1: {e2: e1 + e2}} for every pair with |e1| + |e2| <= order.
+
+    A multi-index missing as a row or as an entry has a product above the
+    order, which truncation drops.  Shared by every product at this shape;
+    never mutated.
+    """
+    exps = _exponents(dim, order)
+    return {e1: {e2: tuple(a + b for a, b in zip(e1, e2))
+                 for e2 in exps if sum(e1) + sum(e2) <= order}
+            for e1 in exps}
+
+
 class Jet:
     """Taylor coefficients {multi-index: value} of a function at a point.
 
     ``terms[alpha]`` is the coefficient of prod (x_i - p_i)^alpha_i, i.e.
     the partial derivative divided by alpha!.  Values may be real or complex.
+
+    A product looks its exponent sums up in the pair table of its
+    (dim, order) and keeps the insertion order of both operands' terms, so
+    its floats are bit-identical to those of the plain double loop over
+    ``terms`` (see the module docstring).
     """
 
     __slots__ = ("dim", "order", "terms")
@@ -31,6 +70,16 @@ class Jet:
         self.dim = dim
         self.order = order
         self.terms = dict(terms) if terms else {}
+
+    @classmethod
+    def _adopt(cls, dim, order, terms):
+        """A jet owning ``terms`` as given, without the defensive copy; only
+        for dicts freshly built by jet arithmetic."""
+        jet = object.__new__(cls)
+        jet.dim = dim
+        jet.order = order
+        jet.terms = terms
+        return jet
 
     @classmethod
     def constant(cls, value, dim, order):
@@ -113,12 +162,12 @@ class Jet:
                 del t[e]
             else:
                 t[e] = s
-        return Jet(self.dim, self.order, t)
+        return Jet._adopt(self.dim, self.order, t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.dim, self.order, {e: -c for e, c in self.terms.items()})
+        return Jet._adopt(self.dim, self.order, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._like(other))
@@ -131,23 +180,26 @@ class Jet:
             c = _scalar(other)
             if c == 0:
                 return Jet(self.dim, self.order)
-            return Jet(self.dim, self.order, {e: v * c for e, v in self.terms.items()})
+            return Jet._adopt(self.dim, self.order,
+                              {e: v * c for e, v in self.terms.items()})
         other = self._like(other)
+        table = _pair_table(self.dim, self.order)
+        pairs = other.terms.items()
         t = {}
-        order = self.order
         for e1, c1 in self.terms.items():
-            if sum(e1) > order:
+            row = table.get(e1)
+            if row is None:
                 continue
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > order:
+            for e2, c2 in pairs:
+                e = row.get(e2)
+                if e is None:
                     continue
                 s = t.get(e, 0.0) + c1 * c2
                 if s == 0 and e in t:
                     del t[e]
                 else:
                     t[e] = s
-        return Jet(self.dim, self.order, t)
+        return Jet._adopt(self.dim, self.order, t)
 
     __rmul__ = __mul__
 

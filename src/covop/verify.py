@@ -11,6 +11,7 @@ it makes at most DRAWS_PER_SAMPLE draws per requested sample, and a check
 that accepts fewer samples than it asked for fails and says how many it got.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +22,7 @@ from scipy.integrate import quad as _quad
 from .algebra import Poly
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, SingularPoint, Translation, _norm_sq,
-                        stereographic, stereographic_factor,
+                        full_rotation, stereographic, stereographic_factor,
                         tangential_rotation, xi_vars)
 from .jets import Jet, coordinate_jets
 from .juhl import iterated
@@ -370,6 +371,17 @@ def _quad_checked(fn, a, b, quad_tol, scale, points=None):
     return out[0]
 
 
+@functools.cache
+def _ring_angles(k):
+    """(cos, sin) of k equally spaced angles on [0, 2 pi), as read-only
+    arrays shared by every ring of that size."""
+    theta = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+    out = (np.cos(theta), np.sin(theta))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def knapp_stein_value(n, lam, func, point, quad_tol=1e-6, radius=None):
     """(1/Gamma(lam - n/2)) * int |point-eta|^(2 lam - 2 n) func(eta) d eta
     over R^n, by adaptive quadrature on a ball that provably contains the
@@ -404,8 +416,8 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6, radius=None):
         k = 32
         prev = None
         while True:
-            theta = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
-            vals = func.eval_generic([x1 + r * np.cos(theta), x2 + r * np.sin(theta)])
+            cos, sin = _ring_angles(k)
+            vals = func.eval_generic([x1 + r * cos, x2 + r * sin])
             cur = float(np.mean(vals)) * 2.0 * math.pi
             if prev is not None and abs(cur - prev) <= quad_tol * 0.1 * max(1.0, abs(cur)):
                 return cur
@@ -798,7 +810,6 @@ def suite_numeric(seed=0, n_min=1, n_max=4, tols=None):
         maps = [ConformalMap(n, [Dilation(2.0)]),
                 ConformalMap(n, [Translation((0.4,) * n)])]
         if n >= 2:
-            from .conformal import full_rotation
             maps.append(ConformalMap(n, [full_rotation(n, 0.7)]))
         else:
             maps.append(ConformalMap.identity(n))

@@ -137,6 +137,19 @@ def test_verify_deterministic_reports(capsys):
     assert out1 == out2
 
 
+def test_verify_seeded_bytes_pinned(capsys):
+    # sha256 of the stdout written before the jet products were table-driven:
+    # the reports print errors with full repr, so every float is pinned
+    pinned = {
+        "numeric": "a79b5339e2e8f803e31ef56ed6003d8f11542e2217ba7f02ae5a2757bf495dc4",
+        "ambient": "f4d41df3645e0b6d179ec5073d3742bd581f37855f1178a2a9f69d9422cf4869",
+    }
+    for suite, digest in pinned.items():
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, suite
+
+
 def test_verify_tolerance_override_looser_still_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "symbolic",
                            "--tol", "covariance=1e-6")

@@ -157,6 +157,18 @@ def test_ks_quadrature_budget_guard():
         knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=1e-30)
 
 
+def test_ring_angles_match_linspace_bit_for_bit():
+    # every ring size the angular average can reach: 32, 64, ..., 4096
+    k = 32
+    while k <= 4096:
+        theta = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
+        cos, sin = verify._ring_angles(k)
+        assert cos.tobytes() == np.cos(theta).tobytes()
+        assert sin.tobytes() == np.sin(theta).tobytes()
+        assert not cos.flags.writeable and not sin.flags.writeable
+        k *= 2
+
+
 # -- pairing -----------------------------------------------------------------------
 
 
