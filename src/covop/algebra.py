@@ -300,23 +300,7 @@ def pretty_terms(variables, terms):
     return out
 
 
-# -- univariate helpers (for rational-function normalization) -------------
-
-
-def _ucoeffs(p):
-    if len(p.vars) != 1:
-        raise ValueError("univariate polynomial expected")
-    deg = max((e[0] for e in p.terms), default=0)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in p.terms.items():
-        out[e[0]] = c
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
-def _ufrom(coeffs, name):
-    return Poly((name,), {(k,): c for k, c in enumerate(coeffs) if c})
+# -- univariate division (for rational-function normalization) ------------
 
 
 def _udivmod(a, b):
@@ -371,7 +355,7 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         self.var = num.vars[0]
-        nc, dc = _ucoeffs(num), _ucoeffs(den)
+        nc, dc = num.to_univariate(self.var), den.to_univariate(self.var)
         g = _ugcd(nc, dc)
         if len(g) > 1 or g[0] != 1:
             nc, _ = _udivmod(nc, g)
@@ -379,14 +363,14 @@ class RationalFunction:
         lc = dc[-1]
         nc = [c / lc for c in nc]
         dc = [c / lc for c in dc]
-        self.num = _ufrom(nc, self.var)
-        self.den = _ufrom(dc, self.var)
+        self.num = Poly.from_univariate(nc, self.var)
+        self.den = Poly.from_univariate(dc, self.var)
 
     def is_zero(self):
         return self.num.is_zero()
 
     def is_polynomial(self):
-        return _ucoeffs(self.den) == [Fraction(1)]
+        return self.den.to_univariate(self.var) == [Fraction(1)]
 
     def __eq__(self, other):
         """Cross-multiplied identity of rational functions."""

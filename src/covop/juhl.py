@@ -13,6 +13,7 @@ coefficient together with the Gamma-factor normalization metadata.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, factorial, pi
 
 from .algebra import Poly
@@ -41,55 +42,60 @@ def one_step(n):
 # The factors generate a small closed algebra: with X = mult by xi_n,
 # P = d_n and L = Lap one has [P, X] = 1, [L, X] = 2P, [P, L] = 0, so every
 # iterate is a combination of monomials X^i P^j L^k with lam-polynomial
-# coefficients.  Composing in that basis and expanding once at the end is
-# exactly the Leibniz composition (cross-checked in the tests) but does not
-# touch the full multi-index expansion at every step.  Every reduced
-# coefficient is an integer polynomial in lam, so the one expansion
-# (_expand_reduced, checked integral) works in plain ints; ``iterated`` makes
-# one Fraction per final coefficient from it, and ``covop operator`` streams
-# it to JSON without building the DiffOp at all.  The tangential
-# coefficients are read straight off the reduced basis (juhl_coeffs); the
-# generic route -- expand, restrict, then decompose_tangential with its
-# zero-residual certificate -- is the independent oracle that
-# ``verify --suite symbolic`` and the tests run against it.
+# coefficients.  The basis is grown one factor at a time: order N is the
+# factor (2*lam + 2N - n) P + X L composed on the left of the cached order
+# N - 1, which only multiplies and adds integers, so every coefficient is an
+# integer polynomial in lam by construction and is kept as a plain tuple of
+# ints.  Composing in that basis and expanding once at the end
+# (_expand_reduced) is exactly the Leibniz composition (cross-checked in the
+# tests) but does not touch the full multi-index expansion at every step;
+# ``iterated`` makes one Fraction per final coefficient from the expansion,
+# and ``covop operator`` streams it to JSON without building the DiffOp at
+# all.  The tangential coefficients are read straight off the reduced basis
+# (juhl_coeffs); the generic route -- expand, restrict, then
+# decompose_tangential with its zero-residual certificate -- is the
+# independent oracle that ``verify --suite symbolic`` and the tests run
+# against it.
 
 
 @lru_cache(maxsize=None)
 def _reduced_iterated(n, N):
-    """{(i, j, k): lam-Poly} for xi_n^i d_n^j Lap^k, equal to the N-fold
-    composition with the parameter shifted by one per factor."""
-    lamvars = ("lam",)
-    terms = {}
-    for step in range(N):
-        factor_c = Poly(lamvars, {(1,): Fraction(2), (0,): Fraction(2 * step + 2 - n)})
-        if not terms:
-            terms = {(0, 1, 0): factor_c, (1, 0, 1): Poly.const(1, lamvars)}
-            continue
-        new = {}
+    """{(i, j, k): c} for xi_n^i d_n^j Lap^k, equal to the N-fold
+    composition with the parameter shifted by one per factor; c holds the
+    integer coefficients of lam^0, lam^1, ... with no trailing zero.  Order
+    N composes (2*lam + 2N - n) P + X L on the left of order N - 1."""
+    if N == 0:
+        return {(0, 0, 0): (1,)}
+    a = 2 * N - n
+    new = {}
 
-        def add(key, poly):
-            if not poly:
-                return
-            s = new.get(key)
-            s = poly if s is None else s + poly
-            if s:
-                new[key] = s
-            elif key in new:
-                del new[key]
+    def add(key, c):
+        s = new.get(key)
+        if s is None:
+            s = c
+        else:  # sum of the coefficient tuples, trailing zeros dropped
+            s = [x + y for x, y in zip_longest(s, c, fillvalue=0)]
+            while s and not s[-1]:
+                s.pop()
+            s = tuple(s)
+        if s:
+            new[key] = s
+        elif key in new:
+            del new[key]
 
-        for (i, j, k), c in terms.items():
-            # c_step * d_n applied after xi_n^i d_n^j Lap^k
-            add((i, j + 1, k), factor_c * c)
-            if i:
-                add((i - 1, j, k), factor_c * c * i)
-            # xi_n * Lap applied after the same
-            add((i + 1, j, k + 1), c)
-            if i:
-                add((i, j + 1, k), c * (2 * i))
-            if i >= 2:
-                add((i - 1, j, k), c * (i * (i - 1)))
-        terms = new
-    return terms
+    for (i, j, k), c in _reduced_iterated(n, N - 1).items():
+        # (2*lam + a) * d_n applied after xi_n^i d_n^j Lap^k
+        fc = tuple(a * x + 2 * y for x, y in zip(c + (0,), (0,) + c))
+        add((i, j + 1, k), fc)
+        if i:
+            add((i - 1, j, k), tuple(x * i for x in fc))
+        # xi_n * Lap applied after the same
+        add((i + 1, j, k + 1), c)
+        if i:
+            add((i, j + 1, k), tuple(x * (2 * i) for x in c))
+        if i >= 2:
+            add((i - 1, j, k), tuple(x * (i * (i - 1)) for x in c))
+    return new
 
 
 def _expand_reduced(n, reduced):
@@ -99,19 +105,12 @@ def _expand_reduced(n, reduced):
     L^k adds c * multinomial(m) to the coefficient of d^(2m + j e_n).  The
     result is {alpha: {(lam_deg, xi_n_deg): int}}; keys appear in the order
     the terms are first reached, which float evaluation of ``iterated``
-    sums in, so that order is part of the seeded suites' output.  A reduced
-    coefficient that is not an integer polynomial in lam raises ValueError.
+    sums in, so that order is part of the seeded suites' output.
     """
     res = {}
     spread = {}  # k -> [(2m, multinomial(m)) for |m| = k]
     for (i, j, k), c in reduced.items():
-        lam_terms = []
-        for deg, cc in enumerate(c.to_univariate("lam")):
-            if cc.denominator != 1:
-                raise ValueError(f"reduced coefficient of X^{i} P^{j} L^{k} "
-                                 f"is not integral: {c.pretty()}")
-            if cc:
-                lam_terms.append(((deg, i), cc.numerator))
+        lam_terms = [((deg, i), cc) for deg, cc in enumerate(c) if cc]
         if k not in spread:
             spread[k] = [(tuple(2 * mi for mi in m), multinomial(m))
                          for m in weak_compositions(k, n)]
@@ -153,18 +152,18 @@ def iterated(n, N):
     return DiffOp(n, terms)
 
 
+def leading_factors(n, N):
+    """Linear factors (b, a) meaning b*lam + a of the leading coefficient."""
+    return [(Fraction(2), Fraction(m - n)) for m in range(N + 1, 2 * N + 1)]
+
+
 def leading_coeff(n, N):
     """Closed form of the pure-normal-derivative coefficient of the restricted
     family: prod_{m=N+1}^{2N} (2*lam - n + m), as a polynomial in lam."""
     out = Poly.const(1, ("lam",))
-    for m in range(N + 1, 2 * N + 1):
-        out = out * Poly(("lam",), {(1,): Fraction(2), (0,): Fraction(m - n)})
+    for b, a in leading_factors(n, N):
+        out = out * Poly(("lam",), {(1,): b, (0,): a})
     return out
-
-
-def leading_factors(n, N):
-    """Linear factors (b, a) meaning b*lam + a of the leading coefficient."""
-    return [(Fraction(2), Fraction(m - n)) for m in range(N + 1, 2 * N + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -174,17 +173,19 @@ def juhl_coeffs(n, N):
     Restriction to xi_n = 0 keeps the i = 0 part of the reduced basis, whose
     monomials d_n^j Lap^k all have j + 2k = N.  With Lap = Lap' + d_n^2 the
     coefficient of d_n^(N-2m) Lap'^m is a_m = sum_k C(k, m) c_(0, N-2k, k);
-    for n = 1 there is no Lap' and only a_0 survives.  Each a_m is a Poly in
-    lam alone.  a_0 is checked against the closed form, so a mismatch can
-    only mean an implementation bug.
+    for n = 1 there is no Lap' and only a_0 survives.  The sums run in ints
+    and each a_m becomes one Poly in lam alone.  a_0 is checked against the
+    closed form, so a mismatch can only mean an implementation bug.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    coeffs = [Poly.zero(("lam",))] * (N // 2 + 1)
+    sums = [[0] * (N + 1) for _ in range(N // 2 + 1)]  # a_m has degree <= N
     for (i, j, k), c in _reduced_iterated(n, N).items():
         if i == 0:
             for m in range(k + 1 if n > 1 else 1):
-                coeffs[m] = coeffs[m] + c * comb(k, m)
+                for deg, x in enumerate(c):
+                    sums[m][deg] += comb(k, m) * x
+    coeffs = [Poly.from_univariate(s) for s in sums]
     if coeffs[0] != leading_coeff(n, N):
         raise RuntimeError(
             f"leading tangential coefficient deviates from closed form at n={n}, N={N}")

@@ -717,74 +717,72 @@ def _tol(tols, name):
     return (tols or {}).get(name, TOLERANCES[name])
 
 
+def _exact_report(name, cases, holds, text):
+    """Report of an exact identity over ``cases``: max_rel_err counts the
+    cases where ``holds(*case)`` is false."""
+    bad = sum(0 if holds(*case) else 1 for case in cases)
+    return CheckReport(name, len(cases), float(bad), 0.0, bad == 0, text)
+
+
 def suite_symbolic(n_min=1, n_max=8, tols=None):
-    from .diffop import NonTangentialForm, decompose_tangential
+    from .diffop import NonTangentialForm, decompose_tangential, op_vars
     from .juhl import juhl_coeffs, one_step
-    reports = []
 
-    ns = [n for n in range(1, 9) if n_min <= n <= n_max]
-    fails = sum(0 if symbolcalc.check_factorization(n) else 1 for n in ns)
-    reports.append(CheckReport("symbol_factorization", len(ns),
-                               float(fails), 0.0, fails == 0,
-                               f"exact identity for n in {ns}"))
+    def hat_involution(n, a, b):
+        # kernel hat rule applied twice returns (2 pi)^n times the original
+        c1, s1c, s1l = symbolcalc.hat_kernel(n, a, b)
+        c2, s2c, s2l = symbolcalc.hat_kernel(n, s1c, s1l)
+        expect = symbolcalc.SymCoeff(1, two_a=n, pi_half=2 * n)
+        return c1 * c2 == expect and (s2c, s2l) == (a, b)
 
-    # kernel hat rule applied twice returns (2 pi)^n times the original
-    count, bad = 0, 0
-    for n in ns:
-        for (a, b) in ((Fraction(0), Fraction(2)), (Fraction(-1), Fraction(-2)),
-                       (Fraction(3, 2), Fraction(1))):
-            c1, s1c, s1l = symbolcalc.hat_kernel(n, a, b)
-            c2, s2c, s2l = symbolcalc.hat_kernel(n, s1c, s1l)
-            total = c1 * c2
-            expect = symbolcalc.SymCoeff(1, two_a=n, pi_half=2 * n)
-            bad += 0 if (total == expect and (s2c, s2l) == (a, b)) else 1
-            count += 1
-    reports.append(CheckReport("kernel_hat_involution", count, float(bad),
-                               0.0, bad == 0, "double transform bookkeeping"))
-
-    grid = [(n, N) for n in range(max(2, n_min), min(6, n_max) + 1)
-            for N in range(1, 11)]
-    bad = 0
-    for n, N in grid:
+    def leading_closed_form(n, N):
         try:
             juhl_coeffs(n, N)
         except RuntimeError:
-            bad += 1
-    reports.append(CheckReport("juhl_leading_coeff", len(grid), float(bad),
-                               0.0, bad == 0, "closed form of a_0, full grid"))
+            return False
+        return True
 
-    bad = 0
-    for n, N in grid:
-        vars_ = ("lam",) + tuple(f"xi{i}" for i in range(1, n + 1))
+    def power_constant(n, N):
+        vars_ = op_vars(n)
         xin = Poly.variable(f"xi{n}", vars_)
-        got = iterated(n, N).apply(xin ** N)
         want = Poly.const(math.factorial(N), vars_)
         lamP = Poly.variable("lam", vars_)
         for m in range(N + 1, 2 * N + 1):
             want = want * (2 * lamP + (m - n))
-        if got != want:
-            bad += 1
-    reports.append(CheckReport("iterated_power_constant", len(grid), float(bad),
-                               0.0, bad == 0, "N-fold drop of xi_n^N, full grid"))
+        return iterated(n, N).apply(xin ** N) == want
 
-    bad = 0
-    for n, N in grid:
+    def zero_residual(n, N):
         try:
             decompose_tangential(iterated(n, N).restrict(), N)
         except NonTangentialForm:
-            bad += 1
-    reports.append(CheckReport("tangential_zero_residual", len(grid), float(bad),
-                               0.0, bad == 0, "restricted family lies in the tangential span"))
+            return False
+        return True
 
-    small = [(n, N) for n in (2, 3) if n_min <= n <= n_max for N in (1, 2, 3)]
-    bad = 0
-    for n, N in small:
+    def shift_consistent(n, N):
         lhs = iterated(n, N).shift_lambda(1).compose(one_step(n))
-        if lhs != iterated(n, N + 1):
-            bad += 1
-    reports.append(CheckReport("shift_consistency", len(small), float(bad),
-                               0.0, bad == 0, "parameter shift composes correctly"))
-    return reports
+        return lhs == iterated(n, N + 1)
+
+    ns = [n for n in range(1, 9) if n_min <= n <= n_max]
+    pairs = ((Fraction(0), Fraction(2)), (Fraction(-1), Fraction(-2)),
+             (Fraction(3, 2), Fraction(1)))
+    grid = [(n, N) for n in range(max(2, n_min), min(6, n_max) + 1)
+            for N in range(1, 11)]
+    small = [(n, N) for n in (2, 3) if n_min <= n <= n_max for N in (1, 2, 3)]
+    return [
+        _exact_report("symbol_factorization", [(n,) for n in ns],
+                      symbolcalc.check_factorization,
+                      f"exact identity for n in {ns}"),
+        _exact_report("kernel_hat_involution", [(n, *ab) for n in ns for ab in pairs],
+                      hat_involution, "double transform bookkeeping"),
+        _exact_report("juhl_leading_coeff", grid, leading_closed_form,
+                      "closed form of a_0, full grid"),
+        _exact_report("iterated_power_constant", grid, power_constant,
+                      "N-fold drop of xi_n^N, full grid"),
+        _exact_report("tangential_zero_residual", grid, zero_residual,
+                      "restricted family lies in the tangential span"),
+        _exact_report("shift_consistency", small, shift_consistent,
+                      "parameter shift composes correctly"),
+    ]
 
 
 def suite_numeric(seed=0, n_min=1, n_max=4, tols=None):

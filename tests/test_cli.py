@@ -51,6 +51,19 @@ def test_coeffs_latex_product_form(capsys):
     assert "(2\\lambda )(2\\lambda +1)" in out
 
 
+def test_coeffs_bytes_pinned(capsys):
+    # sha256 of the stdout written while the reduced basis held Fraction Polys
+    pinned = {
+        "json": "57bb5dd83b3c8849ae978203f59e93375470353df0ad5f9328f59a962b90a773",
+        "csv": "5f127af5ca8b55d82b5d9fd25e89e8cf91e0b8c7254350094b37e6bc134b3212",
+        "latex": "8e864a57d4d08a22efdd8f319b190e53f7b43ac7ca8d07205333df3cf9c02336",
+    }
+    for fmt, digest in pinned.items():
+        code, out, _ = run_cli(capsys, "coeffs", "--n", "8", "--N", "12", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
 def test_coeffs_range_violation(capsys):
     code, _, err = run_cli(capsys, "coeffs", "--n", "9", "--N", "1")
     assert code == 2 and "n must be" in err
@@ -126,6 +139,9 @@ def test_verify_symbolic_exit_zero(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert all(r["passed"] for r in doc["reports"])
+    # the exact path's bytes, as written before the reduced basis went integer
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "ebae12978583a96651eb085b015dc0b4d8b4130a604e4f2a467ee06ef18a2253"
 
 
 def test_verify_deterministic_reports(capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from covop.algebra import Poly, RationalFunction
 from covop.diffop import DiffOp, decompose_tangential, op_vars
-from covop.juhl import (_expand_reduced, iterated, juhl_coeffs, leading_coeff,
-                        normalization_meta, one_step)
+from covop.juhl import (iterated, juhl_coeffs, leading_coeff, normalization_meta,
+                        one_step)
 from covop.special import PoleAtLambda
 
 
@@ -73,12 +73,6 @@ def test_restrict_pins_to_subs_value_route():
                 [(a, list(c.terms)) for a, c in want.terms.items()]
 
 
-def test_expansion_rejects_a_non_integral_coefficient():
-    half = Poly(("lam",), {(1,): Fraction(1, 2), (0,): Fraction(3)})
-    with pytest.raises(ValueError, match="not integral"):
-        _expand_reduced(2, {(0, 1, 0): Poly.const(1, ("lam",)), (1, 0, 1): half})
-
-
 def test_iterated_on_normal_powers():
     # N-fold drop of xi_n^N: N! prod_{m=N+1}^{2N} (2 lam - n + m)
     for n in (2, 3):
@@ -127,10 +121,26 @@ def test_juhl_coeffs_small_orders():
     assert t2.coeffs[1] == RationalFunction(2 * lam + 1)
 
 
+def closed_form_coeff(n, N, m):
+    """a_m = N!/(2^m m! (N-2m)!) prod (2 lam - n + k), k over N+1..2N
+    without the m odd values 2N-1, 2N-3, ..., 2N-2m+1."""
+    lam = Poly.from_univariate([0, 1])
+    skip = {2 * N - 2 * r + 1 for r in range(1, m + 1)}
+    out = Poly.const(Fraction(math.factorial(N),
+                              2 ** m * math.factorial(m) * math.factorial(N - 2 * m)), ("lam",))
+    for k in range(N + 1, 2 * N + 1):
+        if k not in skip:
+            out = out * (2 * lam + (k - n))
+    return out
+
+
 def test_juhl_coeffs_match_closed_form_grid():
-    for n in range(2, 7):
-        for N in range(1, 6):
-            assert juhl_coeffs(n, N).coeffs[0] == RationalFunction(leading_coeff(n, N))
+    for n in range(2, 9):
+        for N in range(1, 13):
+            coeffs = juhl_coeffs(n, N).coeffs
+            assert coeffs[0] == RationalFunction(leading_coeff(n, N))
+            for m, a in enumerate(coeffs):
+                assert a == closed_form_coeff(n, N, m), (n, N, m)
 
 
 def test_juhl_coeffs_polynomial_in_lam():
