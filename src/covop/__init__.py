@@ -6,7 +6,7 @@ that factors the convolution intertwiners through them, and seeded numerical
 verification of every covariance and ambient-space identity involved.
 """
 
-from .algebra import Poly, Rational, RationalFunction
+from .algebra import Poly, RationalFunction
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, Rotation, SingularPoint, Translation,
                         chart_inverse, full_rotation, stereographic,
@@ -26,7 +26,7 @@ from .verify import (AmbientPoint, CheckReport, QuadratureBudgetExceeded,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly", "Rational", "RationalFunction",
+    "Poly", "RationalFunction",
     "DiffOp", "TangentialOp", "NonTangentialForm", "decompose_tangential", "op_vars",
     "Jet", "coordinate_jets",
     "one_step", "iterated", "juhl_coeffs", "leading_coeff", "leading_factors",

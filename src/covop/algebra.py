@@ -10,8 +10,6 @@ already for moderate operator orders.
 from fractions import Fraction
 from math import comb
 
-Rational = Fraction  # always in lowest terms, denominator >= 1
-
 
 def _as_fraction(c):
     if isinstance(c, Fraction):

@@ -20,7 +20,7 @@ from .diffop import DiffOp, op_vars
 # ``iterated`` is not called here but stays bound: perfbench's self-test
 # checks that its tracer patches a name imported into another covop module.
 from .juhl import (expanded_iterated, iterated, juhl_coeffs,  # noqa: F401
-                   leading_factors, normalization_meta)
+                   leading_factors, normalization_meta, pretty_factors)
 from .verify import TOLERANCES, run_suites
 
 COEFFS_MAX_N = 8
@@ -51,20 +51,6 @@ def operator_from_dict(d):
     return DiffOp(n, terms)
 
 
-def _affine_pretty(b, a):
-    if b == 2:
-        head = "2λ"
-    elif b == 1:
-        head = "λ"
-    else:
-        head = f"{b}λ"
-    if a > 0:
-        return f"({head}+{a})"
-    if a < 0:
-        return f"({head}{a})"
-    return f"({head})"
-
-
 def normalization_to_dict(meta):
     return {
         "pi_power": meta.pi_power,
@@ -83,8 +69,7 @@ def coeff_table(n, N):
     for j, p in enumerate(juhl_coeffs(n, N).coeffs):
         row = {"j": j, "poly": poly_to_triples(p), "display": p.pretty()}
         if j == 0:
-            row["factored"] = "".join(_affine_pretty(b, a)
-                                      for b, a in leading_factors(n, N))
+            row["factored"] = pretty_factors(leading_factors(n, N))
         rows.append(row)
     return {"kind": "juhl_coeffs", "n": n, "N": N, "rows": rows,
             "normalization": normalization_to_dict(normalization_meta(n, N))}
@@ -129,25 +114,18 @@ def _emit_operator(n, N, expansion, stream):
     stream.write(f'\n  ],\n  "variables": {_json_list(map(enc, variables), 2)}\n}}\n')
 
 
-def _emit_coeffs_csv(table, stream):
+def _emit_coeffs_csv(n, N, stream):
     stream.write("j,coeffs,display\n")
-    for row in table["rows"]:
-        coeffs = {tuple(e)[0]: Fraction(int(num), int(den))
-                  for e, num, den in row["poly"]}
-        deg = max(coeffs, default=0)
-        asc = ";".join(str(coeffs.get(k, Fraction(0))) for k in range(deg + 1))
-        stream.write(f"{row['j']},{asc},{row['display']}\n")
-
-
-def _latex_poly(display):
-    return display.replace("λ", "\\lambda ")
+    for j, p in enumerate(juhl_coeffs(n, N).coeffs):
+        asc = ";".join(map(str, p.to_univariate()))
+        stream.write(f"{j},{asc},{p.pretty()}\n")
 
 
 def _emit_coeffs_latex(table, stream):
     stream.write("\\begin{aligned}\n")
     for row in table["rows"]:
-        body = row.get("factored", row["display"])
-        stream.write(f"a_{{{row['j']}}}(\\lambda) &= {_latex_poly(body)} \\\\\n")
+        body = row.get("factored", row["display"]).replace("λ", "\\lambda ")
+        stream.write(f"a_{{{row['j']}}}(\\lambda) &= {body} \\\\\n")
     stream.write("\\end{aligned}\n")
 
 
@@ -162,18 +140,25 @@ def _check_range(n, N):
     return None
 
 
+def _check_n_bounds(n_min, n_max):
+    for flag, value in (("--n-min", n_min), ("--n-max", n_max)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1 (got {value})")
+    if None not in (n_min, n_max) and n_min > n_max:
+        raise ValueError(f"--n-min must not exceed --n-max (got {n_min} > {n_max})")
+
+
 def cmd_coeffs(args, stream):
     problem = _check_range(args.n, args.N)
     if problem:
         print(f"covop coeffs: {problem}", file=sys.stderr)
         return 2
-    table = coeff_table(args.n, args.N)
     if args.format == "json":
-        _emit_json(table, stream)
+        _emit_json(coeff_table(args.n, args.N), stream)
     elif args.format == "csv":
-        _emit_coeffs_csv(table, stream)
+        _emit_coeffs_csv(args.n, args.N, stream)
     else:
-        _emit_coeffs_latex(table, stream)
+        _emit_coeffs_latex(coeff_table(args.n, args.N), stream)
     return 0
 
 
@@ -203,6 +188,7 @@ def _parse_tols(pairs):
 def cmd_verify(args, stream):
     try:
         tols = _parse_tols(args.tol)
+        _check_n_bounds(args.n_min, args.n_max)
     except ValueError as exc:
         print(f"covop verify: {exc}", file=sys.stderr)
         return 2

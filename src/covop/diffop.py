@@ -200,11 +200,9 @@ class DiffOp:
 
     # -- numeric evaluation ---------------------------------------------------
 
-    def coeffs_at(self, lam, point=None):
-        """Numeric coefficient per multi-index at given lam and xi values."""
-        if point is None:
-            point = (0.0,) * self.n
-        values = [lam] + list(point)
+    def coeffs_at(self, lam):
+        """Numeric coefficient per multi-index at lam and every xi at 0."""
+        values = [lam] + [0.0] * self.n
         return {a: c.evaluate(values) for a, c in self.terms.items()}
 
     def pretty(self):

@@ -48,14 +48,10 @@ def one_step(n):
 # integer polynomial in lam by construction and is kept as a plain tuple of
 # ints.  Composing in that basis and expanding once at the end
 # (_expand_reduced) is exactly the Leibniz composition (cross-checked in the
-# tests) but does not touch the full multi-index expansion at every step;
-# ``iterated`` makes one Fraction per final coefficient from the expansion,
-# and ``covop operator`` streams it to JSON without building the DiffOp at
-# all.  The tangential coefficients are read straight off the reduced basis
-# (juhl_coeffs); the generic route -- expand, restrict, then
-# decompose_tangential with its zero-residual certificate -- is the
-# independent oracle that ``verify --suite symbolic`` and the tests run
-# against it.
+# tests) but does not touch the full multi-index expansion at every step.
+# Production reads only these integer forms (juhl_coeffs, expanded_iterated,
+# restricted_iterated); the Fraction DiffOp of the whole family, ``iterated``,
+# is the oracle that the tests and the small shift_consistency grid check.
 
 
 @lru_cache(maxsize=None)
@@ -131,30 +127,47 @@ def _expand_reduced(n, reduced):
 def expanded_iterated(n, N):
     """The iterated family in integers: {alpha: {(lam_deg, xi_n_deg): int}}
     is the coefficient of lam^lam_deg xi_n^xi_n_deg d^alpha (no other xi
-    occurs).  ``iterated`` and the operator export both read it."""
+    occurs).  The operator export, ``verify`` and ``iterated`` read it."""
     if N < 1:
         raise ValueError("N must be >= 1")
     return _expand_reduced(n, _reduced_iterated(n, N))
 
 
+def _as_diffop(n, expansion):
+    """The DiffOp of an ``expanded_iterated``-shaped dict, in its key order."""
+    vars_, zeros = op_vars(n), (0,) * (n - 1)
+    return DiffOp(n, {alpha: Poly(vars_, {(deg,) + zeros + (i,): c
+                                          for (deg, i), c in coeff.items()})
+                      for alpha, coeff in expansion.items()})
+
+
 @lru_cache(maxsize=None)
 def iterated(n, N):
     """The N-fold composition of one-step operators with per-factor shifts
-    lam, lam+1, ..., lam+N-1 (first factor applied first), as a DiffOp."""
-    vars_ = op_vars(n)
-    zeros = (0,) * (n - 1)
-    expansion = expanded_iterated(n, N)
-    terms = {}
-    for alpha in list(expansion):
-        # popped as converted, so the int and Fraction forms are never both whole
-        coeff = expansion.pop(alpha)
-        terms[alpha] = Poly(vars_, {(deg,) + zeros + (i,): c for (deg, i), c in coeff.items()})
-    return DiffOp(n, terms)
+    lam, lam+1, ..., lam+N-1 (first factor applied first), as a DiffOp: the
+    Fraction oracle of ``expanded_iterated``, which production reads."""
+    return _as_diffop(n, expanded_iterated(n, N))
+
+
+def restricted_iterated(n, N):
+    """``iterated(n, N).restrict()``, term order included, expanded from the
+    i = 0 part of the reduced basis: every X^i with i > 0 vanishes at
+    xi_n = 0."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return _as_diffop(n, _expand_reduced(
+        n, {key: c for key, c in _reduced_iterated(n, N).items() if not key[0]}))
 
 
 def leading_factors(n, N):
     """Linear factors (b, a) meaning b*lam + a of the leading coefficient."""
     return [(Fraction(2), Fraction(m - n)) for m in range(N + 1, 2 * N + 1)]
+
+
+def pretty_factors(factors):
+    """Affine factors (b, a), each b*lam + a, displayed as '(2λ)(2λ+1)(2λ-3)'."""
+    return "".join(f"({b}λ+{a})" if a > 0 else (f"({b}λ{a})" if a else f"({b}λ)")
+                   for b, a in factors)
 
 
 def leading_coeff(n, N):
@@ -258,9 +271,8 @@ class NormalizationMeta:
     def pretty(self):
         gam = "".join(g.pretty() for g in self.gammas)
         head = f"π^{self.pi_power}·{gam}" if self.pi_power else gam
-        fac = "".join(f"(2λ+{a})" if a > 0 else (f"(2λ{a})" if a else "(2λ)")
-                      for _, a in self.ratio_factors)
-        ratio = f"{self.ratio_prefactor}·2^{self.ratio_two_power}·{fac}"
+        ratio = (f"{self.ratio_prefactor}·2^{self.ratio_two_power}·"
+                 f"{pretty_factors(self.ratio_factors)}")
         return f"normalization {head}; {self.parity} ratio {ratio}"
 
 

@@ -25,7 +25,7 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         full_rotation, stereographic, stereographic_factor,
                         tangential_rotation, xi_vars)
 from .jets import Jet, coordinate_jets
-from .juhl import iterated
+from .juhl import expanded_iterated, iterated, leading_coeff, restricted_iterated
 from .special import gamma_checked
 from . import symbolcalc
 
@@ -325,7 +325,7 @@ def check_covariance_iterated(n, N, rng, samples=20, tol=1e-8):
     lam+N action of the induced hyperplane map on res E f."""
     if N > 4:
         raise ValueError("numeric iterated covariance is capped at N = 4")
-    restricted = iterated(n, N).restrict()
+    restricted = restricted_iterated(n, N)
     order = restricted.order
 
     def draw(_):
@@ -725,7 +725,7 @@ def _exact_report(name, cases, holds, text):
 
 
 def suite_symbolic(n_min=1, n_max=8, tols=None):
-    from .diffop import NonTangentialForm, decompose_tangential, op_vars
+    from .diffop import NonTangentialForm, decompose_tangential
     from .juhl import juhl_coeffs, one_step
 
     def hat_involution(n, a, b):
@@ -743,17 +743,21 @@ def suite_symbolic(n_min=1, n_max=8, tols=None):
         return True
 
     def power_constant(n, N):
-        vars_ = op_vars(n)
-        xin = Poly.variable(f"xi{n}", vars_)
-        want = Poly.const(math.factorial(N), vars_)
-        lamP = Poly.variable("lam", vars_)
-        for m in range(N + 1, 2 * N + 1):
-            want = want * (2 * lamP + (m - n))
-        return iterated(n, N).apply(xin ** N) == want
+        # c lam^d xi_n^i d^alpha takes xi_n^N to 0 unless alpha = j e_n, and then
+        # to c N!/(N-j)! lam^d xi_n^(i+N-j); math.perm(N, j) is 0 for j > N
+        got = {}
+        for alpha, coeff in expanded_iterated(n, N).items():
+            if not any(alpha[:-1]):
+                for (deg, i), c in coeff.items():
+                    key = (deg, i + N - alpha[-1])
+                    got[key] = got.get(key, 0) + c * math.perm(N, alpha[-1])
+        want = enumerate(leading_coeff(n, N).to_univariate())
+        return ({key: c for key, c in got.items() if c}
+                == {(deg, 0): math.factorial(N) * c for deg, c in want if c})
 
     def zero_residual(n, N):
         try:
-            decompose_tangential(iterated(n, N).restrict(), N)
+            decompose_tangential(restricted_iterated(n, N), N)
         except NonTangentialForm:
             return False
         return True

@@ -157,13 +157,15 @@ def test_verify_seeded_bytes_pinned(capsys):
     # sha256 of the stdout written before the jet products were table-driven:
     # the reports print errors with full repr, so every float is pinned
     pinned = {
-        "numeric": "a79b5339e2e8f803e31ef56ed6003d8f11542e2217ba7f02ae5a2757bf495dc4",
-        "ambient": "f4d41df3645e0b6d179ec5073d3742bd581f37855f1178a2a9f69d9422cf4869",
+        ("numeric", "7"): "a79b5339e2e8f803e31ef56ed6003d8f11542e2217ba7f02ae5a2757bf495dc4",
+        ("ambient", "7"): "f4d41df3645e0b6d179ec5073d3742bd581f37855f1178a2a9f69d9422cf4869",
+        # written while the restricted iterates were restricted Fraction DiffOps
+        ("numeric", "0"): "b67e6054d5a5aa00c0b4453f23fe08f128b3406dd57be7694d03f2b06a2f7921",
     }
-    for suite, digest in pinned.items():
-        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "7")
+    for (suite, seed), digest in pinned.items():
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)
         assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, suite
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (suite, seed)
 
 
 def test_verify_tolerance_override_looser_still_passes(capsys):
@@ -184,6 +186,16 @@ def test_verify_unknown_tol_name(capsys):
     assert code == 2 and out == ""
     assert "'covarience'" in err
     assert "covariance, covariance_restricted" in err and "ambient_compact" in err
+
+
+def test_verify_bad_n_range(capsys):
+    # 0 is not "unset", and an empty range is a usage error, not zero samples
+    for bounds, text in ((("--n-max", "0"), "--n-max must be at least 1"),
+                         (("--n-min", "-1"), "--n-min must be at least 1"),
+                         (("--n-min", "5", "--n-max", "3"), "must not exceed")):
+        code, out, err = run_cli(capsys, "verify", "--suite", "symbolic", *bounds)
+        assert code == 2 and out == "", bounds
+        assert err.startswith("covop verify: ") and text in err, err
 
 
 def test_usage_error_exit_code(covop_env):

@@ -6,7 +6,7 @@ import pytest
 from covop.algebra import Poly, RationalFunction
 from covop.diffop import DiffOp, decompose_tangential, op_vars
 from covop.juhl import (iterated, juhl_coeffs, leading_coeff, normalization_meta,
-                        one_step)
+                        one_step, restricted_iterated)
 from covop.special import PoleAtLambda
 
 
@@ -71,6 +71,11 @@ def test_restrict_pins_to_subs_value_route():
             assert got == want
             assert [(a, list(c.terms)) for a, c in got.terms.items()] == \
                 [(a, list(c.terms)) for a, c in want.terms.items()]
+            # the production route expands the i = 0 part of the reduced basis alone
+            short = restricted_iterated(n, N)
+            assert short == got
+            assert [(a, list(c.terms)) for a, c in short.terms.items()] == \
+                [(a, list(c.terms)) for a, c in got.terms.items()]
 
 
 def test_iterated_on_normal_powers():

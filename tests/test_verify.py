@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from covop import verify
+from covop import juhl, verify
 from covop.algebra import Poly
 from covop.conformal import ConformalMap, Dilation, GaussianBump, Translation
+from covop.diffop import DiffOp
 from covop.jets import coordinate_jets
 from covop.verify import (CheckReport, check_ambient_compact,
                           check_ambient_noncompact, check_covariance_iterated,
@@ -281,6 +282,67 @@ def test_ambient_point_cone_membership():
 def test_suite_symbolic_all_green():
     for r in verify.suite_symbolic():
         assert r.passed, r
+
+
+def _report(name):
+    return next(r for r in verify.suite_symbolic() if r.name == name)
+
+
+def test_symbolic_suite_stays_off_the_fraction_route(monkeypatch):
+    # production reads the integer expansion; the Fraction DiffOp of the
+    # whole family is built only for the small shift_consistency grid
+    orders, applied = [], []
+    original = juhl.iterated
+
+    def recording_iterated(n, N):
+        orders.append(N)
+        return original(n, N)
+
+    monkeypatch.setattr(juhl, "iterated", recording_iterated)
+    monkeypatch.setattr(verify, "iterated", recording_iterated)
+    original_apply = DiffOp.apply
+
+    def recording_apply(self, p):
+        applied.append((self, p))
+        return original_apply(self, p)
+
+    monkeypatch.setattr(DiffOp, "apply", recording_apply)
+    assert all(r.passed for r in verify.suite_symbolic())
+    assert applied == [] and orders and max(orders) <= 4
+
+
+def test_power_constant_fails_on_a_changed_pure_normal_coefficient(monkeypatch):
+    original = verify.expanded_iterated
+
+    def changed(n, N):
+        expansion = original(n, N)
+        coeff = expansion[(0,) * (n - 1) + (N,)]
+        key = next(iter(coeff))
+        coeff[key] += 1
+        return expansion
+
+    monkeypatch.setattr(verify, "expanded_iterated", changed)
+    r = _report("iterated_power_constant")
+    assert not r.passed and r.max_rel_err == r.samples == 50
+
+
+def test_zero_residual_fails_on_an_off_span_term(monkeypatch):
+    original = juhl._expand_reduced
+
+    def injected(n, reduced):
+        # d_1 d_n^(N-1) with a constant coefficient: odd in a tangential
+        # direction, so outside the span of d_n^(N-2j) Lap'^j
+        expansion = original(n, reduced)
+        order = max(map(sum, expansion))  # N for the restricted family
+        expansion[(1,) + (0,) * (n - 2) + (order - 1,)] = {(0, 0): 1}
+        return expansion
+
+    monkeypatch.setattr(juhl, "_expand_reduced", injected)
+    try:
+        r = _report("tangential_zero_residual")
+    finally:
+        juhl.iterated.cache_clear()  # shift_consistency cached injected iterates
+    assert not r.passed and r.max_rel_err == r.samples == 50
 
 
 def test_run_suites_selection():
