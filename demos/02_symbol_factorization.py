@@ -11,9 +11,9 @@ symbol algebra (rational functions of λ times tracked powers of 2, √π, i).
 
 import numpy as np
 
-from covop import check_factorization, knapp_stein_symbol
-from covop.symbolcalc import (check_ks_inversion, factorization_constant,
-                              symbol_ks_after_onestep, symbol_mult_after_ks)
+from covop import check_factorization, knapp_stein_symbol, verify
+from covop.symbolcalc import (factorization_constant, symbol_ks_after_onestep,
+                              symbol_mult_after_ks)
 
 n = 3
 print(f"intertwiner symbol (n={n}):")
@@ -33,7 +33,5 @@ print("exact factorization identity holds for n = 1..8")
 print("\nnumeric cross-check: symbols at λ and n-λ compose to π^n/(Γ(λ)Γ(n-λ))")
 rng = np.random.default_rng(0)
 for nn in (1, 2, 3, 4):
-    lams = [complex(rng.uniform(0.2, nn - 0.2), rng.uniform(-1, 1))
-            for _ in range(10)]
-    ok, err = check_ks_inversion(nn, lams)
-    print(f"    n={nn}: max relative error {err:.2e}")
+    r = verify.check_ks_inversion(nn, rng, samples=10)
+    print(f"    n={nn}: max relative error {r.max_rel_err:.2e}")

@@ -41,6 +41,5 @@ for nn in (2, 3):
 print("\nconvolution intertwining by quadrature (n=1):")
 f = GaussianBump((0.3,), 1.1)
 g1 = ConformalMap(1, [Dilation(2.0)])
-pts = [tuple(rng.uniform(-1.0, 1.0, 1)) for _ in range(5)]
-r = verify.check_ks_intertwining(1, 0.9, g1, f, pts)
+r = verify.check_ks_intertwining(1, 0.9, g1, f, rng, samples=5)
 print(f"    {r.name}: max_rel_err={r.max_rel_err:.2e}  passed={r.passed}")

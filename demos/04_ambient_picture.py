@@ -42,14 +42,12 @@ print(f"    {r.name}: max_rel_err={r.max_rel_err:.2e}")
 
 print("\nchart transport: B at weight λ-n/2+1 equals minus the one-step operator")
 f = GaussianBump((0.2, -0.1, 0.3), 1.2)
-pts = [tuple(rng.uniform(-1.2, 1.2, n)) for _ in range(15)]
-r = verify.check_ambient_noncompact(n, 0.8, f, pts)
+r = verify.check_ambient_noncompact(n, 0.8, f, rng, samples=15)
 print(f"    {r.name}: max_rel_err={r.max_rel_err:.2e}  passed={r.passed}")
 
 print("\nthree-route agreement on the sphere (ambient / conjugated Yamabe / chart):")
 vars_ = tuple(f"x{i}" for i in range(n + 1))
 fpoly = Poly.variable(vars_[0], vars_) * Poly.variable(vars_[n], vars_) \
     + Poly.variable(vars_[1], vars_) ** 2
-pts = verify._compact_points(rng, n, 10)
-r = verify.check_ambient_compact(n, 1.2, fpoly, pts)
+r = verify.check_ambient_compact(n, 1.2, fpoly, rng, samples=10)
 print(f"    {r.name}: max_rel_err={r.max_rel_err:.2e}  passed={r.passed}")

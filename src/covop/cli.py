@@ -12,6 +12,7 @@ document; no DiffOp or document dict is built.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -121,11 +122,12 @@ def _emit_coeffs_csv(n, N, stream):
         stream.write(f"{j},{asc},{p.pretty()}\n")
 
 
-def _emit_coeffs_latex(table, stream):
+def _emit_coeffs_latex(n, N, stream):
     stream.write("\\begin{aligned}\n")
-    for row in table["rows"]:
-        body = row.get("factored", row["display"]).replace("λ", "\\lambda ")
-        stream.write(f"a_{{{row['j']}}}(\\lambda) &= {body} \\\\\n")
+    for j, p in enumerate(juhl_coeffs(n, N).coeffs):
+        body = pretty_factors(leading_factors(n, N)) if j == 0 else p.pretty()
+        body = body.replace("λ", "\\lambda ")
+        stream.write(f"a_{{{j}}}(\\lambda) &= {body} \\\\\n")
     stream.write("\\end{aligned}\n")
 
 
@@ -158,7 +160,7 @@ def cmd_coeffs(args, stream):
     elif args.format == "csv":
         _emit_coeffs_csv(args.n, args.N, stream)
     else:
-        _emit_coeffs_latex(coeff_table(args.n, args.N), stream)
+        _emit_coeffs_latex(args.n, args.N, stream)
     return 0
 
 
@@ -181,7 +183,10 @@ def _parse_tols(pairs):
         if name not in TOLERANCES:
             raise ValueError(f"--tol: unknown tolerance {name!r}; known names: "
                              + ", ".join(TOLERANCES))
-        tols[name] = float(val)
+        value = float(val)
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"--tol {name} must be a finite number >= 0, got {val!r}")
+        tols[name] = value
     return tols
 
 
@@ -194,6 +199,10 @@ def cmd_verify(args, stream):
         return 2
     reports = run_suites(args.suite, seed=args.seed, n_min=args.n_min,
                          n_max=args.n_max, tols=tols)
+    if not reports:
+        print(f"covop verify: --n-min/--n-max leave suite {args.suite!r} "
+              "with no check", file=sys.stderr)
+        return 2
     passed = all(r.passed for r in reports)
     _emit_json({"kind": "verification", "suite": args.suite, "seed": args.seed,
                 "n_min": args.n_min, "n_max": args.n_max, "passed": passed,

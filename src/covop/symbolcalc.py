@@ -20,7 +20,6 @@ import math
 from fractions import Fraction
 
 from .algebra import Poly, RationalFunction
-from .special import PoleAtLambda, gamma_checked, near_pole
 
 FHAT = "Fhat"
 DFHAT = "dFhat_dn"
@@ -363,35 +362,3 @@ def check_factorization(n):
     rhs = symbol_ks_after_onestep(n).scale(factorization_constant(n))
     return lhs == rhs
 
-
-# -- numeric Knapp-Stein inversion check ----------------------------------------
-
-
-def _h_on_unit_sphere(n, s):
-    """h_s evaluated at |eta| = 1: 1/Gamma(n/2 + s/2)."""
-    return 1.0 / gamma_checked(n / 2.0 + s / 2.0)
-
-
-def check_ks_inversion(n, lam_samples, tol=1e-10):
-    """Composition of the intertwiner symbols at lam and n-lam against the
-    closed constant pi^n / (Gamma(lam) Gamma(n-lam)), pointwise on |eta| = 1.
-
-    Raises PoleAtLambda for samples at poles of the Gamma factors involved.
-    Returns (ok, max_rel_err).
-    """
-    base = knapp_stein_symbol(n)
-    assert len(base.terms) == 1
-    t = base.terms[0]
-    worst = 0.0
-    for lam in lam_samples:
-        lam = complex(lam)
-        if near_pole(lam) or near_pole(n - lam):
-            raise PoleAtLambda(f"sample {lam} hits a Gamma pole")
-        prod = 1.0 + 0.0j
-        for mu in (lam, n - lam):
-            s_val = complex(t.s_const) + complex(t.s_lam) * mu
-            prod *= t.coeff.evaluate(mu) * _h_on_unit_sphere(n, s_val)
-        expected = math.pi ** n / (gamma_checked(lam) * gamma_checked(n - lam))
-        err = abs(prod - expected) / max(abs(prod), abs(expected))
-        worst = max(worst, err)
-    return worst <= tol, worst

@@ -6,9 +6,12 @@ the ambient (light-cone) realization.
 Every check returns a CheckReport.  Derivatives are taken with jets (exact to
 rounding), quadrature-backed checks carry their own truncation/tolerance
 budget, and all sampling is seeded, so suite runs are reproducible.  Every
-seeded check draws its samples through one bounded sampler (``_sampled``):
-it makes at most DRAWS_PER_SAMPLE draws per requested sample, and a check
-that accepts fewer samples than it asked for fails and says how many it got.
+seeded check takes an rng and a sample count, and draws each sample (points
+and parameters alike) inside one bounded sampler, ``_sampled``: it makes at
+most DRAWS_PER_SAMPLE draws per requested sample, and a check that accepts
+fewer samples than it asked for fails and says how many it got.  The suites
+share one n range, 1..8 by default; a suite with no check in the range
+returns no reports.
 """
 
 import functools
@@ -141,27 +144,21 @@ DRAWS_PER_SAMPLE = 10
 POINT_TRIES = 100
 
 
-def _accepted(count, draw):
-    """Up to ``count`` accepted results of draw(k), k the number accepted so
-    far, within DRAWS_PER_SAMPLE * count draws.  A draw rejects its sample by
-    returning None or raising SingularPoint/RuntimeError."""
-    out = []
-    for _ in range(DRAWS_PER_SAMPLE * count):
-        if len(out) == count:
+def _sampled(name, samples, tol, draw):
+    """CheckReport over ``samples`` accepted results of draw(k), k the number
+    accepted so far, within DRAWS_PER_SAMPLE * samples draws.  A draw returns
+    (err, diagnostic), or rejects its sample by returning None or raising
+    SingularPoint/RuntimeError; a check left short of its samples fails."""
+    got = []
+    for _ in range(DRAWS_PER_SAMPLE * samples):
+        if len(got) == samples:
             break
         try:
-            got = draw(len(out))
+            out = draw(len(got))
         except (SingularPoint, RuntimeError):
             continue
-        if got is not None:
-            out.append(got)
-    return out
-
-
-def _sampled(name, samples, tol, draw):
-    """CheckReport over ``samples`` accepted draws, each returning
-    (err, diagnostic); a check left short of its samples fails."""
-    got = _accepted(samples, draw)
+        if out is not None:
+            got.append(out)
     report = CheckReport.from_errors(name, [e for e, _ in got], tol,
                                      [d for _, d in got])
     if len(got) < samples:
@@ -435,18 +432,20 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6, radius=None):
     return norm * val
 
 
-def check_ks_intertwining(n, lam, g, f, points, quad_tol=1e-6, tol=1e-5):
+def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5):
     """Convolution intertwiner applied to the twisted pullback against the
-    weight n-lam pullback of the transformed function."""
-    errs, diags = [], []
+    weight n-lam pullback of the transformed function, at points drawn
+    uniformly from [-1, 1]^n."""
     pulled = PulledBack(lam, g, f)
-    for xi in points:
+
+    def draw(_):
+        xi = tuple(float(c) for c in rng.uniform(-1.0, 1.0, n))
         lhs = knapp_stein_value(n, lam, pulled, xi, quad_tol)
         zeta, k = g.inverse().act_and_factor(xi)
         rhs = k ** (n - lam) * knapp_stein_value(n, lam, f, zeta, quad_tol)
-        errs.append(rel_err(lhs, rhs))
-        diags.append(f"lam={lam}, xi={xi}")
-    return CheckReport.from_errors(f"ks_intertwining_n{n}_lam{lam:g}", errs, tol, diags)
+        return rel_err(lhs, rhs), f"lam={lam}, xi={xi}"
+
+    return _sampled(f"ks_intertwining_n{n}_lam{lam:g}", samples, tol, draw)
 
 
 # -- kernel Fourier pairing ---------------------------------------------------------
@@ -483,12 +482,25 @@ def check_kernel_pairing(n, s, quad_tol=1e-10, tol=1e-8):
 
 
 def check_ks_inversion(n, rng, samples=20, tol=1e-10):
-    """Symbols at lam and n-lam compose to pi^n/(Gamma(lam) Gamma(n-lam))."""
-    lam_samples = [complex(rng.uniform(0.2, n - 0.2), rng.uniform(-1.0, 1.0))
-                   for _ in range(samples)]
-    ok, worst = symbolcalc.check_ks_inversion(n, lam_samples, tol)
-    return CheckReport(f"ks_inversion_symbol_n{n}", len(lam_samples), worst,
-                       tol, ok, "sampled lam in the strip 0.2 < Re < n-0.2")
+    """The intertwiner symbols at lam and n-lam compose to the closed constant
+    pi^n / (Gamma(lam) Gamma(n-lam)), pointwise on |eta| = 1, where the kernel
+    h_s is 1/Gamma(n/2 + s/2); lam is drawn in the strip 0.2 < Re < n-0.2.
+
+    Raises PoleAtLambda for a sample at a pole of the Gamma factors involved.
+    """
+    (t,) = symbolcalc.knapp_stein_symbol(n).terms
+
+    def draw(_):
+        lam = complex(rng.uniform(0.2, n - 0.2), rng.uniform(-1.0, 1.0))
+        prod = 1.0 + 0.0j
+        for mu in (lam, n - lam):
+            s_val = complex(t.s_const) + complex(t.s_lam) * mu
+            prod *= t.coeff.evaluate(mu) * (1.0 / gamma_checked(n / 2.0 + s_val / 2.0))
+        expected = math.pi ** n / (gamma_checked(lam) * gamma_checked(n - lam))
+        err = abs(prod - expected) / max(abs(prod), abs(expected))
+        return err, "sampled lam in the strip 0.2 < Re < n-0.2"
+
+    return _sampled(f"ks_inversion_symbol_n{n}", samples, tol, draw)
 
 
 # -- ambient-space checks ---------------------------------------------------------------
@@ -497,8 +509,10 @@ def check_ks_inversion(n, rng, samples=20, tol=1e-10):
 def dalembertian(jet, n):
     """Box F = F_tt - sum_j F_(x_j x_j) from an order-2 ambient jet
     (variables ordered t, x_0, ..., x_n)."""
-    h = jet.hess
-    return h[0][0] - sum(h[i][i] for i in range(1, n + 2))
+    # the diagonal of the Hessian, read directly: 2 * (coefficient of y_i^2)
+    diag = [2.0 * jet.terms.get(tuple(2 if k == i else 0 for k in range(n + 2)), 0.0)
+            for i in range(n + 2)]
+    return diag[0] - sum(diag[1:])
 
 
 def chart_family(n, lam, f):
@@ -533,14 +547,15 @@ def ambient_operator(mu, F, coords, n):
     return xn * dalembertian(Fj, n) - 2.0 * mu * Fj.grad[n + 1]
 
 
-def check_ambient_noncompact(n, lam, f, points, tol=1e-9):
+def check_ambient_noncompact(n, lam, f, rng, samples=30, tol=1e-9):
     """The ambient operator at weight lam - n/2 + 1, pushed through the
     stereographic chart (including the chart weight lam+1), against minus the
-    one-step operator on R^n."""
+    one-step operator on R^n, at points drawn uniformly from [-1.2, 1.2]^n."""
     mu = lam - n / 2.0 + 1.0
     F = chart_family(n, lam, f)
-    errs, diags = [], []
-    for xi in points:
+
+    def draw(_):
+        xi = tuple(float(c) for c in rng.uniform(-1.2, 1.2, n))
         x = stereographic(xi)
         coords = coordinate_jets((1.0,) + x, 2)
         bval = ambient_operator(mu, F, coords, n)
@@ -548,9 +563,9 @@ def check_ambient_noncompact(n, lam, f, points, tol=1e-9):
         lhs = kc ** (lam + 1.0) * bval
         fj = f.jet(xi, 2)
         rhs = -one_step_from_jet(n, lam, fj, xi[n - 1])
-        errs.append(rel_err(lhs, rhs))
-        diags.append(f"lam={lam}, xi={xi}")
-    return CheckReport.from_errors(f"ambient_noncompact_n{n}_lam{lam:g}", errs, tol, diags)
+        return rel_err(lhs, rhs), f"lam={lam}, xi={xi}"
+
+    return _sampled(f"ambient_noncompact_n{n}_lam{lam:g}", samples, tol, draw)
 
 
 def check_weight_conjugation(n, rng, samples=30, tol=1e-9):
@@ -603,8 +618,9 @@ def _poly_on_jets(p):
     return f
 
 
-def check_ambient_compact(n, lam, f_sphere_poly, points, tol=1e-8):
-    """Three routes to the same value at x = c(xi) on the sphere:
+def check_ambient_compact(n, lam, f_sphere_poly, rng, samples=20, tol=1e-8):
+    """Three routes to the same value at x = c(xi) on the sphere, for xi drawn
+    uniformly from [-1, 1]^n and kept when |x_n| >= 0.15 and 1 + x_0 >= 0.4:
 
     A. the ambient operator on the degree -lam extension of the sphere
        function (jets on the light cone section t = 1);
@@ -617,20 +633,21 @@ def check_ambient_compact(n, lam, f_sphere_poly, points, tol=1e-8):
     mu = lam - n / 2.0 + 1.0
     fs = _poly_on_jets(f_sphere_poly)
     FA = sphere_extension(n, fs, -lam)
-    errs, diags = [], []
-    for xi in points:
+
+    def h_sphere(args):
+        return (args[n] * args[n]) ** (mu / 2.0) * fs(args)
+
+    FB = sphere_extension(n, h_sphere, -(n / 2.0 - 1.0))
+
+    def draw(_):
+        xi = tuple(float(c) for c in rng.uniform(-1.0, 1.0, n))
         x = stereographic(xi)
-        if abs(x[n]) < 0.1 or 1.0 + x[0] < 0.2:
-            raise ValueError(f"point {xi} violates the chart/locus guards")
+        if abs(x[n]) < 0.15 or 1.0 + x[0] < 0.4:
+            return None
         coords = coordinate_jets((1.0,) + x, 2)
         a_val = ambient_operator(mu, FA, coords, n)
 
         # conjugated Yamabe route
-        def h_sphere(args, _fs=fs, _mu=mu):
-            w = (args[n] * args[n]) ** (_mu / 2.0)
-            return w * _fs(args)
-
-        FB = sphere_extension(n, h_sphere, -(n / 2.0 - 1.0))
         ds = dalembertian(FB(coords), n)
         xn = x[n]
         f_here = f_sphere_poly.evaluate(list(x))
@@ -643,9 +660,9 @@ def check_ambient_compact(n, lam, f_sphere_poly, points, tol=1e-8):
         c_val = -(kc ** (-(lam + 1.0))) * one_step_from_jet(n, lam, fnc, xi[n - 1])
 
         err = max(rel_err(a_val, b_val), rel_err(a_val, c_val), rel_err(b_val, c_val))
-        errs.append(err)
-        diags.append(f"lam={lam}, xi={xi}")
-    return CheckReport.from_errors(f"ambient_compact_n{n}_lam{lam:g}", errs, tol, diags)
+        return err, f"lam={lam}, xi={xi}"
+
+    return _sampled(f"ambient_compact_n{n}_lam{lam:g}", samples, tol, draw)
 
 
 def check_extension_independence(n, rng, samples=20, tol=1e-9):
@@ -767,6 +784,8 @@ def suite_symbolic(n_min=1, n_max=8, tols=None):
         return lhs == iterated(n, N + 1)
 
     ns = [n for n in range(1, 9) if n_min <= n <= n_max]
+    if not ns:
+        return []
     pairs = ((Fraction(0), Fraction(2)), (Fraction(-1), Fraction(-2)),
              (Fraction(3, 2), Fraction(1)))
     grid = [(n, N) for n in range(max(2, n_min), min(6, n_max) + 1)
@@ -789,7 +808,7 @@ def suite_symbolic(n_min=1, n_max=8, tols=None):
     ]
 
 
-def suite_numeric(seed=0, n_min=1, n_max=4, tols=None):
+def suite_numeric(seed=0, n_min=1, n_max=8, tols=None):
     rng = np.random.default_rng(seed)
     reports = []
     for n in (2, 3):
@@ -817,11 +836,8 @@ def suite_numeric(seed=0, n_min=1, n_max=4, tols=None):
             maps.append(ConformalMap.identity(n))
         for lam in (0.8 * n, 1.1 * n):
             for g in maps:
-                pts = [tuple(float(c) for c in rng.uniform(-1.0, 1.0, n)) for _ in range(5)]
                 reports.append(check_ks_intertwining(
-                    n, lam, g, f, pts,
-                    quad_tol=_tol(tols, "quad_tol"),
-                    tol=_tol(tols, "ks")))
+                    n, lam, g, f, rng, 5, _tol(tols, "quad_tol"), _tol(tols, "ks")))
     for n, s in ((1, -0.5), (2, -1.0), (3, -1.5)):
         if n_min <= n <= n_max:
             reports.append(check_kernel_pairing(n, s, tol=_tol(tols, "pairing")))
@@ -832,7 +848,7 @@ def suite_numeric(seed=0, n_min=1, n_max=4, tols=None):
     return reports
 
 
-def suite_ambient(seed=0, n_min=2, n_max=4, tols=None):
+def suite_ambient(seed=0, n_min=1, n_max=8, tols=None):
     rng = np.random.default_rng(seed)
     reports = []
     for n in (2, 3, 4):
@@ -840,9 +856,8 @@ def suite_ambient(seed=0, n_min=2, n_max=4, tols=None):
             continue
         f = sample_bump(rng, n)
         lam = float(rng.uniform(0.3, 1.5))
-        pts = [tuple(float(c) for c in rng.uniform(-1.2, 1.2, n)) for _ in range(30)]
         reports.append(check_ambient_noncompact(
-            n, lam, f, pts, _tol(tols, "ambient")))
+            n, lam, f, rng, 30, _tol(tols, "ambient")))
         reports.append(check_weight_conjugation(
             n, rng, 20, _tol(tols, "ambient")))
         reports.append(check_yamabe_constant(
@@ -856,31 +871,21 @@ def suite_ambient(seed=0, n_min=2, n_max=4, tols=None):
         fpoly = (Poly.variable(vars_[0], vars_) * Poly.variable(vars_[n], vars_)
                  + Poly.variable(vars_[1], vars_) ** 2
                  + Poly.const(Fraction(1, 2), vars_))
-        pts = _compact_points(rng, n, 20)
         reports.append(check_ambient_compact(
-            n, 1.2, fpoly, pts, _tol(tols, "ambient_compact")))
+            n, 1.2, fpoly, rng, 20, _tol(tols, "ambient_compact")))
     return reports
 
 
-def _compact_points(rng, n, count):
-    """Chart points whose sphere images respect the |x_n| and chart guards."""
-    def draw(_):
-        xi = tuple(float(c) for c in rng.uniform(-1.0, 1.0, n))
-        x = stereographic(xi)
-        return xi if abs(x[n]) >= 0.15 and 1.0 + x[0] >= 0.4 else None
-
-    pts = _accepted(count, draw)
-    if len(pts) < count:
-        raise RuntimeError(f"only {len(pts)} of {count} chart points passed the guards")
-    return pts
-
-
 def run_suites(which="all", seed=0, n_min=None, n_max=None, tols=None):
+    """Reports of the chosen suites over n_min <= n <= n_max (None: 1 and 8);
+    empty when no check of those suites covers an n in the range."""
+    n_min = 1 if n_min is None else n_min
+    n_max = 8 if n_max is None else n_max
     reports = []
     if which in ("symbolic", "all"):
-        reports.extend(suite_symbolic(n_min or 1, n_max or 8, tols))
+        reports.extend(suite_symbolic(n_min, n_max, tols))
     if which in ("numeric", "all"):
-        reports.extend(suite_numeric(seed, n_min or 1, n_max or 4, tols))
+        reports.extend(suite_numeric(seed, n_min, n_max, tols))
     if which in ("ambient", "all"):
-        reports.extend(suite_ambient(seed, n_min or 2, n_max or 4, tols))
+        reports.extend(suite_ambient(seed, n_min, n_max, tols))
     return reports

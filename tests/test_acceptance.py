@@ -127,8 +127,7 @@ def test_criterion_08_knapp_stein_intertwining():
                 ConformalMap(n, [full_rotation(n, 0.7)])]
         for lam in (0.8 * n, 1.1 * n):
             for g in maps:
-                pts = [tuple(rng.uniform(-1.0, 1.0, n)) for _ in range(5)]
-                r = verify.check_ks_intertwining(n, lam, g, f, pts,
+                r = verify.check_ks_intertwining(n, lam, g, f, rng, samples=5,
                                                  quad_tol=1e-6, tol=1e-5)
                 worst = max(worst, r.max_rel_err)
                 ok = ok and r.passed
@@ -171,8 +170,7 @@ def test_criterion_11_ambient_identities():
     for n in (2, 3, 4):
         f = GaussianBump(tuple(rng.uniform(-0.3, 0.3, n)), 1.2)
         lam = float(rng.uniform(0.4, 1.2))
-        pts = [tuple(rng.uniform(-1.2, 1.2, n)) for _ in range(30)]
-        r = verify.check_ambient_noncompact(n, lam, f, pts, tol=1e-9)
+        r = verify.check_ambient_noncompact(n, lam, f, rng, samples=30, tol=1e-9)
         ok = ok and r.passed
         details.append(f"chart n={n}: {r.max_rel_err:.1e}")
         r = verify.check_weight_conjugation(n, rng, samples=20, tol=1e-9)

@@ -161,6 +161,8 @@ def test_verify_seeded_bytes_pinned(capsys):
         ("ambient", "7"): "f4d41df3645e0b6d179ec5073d3742bd581f37855f1178a2a9f69d9422cf4869",
         # written while the restricted iterates were restricted Fraction DiffOps
         ("numeric", "0"): "b67e6054d5a5aa00c0b4453f23fe08f128b3406dd57be7694d03f2b06a2f7921",
+        # written while the ambient point lists were drawn ahead of the checks
+        ("ambient", "0"): "c6a64cac6660a43138133f834ee30774df6407caac4153f3da3f07732b0486d1",
     }
     for (suite, seed), digest in pinned.items():
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)
@@ -177,6 +179,12 @@ def test_verify_tolerance_override_looser_still_passes(capsys):
 def test_verify_bad_tol_flag(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "symbolic", "--tol", "oops")
     assert code == 2 and "name=value" in err
+    # a tolerance no error can meet, or that every error meets, is a usage error
+    for value in ("nan", "inf", "-1e-9"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
+                                 "--tol", f"cocycle={value}")
+        assert code == 2 and out == "", value
+        assert "finite number >= 0" in err, err
 
 
 def test_verify_unknown_tol_name(capsys):
@@ -196,6 +204,15 @@ def test_verify_bad_n_range(capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "symbolic", *bounds)
         assert code == 2 and out == "", bounds
         assert err.startswith("covop verify: ") and text in err, err
+
+
+def test_verify_range_without_checks(capsys):
+    # the numeric suite covers n = 1..4, so n >= 5 leaves it nothing to run
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric", "--n-min", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("covop verify: ") and "'numeric'" in err, err
+    code, out, _ = run_cli(capsys, "verify", "--suite", "symbolic", "--n-min", "9")
+    assert code == 2 and out == ""
 
 
 def test_usage_error_exit_code(covop_env):

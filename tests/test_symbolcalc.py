@@ -4,10 +4,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from covop.algebra import Poly, RationalFunction
-from covop.special import PoleAtLambda
 from covop.symbolcalc import (DFHAT, FHAT, ClosureExceeded, HExpr, HTerm,
-                              SymCoeff, check_factorization, check_ks_inversion,
-                              d_normal, factorization_constant, hat_kernel,
+                              SymCoeff, check_factorization, d_normal,
+                              factorization_constant, hat_kernel,
                               knapp_stein_symbol, mul_norm_sq,
                               symbol_ks_after_onestep, symbol_mult_after_ks)
 
@@ -224,19 +223,3 @@ def test_scaling_both_sides_preserves_verdict(a, ipow):
     rhs = symbol_ks_after_onestep(n).scale(factorization_constant(n)).scale(common)
     assert lhs == rhs
 
-
-# -- numeric inversion constant ----------------------------------------------------
-
-
-def test_ks_inversion_samples():
-    ok, err = check_ks_inversion(2, [0.7])
-    assert ok and err <= 1e-10
-    ok, err = check_ks_inversion(3, [1.5 + 0.3j])
-    assert ok and err <= 1e-10
-
-
-def test_ks_inversion_pole():
-    with pytest.raises(PoleAtLambda):
-        check_ks_inversion(2, [0.0])
-    with pytest.raises(PoleAtLambda):
-        check_ks_inversion(2, [2.0])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,12 +9,24 @@ from covop.algebra import Poly
 from covop.conformal import ConformalMap, Dilation, GaussianBump, Translation
 from covop.diffop import DiffOp
 from covop.jets import coordinate_jets
+from covop.special import PoleAtLambda
 from covop.verify import (CheckReport, check_ambient_compact,
                           check_ambient_noncompact, check_covariance_iterated,
                           check_covariance_one_step, check_extension_independence,
                           check_kernel_pairing, check_ks_intertwining,
-                          check_yamabe_constant, chart_family, dalembertian,
-                          knapp_stein_value, rel_err)
+                          check_ks_inversion, check_yamabe_constant, chart_family,
+                          dalembertian, knapp_stein_value, rel_err)
+
+
+class StubRng:
+    """Stands in for a numpy Generator: uniform() hands out ``values`` in
+    turn, whatever its bounds."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return next(self._values)
 
 
 def test_report_pass_criterion():
@@ -122,16 +135,17 @@ def test_j1_gaussian_is_one():
 def test_ks_identity_map_trivial():
     f = GaussianBump((0.2,), 1.0)
     r = check_ks_intertwining(1, 0.9, ConformalMap.identity(1), f,
-                              [(0.1,), (-0.4,)], quad_tol=1e-8, tol=1e-10)
-    assert r.passed
+                              np.random.default_rng(10), samples=2,
+                              quad_tol=1e-8, tol=1e-10)
+    assert r.passed and r.samples == 2
 
 
 def test_ks_dilation_n2():
     f = GaussianBump((0.3, 0.3), 1.1)
     g = ConformalMap(2, [Dilation(2.0)])
-    r = check_ks_intertwining(2, 1.3, g, f, [(0.2, -0.4), (0.8, 0.1)],
+    r = check_ks_intertwining(2, 1.3, g, f, np.random.default_rng(11), samples=2,
                               quad_tol=1e-6, tol=1e-5)
-    assert r.passed, r
+    assert r.passed and r.samples == 2, r
 
 
 def test_ks_truncation_self_consistency():
@@ -168,6 +182,24 @@ def test_ring_angles_match_linspace_bit_for_bit():
         assert sin.tobytes() == np.sin(theta).tobytes()
         assert not cos.flags.writeable and not sin.flags.writeable
         k *= 2
+
+
+# -- inversion constant ------------------------------------------------------------
+
+
+def test_ks_inversion_samples():
+    for n in (2, 3):
+        r = check_ks_inversion(n, np.random.default_rng(12), samples=5)
+        assert r.passed and r.samples == 5 and r.max_rel_err <= 1e-10, r
+    r = check_ks_inversion(3, StubRng([1.5, 0.3]), samples=1)
+    assert r.passed and r.max_rel_err <= 1e-10, r
+
+
+def test_ks_inversion_pole():
+    # lam = 0 is a pole of Gamma(lam), lam = n of Gamma(n - lam)
+    for re in (0.0, 2.0):
+        with pytest.raises(PoleAtLambda):
+            check_ks_inversion(2, StubRng([re, 0.0]), samples=1)
 
 
 # -- pairing -----------------------------------------------------------------------
@@ -236,12 +268,19 @@ def test_weight_conjugation_mu_zero_collapses():
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
+def test_dalembertian_reads_the_hessian_diagonal():
+    n = 2
+    F = chart_family(n, 0.8, GaussianBump((0.1, 0.2), 1.0))
+    Fj = F(coordinate_jets((1.0, 0.3, 0.1, 0.4), 2))
+    h = Fj.hess
+    assert dalembertian(Fj, n) == h[0][0] - sum(h[i][i] for i in range(1, n + 2))
+
+
 def test_ambient_noncompact_small():
     rng = np.random.default_rng(6)
     f = GaussianBump((0.2, -0.1), 1.2)
-    pts = [tuple(rng.uniform(-1.2, 1.2, 2)) for _ in range(10)]
-    r = check_ambient_noncompact(2, 0.8, f, pts, tol=1e-9)
-    assert r.passed, r
+    r = check_ambient_noncompact(2, 0.8, f, rng, samples=10, tol=1e-9)
+    assert r.passed and r.samples == 10, r
 
 
 def test_yamabe_constant_values():
@@ -264,9 +303,19 @@ def test_ambient_compact_three_routes():
     vars_ = tuple(f"x{i}" for i in range(n + 1))
     fpoly = Poly.variable(vars_[0], vars_) * Poly.variable(vars_[n], vars_) \
         + Poly.variable(vars_[1], vars_) ** 2
-    pts = verify._compact_points(rng, n, 10)
-    r = check_ambient_compact(n, 1.2, fpoly, pts, tol=1e-8)
-    assert r.passed, r
+    r = check_ambient_compact(n, 1.2, fpoly, rng, samples=10, tol=1e-8)
+    assert r.passed and r.samples == 10, r
+
+
+def test_ambient_compact_fails_when_every_draw_misses_the_guards():
+    # xi = 0 maps to the pole (1, 0, ..., 0), where x_n = 0: every draw is
+    # rejected, and the check reports the shortfall instead of raising
+    n = 3
+    vars_ = tuple(f"x{i}" for i in range(n + 1))
+    fpoly = Poly.variable(vars_[1], vars_) ** 2
+    r = check_ambient_compact(n, 1.2, fpoly, StubRng(itertools.repeat(np.zeros(n))))
+    assert not r.passed and r.samples == 0
+    assert r.diagnostics == "accepted 0 of 20 samples in 200 draws"
 
 
 def test_ambient_point_cone_membership():
