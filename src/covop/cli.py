@@ -2,12 +2,14 @@
 machine-readable operator export.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
-error.  JSON output keeps every coefficient exact as integer numerator and
-denominator strings, so parse(emit(D)) reproduces D bit for bit.  The
-operator export is streamed term by term from the integer expansion of the
-reduced basis (``juhl.expanded_iterated``), in the bytes ``json.dump`` with
-``indent=2, sort_keys=True, ensure_ascii=False`` would write for the same
-document; no DiffOp or document dict is built.
+error, 3 a numeric evaluation that could not be carried out (a quadrature
+out of budget, a Gamma pole), which prints one ``covop verify: ...`` line on
+stderr and nothing on stdout.  JSON output keeps every coefficient exact as
+integer numerator and denominator strings, so parse(emit(D)) reproduces D
+bit for bit.  The operator export is streamed term by term from the integer
+expansion of the reduced basis (``juhl.expanded_iterated``), in the bytes
+``json.dump`` with ``indent=2, sort_keys=True, ensure_ascii=False`` would
+write for the same document; no DiffOp or document dict is built.
 """
 
 import argparse
@@ -22,7 +24,8 @@ from .diffop import DiffOp, op_vars
 # checks that its tracer patches a name imported into another covop module.
 from .juhl import (expanded_iterated, iterated, juhl_coeffs,  # noqa: F401
                    leading_factors, normalization_meta, pretty_factors)
-from .verify import TOLERANCES, run_suites
+from .special import PoleAtLambda
+from .verify import TOLERANCES, QuadratureBudgetExceeded, run_suites
 
 COEFFS_MAX_N = 8
 COEFFS_MAX_ORDER = 12
@@ -197,8 +200,12 @@ def cmd_verify(args, stream):
     except ValueError as exc:
         print(f"covop verify: {exc}", file=sys.stderr)
         return 2
-    reports = run_suites(args.suite, seed=args.seed, n_min=args.n_min,
-                         n_max=args.n_max, tols=tols)
+    try:
+        reports = run_suites(args.suite, seed=args.seed, n_min=args.n_min,
+                             n_max=args.n_max, tols=tols)
+    except (QuadratureBudgetExceeded, PoleAtLambda) as exc:
+        print(f"covop verify: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if not reports:
         print(f"covop verify: --n-min/--n-max leave suite {args.suite!r} "
               "with no check", file=sys.stderr)

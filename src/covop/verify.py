@@ -4,14 +4,18 @@ of the convolution operators by quadrature, the kernel Fourier pairing, and
 the ambient (light-cone) realization.
 
 Every check returns a CheckReport.  Derivatives are taken with jets (exact to
-rounding), quadrature-backed checks carry their own truncation/tolerance
-budget, and all sampling is seeded, so suite runs are reproducible.  Every
-seeded check takes an rng and a sample count, and draws each sample (points
-and parameters alike) inside one bounded sampler, ``_sampled``: it makes at
-most DRAWS_PER_SAMPLE draws per requested sample, and a check that accepts
-fewer samples than it asked for fails and says how many it got.  The suites
-share one n range, 1..8 by default; a suite with no check in the range
-returns no reports.
+rounding).  Integrals are taken by double-exponential (tanh-sinh) quadrature,
+batched per level (Takahasi-Mori, Publ. RIMS 9, 1974): each level evaluates
+all its new nodes in one call of the integrand, which also receives the
+nodes' distances to both endpoints, so the algebraic endpoint singularities
+of the convolution kernels cost no accuracy.  Quadrature-backed checks carry
+their own truncation/tolerance budget, and all sampling is seeded, so suite
+runs are reproducible.  Every seeded check takes an rng and a sample count,
+and draws each sample (points and parameters alike) inside one bounded
+sampler, ``_sampled``: it makes at most DRAWS_PER_SAMPLE draws per requested
+sample, and a check that accepts fewer samples than it asked for fails and
+says how many it got.  The suites share one n range, 1..8 by default; a
+suite with no check in the range returns no reports.
 """
 
 import functools
@@ -20,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad as _quad
 
 from .algebra import Poly
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
@@ -34,7 +37,9 @@ from . import symbolcalc
 
 
 class QuadratureBudgetExceeded(Exception):
-    """The adaptive quadrature could not reach its requested accuracy."""
+    """The double-exponential quadrature, batched per level (Takahasi-Mori
+    1974), or the doubling ring of the n = 2 angular average ran out of nodes
+    before it reached its requested accuracy."""
 
 
 @dataclass
@@ -360,12 +365,74 @@ def _effective_ball(func):
     raise TypeError(f"unsupported integrand {type(func).__name__}")
 
 
-def _quad_checked(fn, a, b, quad_tol, scale, points=None):
-    out = _quad(fn, a, b, epsabs=quad_tol * scale, epsrel=quad_tol,
-                limit=300, points=points, full_output=1)
-    if len(out) > 3:
-        raise QuadratureBudgetExceeded(str(out[3]))
-    return out[0]
+#: tanh-sinh nodes lie at t = k h on [-DE_T_MAX, DE_T_MAX]: level 0 has h = 1,
+#: each further level halves h and adds only the new (odd) nodes.  At
+#: |t| = DE_T_MAX the node is ~1e-275 (relative) from its endpoint, so an
+#: integrable endpoint singularity |x - a|^s, s > -1, is resolved past double
+#: precision without the distance underflowing to 0.
+DE_T_MAX = 6
+#: the last level tried: 12 * 2**DE_MAX_LEVEL + 1 nodes in all
+DE_MAX_LEVEL = 8
+#: the least quad_tol a level difference can certify: 50 ulps, as QUADPACK
+DE_ROUNDING_FLOOR = 50 * float(np.finfo(float).eps)
+
+
+@functools.cache
+def _de_level(level):
+    """The nodes tanh-sinh level ``level`` adds on [-1, 1], as read-only
+    arrays (left, da, db, w): left marks t <= 0, da and db are the distances
+    to -1 and to 1 (each exact to rounding however near its endpoint the node
+    is), and w is dx/dt.  The estimate at a level is h times the sum of
+    w * f over the nodes of that level and every level before it."""
+    h = 2.0 ** -level
+    if level == 0:
+        t = np.arange(-DE_T_MAX, DE_T_MAX + 1, dtype=float)
+    else:
+        t = np.arange(h, DE_T_MAX, 2.0 * h)
+        t = np.concatenate((-t[::-1], t))
+    u = 0.5 * math.pi * np.sinh(t)
+    da = 2.0 / (1.0 + np.exp(-2.0 * u))
+    db = 2.0 / (1.0 + np.exp(2.0 * u))
+    # dx/dt = (pi/2) cosh t / cosh^2 u, and 1/cosh^2 u = (1 + tanh u)(1 - tanh u)
+    w = 0.5 * math.pi * np.cosh(t) * da * db
+    out = (t <= 0.0, da, db, w)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _de_quad(integrand, a, b, quad_tol, scale):
+    """int_a^b by double-exponential (tanh-sinh) quadrature, batched per level
+    (Takahasi-Mori, Double exponential formulas for numerical integration,
+    Publ. RIMS 9, 1974).
+
+    integrand(x, da, db) takes the array of a level's new nodes and their
+    distances to a and to b, so a factor singular at an endpoint is computed
+    from the distance, never from x - a or b - x.  Stops when two successive
+    levels agree within max(quad_tol * scale, quad_tol * |I|), the
+    epsabs/epsrel pair of QUADPACK; raises QuadratureBudgetExceeded when
+    DE_MAX_LEVEL is reached first, or at once for a quad_tol below
+    DE_ROUNDING_FLOOR, where two levels can agree to the last bit without
+    either being that accurate."""
+    if not quad_tol >= DE_ROUNDING_FLOOR:
+        raise QuadratureBudgetExceeded(
+            f"quad_tol {quad_tol:g} is below the rounding floor {DE_ROUNDING_FLOOR:.3g}")
+    half = 0.5 * (b - a)
+    total = 0.0
+    cur = diff = math.inf
+    for level in range(DE_MAX_LEVEL + 1):
+        left, da, db, w = _de_level(level)
+        da = half * da
+        db = half * db
+        x = np.where(left, a + da, b - db)
+        total += float(np.sum(w * integrand(x, da, db)))
+        prev, cur = cur, half * 2.0 ** -level * total
+        diff = abs(cur - prev)
+        if diff <= quad_tol * max(scale, abs(cur)):
+            return cur
+    raise QuadratureBudgetExceeded(
+        f"levels {DE_MAX_LEVEL - 1} and {DE_MAX_LEVEL} differ by {diff:.3g} "
+        f"on [{a:g}, {b:g}]")
 
 
 @functools.cache
@@ -381,8 +448,16 @@ def _ring_angles(k):
 
 def knapp_stein_value(n, lam, func, point, quad_tol=1e-6, radius=None):
     """(1/Gamma(lam - n/2)) * int |point-eta|^(2 lam - 2 n) func(eta) d eta
-    over R^n, by adaptive quadrature on a ball that provably contains the
-    integrand mass up to the Gaussian tail (n = 1 or 2 only)."""
+    over R^n (n = 1 or 2 only), by double-exponential quadrature, batched per
+    level (Takahasi-Mori 1974; see ``_de_quad``), on a ball that provably
+    contains the integrand mass up to the Gaussian tail.
+
+    n = 1 folds the two sides of the point onto d = |point - eta| in
+    [0, radius]; n = 2 integrates r^(2 lam - 3) times the angular integral of
+    func over the circle of radius r about the point, where each radius
+    doubles its periodic trapezoid ring (32, 64, ..., 4096 angles) until two
+    sizes agree to quad_tol / 10.  Raises QuadratureBudgetExceeded when
+    either rule runs out of nodes."""
     if n not in (1, 2):
         raise ValueError("quadrature-backed intertwining checks cover n = 1, 2")
     if not (lam > n / 2):
@@ -396,40 +471,47 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6, radius=None):
     if n == 1:
         x = point[0]
 
-        def integrand(eta):
-            d = abs(x - eta)
-            if d == 0.0:
-                return 0.0
-            return d ** s * func.value((eta,))
+        def folded(_, d, __):
+            vals = func.eval_generic([np.concatenate((x + d, x - d))])
+            return d ** s * (vals[:d.size] + vals[d.size:])
 
-        val = _quad_checked(integrand, x - radius, x + radius, quad_tol,
-                            max(1.0, radius), points=[x])
-        return norm * val
+        return norm * _de_quad(folded, 0.0, radius, quad_tol, max(1.0, radius))
 
     # n == 2: polar coordinates about the singular point
     x1, x2 = point
 
-    def ring_mean(r):
+    def ring_integrals(r):
+        # rows, vals, prev: the radii not yet settled, their values on the
+        # k-ring and its integral; the k-ring is the even columns of the
+        # 2k-ring, so each angle is evaluated once
+        out = np.empty(r.size)
+        rows = np.arange(r.size)
+        rr = r[:, None]
         k = 32
-        prev = None
+        cos, sin = _ring_angles(k)
+        vals = func.eval_generic([x1 + rr * cos, x2 + rr * sin])
+        prev = np.mean(vals, axis=1) * (2.0 * math.pi)
         while True:
-            cos, sin = _ring_angles(k)
-            vals = func.eval_generic([x1 + r * cos, x2 + r * sin])
-            cur = float(np.mean(vals)) * 2.0 * math.pi
-            if prev is not None and abs(cur - prev) <= quad_tol * 0.1 * max(1.0, abs(cur)):
-                return cur
+            cos, sin = _ring_angles(2 * k)
+            rr = r[rows, None]
+            both = np.empty((rows.size, 2 * k))
+            both[:, ::2] = vals
+            both[:, 1::2] = func.eval_generic([x1 + rr * cos[1::2],
+                                               x2 + rr * sin[1::2]])
+            cur = np.mean(both, axis=1) * (2.0 * math.pi)
+            done = np.abs(cur - prev) <= quad_tol * 0.1 * np.maximum(1.0, np.abs(cur))
+            out[rows[done]] = cur[done]
+            if done.all():
+                return out
+            k *= 2
             if k >= 4096:
                 raise QuadratureBudgetExceeded("angular average did not settle")
-            prev = cur
-            k *= 2
+            rows, vals, prev = rows[~done], both[~done], cur[~done]
 
-    def outer(r):
-        if r == 0.0:
-            return 0.0
-        return r ** (s + 1.0) * ring_mean(r)
+    def outer(_, r, __):
+        return r ** (s + 1.0) * ring_integrals(r)
 
-    val = _quad_checked(outer, 0.0, radius, quad_tol, max(1.0, radius))
-    return norm * val
+    return norm * _de_quad(outer, 0.0, radius, quad_tol, max(1.0, radius))
 
 
 def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5):
@@ -451,6 +533,18 @@ def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5)
 # -- kernel Fourier pairing ---------------------------------------------------------
 
 
+def _gaussian_moment(p, c, quad_tol):
+    """int_0^inf r^p exp(-r^2/c) dr (p > -1) by ``_de_quad`` on [0, 1] after
+    r = t/(1-t), dr = (1+r)^2 dt; r is read as da/db, exact near both ends."""
+    def integrand(_, da, db):
+        r = da / db
+        # r*r overflows to inf near t = 1, where the integrand is 0
+        with np.errstate(over="ignore"):
+            return np.exp(p * np.log(r) + 2.0 * np.log1p(r) - r * r / c)
+
+    return _de_quad(integrand, 0.0, 1.0, quad_tol, 1.0)
+
+
 def check_kernel_pairing(n, s, quad_tol=1e-10, tol=1e-8):
     """Weak form of hat(h_s) = 2^(n+s) pi^(n/2) h_(-n-s) against a Gaussian:
     <h_s, hat g> = <hat h_s, g> for g = exp(-|xi|^2), both sides reduced to
@@ -458,16 +552,9 @@ def check_kernel_pairing(n, s, quad_tol=1e-10, tol=1e-8):
     if not (-n < s < 0):
         raise ValueError("need -n < s < 0 for both pairings to converge absolutely")
     omega = 2.0 * math.pi ** (n / 2.0) / gamma_checked(n / 2.0)
-
-    def radial(p, c):
-        # int_0^inf r^p exp(-r^2/c) dr
-        val = _quad_checked(lambda r: r ** p * math.exp(-r * r / c), 0.0, np.inf,
-                            quad_tol, 1.0)
-        return val
-
-    i1 = radial(s + n - 1, 4.0)
+    i1 = _gaussian_moment(s + n - 1, 4.0, quad_tol)
     i1_closed = 0.5 * 2.0 ** (s + n) * gamma_checked((s + n) / 2.0)
-    i2 = radial(-s - 1, 1.0)
+    i2 = _gaussian_moment(-s - 1, 1.0, quad_tol)
     i2_closed = 0.5 * gamma_checked(-s / 2.0)
 
     lhs = math.pi ** (n / 2.0) / gamma_checked((n + s) / 2.0) * omega * i1

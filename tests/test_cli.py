@@ -157,10 +157,11 @@ def test_verify_seeded_bytes_pinned(capsys):
     # sha256 of the stdout written before the jet products were table-driven:
     # the reports print errors with full repr, so every float is pinned
     pinned = {
-        ("numeric", "7"): "a79b5339e2e8f803e31ef56ed6003d8f11542e2217ba7f02ae5a2757bf495dc4",
+        # the numeric digests were written after the quadrature became
+        # double-exponential, batched per level
+        ("numeric", "7"): "3ab25bd27af3716ca91e54fb0c72724f46508f5619ceee370982b22a0fd0ebb6",
+        ("numeric", "0"): "b56694edc88a457aecdc85dd8fb7c2d0e764d22916c19b65093cdcf69b0d527e",
         ("ambient", "7"): "f4d41df3645e0b6d179ec5073d3742bd581f37855f1178a2a9f69d9422cf4869",
-        # written while the restricted iterates were restricted Fraction DiffOps
-        ("numeric", "0"): "b67e6054d5a5aa00c0b4453f23fe08f128b3406dd57be7694d03f2b06a2f7921",
         # written while the ambient point lists were drawn ahead of the checks
         ("ambient", "0"): "c6a64cac6660a43138133f834ee30774df6407caac4153f3da3f07732b0486d1",
     }
@@ -168,6 +169,33 @@ def test_verify_seeded_bytes_pinned(capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (suite, seed)
+
+
+def test_verify_quadrature_budget_exits_3(capsys):
+    # a numeric evaluation that cannot be carried out is neither a failed
+    # check (1) nor a usage error (2)
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
+                             "--tol", "quad_tol=1e-30")
+    assert code == 3 and out == ""
+    assert err.startswith("covop verify: QuadratureBudgetExceeded:")
+    assert err.count("\n") == 1
+
+
+def test_verify_pole_exits_3(capsys, monkeypatch):
+    import covop.cli
+    from covop.special import gamma_checked
+
+    monkeypatch.setattr(covop.cli, "run_suites", lambda *a, **k: gamma_checked(-2.0))
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric")
+    assert code == 3 and out == ""
+    assert err == "covop verify: PoleAtLambda: Gamma pole at argument -2.0\n"
+
+
+def test_import_leaves_scipy_integrate_out(covop_env):
+    code = "import sys, covop.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=covop_env)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
 def test_verify_tolerance_override_looser_still_passes(capsys):

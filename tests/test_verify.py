@@ -172,6 +172,62 @@ def test_ks_quadrature_budget_guard():
         knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=1e-30)
 
 
+@pytest.mark.parametrize("s", [-0.9, -0.4, 0.4])
+def test_de_quad_endpoint_power(s):
+    # the singular factor is read off the endpoint distance, never off x - a
+    got = verify._de_quad(lambda x, da, db: da ** s, 0.0, 1.0, 1e-13, 1.0)
+    assert abs(got - 1.0 / (s + 1.0)) <= 1e-12 / (s + 1.0)
+
+
+def test_de_quad_level_cap():
+    # a jump inside the interval converges like h, far slower than 1e-10
+    with pytest.raises(verify.QuadratureBudgetExceeded, match="levels 7 and 8"):
+        verify._de_quad(lambda x, da, db: (x > 1.0 / 3.0) * 1.0, 0.0, 1.0, 1e-10, 1.0)
+
+
+@pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 2.0])
+def test_gaussian_moment_closed_form(p):
+    # int_0^inf r^p exp(-r^2) dr = Gamma((p+1)/2)/2, through r = t/(1-t)
+    want = 0.5 * math.gamma((p + 1.0) / 2.0)
+    assert abs(verify._gaussian_moment(p, 1.0, 1e-13) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ks_value_matches_quadpack(n):
+    # scipy's QUADPACK is the oracle on the same integrand: |x - eta|^s f over
+    # both sides of x for n = 1, r^(s+1) times a 2048-angle ring integral for
+    # n = 2; the suite's three maps, three fixed points, lam in {0.8n, 1.1n}
+    from scipy.integrate import quad
+    from covop.conformal import PulledBack, full_rotation
+    f = GaussianBump((0.3,) * n, 1.1)
+    third = ConformalMap.identity(1) if n == 1 else ConformalMap(2, [full_rotation(2, 0.7)])
+    maps = [ConformalMap(n, [Dilation(2.0)]),
+            ConformalMap(n, [Translation((0.4,) * n)]), third]
+    points = ([(0.0,), (0.5,), (-0.9,)] if n == 1
+              else [(0.0, 0.0), (0.5, -0.25), (-0.9, 0.7)])
+    cos, sin = verify._ring_angles(2048)
+    for lam in (0.8 * n, 1.1 * n):
+        s = 2.0 * lam - 2.0 * n
+        norm = 1.0 / math.gamma(lam - n / 2.0)
+        for g in maps:
+            func = PulledBack(lam, g, f)
+            center, r0 = verify._effective_ball(func)
+            for p in points:
+                radius = float(np.linalg.norm(np.array(p) - center)) + r0 + 1.0
+                got = knapp_stein_value(n, lam, func, p, quad_tol=1e-10)
+                if n == 1:
+                    x = p[0]
+                    want = quad(lambda e: abs(x - e) ** s * func.value((e,))
+                                if e != x else 0.0, x - radius, x + radius,
+                                points=[x], epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+                else:
+                    want = quad(lambda r: r ** (s + 1.0) * 2.0 * math.pi * float(np.mean(
+                        func.eval_generic([p[0] + r * cos, p[1] + r * sin])))
+                        if r > 0.0 else 0.0, 0.0, radius,
+                        epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+                assert rel_err(got, norm * want) <= 1e-9, (lam, g.word, p)
+
+
 def test_ring_angles_match_linspace_bit_for_bit():
     # every ring size the angular average can reach: 32, 64, ..., 4096
     k = 32
