@@ -20,7 +20,7 @@ from .symbolcalc import (HExpr, HTerm, SymCoeff, ClosureExceeded,
                          check_factorization, d_normal, knapp_stein_symbol,
                          mul_norm_sq, symbol_ks_after_onestep,
                          symbol_mult_after_ks)
-from .verify import (AmbientPoint, CheckReport, QuadratureBudgetExceeded,
+from .verify import (CheckReport, QuadratureBudgetExceeded,
                      run_suites, suite_ambient, suite_numeric, suite_symbolic)
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "tangential_rotation", "full_rotation", "SingularPoint",
     "GaussianBump", "PulledBack",
     "stereographic", "stereographic_factor", "chart_inverse",
-    "CheckReport", "AmbientPoint", "QuadratureBudgetExceeded",
+    "CheckReport", "QuadratureBudgetExceeded",
     "suite_symbolic", "suite_numeric", "suite_ambient", "run_suites",
     "__version__",
 ]

@@ -198,13 +198,6 @@ class DiffOp:
                 out[a] = Poly(c.vars, kept)
         return DiffOp(self.n, out)
 
-    # -- numeric evaluation ---------------------------------------------------
-
-    def coeffs_at(self, lam):
-        """Numeric coefficient per multi-index at lam and every xi at 0."""
-        values = [lam] + [0.0] * self.n
-        return {a: c.evaluate(values) for a, c in self.terms.items()}
-
     def pretty(self):
         if not self.terms:
             return "0"

@@ -255,9 +255,6 @@ class Jet:
             derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / v ** k)
         return self.compose_series(derivs)
 
-    def sqrt(self):
-        return self ** 0.5
-
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
 

@@ -49,9 +49,11 @@ def one_step(n):
 # ints.  Composing in that basis and expanding once at the end
 # (_expand_reduced) is exactly the Leibniz composition (cross-checked in the
 # tests) but does not touch the full multi-index expansion at every step.
-# Production reads only these integer forms (juhl_coeffs, expanded_iterated,
-# restricted_iterated); the Fraction DiffOp of the whole family, ``iterated``,
-# is the oracle that the tests and the small shift_consistency grid check.
+# The tangential coefficients (juhl_coeffs) and the exact checks of ``verify``
+# read the reduced basis itself; only the operator export and the numeric
+# covariance table expand it (expanded_iterated).  The Fraction DiffOp of the
+# whole family, ``iterated``, is the oracle that the tests and the small
+# shift_consistency grid check.
 
 
 @lru_cache(maxsize=None)
@@ -100,8 +102,9 @@ def _expand_reduced(n, reduced):
     Lap^k = sum_{|m| = k} multinomial(m) d^(2m), so the term c(lam) X^i P^j
     L^k adds c * multinomial(m) to the coefficient of d^(2m + j e_n).  The
     result is {alpha: {(lam_deg, xi_n_deg): int}}; keys appear in the order
-    the terms are first reached, which float evaluation of ``iterated``
-    sums in, so that order is part of the seeded suites' output.
+    the terms are first reached.  The float evaluations of the numeric
+    covariance check sum in that order, so it is part of the seeded suites'
+    output.
     """
     res = {}
     spread = {}  # k -> [(2m, multinomial(m)) for |m| = k]
@@ -127,36 +130,22 @@ def _expand_reduced(n, reduced):
 def expanded_iterated(n, N):
     """The iterated family in integers: {alpha: {(lam_deg, xi_n_deg): int}}
     is the coefficient of lam^lam_deg xi_n^xi_n_deg d^alpha (no other xi
-    occurs).  The operator export, ``verify`` and ``iterated`` read it."""
+    occurs).  The operator export, the numeric covariance check of
+    ``verify`` and the oracle ``iterated`` read it."""
     if N < 1:
         raise ValueError("N must be >= 1")
     return _expand_reduced(n, _reduced_iterated(n, N))
 
 
-def _as_diffop(n, expansion):
-    """The DiffOp of an ``expanded_iterated``-shaped dict, in its key order."""
-    vars_, zeros = op_vars(n), (0,) * (n - 1)
-    return DiffOp(n, {alpha: Poly(vars_, {(deg,) + zeros + (i,): c
-                                          for (deg, i), c in coeff.items()})
-                      for alpha, coeff in expansion.items()})
-
-
 @lru_cache(maxsize=None)
 def iterated(n, N):
     """The N-fold composition of one-step operators with per-factor shifts
-    lam, lam+1, ..., lam+N-1 (first factor applied first), as a DiffOp: the
-    Fraction oracle of ``expanded_iterated``, which production reads."""
-    return _as_diffop(n, expanded_iterated(n, N))
-
-
-def restricted_iterated(n, N):
-    """``iterated(n, N).restrict()``, term order included, expanded from the
-    i = 0 part of the reduced basis: every X^i with i > 0 vanishes at
-    xi_n = 0."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return _as_diffop(n, _expand_reduced(
-        n, {key: c for key, c in _reduced_iterated(n, N).items() if not key[0]}))
+    lam, lam+1, ..., lam+N-1 (first factor applied first), as a DiffOp in
+    the key order of ``expanded_iterated``, whose Fraction oracle it is."""
+    vars_, zeros = op_vars(n), (0,) * (n - 1)
+    return DiffOp(n, {alpha: Poly(vars_, {(deg,) + zeros + (i,): c
+                                          for (deg, i), c in coeff.items()})
+                      for alpha, coeff in expanded_iterated(n, N).items()})
 
 
 def leading_factors(n, N):

@@ -1,10 +1,11 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from covop import juhl, verify
+from covop import diffop, juhl, verify
 from covop.algebra import Poly
 from covop.conformal import ConformalMap, Dilation, GaussianBump, Translation
 from covop.diffop import DiffOp
@@ -374,13 +375,6 @@ def test_ambient_compact_fails_when_every_draw_misses_the_guards():
     assert r.diagnostics == "accepted 0 of 20 samples in 200 draws"
 
 
-def test_ambient_point_cone_membership():
-    p = verify.AmbientPoint(1.0, (0.6, 0.8, 0.0))
-    assert p.on_positive_cone()
-    q = verify.AmbientPoint(1.0, (1.0, 1.0, 0.0))
-    assert not q.on_positive_cone()
-
-
 # -- suites ------------------------------------------------------------------------
 
 
@@ -393,10 +387,19 @@ def _report(name):
     return next(r for r in verify.suite_symbolic() if r.name == name)
 
 
+def _calling_functions():
+    frame, names = sys._getframe(2), set()
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
 def test_symbolic_suite_stays_off_the_fraction_route(monkeypatch):
-    # production reads the integer expansion; the Fraction DiffOp of the
-    # whole family is built only for the small shift_consistency grid
-    orders, applied = [], []
+    # production reads the reduced basis; the Fraction DiffOp of the whole
+    # family, and with it the multi-index expansion, is built only for the
+    # small shift_consistency grid, and the residual certificate never runs
+    orders, applied, decomposed, expanded = [], [], [], []
     original = juhl.iterated
 
     def recording_iterated(n, N):
@@ -412,41 +415,54 @@ def test_symbolic_suite_stays_off_the_fraction_route(monkeypatch):
         return original_apply(self, p)
 
     monkeypatch.setattr(DiffOp, "apply", recording_apply)
+    original_decompose = diffop.decompose_tangential
+
+    def recording_decompose(D, N):
+        decomposed.append(N)
+        return original_decompose(D, N)
+
+    monkeypatch.setattr(diffop, "decompose_tangential", recording_decompose)
+    original_expand = juhl._expand_reduced
+
+    def recording_expand(n, reduced):
+        weights = {j + 2 * k - i for i, j, k in reduced}
+        expanded.append((weights, "shift_consistent" in _calling_functions()))
+        return original_expand(n, reduced)
+
+    monkeypatch.setattr(juhl, "_expand_reduced", recording_expand)
+    original.cache_clear()  # so the expansions behind shift_consistency rerun
     assert all(r.passed for r in verify.suite_symbolic())
     assert applied == [] and orders and max(orders) <= 4
+    assert decomposed == []
+    assert expanded and all(max(w) <= 4 and inside for w, inside in expanded)
 
 
 def test_power_constant_fails_on_a_changed_pure_normal_coefficient(monkeypatch):
-    original = verify.expanded_iterated
+    original = verify._reduced_iterated
 
     def changed(n, N):
-        expansion = original(n, N)
-        coeff = expansion[(0,) * (n - 1) + (N,)]
-        key = next(iter(coeff))
-        coeff[key] += 1
-        return expansion
+        reduced = dict(original(n, N))  # a copy: the original is cached
+        c = reduced[(0, N, 0)]
+        reduced[(0, N, 0)] = (c[0] + 1,) + c[1:]
+        return reduced
 
-    monkeypatch.setattr(verify, "expanded_iterated", changed)
+    monkeypatch.setattr(verify, "_reduced_iterated", changed)
     r = _report("iterated_power_constant")
     assert not r.passed and r.max_rel_err == r.samples == 50
 
 
 def test_zero_residual_fails_on_an_off_span_term(monkeypatch):
-    original = juhl._expand_reduced
+    original = verify._reduced_iterated
 
-    def injected(n, reduced):
-        # d_1 d_n^(N-1) with a constant coefficient: odd in a tangential
-        # direction, so outside the span of d_n^(N-2j) Lap'^j
-        expansion = original(n, reduced)
-        order = max(map(sum, expansion))  # N for the restricted family
-        expansion[(1,) + (0,) * (n - 2) + (order - 1,)] = {(0, 0): 1}
-        return expansion
+    def injected(n, N):
+        # d_n^(N-1) with a constant coefficient: of order N - 1, so outside
+        # the span of d_n^(N-2j) Lap'^j
+        reduced = dict(original(n, N))
+        reduced[(0, N - 1, 0)] = (1,)
+        return reduced
 
-    monkeypatch.setattr(juhl, "_expand_reduced", injected)
-    try:
-        r = _report("tangential_zero_residual")
-    finally:
-        juhl.iterated.cache_clear()  # shift_consistency cached injected iterates
+    monkeypatch.setattr(verify, "_reduced_iterated", injected)
+    r = _report("tangential_zero_residual")
     assert not r.passed and r.max_rel_err == r.samples == 50
 
 
