@@ -916,7 +916,7 @@ def suite_numeric(seed=0, n_min=1, n_max=8, tols=None):
         if n >= 2:
             maps.append(ConformalMap(n, [full_rotation(n, 0.7)]))
         else:
-            maps.append(ConformalMap.identity(n))
+            maps.append(ConformalMap(n, [Dilation(0.5), Translation((-0.3,))]))
         for lam in (0.8 * n, 1.1 * n):
             for g in maps:
                 reports.append(check_ks_intertwining(

@@ -201,7 +201,8 @@ def test_ks_value_matches_quadpack(n):
     from scipy.integrate import quad
     from covop.conformal import PulledBack, full_rotation
     f = GaussianBump((0.3,) * n, 1.1)
-    third = ConformalMap.identity(1) if n == 1 else ConformalMap(2, [full_rotation(2, 0.7)])
+    third = (ConformalMap(1, [Dilation(0.5), Translation((-0.3,))]) if n == 1
+             else ConformalMap(2, [full_rotation(2, 0.7)]))
     maps = [ConformalMap(n, [Dilation(2.0)]),
             ConformalMap(n, [Translation((0.4,) * n)]), third]
     points = ([(0.0,), (0.5,), (-0.9,)] if n == 1
