@@ -847,9 +847,10 @@ def suite_symbolic(n_min=1, n_max=8, tols=None):
         got = {}
         for (i, j, k), c in _reduced_iterated(n, N).items():
             drop = j + 2 * k
+            factor = math.perm(N, drop)
             for deg, x in enumerate(c):
                 key = (deg, i + N - drop)
-                got[key] = got.get(key, 0) + x * math.perm(N, drop)
+                got[key] = got.get(key, 0) + x * factor
         want = enumerate(leading_coeff(n, N).to_univariate())
         return ({key: c for key, c in got.items() if c}
                 == {(deg, 0): math.factorial(N) * c for deg, c in want if c})
