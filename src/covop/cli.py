@@ -6,10 +6,11 @@ error, 3 a numeric evaluation that could not be carried out (a quadrature
 out of budget, a Gamma pole), which prints one ``covop verify: ...`` line on
 stderr and nothing on stdout.  JSON output keeps every coefficient exact as
 integer numerator and denominator strings, so parse(emit(D)) reproduces D
-bit for bit.  The operator export is streamed term by term from the integer
-expansion of the reduced basis (``juhl.expanded_iterated``), in the bytes
-``json.dump`` with ``indent=2, sort_keys=True, ensure_ascii=False`` would
-write for the same document; no DiffOp or document dict is built.
+bit for bit.  The operator export is streamed term by term from the
+coefficient classes of the reduced basis (``juhl.operator_classes``), in the
+bytes ``json.dump`` with ``indent=2, sort_keys=True, ensure_ascii=False``
+would write for the same document; no DiffOp, expansion or document dict is
+built.
 """
 
 import argparse
@@ -19,11 +20,11 @@ import sys
 from fractions import Fraction
 
 from .algebra import Poly, pretty_terms
-from .diffop import DiffOp, op_vars
+from .diffop import DiffOp, multinomial, op_vars, weak_compositions
 # ``iterated`` is not called here but stays bound: perfbench's self-test
 # checks that its tracer patches a name imported into another covop module.
-from .juhl import (expanded_iterated, iterated, juhl_coeffs,  # noqa: F401
-                   leading_factors, normalization_meta, pretty_factors)
+from .juhl import (iterated, juhl_coeffs, leading_factors,  # noqa: F401
+                   normalization_meta, operator_classes, pretty_factors)
 from .special import PoleAtLambda
 from .verify import TOLERANCES, QuadratureBudgetExceeded, run_suites
 
@@ -91,29 +92,44 @@ def _json_list(items, indent):
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
-def _emit_operator(n, N, expansion, stream):
-    """Write the operator document of ``expansion`` (see
-    ``juhl.expanded_iterated``) one term at a time: keys N, kind, n, terms
-    (sorted by alpha, each with alpha, coeff triples sorted by exponent
-    vector, and display) and variables, in the bytes of ``_emit_json``."""
+def _emit_operator(n, N, stream):
+    """Write the operator document of ``iterated(n, N)``: keys N, kind, n,
+    terms (sorted by alpha, each with alpha, coeff triples sorted by
+    exponent vector, and display) and variables, in the bytes of
+    ``_emit_json``.  The terms come from ``juhl.operator_classes``: alpha =
+    (2m', a) has the coefficient multinomial(m') * F(s, a) with |m'| = s, so
+    the coeff and display text is encoded once per (s, a, multinomial(m'))
+    and each term writes only its alpha."""
     variables = op_vars(n)
     lam_xin = (variables[0], variables[-1])  # the only variables that occur
     zeros = ["0"] * (n - 1)
     enc = json.encoder.encode_basestring
-    exps = {}  # (lam_deg, xi_n_deg) -> its exponent vector as JSON
+    classes = operator_classes(n, N)
+    a_by_s = {}
+    for s, a in sorted(classes):
+        a_by_s.setdefault(s, []).append(a)
+
+    def term_tail(s, a, w):
+        # the term after the first n - 1 alpha entries
+        coeff = {key: w * c for key, c in sorted(classes[s, a].items())}
+        triples = [_json_list([_json_list([str(deg), *zeros, str(i)], 10),
+                               enc(str(c)), '"1"'], 8)
+                   for (deg, i), c in coeff.items()]
+        return (f'{a}\n      ],\n      "coeff": {_json_list(triples, 6)},\n'
+                f'      "display": {enc(pretty_terms(lam_xin, coeff))}\n    }}')
+
+    tails = {}  # (s, multinomial(m')) -> [term tail for each a of s]
+    pad = "\n        "
     stream.write(f'{{\n  "N": {N},\n  "kind": "operator",\n  "n": {n},\n  "terms": [')
     sep = "\n"
-    for alpha in sorted(expansion):
-        coeff = expansion[alpha]
-        triples = []
-        for (deg, i), c in sorted(coeff.items()):
-            e = exps.get((deg, i))
-            if e is None:
-                e = exps[deg, i] = _json_list([str(deg), *zeros, str(i)], 10)
-            triples.append(_json_list([e, enc(str(c)), '"1"'], 8))
-        stream.write(f'{sep}    {{\n      "alpha": {_json_list(map(str, alpha), 6)},\n'
-                     f'      "coeff": {_json_list(triples, 6)},\n'
-                     f'      "display": {enc(pretty_terms(lam_xin, coeff))}\n    }}')
+    # alpha = (2m', a) sorts by m' first, then by a
+    for m in sorted(m for s in a_by_s for m in weak_compositions(s, n - 1)):
+        s, w = sum(m), multinomial(m)
+        texts = tails.get((s, w))
+        if texts is None:
+            texts = tails[s, w] = [term_tail(s, a, w) for a in a_by_s[s]]
+        head = '    {\n      "alpha": [' + pad + "".join(f"{2 * x},{pad}" for x in m)
+        stream.write(sep + ",\n".join(head + t for t in texts))
         sep = ",\n"
     stream.write(f'\n  ],\n  "variables": {_json_list(map(enc, variables), 2)}\n}}\n')
 
@@ -172,7 +188,7 @@ def cmd_operator(args, stream):
     if problem:
         print(f"covop operator: {problem}", file=sys.stderr)
         return 2
-    _emit_operator(args.n, args.N, expanded_iterated(args.n, args.N), stream)
+    _emit_operator(args.n, args.N, stream)
     return 0
 
 

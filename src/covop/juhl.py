@@ -50,9 +50,11 @@ def one_step(n):
 # (_expand_reduced) is exactly the Leibniz composition (cross-checked in the
 # tests) but does not touch the full multi-index expansion at every step.
 # The tangential coefficients (juhl_coeffs) and the exact checks of ``verify``
-# read the reduced basis itself; only the operator export and the numeric
-# covariance table expand it (expanded_iterated).  The Fraction DiffOp of the
-# whole family, ``iterated``, is the oracle that the tests and the small
+# read the reduced basis itself, and the operator export reads its
+# coefficient classes (operator_classes), of which the expansion is
+# multinomial multiples.  Only the numeric covariance table and the oracle
+# expand it (expanded_iterated).  The Fraction DiffOp of the whole family,
+# ``iterated``, is the oracle that the tests and the small
 # shift_consistency grid check.
 
 
@@ -130,11 +132,39 @@ def _expand_reduced(n, reduced):
 def expanded_iterated(n, N):
     """The iterated family in integers: {alpha: {(lam_deg, xi_n_deg): int}}
     is the coefficient of lam^lam_deg xi_n^xi_n_deg d^alpha (no other xi
-    occurs).  The operator export, the numeric covariance check of
-    ``verify`` and the oracle ``iterated`` read it."""
+    occurs).  Only the numeric covariance check of ``verify`` and the
+    oracle ``iterated`` read it; the export reads ``operator_classes``."""
     if N < 1:
         raise ValueError("N must be >= 1")
     return _expand_reduced(n, _reduced_iterated(n, N))
+
+
+def operator_classes(n, N):
+    """The iterated family by coefficient class: {(s, a): {(lam_deg,
+    xi_n_deg): int}} with no zero entry.
+
+    Write alpha = (2m', a) with |m'| = s.  Splitting Lap^k as in
+    ``_expand_reduced``, multinomial(m', m_n) = C(k, m_n) * multinomial(m'),
+    so the coefficient of d^alpha in ``expanded_iterated`` is multinomial(m')
+    times F(s, a) = sum C(k, m_n) c_(i, j, k) over the reduced keys with
+    j + 2 m_n = a and k = s + m_n; no other alpha occurs.  For n = 1 there
+    is no m', so m_n = k and s = 0.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    classes = {}
+    for (i, j, k), c in _reduced_iterated(n, N).items():
+        for m_n in range(k + 1) if n > 1 else (k,):
+            coeff = classes.setdefault((k - m_n, j + 2 * m_n), {})
+            w = comb(k, m_n)
+            for deg, x in enumerate(c):
+                coeff[deg, i] = coeff.get((deg, i), 0) + w * x
+    out = {}
+    for sa, coeff in classes.items():
+        coeff = {key: x for key, x in coeff.items() if x}
+        if coeff:
+            out[sa] = coeff
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -922,9 +922,12 @@ def suite_numeric(seed=0, n_min=1, n_max=8, tols=None):
             for g in maps:
                 reports.append(check_ks_intertwining(
                     n, lam, g, f, rng, 5, _tol(tols, "quad_tol"), _tol(tols, "ks")))
+    # the pairing integrals keep their own quad_tol unless it is overridden
+    pairing_quad = {"quad_tol": tols["quad_tol"]} if tols and "quad_tol" in tols else {}
     for n, s in ((1, -0.5), (2, -1.0), (3, -1.5)):
         if n_min <= n <= n_max:
-            reports.append(check_kernel_pairing(n, s, tol=_tol(tols, "pairing")))
+            reports.append(check_kernel_pairing(n, s, tol=_tol(tols, "pairing"),
+                                                **pairing_quad))
     for n in (1, 2, 3, 4):
         if n_min <= n <= n_max:
             reports.append(check_ks_inversion(

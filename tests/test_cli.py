@@ -127,6 +127,15 @@ def test_operator_n4_N6_bytes_pinned(capsys):
         "2e5dbfc7f77601c6c7c1630af1054e18faf978ae121652cf71c8a6b213927f49"
 
 
+def test_operator_n8_N10_bytes_pinned(capsys):
+    # sha256 of the stdout written from the multi-index expansion, before the
+    # export read the coefficient classes
+    code, out, _ = run_cli(capsys, "operator", "--n", "8", "--N", "10")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "73e2e4149b02609647bbc58fd291a58f4abaed9219571db546cbb09f0c9a3463"
+
+
 def test_poly_triples_round_trip():
     p = one_step(3).terms[(0, 0, 1)]
     q = poly_from_triples(op_vars(3), poly_to_triples(p))
@@ -180,6 +189,15 @@ def test_verify_quadrature_budget_exits_3(capsys):
     assert code == 3 and out == ""
     assert err.startswith("covop verify: QuadratureBudgetExceeded:")
     assert err.count("\n") == 1
+
+
+def test_verify_quad_tol_reaches_kernel_pairing(capsys):
+    # n = 3 runs no Knapp-Stein check, so only the pairing integrals can
+    # refuse a quad_tol below the rounding floor
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric", "--n-min", "3",
+                             "--n-max", "3", "--tol", "quad_tol=1e-30")
+    assert code == 3 and out == ""
+    assert err.startswith("covop verify: QuadratureBudgetExceeded:")
 
 
 def test_verify_pole_exits_3(capsys, monkeypatch):

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from covop.algebra import Poly, RationalFunction
-from covop.diffop import DiffOp, decompose_tangential, op_vars
-from covop.juhl import (iterated, juhl_coeffs, leading_coeff, normalization_meta,
-                        one_step)
+from covop.diffop import (DiffOp, decompose_tangential, multinomial, op_vars,
+                          weak_compositions)
+from covop.juhl import (expanded_iterated, iterated, juhl_coeffs, leading_coeff,
+                        normalization_meta, one_step, operator_classes)
 from covop.special import PoleAtLambda
 from covop.verify import _restricted_table
 
@@ -160,6 +161,27 @@ def test_shift_consistency():
         for N in (1, 2):
             lhs = iterated(n, N).shift_lambda(1).compose(one_step(n))
             assert lhs == iterated(n, N + 1)
+
+
+def test_operator_classes_rebuild_the_expansion():
+    # d^(2m', a) has the coefficient multinomial(m') * F(s, a), |m'| = s
+    for n in range(1, 7):
+        for N in range(1, 9):
+            rebuilt = {}
+            for (s, a), F in operator_classes(n, N).items():
+                for m in weak_compositions(s, n - 1):
+                    w = multinomial(m)
+                    rebuilt[tuple(2 * x for x in m) + (a,)] = \
+                        {key: w * c for key, c in F.items()}
+            assert rebuilt == expanded_iterated(n, N), (n, N)
+
+
+def test_operator_classes_count_at_8_10():
+    # 67,078 terms of the expansion in 608 coefficient classes
+    classes = operator_classes(8, 10)
+    assert len(classes) == 91
+    assert len({(s, a, multinomial(m)) for s, a in classes
+                for m in weak_compositions(s, 7)}) == 608
 
 
 def test_one_step_never_zero():
