@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import textwrap
 
 from covop.cli import (coeff_table, main, operator_from_dict,
                        poly_from_triples, poly_to_triples)
@@ -211,10 +212,29 @@ def test_verify_pole_exits_3(capsys, monkeypatch):
 
 
 def test_import_leaves_scipy_integrate_out(covop_env):
-    code = "import sys, covop.cli; print('scipy.integrate' in sys.modules)"
+    # covop needs no scipy at run time: no scipy module loads on import or in
+    # a command, and scipy.integrate least of all
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import covop.cli
+
+        def report(*head):
+            scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+            print(*head, 'scipy.integrate' in sys.modules, scipy)
+
+        report('import')
+        for argv in (['verify', '--suite', 'all', '--seed', '0'],
+                     ['coeffs', '--n', '8', '--N', '12'],
+                     ['operator', '--n', '3', '--N', '4']):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = covop.cli.main(argv)
+            report(argv[0], code)
+    """)
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=covop_env)
-    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["import False []", "verify 0 False []",
+                                        "coeffs 0 False []", "operator 0 False []"]
 
 
 def test_verify_tolerance_override_looser_still_passes(capsys):
