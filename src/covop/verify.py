@@ -30,7 +30,7 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, SingularPoint, Translation, _norm_sq,
                         full_rotation, stereographic, stereographic_factor,
                         tangential_rotation, xi_vars)
-from .jets import Jet, coordinate_jets
+from .jets import Jet, _squares, coordinate_jets
 from .juhl import _reduced_iterated, expanded_iterated, iterated, leading_coeff
 from .special import gamma_checked
 from . import symbolcalc
@@ -595,8 +595,8 @@ def dalembertian(jet, n):
     """Box F = F_tt - sum_j F_(x_j x_j) from an order-2 ambient jet
     (variables ordered t, x_0, ..., x_n)."""
     # the diagonal of the Hessian, read directly: 2 * (coefficient of y_i^2)
-    diag = [2.0 * jet.terms.get(tuple(2 if k == i else 0 for k in range(n + 2)), 0.0)
-            for i in range(n + 2)]
+    get = jet.terms.get
+    diag = [2.0 * get(e, 0.0) for e in _squares(n + 2)]
     return diag[0] - sum(diag[1:])
 
 
@@ -627,7 +627,11 @@ def sphere_extension(n, f_sphere, degree):
 
 def ambient_operator(mu, F, coords, n):
     """B_mu F = x_n Box F - 2 mu dF/dx_n at the base point of the coords."""
-    Fj = F(coords)
+    return _ambient_operator_of_jet(mu, F(coords), coords, n)
+
+
+def _ambient_operator_of_jet(mu, Fj, coords, n):
+    """``ambient_operator`` on the jet Fj = F(coords), already evaluated."""
     xn = coords[n + 1].value
     return xn * dalembertian(Fj, n) - 2.0 * mu * Fj.grad[n + 1]
 
@@ -667,8 +671,8 @@ def check_weight_conjugation(n, rng, samples=30, tol=1e-9):
         if abs(x[n]) < 0.15:
             x[n] = 0.4
         coords = coordinate_jets((t,) + tuple(x), 2)
-        lhs = ambient_operator(mu, F, coords, n)
         Fj = F(coords)
+        lhs = _ambient_operator_of_jet(mu, Fj, coords, n)
         xn = coords[n + 1]
         w = (xn * xn) ** (mu / 2.0)
         Gj = w * Fj
@@ -768,25 +772,25 @@ def check_extension_independence(n, rng, samples=20, tol=1e-9):
 
     F1 = sphere_extension(n, fs, -d)
 
-    def F2(coords):
+    # F2 and F3 take the jet F1j = F1(coords) so that it is evaluated once
+    def F2(coords, F1j):
         # t-dependent variant: (t^2/|x|^2) is 0-homogeneous and equals 1 on the cone
         q = _norm_sq(coords[1:])
-        return coords[0] * coords[0] / q * F1(coords)
+        return coords[0] * coords[0] / q * F1j
 
-    def F3(coords):
+    def F3(coords, F1j):
         q = _norm_sq(coords[1:])
         Q = coords[0] * coords[0] - q
         G = sphere_extension(n, gs, -(d + 2.0))(coords)
-        return F1(coords) + Q * G
-
-    exts = (F1, F2, F3)
+        return F1j + Q * G
 
     def draw(_):
         x = rng.normal(size=n + 1)
         x *= float(rng.uniform(0.6, 1.8)) / np.linalg.norm(x)
         t = float(np.linalg.norm(x))
         coords = coordinate_jets((t,) + tuple(x), 2)
-        jets = [F(coords) for F in exts]
+        F1j = F1(coords)
+        jets = [F1j, F2(coords, F1j), F3(coords, F1j)]
         for Fj in jets:
             euler = t * Fj.grad[0] + sum(x[i] * Fj.grad[i + 1] for i in range(n + 1))
             e_err = abs(euler - (-d) * Fj.value) / max(1.0, abs(Fj.value))

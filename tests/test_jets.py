@@ -1,15 +1,19 @@
-"""The table-driven Jet product against the plain double loop it replaced.
+"""The planned Jet product, the fused Horner step and the memoized
+reciprocal against the plain loops they replaced.
 
-The product must be bit-identical to the loop: the same terms, inserted in
-the same order, with the same floats (seeded reports print errors with full
-repr, so a reordered sum would change their bytes).
+Each must be bit-identical to its loop: the same terms, inserted in the same
+order, with the same floats (seeded reports print errors with full repr, so
+a reordered sum would change their bytes).
 """
 
+import cmath
+import math
 import random
 
 import pytest
 
-from covop.jets import Jet
+from covop import verify
+from covop.jets import Jet, _product_plan
 
 SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2),
           (6, 2), (1, 5), (3, 4)]
@@ -129,3 +133,131 @@ def test_public_constructor_copies_its_terms():
     j = Jet(2, 2, terms)
     terms[(1, 0)] = 2.0
     assert j.terms == {(0, 0): 1.0}
+
+
+# -- plans keyed by the ordered keys -------------------------------------------------
+
+
+@pytest.mark.parametrize("dim,order", SHAPES)
+def test_the_same_key_set_in_another_order_gets_its_own_plan(dim, order):
+    # a plan keyed by the set (or the sorted tuple) of an operand's keys would
+    # walk the second operand's values in the first one's order
+    rng = random.Random(31 * dim + order)
+    for trial in range(10):
+        a = random_jet(rng, dim, order, trial % 2 == 1, trial % 3 == 0)
+        b = random_jet(rng, dim, order, False, trial % 3 == 0)
+        items = list(a.terms.items())
+        for perm in (items[::-1], rng.sample(items, len(items))):
+            a2 = Jet(dim, order, dict(perm))
+            for x, y in ((a, b), (a2, b), (b, a), (b, a2), (a2, a), (a, a2)):
+                assert_same_jet(x * y, reference_mul(x, y))
+
+
+# -- compose_series, powers and quotients against the unfused Horner loop -----------
+
+
+def reference_compose(x, derivs):
+    """Horner's rule in x - value through jet operators and reference_mul."""
+    w = x - x.value
+    acc = Jet.constant(derivs[x.order] / math.factorial(x.order), x.dim, x.order)
+    for k in range(x.order - 1, -1, -1):
+        acc = reference_mul(acc, w) + derivs[k] / math.factorial(k)
+    return acc
+
+
+def reference_pow(x, p):
+    if isinstance(p, int) and p >= 0:
+        out = Jet.constant(1.0, x.dim, x.order)
+        base = x
+        while p:
+            if p & 1:
+                out = reference_mul(out, base)
+            base = reference_mul(base, base)
+            p >>= 1
+        return out
+    v = x.value
+    derivs = []
+    fall = 1.0
+    for k in range(x.order + 1):
+        derivs.append(fall * v ** (p - k))
+        fall = fall * (p - k)
+    return reference_compose(x, derivs)
+
+
+def with_value(x, v):
+    """x with its value part set to v (moved to the end of the key order)."""
+    terms = {e: c for e, c in x.terms.items() if any(e)}
+    terms[(0,) * x.dim] = v
+    return Jet(x.dim, x.order, terms)
+
+
+# 1.0 and 2.0 are float powers whose top derivatives are exactly 0
+POWERS = (-1, -2, -0.5, 0.5, 1.0, 1.5, 2.0, 0, 3)
+
+
+@pytest.mark.parametrize("dim,order", SHAPES)
+def test_powers_match_the_unfused_horner_loop(dim, order):
+    rng = random.Random(50 * dim + order)
+    for trial in range(8):
+        complex_values = trial % 4 == 1
+        coarse = trial % 2 == 0
+        x = random_jet(rng, dim, order, complex_values, coarse)
+        x = with_value(x, rng.choice((0.5, -1.5, 2.0)) if coarse else rng.uniform(0.3, 2.0))
+        for p in POWERS:
+            assert_same_jet(x ** p, reference_pow(x, p))
+
+
+@pytest.mark.parametrize("dim,order", [(2, 2), (3, 3), (1, 5)])
+def test_powers_of_a_jet_with_zero_value(dim, order):
+    rng = random.Random(dim + 10 * order)
+    x = with_value(random_jet(rng, dim, order, False, True), 0.0)
+    for p in (0, 1, 2, 3):
+        assert_same_jet(x ** p, reference_pow(x, p))
+    for p in (-1, -0.5, 0.5, 1.5):
+        with pytest.raises(ZeroDivisionError):
+            x ** p
+    with pytest.raises(ZeroDivisionError):
+        1.0 / x
+
+
+@pytest.mark.parametrize("dim,order", SHAPES)
+def test_exp_log_and_quotients_match_the_unfused_horner_loop(dim, order):
+    rng = random.Random(70 * dim + order)
+    for trial in range(8):
+        complex_values = trial % 4 == 1
+        coarse = trial % 2 == 0
+        x = random_jet(rng, dim, order, complex_values, coarse)
+        y = random_jet(rng, dim, order, complex_values, coarse)
+        y = with_value(y, 2.0 if coarse else rng.uniform(0.5, 2.0))
+        v = x.value
+        e = cmath.exp(v) if isinstance(v, complex) else math.exp(v)
+        assert_same_jet(x.exp(), reference_compose(x, [e] * (order + 1)))
+        assert_same_jet(x / y, reference_mul(x, reference_pow(y, -1)))
+        assert_same_jet(1.5 / y, reference_pow(y, -1) * 1.5)
+        pos = with_value(random_jet(rng, dim, order, False, coarse), rng.uniform(0.5, 2.0))
+        logs = [math.log(pos.value)] + [(-1.0) ** (k - 1) * math.factorial(k - 1)
+                                        / pos.value ** k for k in range(1, order + 1)]
+        assert_same_jet(pos.log(), reference_compose(pos, logs))
+
+
+def test_the_reciprocal_is_computed_once_and_not_shared_by_a_copy():
+    rng = random.Random(5)
+    b = with_value(random_jet(rng, 3, 2, True, False), 1.3)
+    first = 2.5 / b
+    assert_same_jet(2.5 / b, first)
+    assert_same_jet(b ** -1 * 2.5, first)
+    a = random_jet(rng, 3, 2, False, False)
+    assert_same_jet(a / b, a * b ** -1)
+    assert b._reciprocal() is b._reciprocal()
+    fresh = Jet(b.dim, b.order, b.terms)
+    assert fresh._reciprocal() is not b._reciprocal()
+    assert_same_jet(fresh._reciprocal(), b._reciprocal())
+    assert_same_jet(2.5 / fresh, first)
+
+
+def test_a_seeded_run_builds_a_bounded_number_of_plans():
+    # the plans of every suite at seed 0 (353 when this test was written); a
+    # plan key that came to depend on values would grow past the bound
+    _product_plan.cache_clear()
+    verify.run_suites("all", seed=0)
+    assert _product_plan.cache_info().currsize <= 2000
