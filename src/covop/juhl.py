@@ -46,16 +46,16 @@ def one_step(n):
 # factor (2*lam + 2N - n) P + X L composed on the left of the cached order
 # N - 1, which only multiplies and adds integers, so every coefficient is an
 # integer polynomial in lam by construction and is kept as a plain tuple of
-# ints.  Composing in that basis and expanding once at the end
-# (_expand_reduced) is exactly the Leibniz composition (cross-checked in the
-# tests) but does not touch the full multi-index expansion at every step.
-# The tangential coefficients (juhl_coeffs) and the exact checks of ``verify``
-# read the reduced basis itself, and the operator export reads its
-# coefficient classes (operator_classes), of which the expansion is
-# multinomial multiples.  Only the numeric covariance table and the oracle
-# expand it (expanded_iterated).  The Fraction DiffOp of the whole family,
-# ``iterated``, is the oracle that the tests and the small
-# shift_consistency grid check.
+# ints.  Composing in that basis is exactly the Leibniz composition
+# (cross-checked in the tests) but does not touch the full multi-index
+# expansion at every step.  operator_classes is the one place the basis is
+# split over derivatives, into coefficient classes of which the expansion is
+# multinomial multiples.  The tangential coefficients (juhl_coeffs), the
+# operator export and the Fraction DiffOp of the whole family, ``iterated``,
+# read those classes; the numeric covariance table of ``verify`` reads
+# juhl_coeffs, and its exact checks read the reduced basis itself.
+# ``iterated`` is the oracle that the tests and the small shift_consistency
+# grid check.
 
 
 @lru_cache(maxsize=None)
@@ -98,57 +98,16 @@ def _reduced_iterated(n, N):
     return new
 
 
-def _expand_reduced(n, reduced):
-    """Expand a reduced form over derivative multi-indices, in integers.
-
-    Lap^k = sum_{|m| = k} multinomial(m) d^(2m), so the term c(lam) X^i P^j
-    L^k adds c * multinomial(m) to the coefficient of d^(2m + j e_n).  The
-    result is {alpha: {(lam_deg, xi_n_deg): int}}; keys appear in the order
-    the terms are first reached.  The float evaluations of the numeric
-    covariance check sum in that order, so it is part of the seeded suites'
-    output.
-    """
-    res = {}
-    spread = {}  # k -> [(2m, multinomial(m)) for |m| = k]
-    for (i, j, k), c in reduced.items():
-        lam_terms = [((deg, i), cc) for deg, cc in enumerate(c) if cc]
-        if k not in spread:
-            spread[k] = [(tuple(2 * mi for mi in m), multinomial(m))
-                         for m in weak_compositions(k, n)]
-        for even, mult in spread[k]:
-            alpha = even[:-1] + (even[-1] + j,)
-            coeff = res.setdefault(alpha, {})
-            for key, cc in lam_terms:
-                s = coeff.get(key, 0) + cc * mult
-                if s:
-                    coeff[key] = s
-                else:
-                    del coeff[key]
-            if not coeff:
-                del res[alpha]
-    return res
-
-
-def expanded_iterated(n, N):
-    """The iterated family in integers: {alpha: {(lam_deg, xi_n_deg): int}}
-    is the coefficient of lam^lam_deg xi_n^xi_n_deg d^alpha (no other xi
-    occurs).  Only the numeric covariance check of ``verify`` and the
-    oracle ``iterated`` read it; the export reads ``operator_classes``."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    return _expand_reduced(n, _reduced_iterated(n, N))
-
-
 def operator_classes(n, N):
     """The iterated family by coefficient class: {(s, a): {(lam_deg,
     xi_n_deg): int}} with no zero entry.
 
-    Write alpha = (2m', a) with |m'| = s.  Splitting Lap^k as in
-    ``_expand_reduced``, multinomial(m', m_n) = C(k, m_n) * multinomial(m'),
-    so the coefficient of d^alpha in ``expanded_iterated`` is multinomial(m')
-    times F(s, a) = sum C(k, m_n) c_(i, j, k) over the reduced keys with
-    j + 2 m_n = a and k = s + m_n; no other alpha occurs.  For n = 1 there
-    is no m', so m_n = k and s = 0.
+    Write alpha = (2m', a) with |m'| = s.  Lap^k = sum_{|m| = k}
+    multinomial(m) d^(2m) and multinomial(m', m_n) = C(k, m_n) *
+    multinomial(m'), so the coefficient of d^alpha in the family is
+    multinomial(m') times F(s, a) = sum C(k, m_n) c_(i, j, k) over the
+    reduced keys with j + 2 m_n = a and k = s + m_n; no other alpha occurs.
+    For n = 1 there is no m', so m_n = k and s = 0.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -170,12 +129,17 @@ def operator_classes(n, N):
 @lru_cache(maxsize=None)
 def iterated(n, N):
     """The N-fold composition of one-step operators with per-factor shifts
-    lam, lam+1, ..., lam+N-1 (first factor applied first), as a DiffOp in
-    the key order of ``expanded_iterated``, whose Fraction oracle it is."""
+    lam, lam+1, ..., lam+N-1 (first factor applied first), as a Fraction
+    DiffOp: d^(2m', a) has the coefficient multinomial(m') * F(s, a) of
+    ``operator_classes``, with terms sorted by (s, a), then m'."""
     vars_, zeros = op_vars(n), (0,) * (n - 1)
-    return DiffOp(n, {alpha: Poly(vars_, {(deg,) + zeros + (i,): c
-                                          for (deg, i), c in coeff.items()})
-                      for alpha, coeff in expanded_iterated(n, N).items()})
+    terms = {}
+    for (s, a), coeff in sorted(operator_classes(n, N).items()):
+        for m in weak_compositions(s, n - 1):
+            w = multinomial(m)
+            terms[tuple(2 * x for x in m) + (a,)] = Poly(
+                vars_, {(deg,) + zeros + (i,): w * c for (deg, i), c in sorted(coeff.items())})
+    return DiffOp(n, terms)
 
 
 def leading_factors(n, N):
@@ -191,33 +155,29 @@ def pretty_factors(factors):
 
 def leading_coeff(n, N):
     """Closed form of the pure-normal-derivative coefficient of the restricted
-    family: prod_{m=N+1}^{2N} (2*lam - n + m), as a polynomial in lam."""
-    out = Poly.const(1, ("lam",))
-    for b, a in leading_factors(n, N):
-        out = out * Poly(("lam",), {(1,): b, (0,): a})
-    return out
+    family: prod_{m=N+1}^{2N} (2*lam - n + m), multiplied out in ints."""
+    c = [1]
+    for m in range(N + 1, 2 * N + 1):
+        c = [(m - n) * x + 2 * y for x, y in zip(c + [0], [0] + c)]
+    return Poly.from_univariate(c)
 
 
 @lru_cache(maxsize=None)
 def juhl_coeffs(n, N):
     """Tangential coefficients of the restricted iterated family.
 
-    Restriction to xi_n = 0 keeps the i = 0 part of the reduced basis, whose
-    monomials d_n^j Lap^k all have j + 2k = N.  With Lap = Lap' + d_n^2 the
-    coefficient of d_n^(N-2m) Lap'^m is a_m = sum_k C(k, m) c_(0, N-2k, k);
-    for n = 1 there is no Lap' and only a_0 survives.  The sums run in ints
-    and each a_m becomes one Poly in lam alone.  a_0 is checked against the
-    closed form, so a mismatch can only mean an implementation bug.
+    Restriction to xi_n = 0 keeps the xi_n-free terms.  Every term of the
+    order-N family has j + 2k - i = N in the reduced basis, so in
+    ``operator_classes`` those terms lie in the classes (m, N - 2m): with
+    Lap = Lap' + d_n^2, a_m is the xi_n-free part of F(m, N - 2m), the
+    coefficient of d_n^(N-2m) Lap'^m.  For n = 1 there is no Lap' and only
+    a_0 survives.  a_0 is checked against the closed form, so a mismatch can
+    only mean an implementation bug.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    sums = [[0] * (N + 1) for _ in range(N // 2 + 1)]  # a_m has degree <= N
-    for (i, j, k), c in _reduced_iterated(n, N).items():
-        if i == 0:
-            for m in range(k + 1 if n > 1 else 1):
-                for deg, x in enumerate(c):
-                    sums[m][deg] += comb(k, m) * x
-    coeffs = [Poly.from_univariate(s) for s in sums]
+    classes = operator_classes(n, N)
+    coeffs = [Poly(("lam",), {(deg,): c for (deg, i), c in
+                              sorted(classes.get((m, N - 2 * m), {}).items()) if not i})
+              for m in range(N // 2 + 1)]
     if coeffs[0] != leading_coeff(n, N):
         raise RuntimeError(
             f"leading tangential coefficient deviates from closed form at n={n}, N={N}")

@@ -30,8 +30,9 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, SingularPoint, Translation, _norm_sq,
                         full_rotation, stereographic, stereographic_factor,
                         tangential_rotation, xi_vars)
+from .diffop import multinomial, weak_compositions
 from .jets import Jet, _squares, coordinate_jets
-from .juhl import _reduced_iterated, expanded_iterated, iterated, leading_coeff
+from .juhl import _reduced_iterated, iterated, juhl_coeffs, leading_coeff, one_step
 from .special import gamma_checked
 from . import symbolcalc
 
@@ -309,13 +310,15 @@ def check_covariance_one_step(n, rng, samples=50, tol=1e-9):
 
 
 def _restricted_table(n, N):
-    """The restricted iterated family as {alpha: [(lam_deg, int)]}: the
-    xi_n-free terms of ``expanded_iterated(n, N)``, in its key order."""
+    """The restricted iterated family as {alpha: [(lam_deg, int)]}: with the
+    tangential coefficients a_m of ``juhl_coeffs``, d^(2m', N - 2m) has the
+    coefficient multinomial(m') * a_m, |m'| = m, lam-degrees ascending."""
     table = {}
-    for alpha, coeff in expanded_iterated(n, N).items():
-        terms = [(deg, c) for (deg, i), c in coeff.items() if not i]
-        if terms:
-            table[alpha] = terms
+    for m, a in enumerate(juhl_coeffs(n, N).coeffs):
+        terms = [(e[0], int(c)) for e, c in sorted(a.terms.items())]
+        for mp in weak_compositions(m, n - 1):
+            w = multinomial(mp)
+            table[tuple(2 * x for x in mp) + (N - 2 * m,)] = [(deg, w * c) for deg, c in terms]
     return table
 
 
@@ -829,8 +832,6 @@ def _exact_report(name, cases, holds, text):
 
 
 def suite_symbolic(n_min=1, n_max=8, tols=None):
-    from .juhl import juhl_coeffs, one_step
-
     def hat_involution(n, a, b):
         # kernel hat rule applied twice returns (2 pi)^n times the original
         c1, s1c, s1l = symbolcalc.hat_kernel(n, a, b)

@@ -169,9 +169,13 @@ def test_verify_seeded_bytes_pinned(capsys):
     pinned = {
         # the numeric digests were written after the third n = 1 Knapp-Stein
         # map became an affine composite instead of the identity, which
-        # changed the two ks_intertwining_n1 reports of that map only
-        ("numeric", "7"): "dab13d1c0b052b0a72cdf250b472a1e8b73ce8941ccc0108fb6ee3f74a2f96c6",
-        ("numeric", "0"): "31b71219ca1cda200e6ad621cadf7ee8b40abcd511bdff399fe2dbc76b543a0b",
+        # changed the two ks_intertwining_n1 reports of that map only; they
+        # were re-pinned when the covariance_iterated table came to be read
+        # off juhl_coeffs with lam-degrees ascending, which moved max_rel_err
+        # of covariance_iterated_n2_N3 at seed 7 and of n2_N2 and n2_N3 at
+        # seed 0 at rounding level
+        ("numeric", "7"): "23f642324c302c834a5ebc1ef2a5dbac0d80ba11a9c223ea28063dca4bb16b8d",
+        ("numeric", "0"): "1bfaba038c5d339198562c22add9af49a82b423c6c2754d0d1155f0789fed4c4",
         ("ambient", "7"): "f4d41df3645e0b6d179ec5073d3742bd581f37855f1178a2a9f69d9422cf4869",
         # written while the ambient point lists were drawn ahead of the checks
         ("ambient", "0"): "c6a64cac6660a43138133f834ee30774df6407caac4153f3da3f07732b0486d1",

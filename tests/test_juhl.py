@@ -6,8 +6,8 @@ import pytest
 from covop.algebra import Poly, RationalFunction
 from covop.diffop import (DiffOp, decompose_tangential, multinomial, op_vars,
                           weak_compositions)
-from covop.juhl import (expanded_iterated, iterated, juhl_coeffs, leading_coeff,
-                        normalization_meta, one_step, operator_classes)
+from covop.juhl import (iterated, juhl_coeffs, leading_coeff, normalization_meta,
+                        one_step, operator_classes)
 from covop.special import PoleAtLambda
 from covop.verify import _restricted_table
 
@@ -164,16 +164,24 @@ def test_shift_consistency():
 
 
 def test_operator_classes_rebuild_the_expansion():
-    # d^(2m', a) has the coefficient multinomial(m') * F(s, a), |m'| = s
+    # d^(2m', a) has the coefficient multinomial(m') * F(s, a), |m'| = s;
+    # checked against the composition of shifted one-step operators
     for n in range(1, 7):
+        direct = one_step(n)
         for N in range(1, 9):
+            if N > 1:
+                direct = one_step(n).shift_lambda(N - 1).compose(direct)
             rebuilt = {}
             for (s, a), F in operator_classes(n, N).items():
                 for m in weak_compositions(s, n - 1):
                     w = multinomial(m)
                     rebuilt[tuple(2 * x for x in m) + (a,)] = \
                         {key: w * c for key, c in F.items()}
-            assert rebuilt == expanded_iterated(n, N), (n, N)
+            want = {}
+            for alpha, p in direct.terms.items():
+                assert all(not any(e[1:n]) for e in p.terms), (n, N)
+                want[alpha] = {(e[0], e[n]): c for e, c in p.terms.items()}
+            assert rebuilt == want, (n, N)
 
 
 def test_operator_classes_count_at_8_10():
