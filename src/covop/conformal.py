@@ -2,7 +2,11 @@
 the stereographic chart to the sphere, and Gaussian test functions.
 
 A map is a word in four generators (translation, rotation, dilation, and the
-chart-change inversion).  All evaluation code is generic over the scalar
+chart-change inversion).  Each generator has one step, ``act_and_factor``,
+which returns the image of a point and the generator's conformal factor there;
+a word multiplies the factors along the orbit (the cocycle product).  A
+rotation is the pair (cos, sin) of a rotation in the (xi_1, xi_2) plane, the
+only rotations the checks use.  All evaluation code is generic over the scalar
 type: plain floats, exact Fractions, numpy arrays (batched points) and jets
 all go through the same formulas, so derivative information is exact to
 rounding wherever jets are fed in.
@@ -54,11 +58,8 @@ class Translation:
     def dim(self):
         return len(self.v)
 
-    def act(self, xs):
-        return [x + c for x, c in zip(xs, self.v)]
-
-    def factor(self, xs):
-        return 1.0
+    def act_and_factor(self, xs):
+        return [x + c for x, c in zip(xs, self.v)], 1.0
 
     def inverse(self):
         return Translation([-c for c in self.v])
@@ -71,49 +72,42 @@ class Translation:
 
 
 class Rotation:
-    """xi -> R xi with R in SO(n); checked orthogonal with det 1 to 1e-12."""
+    """The rotation of R^dim by the angle with cosine c and sine s in the
+    (xi_1, xi_2) plane, every other coordinate fixed.  (c, s) must lie on the
+    unit circle to 1e-12; R^1 has only the identity, (1, 0)."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("dim", "c", "s")
 
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("rotation matrix must be square")
-        if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-12:
-            raise ValueError("matrix is not orthogonal to 1e-12")
-        if abs(np.linalg.det(m) - 1.0) > 1e-12:
-            raise ValueError("matrix must have determinant 1")
-        self.matrix = tuple(tuple(float(x) for x in row) for row in m)
+    def __init__(self, dim, c, s):
+        c, s = float(c), float(s)
+        if dim < 1:
+            raise ValueError("a rotation acts on R^dim with dim >= 1")
+        if abs(c * c + s * s - 1.0) > 1e-12:
+            raise ValueError("(c, s) is not on the unit circle to 1e-12")
+        if dim == 1 and (s != 0.0 or c < 0.0):
+            raise ValueError("the only rotation of R^1 is the identity")
+        self.dim, self.c, self.s = dim, c, s
 
-    @property
-    def dim(self):
-        return len(self.matrix)
-
-    def act(self, xs):
-        out = []
-        for row in self.matrix:
-            acc = row[0] * xs[0]
-            for c, x in zip(row[1:], xs[1:]):
-                if c:
-                    acc = acc + c * x
-            out.append(acc)
-        return out
-
-    def factor(self, xs):
-        return 1.0
+    def act_and_factor(self, xs):
+        """[[c, -s], [s, c]] applied to (xi_1, xi_2) row by row, the -s term
+        dropped when s = 0, as a matrix product that skips zero entries
+        would; the other coordinates pass through."""
+        c, s = self.c, self.s
+        y0 = c * xs[0]
+        if s:
+            y0 = y0 + (-s) * xs[1]
+        if self.dim == 1:
+            return [y0], 1.0
+        return [y0, s * xs[0] + c * xs[1]] + list(xs[2:]), 1.0
 
     def inverse(self):
-        return Rotation(np.asarray(self.matrix).T)
+        return Rotation(self.dim, self.c, -self.s)
 
     def preserves_hyperplane(self):
-        n = self.dim
-        last_row_ok = self.matrix[n - 1][n - 1] == 1.0 and \
-            all(self.matrix[n - 1][j] == 0.0 for j in range(n - 1))
-        last_col_ok = all(self.matrix[j][n - 1] == 0.0 for j in range(n - 1))
-        return last_row_ok and last_col_ok
+        return self.dim > 2 or (self.c, self.s) == (1.0, 0.0)
 
     def __repr__(self):
-        return f"Rotation({np.asarray(self.matrix)!r})"
+        return f"Rotation({self.dim}, {self.c!r}, {self.s!r})"
 
 
 class Dilation:
@@ -129,11 +123,8 @@ class Dilation:
 
     dim = None  # acts in any dimension
 
-    def act(self, xs):
-        return [self.r * x for x in xs]
-
-    def factor(self, xs):
-        return self.r
+    def act_and_factor(self, xs):
+        return [self.r * x for x in xs], self.r
 
     def inverse(self):
         return Dilation(1.0 / self.r)
@@ -153,17 +144,11 @@ class Inversion:
 
     dim = None
 
-    def act(self, xs):
+    def act_and_factor(self, xs):
         q = _norm_sq(xs)
         if _too_small(q):
             raise SingularPoint("inversion evaluated too close to the origin")
-        return [-xs[0] / q] + [x / q for x in xs[1:]]
-
-    def factor(self, xs):
-        q = _norm_sq(xs)
-        if _too_small(q):
-            raise SingularPoint("inversion evaluated too close to the origin")
-        return 1 / q
+        return [-xs[0] / q] + [x / q for x in xs[1:]], 1 / q
 
     def inverse(self):
         return self
@@ -175,32 +160,20 @@ class Inversion:
         return "Inversion()"
 
 
-def tangential_rotation(n, angle, axes=(0, 1)):
-    """Rotation in two tangential coordinates (a block of SO(n-1), last
-    coordinate fixed).  For n <= 2 there is no room: returns the identity."""
-    m = np.eye(n)
-    i, j = axes
-    if n >= 3 and i < n - 1 and j < n - 1:
-        c, s = math.cos(angle), math.sin(angle)
-        m[i, i] = c
-        m[i, j] = -s
-        m[j, i] = s
-        m[j, j] = c
-    return Rotation(m)
+def tangential_rotation(n, angle):
+    """Rotation by the angle in the (xi_1, xi_2) plane, which keeps xi_n
+    fixed when n >= 3.  For n <= 2 there is no room: returns the identity."""
+    if n >= 3:
+        return Rotation(n, math.cos(angle), math.sin(angle))
+    return Rotation(n, 1.0, 0.0)
 
 
-def full_rotation(n, angle, axes=(0, 1)):
-    """Rotation in any two coordinates (general conformal map, not
-    necessarily hyperplane-preserving)."""
-    m = np.eye(n)
-    i, j = axes
+def full_rotation(n, angle):
+    """Rotation by the angle in the (xi_1, xi_2) plane (a general conformal
+    map, moving the hyperplane when n = 2).  For n = 1: the identity."""
     if n >= 2:
-        c, s = math.cos(angle), math.sin(angle)
-        m[i, i] = c
-        m[i, j] = -s
-        m[j, i] = s
-        m[j, j] = c
-    return Rotation(m)
+        return Rotation(n, math.cos(angle), math.sin(angle))
+    return Rotation(n, 1.0, 0.0)
 
 
 class ConformalMap:
@@ -235,10 +208,7 @@ class ConformalMap:
         return ConformalMap(self.n, tuple(g.inverse() for g in reversed(self.word)))
 
     def act(self, point):
-        xs = list(point)
-        for g in self.word:
-            xs = g.act(xs)
-        return tuple(xs)
+        return self.act_and_factor(point)[0]
 
     def factor(self, point):
         """Conformal factor kappa(self, point) via the cocycle product."""
@@ -250,8 +220,8 @@ class ConformalMap:
         xs = list(point)
         total = 1.0
         for g in self.word:
-            total = g.factor(xs) * total
-            xs = g.act(xs)
+            xs, k = g.act_and_factor(xs)
+            total = k * total
         return tuple(xs), total
 
     def preserves_hyperplane(self):
@@ -270,7 +240,7 @@ class ConformalMap:
             if isinstance(g, Translation):
                 word.append(Translation(g.v[:-1]))
             elif isinstance(g, Rotation):
-                word.append(Rotation(np.asarray(g.matrix)[:-1, :-1]))
+                word.append(Rotation(g.dim - 1, g.c, g.s))
             else:
                 word.append(g)
         return ConformalMap(self.n - 1, word)

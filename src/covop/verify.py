@@ -361,8 +361,8 @@ def _effective_ball(func):
         if not func.g.is_affine():
             raise ValueError("effective support only available for affine words")
         c0, r0 = _effective_ball(func.f)
-        center = np.array(func.g.act(tuple(c0)))
-        return center, r0 * func.g.factor(tuple(c0))
+        center, k = func.g.act_and_factor(tuple(c0))
+        return np.array(center), r0 * k
     raise TypeError(f"unsupported integrand {type(func).__name__}")
 
 
@@ -447,26 +447,27 @@ def _ring_angles(k):
     return out
 
 
-def knapp_stein_value(n, lam, func, point, quad_tol=1e-6, radius=None):
+def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
     """(1/Gamma(lam - n/2)) * int |point-eta|^(2 lam - 2 n) func(eta) d eta
     over R^n (n = 1 or 2 only), by double-exponential quadrature, batched per
     level (Takahasi-Mori 1974; see ``_de_quad``), on a ball that provably
     contains the integrand mass up to the Gaussian tail.
 
-    n = 1 folds the two sides of the point onto d = |point - eta| in
-    [0, radius]; n = 2 integrates r^(2 lam - 3) times the angular integral of
-    func over the circle of radius r about the point, where each radius
-    doubles its periodic trapezoid ring (32, 64, ..., 4096 angles) until two
-    sizes agree to quad_tol / 10.  Raises QuadratureBudgetExceeded when
-    either rule runs out of nodes."""
+    The radius of that ball reaches 1 past the effective support of func
+    (``_effective_ball``), seen from the point.  n = 1 folds the two sides of
+    the point onto d = |point - eta| in [0, radius]; n = 2 integrates
+    r^(2 lam - 3) times the angular integral of func over the circle of
+    radius r about the point, where each radius doubles its periodic
+    trapezoid ring (32, 64, ..., 4096 angles) until two sizes agree to
+    quad_tol / 10.  Raises QuadratureBudgetExceeded when either rule runs out
+    of nodes."""
     if n not in (1, 2):
         raise ValueError("quadrature-backed intertwining checks cover n = 1, 2")
     if not (lam > n / 2):
         raise ValueError("absolute convergence needs lam > n/2")
     point = tuple(point)
-    if radius is None:
-        center, r0 = _effective_ball(func)
-        radius = float(np.linalg.norm(np.array(point) - center)) + r0 + 1.0
+    center, r0 = _effective_ball(func)
+    radius = float(np.linalg.norm(np.array(point) - center)) + r0 + 1.0
     norm = 1.0 / gamma_checked(lam - n / 2.0)
     s = 2.0 * lam - 2.0 * n
     if n == 1:

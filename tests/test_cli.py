@@ -179,6 +179,9 @@ def test_verify_seeded_bytes_pinned(capsys):
         ("ambient", "7"): "f4d41df3645e0b6d179ec5073d3742bd581f37855f1178a2a9f69d9422cf4869",
         # written while the ambient point lists were drawn ahead of the checks
         ("ambient", "0"): "c6a64cac6660a43138133f834ee30774df6407caac4153f3da3f07732b0486d1",
+        # written while a rotation was a numpy-validated matrix
+        ("numeric", "11"): "1a9a3c428aee00f6b9922a0fd3cad70da6e3517059329770018f9f5fb56babb1",
+        ("ambient", "11"): "43585eb65630a241a1303b7b917bdc6ca6e1720e74d8d95e4ff97eca798cff1b",
     }
     for (suite, seed), digest in pinned.items():
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)

@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from covop import conformal
 from covop.algebra import Poly
 from covop.conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                              PulledBack, Rotation, SingularPoint, Translation,
-                             chart_inverse, stereographic, stereographic_factor,
-                             tangential_rotation, xi_vars)
-from covop.jets import coordinate_jets
+                             chart_inverse, full_rotation, stereographic,
+                             stereographic_factor, tangential_rotation, xi_vars)
+from covop.jets import Jet, coordinate_jets
 
 
 def test_dilation_action_and_factor():
@@ -29,7 +30,7 @@ def test_inversion_is_involution_exact():
     pts = [(Fraction(1, 2), Fraction(-2), Fraction(3)),
            (Fraction(3), Fraction(1, 3), Fraction(-1, 7))]
     for p in pts:
-        q = g.act(list(g.act(list(p))))
+        q = g.act_and_factor(g.act_and_factor(list(p))[0])[0]
         assert tuple(q) == p
 
 
@@ -55,11 +56,90 @@ def test_singular_guard():
         g.act((0.01, 0.01))
 
 
+def test_inversion_step_evaluates_norm_once(monkeypatch):
+    # image and factor share one |xi|^2 and one singular guard
+    calls = []
+    norm_sq = conformal._norm_sq
+
+    def counted(xs):
+        calls.append(len(xs))
+        return norm_sq(xs)
+
+    monkeypatch.setattr(conformal, "_norm_sq", counted)
+    ConformalMap(3, [Inversion()]).act_and_factor(coordinate_jets((0.5, -0.3, 0.8), 2))
+    assert calls == [3]
+
+
 def test_rotation_validation():
     with pytest.raises(ValueError):
-        Rotation([[1.0, 0.1], [0.0, 1.0]])
+        Rotation(2, 1.0, 0.1)  # off the unit circle
     with pytest.raises(ValueError):
-        Rotation([[0.0, 1.0], [1.0, 0.0]])  # determinant -1
+        Rotation(1, 0.0, 1.0)  # R^1 has no plane to rotate
+    with pytest.raises(ValueError):
+        Rotation(1, -1.0, 0.0)  # determinant -1
+    # from n = 2 on, (c, s) stands for [[c, -s], [s, c]], of determinant
+    # c^2 + s^2: a reflection such as [[0, 1], [1, 0]] cannot be written
+
+
+def _matrix_rows(rot):
+    """The rows of the rotation's matrix: (c, -s, 0, ...), (s, c, 0, ...)
+    and e_k for k >= 3 (only (c) in R^1)."""
+    n = rot.dim
+    rows = [[float(j == i) for j in range(n)] for i in range(n)]
+    rows[0][0] = rot.c
+    if n >= 2:
+        rows[0][1], rows[1][0], rows[1][1] = -rot.s, rot.s, rot.c
+    return rows
+
+
+def _row_loop(rows, xs):
+    """The matrix step: each row against xs, skipping the zero entries."""
+    out = []
+    for row in rows:
+        acc = row[0] * xs[0]
+        for c, x in zip(row[1:], xs[1:]):
+            if c:
+                acc = acc + c * x
+        out.append(acc)
+    return out
+
+
+def _bits(v):
+    if isinstance(v, Jet):
+        return tuple(v.terms), tuple(float.hex(c) for c in v.terms.values())
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.tobytes()
+    # a Fraction the rows would have turned into a float passes through
+    # exactly; the float the rows made is float() of it
+    return float.hex(float(v))
+
+
+def test_rotation_step_matches_matrix_rows():
+    rng = np.random.default_rng(5)
+
+    def points(n):
+        p = tuple(float(x) for x in rng.uniform(-2.0, 2.0, n))
+        yield p
+        yield tuple(Fraction(int(k), 7) for k in rng.integers(-20, 21, n))
+        yield [rng.uniform(-2.0, 2.0, 4) for _ in range(n)]
+        for order in (1, 2, 3):
+            yield coordinate_jets(p, order)
+
+    def check(rot, rows):
+        for xs in points(rot.dim):
+            got, k = rot.act_and_factor(list(xs))
+            assert k == 1.0
+            assert [_bits(v) for v in got] == [_bits(v) for v in _row_loop(rows, xs)]
+
+    for n in (1, 2, 3, 4):
+        for angle in (0.0, 0.7, 2.5, -1.3):
+            for rot in (full_rotation(n, angle), tangential_rotation(n, angle)):
+                rows = _matrix_rows(rot)
+                check(rot, rows)
+                check(rot.inverse(), [list(col) for col in zip(*rows)])
+                if n >= 2 and rot.preserves_hyperplane():
+                    (sub,) = ConformalMap(n, [rot]).restrict_to_hyperplane().word
+                    check(sub, [row[:-1] for row in rows[:-1]])
 
 
 def test_hyperplane_preservation_flags():

@@ -163,12 +163,16 @@ def test_ks_dilation_n2():
     assert r.passed and r.samples == 2, r
 
 
-def test_ks_truncation_self_consistency():
-    # doubling the truncation radius moves the value by far less than tol/10
+def test_ks_truncation_self_consistency(monkeypatch):
+    # doubling the effective support radius, and so nearly doubling the
+    # truncation radius, moves the value by far less than tol/10
     f = GaussianBump((0.1,), 1.0)
     quad_tol = 1e-6
-    v1 = knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=quad_tol, radius=12.0)
-    v2 = knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=quad_tol, radius=24.0)
+    v1 = knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=quad_tol)
+    ball = verify._effective_ball
+    monkeypatch.setattr(verify, "_effective_ball",
+                        lambda func: (ball(func)[0], 2.0 * ball(func)[1]))
+    v2 = knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=quad_tol)
     assert abs(v1 - v2) < quad_tol / 10.0
 
 
