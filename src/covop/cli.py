@@ -10,7 +10,7 @@ bit for bit.  The operator export is streamed term by term from the
 coefficient classes of the reduced basis (``juhl.operator_classes``), in the
 bytes ``json.dump`` with ``indent=2, sort_keys=True, ensure_ascii=False``
 would write for the same document; no DiffOp, expansion or document dict is
-built.
+built.  Every other JSON document is encoded in full and written in one call.
 """
 
 import argparse
@@ -81,8 +81,7 @@ def coeff_table(n, N):
 
 
 def _emit_json(obj, stream):
-    json.dump(obj, stream, indent=2, sort_keys=True, ensure_ascii=False)
-    stream.write("\n")
+    stream.write(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _json_list(items, indent):
@@ -202,7 +201,10 @@ def _parse_tols(pairs):
         if name not in TOLERANCES:
             raise ValueError(f"--tol: unknown tolerance {name!r}; known names: "
                              + ", ".join(TOLERANCES))
-        value = float(val)
+        try:
+            value = float(val)
+        except ValueError:
+            value = math.nan  # not a number: refused below, as NaN is
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"--tol {name} must be a finite number >= 0, got {val!r}")
         tols[name] = value
@@ -244,7 +246,6 @@ def build_parser():
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--N", type=int, required=True, help="order of the family")
     p.add_argument("--format", choices=("json", "csv", "latex"), default="json")
-    p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", choices=("symbolic", "numeric", "ambient", "all"),
@@ -254,20 +255,27 @@ def build_parser():
     p.add_argument("--n-max", type=int, default=None)
     p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                    help="override a tolerance, e.g. --tol covariance=1e-6")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("operator", help="export the unrestricted iterated operator")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--format", choices=("json",), default="json")
-    p.set_defaults(func=cmd_operator)
     return parser
 
 
+_parser = None  # built by the first main call, so an import does not pay for it
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, sys.stdout)
+    """Run one command and return its exit code; may be called many times in
+    one process.  The parser is built on the first call and reused, each call
+    parses into a fresh namespace, and the ``cmd_*`` handler is looked up by
+    name at call time, so a handler patched after the first call runs."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    return globals()[f"cmd_{args.command}"](args, sys.stdout)
 
 
 if __name__ == "__main__":

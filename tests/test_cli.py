@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
+
+import pytest
 
 from covop.cli import (coeff_table, main, operator_from_dict,
                        poly_from_triples, poly_to_triples)
@@ -97,6 +100,12 @@ def test_operator_n2_N2_term_count(capsys):
     assert len(doc["terms"]) == 7
 
 
+def _json_dump_bytes(obj):
+    buf = io.StringIO()
+    json.dump(obj, buf, indent=2, sort_keys=True, ensure_ascii=False)
+    return buf.getvalue() + "\n"
+
+
 def _operator_document_via_dict(n, N):
     # the document as a dict of the DiffOp, dumped by json: the byte oracle
     # for the streamed writer
@@ -105,9 +114,7 @@ def _operator_document_via_dict(n, N):
            "terms": [{"alpha": list(a), "coeff": poly_to_triples(c),
                       "display": c.pretty()}
                      for a, c in sorted(D.terms.items())]}
-    buf = io.StringIO()
-    json.dump(doc, buf, indent=2, sort_keys=True, ensure_ascii=False)
-    return buf.getvalue() + "\n"
+    return _json_dump_bytes(doc)
 
 
 def test_operator_stream_matches_json_dump_bytes(capsys):
@@ -259,6 +266,11 @@ def test_verify_bad_tol_flag(capsys):
                                  "--tol", f"cocycle={value}")
         assert code == 2 and out == "", value
         assert "finite number >= 0" in err, err
+    # text that is no number at all names the flag and the tolerance too
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
+                             "--tol", "covariance=abc")
+    assert code == 2 and out == ""
+    assert err == "covop verify: --tol covariance must be a finite number >= 0, got 'abc'\n"
 
 
 def test_verify_unknown_tol_name(capsys):
@@ -287,6 +299,94 @@ def test_verify_range_without_checks(capsys):
     assert err.startswith("covop verify: ") and "'numeric'" in err, err
     code, out, _ = run_cli(capsys, "verify", "--suite", "symbolic", "--n-min", "9")
     assert code == 2 and out == ""
+
+
+def test_reused_parser_keeps_no_tol_between_calls(capsys, monkeypatch):
+    import covop.cli
+
+    seen = []
+    verify = covop.cli.cmd_verify
+
+    def recording_verify(args, stream):
+        seen.append(args.tol)
+        return verify(args, stream)
+
+    monkeypatch.setattr(covop.cli, "cmd_verify", recording_verify)
+    report = SimpleNamespace(passed=True, to_dict=dict)
+    monkeypatch.setattr(covop.cli, "run_suites",
+                        lambda *a, tols, **k: seen.append(tols) or [report])
+    assert run_cli(capsys, "verify", "--tol", "covariance=1e-6")[0] == 0
+    assert run_cli(capsys, "verify")[0] == 0
+    assert seen == [["covariance=1e-6"], {"covariance": 1e-6}, None, {}]
+
+
+def test_usage_error_after_a_call_matches_a_fresh_process(capsys, monkeypatch,
+                                                          covop_env):
+    # argparse wraps its usage text to COLUMNS: give both sides the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(covop_env, COLUMNS="80")
+    for argv in (["bogus"], ["coeffs", "--n", "2"], ["verify", "--seed", "x"]):
+        fresh = subprocess.run([sys.executable, "-m", "covop", *argv],
+                               capture_output=True, text=True, env=env)
+        assert fresh.returncode == 2 and fresh.stderr.startswith("usage: covop")
+        assert run_cli(capsys, "coeffs", "--n", "2", "--N", "1")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert out.err == fresh.stderr, argv
+
+
+def test_parser_is_built_once_and_not_at_import(capsys, monkeypatch, covop_env):
+    import covop.cli
+
+    builds = []
+    build = covop.cli.build_parser
+    monkeypatch.setattr(covop.cli, "_parser", None)
+    monkeypatch.setattr(covop.cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    for argv in (["coeffs", "--n", "2", "--N", "1"], ["operator", "--n", "2", "--N", "1"],
+                 ["coeffs", "--n", "3", "--N", "2", "--format", "csv"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert len(builds) == 1
+    # an ArgumentParser built during the import would raise here
+    proc = subprocess.run(
+        [sys.executable, "-c", "import argparse\n"
+         "argparse.ArgumentParser.__init__ = None\n"
+         "import covop.cli\n"
+         "print(covop.cli._parser)"],
+        capture_output=True, text=True, env=covop_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "None\n"
+
+
+def test_handler_is_looked_up_at_call_time(capsys, monkeypatch):
+    import covop.cli
+
+    assert run_cli(capsys, "coeffs", "--n", "2", "--N", "1")[0] == 0
+    calls = []
+    monkeypatch.setattr(covop.cli, "cmd_coeffs",
+                        lambda args, stream: calls.append((args.n, args.N)) or 0)
+    assert run_cli(capsys, "coeffs", "--n", "3", "--N", "4") == (0, "", "")
+    assert calls == [(3, 4)]
+
+
+def test_emit_json_matches_json_dump_bytes():
+    # the one-call writer against the json.dump route it replaced: coeffs
+    # tables (with a non-ASCII display) and a seeded verification document
+    from covop.cli import _emit_json
+    from covop.verify import run_suites
+
+    reports = run_suites("numeric", seed=3, n_min=1, n_max=1)
+    docs = [coeff_table(n, N) for n, N in ((1, 1), (1, 4), (3, 5), (8, 12))]
+    docs.append({"kind": "verification", "suite": "numeric", "seed": 3,
+                 "n_min": 1, "n_max": 1, "passed": all(r.passed for r in reports),
+                 "reports": [r.to_dict() for r in reports]})
+    for doc in docs:
+        buf = io.StringIO()
+        _emit_json(doc, buf)
+        assert buf.getvalue() == _json_dump_bytes(doc), doc["kind"]
+    assert "λ" in _json_dump_bytes(docs[-2])
 
 
 def test_usage_error_exit_code(covop_env):
