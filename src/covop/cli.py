@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .algebra import Poly, pretty_terms
 from .diffop import DiffOp, multinomial, op_vars, weak_compositions
-# ``iterated`` is not called here but stays bound: perfbench's self-test
-# checks that its tracer patches a name imported into another covop module.
+# unused ``iterated`` stays bound: perfbench checks its tracer patches it here
 from .juhl import (iterated, juhl_coeffs, leading_factors,  # noqa: F401
                    normalization_meta, operator_classes, pretty_factors)
 from .special import PoleAtLambda
@@ -215,6 +214,8 @@ def cmd_verify(args, stream):
     try:
         tols = _parse_tols(args.tol)
         _check_n_bounds(args.n_min, args.n_max)
+        if args.seed < 0:
+            raise ValueError(f"--seed must be at least 0 (got {args.seed})")
     except ValueError as exc:
         print(f"covop verify: {exc}", file=sys.stderr)
         return 2

@@ -5,15 +5,16 @@ The one-step operator is
     (2*lam - n + 2) d/dxi_n  +  xi_n * Laplacian,
 
 lam a formal variable.  Iterating it with shifted parameters and restricting
-to the hyperplane xi_n = 0 produces the Juhl-type tangential families; this
-module builds them exactly and exposes the closed form of the leading
-coefficient together with the Gamma-factor normalization metadata.
+to the hyperplane xi_n = 0 produces the Juhl-type tangential families.  This
+module gives every iterate in closed form in the reduced basis xi_n^i d_n^j
+Lap^k and reads the tangential coefficients, the export and the Gamma-factor
+normalization metadata off it; the Fraction DiffOps ``one_step`` and
+``iterated`` are the oracles that the tests compose.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import comb, factorial, pi
 
 from .algebra import Poly
@@ -42,60 +43,42 @@ def one_step(n):
 # The factors generate a small closed algebra: with X = mult by xi_n,
 # P = d_n and L = Lap one has [P, X] = 1, [L, X] = 2P, [P, L] = 0, so every
 # iterate is a combination of monomials X^i P^j L^k with lam-polynomial
-# coefficients.  The basis is grown one factor at a time: order N is the
-# factor (2*lam + 2N - n) P + X L composed on the left of the cached order
-# N - 1, which only multiplies and adds integers, so every coefficient is an
-# integer polynomial in lam by construction and is kept as a plain tuple of
-# ints.  Composing in that basis is exactly the Leibniz composition
-# (cross-checked in the tests) but does not touch the full multi-index
-# expansion at every step.  operator_classes is the one place the basis is
-# split over derivatives, into coefficient classes of which the expansion is
-# multinomial multiples.  The tangential coefficients (juhl_coeffs), the
-# operator export and the Fraction DiffOp of the whole family, ``iterated``,
-# read those classes; the numeric covariance table of ``verify`` reads
-# juhl_coeffs, and its exact checks read the reduced basis itself.
-# ``iterated`` is the oracle that the tests and the small shift_consistency
-# grid check.
+# coefficients, which _reduced_iterated gives in closed form as tuples of
+# ints; the symbolic suite's shift_consistency composes in the same basis.
+# operator_classes is the one place the basis is split over derivatives,
+# into coefficient classes of which the expansion is multinomial multiples;
+# juhl_coeffs, the operator export and the oracle ``iterated`` read them.
 
 
 @lru_cache(maxsize=None)
 def _reduced_iterated(n, N):
-    """{(i, j, k): c} for xi_n^i d_n^j Lap^k, equal to the N-fold
-    composition with the parameter shifted by one per factor; c holds the
-    integer coefficients of lam^0, lam^1, ... with no trailing zero.  Order
-    N composes (2*lam + 2N - n) P + X L on the left of order N - 1."""
-    if N == 0:
-        return {(0, 0, 0): (1,)}
-    a = 2 * N - n
-    new = {}
+    """{(i, j, k): c} for xi_n^i d_n^j Lap^k in the N-fold composition with
+    the parameter shifted by one per factor; c holds the integer
+    coefficients of lam^0, lam^1, ... with no trailing zero.  The keys are
+    0 <= i <= k with j = N + i - 2k >= 0, and
 
-    def add(key, c):
-        s = new.get(key)
-        if s is None:
-            s = c
-        else:  # sum of the coefficient tuples, trailing zeros dropped
-            s = [x + y for x, y in zip_longest(s, c, fillvalue=0)]
-            while s and not s[-1]:
-                s.pop()
-            s = tuple(s)
-        if s:
-            new[key] = s
-        elif key in new:
-            del new[key]
+        c_(i,j,k) = N! / (i! (k-i)! 2^(k-i) j!) * prod_{t=k+1}^{N} (2 lam - n + 2t).
 
-    for (i, j, k), c in _reduced_iterated(n, N - 1).items():
-        # (2*lam + a) * d_n applied after xi_n^i d_n^j Lap^k
-        fc = tuple(a * x + 2 * y for x, y in zip(c + (0,), (0,) + c))
-        add((i, j + 1, k), fc)
-        if i:
-            add((i - 1, j, k), tuple(x * i for x in fc))
-        # xi_n * Lap applied after the same
-        add((i + 1, j, k + 1), c)
-        if i:
-            add((i, j + 1, k), tuple(x * (2 * i) for x in c))
-        if i >= 2:
-            add((i - 1, j, k), tuple(x * (i * (i - 1)) for x in c))
-    return new
+    Proof by induction from c_(0,0,0) = 1 at N = 0: order N composes
+    f P + X L, f = 2 lam + 2N - n, on the left of order N - 1, so by
+    [P, X] = 1 and [L, X] = 2P its key (i, j, k) collects (f + 2i) c_(i,j-1,k)
+    + (i+1)(f + i) c_(i+1,j,k) + c_(i-1,j,k-1), each branch raising the
+    weight j + 2k - i by one.  With u = 2 lam - n, dividing by the common
+    factor leaves N (u + 2N) = j (u + 2N + 2i) + 2(k-i)(u + 2N + i) + i (u + 2k),
+    true as j + 2k - i = N; a missing key carries a vanishing factor j, k - i
+    or i.  No key cancels: its top lam coefficient is positive.  The product
+    is multiplied out in ints as in ``leading_coeff``; the recursion makes
+    the division exact.
+    """
+    out, prod = {}, [1]
+    for k in range(N, -1, -1):
+        for i in range(max(0, 2 * k - N), k + 1):
+            j = N + i - 2 * k
+            den = factorial(i) * factorial(k - i) * 2 ** (k - i) * factorial(j)
+            out[i, j, k] = tuple(factorial(N) * x // den for x in prod)
+        # the product for k - 1 takes t = k
+        prod = [(2 * k - n) * x + 2 * y for x, y in zip(prod + [0], [0] + prod)]
+    return out
 
 
 def operator_classes(n, N):

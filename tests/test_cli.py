@@ -292,6 +292,30 @@ def test_verify_bad_n_range(capsys):
         assert err.startswith("covop verify: ") and text in err, err
 
 
+def test_verify_negative_seed(capsys):
+    # numpy refuses a negative seed; every suite refuses it as a usage error
+    for suite in ("symbolic", "numeric", "ambient", "all"):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "-1")
+        assert (code, out) == (2, ""), suite
+        assert err == "covop verify: --seed must be at least 0 (got -1)\n"
+
+
+def test_commands_build_no_diffop(capsys, monkeypatch):
+    # DiffOp is the return type of iterated and operator_from_dict, and a
+    # test oracle; no command constructs one
+    from covop.diffop import DiffOp
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a command constructed a DiffOp")
+
+    monkeypatch.setattr(DiffOp, "__init__", refuse)
+    for argv in (("verify", "--suite", "all", "--seed", "0"),
+                 ("coeffs", "--n", "8", "--N", "12"),
+                 ("operator", "--n", "3", "--N", "4")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, argv
+
+
 def test_verify_range_without_checks(capsys):
     # the numeric suite covers n = 1..4, so n >= 5 leaves it nothing to run
     code, out, err = run_cli(capsys, "verify", "--suite", "numeric", "--n-min", "5")

@@ -1,13 +1,15 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
 
 import pytest
 
 from covop.algebra import Poly, RationalFunction
 from covop.diffop import (DiffOp, decompose_tangential, multinomial, op_vars,
                           weak_compositions)
-from covop.juhl import (iterated, juhl_coeffs, leading_coeff, normalization_meta,
-                        one_step, operator_classes)
+from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, leading_coeff,
+                        normalization_meta, one_step, operator_classes)
 from covop.special import PoleAtLambda
 from covop.verify import _restricted_table
 
@@ -182,6 +184,46 @@ def test_operator_classes_rebuild_the_expansion():
                 assert all(not any(e[1:n]) for e in p.terms), (n, N)
                 want[alpha] = {(e[0], e[n]): c for e, c in p.terms.items()}
             assert rebuilt == want, (n, N)
+
+
+@lru_cache(maxsize=None)
+def reference_reduced(n, N):
+    """The reduced basis by its defining recursion: order N composes
+    (2*lam + 2N - n) P + X L on the left of order N - 1, with
+    P X^i = X^i P + i X^(i-1) and L X^i = X^i L + 2i X^(i-1) P + i(i-1) X^(i-2)."""
+    if N == 0:
+        return {(0, 0, 0): (1,)}
+    a = 2 * N - n
+    new = {}
+
+    def add(key, c):
+        s = [x + y for x, y in zip_longest(new.get(key, ()), c, fillvalue=0)]
+        while s and not s[-1]:
+            s.pop()
+        if s:
+            new[key] = tuple(s)
+        else:
+            new.pop(key, None)
+
+    for (i, j, k), c in reference_reduced(n, N - 1).items():
+        # (2*lam + a) * d_n applied after xi_n^i d_n^j Lap^k
+        fc = tuple(a * x + 2 * y for x, y in zip(c + (0,), (0,) + c))
+        add((i, j + 1, k), fc)
+        if i:
+            add((i - 1, j, k), tuple(x * i for x in fc))
+        # xi_n * Lap applied after the same
+        add((i + 1, j, k + 1), c)
+        if i:
+            add((i, j + 1, k), tuple(x * (2 * i) for x in c))
+        if i >= 2:
+            add((i - 1, j, k), tuple(x * (i * (i - 1)) for x in c))
+    return new
+
+
+def test_closed_form_matches_the_recursion():
+    for n in range(1, 9):
+        for N in range(1, 13):
+            assert _reduced_iterated(n, N) == reference_reduced(n, N), (n, N)
 
 
 def test_operator_classes_count_at_8_10():

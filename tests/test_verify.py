@@ -407,38 +407,38 @@ def _report(name):
 
 
 def test_symbolic_suite_stays_off_the_fraction_route(monkeypatch):
-    # production reads the reduced basis; the Fraction DiffOp of the whole
-    # family is built only for the small shift_consistency grid, and the
-    # residual certificate never runs
-    orders, applied, decomposed = [], [], []
-    original = juhl.iterated
+    # every exact check reads the reduced basis: the suite builds no
+    # Fraction DiffOp of the family, composes none, and never runs the
+    # residual certificate
+    assert not hasattr(verify, "iterated") and not hasattr(verify, "one_step")
+    calls = []
 
-    def recording_iterated(n, N):
-        orders.append(N)
-        return original(n, N)
+    def recording(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
 
-    monkeypatch.setattr(juhl, "iterated", recording_iterated)
-    monkeypatch.setattr(verify, "iterated", recording_iterated)
-    original_apply = DiffOp.apply
-
-    def recording_apply(self, p):
-        applied.append((self, p))
-        return original_apply(self, p)
-
-    monkeypatch.setattr(DiffOp, "apply", recording_apply)
-    original_decompose = diffop.decompose_tangential
-
-    def recording_decompose(D, N):
-        decomposed.append(N)
-        return original_decompose(D, N)
-
-    monkeypatch.setattr(diffop, "decompose_tangential", recording_decompose)
+    monkeypatch.setattr(juhl, "iterated", recording("iterated", juhl.iterated))
+    for name in ("apply", "compose", "shift_lambda"):
+        monkeypatch.setattr(DiffOp, name, recording(name, getattr(DiffOp, name)))
+    monkeypatch.setattr(diffop, "decompose_tangential",
+                        recording("decompose_tangential", diffop.decompose_tangential))
     assert all(r.passed for r in verify.suite_symbolic())
-    assert applied == [] and orders and max(orders) <= 4
-    assert decomposed == []
+    assert calls == []
 
 
-def test_power_constant_fails_on_a_changed_pure_normal_coefficient(monkeypatch):
+def test_right_composition_rebuilds_the_next_order():
+    # order N at lam + 1 composed on the left of the first factor is order
+    # N + 1: with the base case, a certificate that the closed form is the
+    # defining composition
+    for n in range(1, 9):
+        for N in range(1, 12):
+            assert verify._compose_first_factor(n, N) == juhl._reduced_iterated(n, N + 1), (n, N)
+
+
+def _change_pure_normal_coefficient(monkeypatch):
+    # +1 on the lam^0 coefficient of d_n^N at every order N
     original = verify._reduced_iterated
 
     def changed(n, N):
@@ -448,6 +448,16 @@ def test_power_constant_fails_on_a_changed_pure_normal_coefficient(monkeypatch):
         return reduced
 
     monkeypatch.setattr(verify, "_reduced_iterated", changed)
+
+
+def test_shift_consistency_fails_on_a_changed_pure_normal_coefficient(monkeypatch):
+    _change_pure_normal_coefficient(monkeypatch)
+    r = _report("shift_consistency")
+    assert not r.passed and r.max_rel_err == r.samples == 6
+
+
+def test_power_constant_fails_on_a_changed_pure_normal_coefficient(monkeypatch):
+    _change_pure_normal_coefficient(monkeypatch)
     r = _report("iterated_power_constant")
     assert not r.passed and r.max_rel_err == r.samples == 50
 
