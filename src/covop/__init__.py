@@ -11,10 +11,10 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, Rotation, SingularPoint, Translation,
                         chart_inverse, full_rotation, stereographic,
                         stereographic_factor, tangential_rotation)
-from .diffop import DiffOp, NonTangentialForm, TangentialOp, decompose_tangential, op_vars
+from .diffop import DiffOp, op_vars
 from .jets import Jet, coordinate_jets
-from .juhl import (NormalizationMeta, iterated, juhl_coeffs, leading_coeff,
-                   leading_factors, normalization_meta, one_step)
+from .juhl import (NormalizationMeta, TangentialOp, iterated, juhl_coeffs,
+                   leading_coeff, leading_factors, normalization_meta, one_step)
 from .special import PoleAtLambda
 from .symbolcalc import (HExpr, HTerm, SymCoeff, ClosureExceeded,
                          check_factorization, d_normal, knapp_stein_symbol,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poly", "RationalFunction",
-    "DiffOp", "TangentialOp", "NonTangentialForm", "decompose_tangential", "op_vars",
+    "DiffOp", "TangentialOp", "op_vars",
     "Jet", "coordinate_jets",
     "one_step", "iterated", "juhl_coeffs", "leading_coeff", "leading_factors",
     "normalization_meta", "NormalizationMeta",

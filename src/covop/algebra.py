@@ -1,6 +1,6 @@
 """Exact arithmetic: multivariate polynomials and rational functions over Q.
 
-Everything downstream (operator composition, tangential decomposition, the
+Everything downstream (operator composition and restriction, the
 Fourier-symbol algebra) reduces to identities in these rings, so coefficients
 are arbitrary-precision rationals throughout.  Repeated Leibniz composition
 makes coefficients grow fast enough that fixed-width integers would overflow
@@ -184,27 +184,6 @@ class Poly:
                     res[ne] = s
                 elif ne in res:
                     del res[ne]
-        out = Poly.__new__(Poly)
-        out.vars = self.vars
-        out.terms = res
-        return out
-
-    def subs_value(self, name, value):
-        """Substitute an exact rational value for one variable.
-
-        The variable list is kept unchanged (the exponent slot drops to 0),
-        which is what hyperplane restriction of operator coefficients needs.
-        """
-        i = self.vars.index(name)
-        value = _as_fraction(value)
-        res = {}
-        for e, c in self.terms.items():
-            ne = e[:i] + (0,) + e[i + 1:]
-            s = res.get(ne, Fraction(0)) + c * value ** e[i]
-            if s:
-                res[ne] = s
-            elif ne in res:
-                del res[ne]
         out = Poly.__new__(Poly)
         out.vars = self.vars
         out.terms = res

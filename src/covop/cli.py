@@ -7,23 +7,26 @@ out of budget, a Gamma pole), which prints one ``covop verify: ...`` line on
 stderr and nothing on stdout.  JSON output keeps every coefficient exact as
 integer numerator and denominator strings, so parse(emit(D)) reproduces D
 bit for bit.  The operator export is streamed term by term from the
-coefficient classes of the reduced basis (``juhl.operator_classes``), in the
-bytes ``json.dump`` with ``indent=2, sort_keys=True, ensure_ascii=False``
-would write for the same document; no DiffOp, expansion or document dict is
-built.  Every other JSON document is encoded in full and written in one call.
+coefficient classes of the reduced basis (``juhl.operator_classes``) and the
+lazy expansion of Lap'^s (``juhl.lap_prime_terms``), in the bytes
+``json.dump`` with ``indent=2, sort_keys=True, ensure_ascii=False`` would
+write for the same document; no DiffOp, term list or document dict is built.
+Every other JSON document is encoded in full and written in one call.
 """
 
 import argparse
+import heapq
 import json
 import math
 import sys
 from fractions import Fraction
 
 from .algebra import Poly, pretty_terms
-from .diffop import DiffOp, multinomial, op_vars, weak_compositions
+from .diffop import DiffOp, op_vars
 # unused ``iterated`` stays bound: perfbench checks its tracer patches it here
-from .juhl import (iterated, juhl_coeffs, leading_factors,  # noqa: F401
-                   normalization_meta, operator_classes, pretty_factors)
+from .juhl import (iterated, juhl_coeffs, lap_prime_terms,  # noqa: F401
+                   leading_factors, normalization_meta, operator_classes,
+                   pretty_factors)
 from .special import PoleAtLambda
 from .verify import TOLERANCES, QuadratureBudgetExceeded, run_suites
 
@@ -97,7 +100,8 @@ def _emit_operator(n, N, stream):
     ``_emit_json``.  The terms come from ``juhl.operator_classes``: alpha =
     (2m', a) has the coefficient multinomial(m') * F(s, a) with |m'| = s, so
     the coeff and display text is encoded once per (s, a, multinomial(m'))
-    and each term writes only its alpha."""
+    and each term writes only its alpha.  The m' of every s are merged from
+    the ascending ``lap_prime_terms`` generators, never held in a list."""
     variables = op_vars(n)
     lam_xin = (variables[0], variables[-1])  # the only variables that occur
     zeros = ["0"] * (n - 1)
@@ -120,9 +124,9 @@ def _emit_operator(n, N, stream):
     pad = "\n        "
     stream.write(f'{{\n  "N": {N},\n  "kind": "operator",\n  "n": {n},\n  "terms": [')
     sep = "\n"
-    # alpha = (2m', a) sorts by m' first, then by a
-    for m in sorted(m for s in a_by_s for m in weak_compositions(s, n - 1)):
-        s, w = sum(m), multinomial(m)
+    # alpha = (2m', a) sorts by m' first, then by a; m' of distinct s differ
+    for m, w in heapq.merge(*(lap_prime_terms(n, s) for s in a_by_s)):
+        s = sum(m)
         texts = tails.get((s, w))
         if texts is None:
             texts = tails[s, w] = [term_tail(s, a, w) for a in a_by_s[s]]

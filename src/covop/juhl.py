@@ -7,19 +7,20 @@ The one-step operator is
 lam a formal variable.  Iterating it with shifted parameters and restricting
 to the hyperplane xi_n = 0 produces the Juhl-type tangential families.  This
 module gives every iterate in closed form in the reduced basis xi_n^i d_n^j
-Lap^k and reads the tangential coefficients, the export and the Gamma-factor
-normalization metadata off it; the Fraction DiffOps ``one_step`` and
-``iterated`` are the oracles that the tests compose.
+Lap^k and reads the tangential coefficients (a ``TangentialOp``), the export
+and the Gamma-factor normalization metadata off it.  ``lap_prime_terms`` is
+the one expansion of Lap'^s over derivative multi-indices; ``iterated``, the
+export and the numeric covariance table read it.  The Fraction DiffOps
+``one_step`` and ``iterated`` are the oracles that the tests compose.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, pi
+from math import comb, factorial
 
 from .algebra import Poly
-from .diffop import DiffOp, TangentialOp, multinomial, op_vars, weak_compositions
-from .special import gamma_checked
+from .diffop import DiffOp, op_vars
 
 
 def one_step(n):
@@ -81,6 +82,27 @@ def _reduced_iterated(n, N):
     return out
 
 
+def lap_prime_terms(n, s):
+    """Lap'^s on R^n, Lap' the Laplacian in xi_1..xi_(n-1), as the pairs
+    (m', multinomial(m')) of Lap'^s = sum_{|m'| = s} multinomial(m')
+    d^(2m', 0), yielded lazily in ascending m'.  The multinomial is built
+    from its head: multinomial(h, rest) = C(s, h) * multinomial(rest).
+    For n = 1 there is no m': Lap'^0 is ((), 1) and Lap'^s, s > 0, is empty."""
+    def split(total, parts):
+        if parts == 1:
+            yield (total,), 1
+            return
+        for head in range(total + 1):
+            w = comb(total, head)
+            for rest, v in split(total - head, parts - 1):
+                yield (head,) + rest, w * v
+
+    if n > 1:
+        yield from split(s, n - 1)
+    elif s == 0:
+        yield (), 1
+
+
 def operator_classes(n, N):
     """The iterated family by coefficient class: {(s, a): {(lam_deg,
     xi_n_deg): int}} with no zero entry.
@@ -118,8 +140,7 @@ def iterated(n, N):
     vars_, zeros = op_vars(n), (0,) * (n - 1)
     terms = {}
     for (s, a), coeff in sorted(operator_classes(n, N).items()):
-        for m in weak_compositions(s, n - 1):
-            w = multinomial(m)
+        for m, w in lap_prime_terms(n, s):
             terms[tuple(2 * x for x in m) + (a,)] = Poly(
                 vars_, {(deg,) + zeros + (i,): w * c for (deg, i), c in sorted(coeff.items())})
     return DiffOp(n, terms)
@@ -143,6 +164,42 @@ def leading_coeff(n, N):
     for m in range(N + 1, 2 * N + 1):
         c = [(m - n) * x + 2 * y for x, y in zip(c + [0], [0] + c)]
     return Poly.from_univariate(c)
+
+
+class TangentialOp:
+    """Hyperplane operator sum_j a_j d_n^(N-2j) Lap'^j followed by restriction;
+    each coefficient a_j is a one-variable Poly in lam."""
+
+    __slots__ = ("n", "N", "coeffs")
+
+    def __init__(self, n, N, coeffs):
+        coeffs = tuple(coeffs)
+        if len(coeffs) != N // 2 + 1:
+            raise ValueError("need floor(N/2)+1 coefficients")
+        self.n = n
+        self.N = N
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, TangentialOp):
+            return NotImplemented
+        return (self.n, self.N) == (other.n, other.N) and \
+            all(a == b for a, b in zip(self.coeffs, other.coeffs))
+
+    def pretty(self):
+        parts = []
+        for j, a in enumerate(self.coeffs):
+            ds = []
+            if self.N - 2 * j:
+                ds.append(f"∂n^{self.N - 2 * j}" if self.N - 2 * j > 1 else "∂n")
+            if j:
+                ds.append(f"Δ'^{j}" if j > 1 else "Δ'")
+            head = "·".join(ds) if ds else "1"
+            parts.append(f"({a.pretty()})·{head}")
+        return " + ".join(parts)
+
+    def __repr__(self):
+        return f"TangentialOp(n={self.n}, N={self.N}, {self.pretty()})"
 
 
 @lru_cache(maxsize=None)
@@ -177,9 +234,6 @@ class GammaFactor:
     lam_coeff: Fraction
     exponent: int = 1
 
-    def argument(self, lam):
-        return complex(self.const) + complex(self.lam_coeff) * lam
-
     def pretty(self):
         b, a = self.lam_coeff, self.const
         if b == 1:
@@ -212,14 +266,6 @@ class NormalizationMeta:
     ratio_prefactor: Fraction
     ratio_two_power: int
     ratio_factors: tuple  # affine (b, a): factor b*lam + a
-
-    def dtilde_value(self, lam):
-        out = complex(pi) ** self.pi_power
-        for g in self.gammas:
-            out *= gamma_checked(g.argument(lam)) ** g.exponent
-        if isinstance(lam, complex):
-            return out
-        return out.real if abs(out.imag) <= 1e-12 * max(1.0, abs(out)) else out
 
     def ratio_value(self, lam):
         out = float(self.ratio_prefactor) * 2.0 ** self.ratio_two_power

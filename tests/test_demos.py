@@ -14,3 +14,18 @@ def test_demo_runs(path, covop_env):
     proc = subprocess.run([sys.executable, str(path)], capture_output=True,
                           text=True, env=covop_env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_example_prints_what_its_comment_says(covop_env):
+    # the README's Python block runs, and the line that juhl_coeffs(3, 2)
+    # prints is the one its comment shows
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    call = "print(juhl_coeffs(3, 2).pretty())"
+    comment = next(line for line in block.splitlines() if line.startswith(call))
+    want = comment.split("# ", 1)[1]
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True,
+                          text=True, encoding="utf-8",
+                          env={**covop_env, "PYTHONIOENCODING": "utf-8"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == want

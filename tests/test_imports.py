@@ -1,0 +1,36 @@
+"""Every module-level import in src/covop is used by its module."""
+
+import ast
+from pathlib import Path
+
+import covop
+
+SRC = Path(covop.__file__).resolve().parent
+
+# (module, name): bound on purpose though the module never reads it.
+# cli.iterated: the perfbench self-test checks that its tracer patches it.
+KEPT = {("cli", "iterated")}
+
+
+def unused_imports(path):
+    """Names bound by the module's top-level imports that no Name node of the
+    module reads and its ``__all__`` does not list."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in used]
+
+
+def test_no_unused_module_level_import():
+    found = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             for name in unused_imports(path)}
+    assert found == KEPT

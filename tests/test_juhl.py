@@ -1,3 +1,4 @@
+import inspect
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -6,12 +7,13 @@ from itertools import zip_longest
 import pytest
 
 from covop.algebra import Poly, RationalFunction
-from covop.diffop import (DiffOp, decompose_tangential, multinomial, op_vars,
-                          weak_compositions)
-from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, leading_coeff,
-                        normalization_meta, one_step, operator_classes)
-from covop.special import PoleAtLambda
+from covop.diffop import DiffOp, op_vars
+from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, lap_prime_terms,
+                        leading_coeff, normalization_meta, one_step, operator_classes)
 from covop.verify import _restricted_table
+
+from oracles import (apply, decompose_tangential, multinomial, subs_value,
+                     weak_compositions)
 
 
 def lam_poly(n):
@@ -40,7 +42,7 @@ def test_one_step_drops_xin():
         vars_ = op_vars(n)
         xin = Poly.variable(f"xi{n}", vars_)
         lam = lam_poly(n)
-        assert one_step(n).apply(xin) == 2 * lam + (2 - n)
+        assert apply(one_step(n), xin) == 2 * lam + (2 - n)
 
 
 def test_iterated_single_factor():
@@ -71,7 +73,7 @@ def test_restrict_pins_to_subs_value_route():
         for N in (1, 2, 3, 5, 6):
             D = iterated(n, N)
             got = D.restrict()
-            want = DiffOp(n, {a: c.subs_value(f"xi{n}", 0) for a, c in D.terms.items()})
+            want = DiffOp(n, {a: subs_value(c, f"xi{n}", 0) for a, c in D.terms.items()})
             assert got == want
             assert [(a, list(c.terms)) for a, c in got.terms.items()] == \
                 [(a, list(c.terms)) for a, c in want.terms.items()]
@@ -91,7 +93,7 @@ def test_iterated_on_normal_powers():
             want = Poly.const(math.factorial(N), vars_)
             for m in range(N + 1, 2 * N + 1):
                 want = want * (2 * lam + (m - n))
-            assert iterated(n, N).apply(xin ** N) == want
+            assert apply(iterated(n, N), xin ** N) == want
 
 
 def test_iterated_n2_on_square():
@@ -100,7 +102,7 @@ def test_iterated_n2_on_square():
     vars_ = op_vars(n)
     xin = Poly.variable("xi3", vars_)
     lam = lam_poly(n)
-    got = iterated(n, 2).apply(xin ** 2)
+    got = apply(iterated(n, 2), xin ** 2)
     assert got == 2 * (2 * lam + (3 - n)) * (2 * lam + (4 - n))
 
 
@@ -109,7 +111,7 @@ def test_iterated_n3_on_cube():
     vars_ = op_vars(n)
     xin = Poly.variable("xi2", vars_)
     lam = lam_poly(n)
-    got = iterated(n, 3).apply(xin ** 3)
+    got = apply(iterated(n, 3), xin ** 3)
     assert got == 6 * (2 * lam + (4 - n)) * (2 * lam + (5 - n)) * (2 * lam + (6 - n))
 
 
@@ -163,6 +165,16 @@ def test_shift_consistency():
         for N in (1, 2):
             lhs = iterated(n, N).shift_lambda(1).compose(one_step(n))
             assert lhs == iterated(n, N + 1)
+
+
+def test_lap_prime_terms_match_the_weak_compositions():
+    # the one expansion of Lap'^s is lazy and yields the oracle's m' in the
+    # oracle's (ascending) order, each with its multinomial
+    assert inspect.isgenerator(lap_prime_terms(8, 10))
+    for n in range(1, 9):
+        for s in range(7):
+            assert list(lap_prime_terms(n, s)) == \
+                [(m, multinomial(m)) for m in weak_compositions(s, n - 1)], (n, s)
 
 
 def test_operator_classes_rebuild_the_expansion():
@@ -264,22 +276,11 @@ def test_meta_gamma_factors_at_order_one():
     assert m.pi_power == 0
     assert [(g.const, g.lam_coeff) for g in m.gammas] == \
         [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(-1))]
-    # Gamma(1.5) Gamma(0.5) at lam = 0.5
-    assert m.dtilde_value(0.5) == pytest.approx(math.gamma(1.5) * math.gamma(0.5))
 
 
 def test_meta_pi_power():
     assert normalization_meta(3, 4).pi_power == 9
     assert normalization_meta(2, 5).pi_power == 8
-
-
-def test_meta_pole():
-    m = normalization_meta(2, 1)  # Gamma(lam+1) Gamma(1-lam)
-    with pytest.raises(PoleAtLambda):
-        m.dtilde_value(-1.0)
-    with pytest.raises(PoleAtLambda):
-        m.dtilde_value(1.0)
-    assert math.isfinite(m.dtilde_value(0.25))
 
 
 def test_meta_parity_matches_order():

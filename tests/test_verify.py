@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from covop import diffop, juhl, verify
+from covop import juhl, symbolcalc, verify
 from covop.algebra import Poly
 from covop.conformal import ConformalMap, Dilation, GaussianBump, Translation
 from covop.diffop import DiffOp
@@ -16,6 +16,8 @@ from covop.verify import (CheckReport, check_ambient_compact,
                           check_kernel_pairing, check_ks_intertwining,
                           check_ks_inversion, check_yamabe_constant, chart_family,
                           dalembertian, knapp_stein_value, rel_err)
+
+import oracles
 
 
 class StubRng:
@@ -128,7 +130,7 @@ def test_covariance_iterated_fails_on_a_doubled_a1(monkeypatch):
 
     def doubled(n, N):
         t = original(n, N)
-        return diffop.TangentialOp(n, N, (t.coeffs[0], 2 * t.coeffs[1]) + t.coeffs[2:])
+        return juhl.TangentialOp(n, N, (t.coeffs[0], 2 * t.coeffs[1]) + t.coeffs[2:])
 
     monkeypatch.setattr(verify, "juhl_coeffs", doubled)
     for n in (2, 3):
@@ -408,8 +410,8 @@ def _report(name):
 
 def test_symbolic_suite_stays_off_the_fraction_route(monkeypatch):
     # every exact check reads the reduced basis: the suite builds no
-    # Fraction DiffOp of the family, composes none, and never runs the
-    # residual certificate
+    # Fraction DiffOp of the family, composes none, and never runs an
+    # oracle route of the tests (apply, subs_value, the residual certificate)
     assert not hasattr(verify, "iterated") and not hasattr(verify, "one_step")
     calls = []
 
@@ -420,10 +422,10 @@ def test_symbolic_suite_stays_off_the_fraction_route(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(juhl, "iterated", recording("iterated", juhl.iterated))
-    for name in ("apply", "compose", "shift_lambda"):
+    for name in ("compose", "shift_lambda"):
         monkeypatch.setattr(DiffOp, name, recording(name, getattr(DiffOp, name)))
-    monkeypatch.setattr(diffop, "decompose_tangential",
-                        recording("decompose_tangential", diffop.decompose_tangential))
+    for name in ("apply", "subs_value", "decompose_tangential"):
+        monkeypatch.setattr(oracles, name, recording(name, getattr(oracles, name)))
     assert all(r.passed for r in verify.suite_symbolic())
     assert calls == []
 
@@ -475,6 +477,38 @@ def test_zero_residual_fails_on_an_off_span_term(monkeypatch):
     monkeypatch.setattr(verify, "_reduced_iterated", injected)
     r = _report("tangential_zero_residual")
     assert not r.passed and r.max_rel_err == r.samples == 50
+
+
+def test_leading_coeff_fails_on_a_doubled_closed_form(monkeypatch):
+    # juhl_coeffs compares a_0 with leading_coeff when it builds an entry;
+    # a cached entry skips that, so the cache is emptied first.  Every
+    # patched build raises, so no wrong entry is cached.
+    original = juhl.leading_coeff
+    monkeypatch.setattr(juhl, "leading_coeff", lambda n, N: 2 * original(n, N))
+    juhl.juhl_coeffs.cache_clear()
+    r = _report("juhl_leading_coeff")
+    assert not r.passed and r.max_rel_err == r.samples == 50
+
+
+def test_hat_involution_fails_on_a_doubled_coefficient(monkeypatch):
+    original = symbolcalc.hat_kernel
+
+    def doubled(n, s_const, s_lam):
+        coeff, s_c, s_l = original(n, s_const, s_lam)
+        return coeff * 2, s_c, s_l
+
+    monkeypatch.setattr(symbolcalc, "hat_kernel", doubled)
+    r = _report("kernel_hat_involution")
+    assert not r.passed and r.max_rel_err == r.samples == 24
+
+
+@pytest.mark.parametrize("n_min, n_max", [(1, 1), (2, 3), (4, 8), (7, 8)])
+def test_no_report_passes_on_no_case(n_min, n_max):
+    # a check with no case in the range is left out rather than reported
+    # as passed on 0 samples
+    reports = verify.run_suites("all", seed=0, n_min=n_min, n_max=n_max)
+    assert reports
+    assert [r.name for r in reports if r.samples == 0] == []
 
 
 def test_run_suites_selection():
