@@ -8,6 +8,8 @@ that lies in the span of ∂_n^(N-2j) Δ'^j -- the Juhl-type families -- with
 polynomial coefficients we can read off exactly.
 """
 
+from fractions import Fraction
+
 from covop import (iterated, juhl_coeffs, leading_coeff, normalization_meta,
                    one_step)
 
@@ -36,4 +38,7 @@ print("\nscalar normalization metadata (Gamma factors and parity ratio):")
 for N in (1, 2):
     m = normalization_meta(n, N)
     print(f"    N={N}:  {m.pretty()}")
-    print(f"           ratio at λ=1: {m.ratio_value(1.0):g}")
+    ratio = m.ratio_prefactor * Fraction(2) ** m.ratio_two_power
+    for b, a in m.ratio_factors:
+        ratio *= b + a
+    print(f"           ratio at λ=1: {ratio}")

@@ -17,9 +17,9 @@ from .juhl import (NormalizationMeta, TangentialOp, iterated, juhl_coeffs,
                    leading_coeff, leading_factors, normalization_meta, one_step)
 from .special import PoleAtLambda
 from .symbolcalc import (HExpr, HTerm, SymCoeff, ClosureExceeded,
-                         check_factorization, d_normal, knapp_stein_symbol,
-                         mul_norm_sq, symbol_ks_after_onestep,
-                         symbol_mult_after_ks)
+                         check_factorization, check_ks_inversion, d_normal,
+                         knapp_stein_symbol, mul_norm_sq,
+                         symbol_ks_after_onestep, symbol_mult_after_ks)
 from .verify import (CheckReport, QuadratureBudgetExceeded,
                      run_suites, suite_ambient, suite_numeric, suite_symbolic)
 
@@ -34,6 +34,7 @@ __all__ = [
     "SymCoeff", "HTerm", "HExpr", "ClosureExceeded", "PoleAtLambda",
     "knapp_stein_symbol", "mul_norm_sq", "d_normal",
     "symbol_mult_after_ks", "symbol_ks_after_onestep", "check_factorization",
+    "check_ks_inversion",
     "ConformalMap", "Translation", "Rotation", "Dilation", "Inversion",
     "tangential_rotation", "full_rotation", "SingularPoint",
     "GaussianBump", "PulledBack",

@@ -400,11 +400,12 @@ class RationalFunction:
         return RationalFunction(self.num.shift_var(self.var, offset),
                                 self.den.shift_var(self.var, offset))
 
-    def evaluate(self, value):
-        d = self.den.evaluate([value])
-        if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {value}")
-        return self.num.evaluate([value]) / d
+    def reflect(self, point):
+        """Substitute ``lam -> point - lam``."""
+        def flip(p):
+            c = p.shift_var(self.var, point).to_univariate(self.var)
+            return Poly.from_univariate([(-1) ** k * x for k, x in enumerate(c)], self.var)
+        return RationalFunction(flip(self.num), flip(self.den))
 
     def pretty(self):
         if self.is_polynomial():

@@ -254,8 +254,8 @@ class NormalizationMeta:
     Gamma(n-lam-N) relating the iterated family to the twisted composition
     with convolution intertwiners; ``ratio_*`` give the parity-dependent
     multiplicative factor relating the restricted family to Juhl's own
-    normalization.  Purely analytic bookkeeping: none of it enters the
-    operator coefficients, and it is only ever evaluated numerically.
+    normalization.  Purely analytic bookkeeping, kept exact: none of it
+    enters the operator coefficients.
     """
 
     n: int
@@ -266,15 +266,6 @@ class NormalizationMeta:
     ratio_prefactor: Fraction
     ratio_two_power: int
     ratio_factors: tuple  # affine (b, a): factor b*lam + a
-
-    def ratio_value(self, lam):
-        out = float(self.ratio_prefactor) * 2.0 ** self.ratio_two_power
-        val = complex(out)
-        for b, a in self.ratio_factors:
-            val *= complex(b) * lam + complex(a)
-        if isinstance(lam, complex):
-            return val
-        return val.real
 
     def pretty(self):
         gam = "".join(g.pretty() for g in self.gammas)

@@ -15,7 +15,6 @@ and keeping s symbolic means the pole of the second rule is never evaluated:
 all identities are proved at the rational-function level.
 """
 
-import cmath
 import math
 from fractions import Fraction
 
@@ -142,12 +141,11 @@ class SymCoeff:
         return SymCoeff(self.rf.shift(offset), self.two_a + self.two_b * offset,
                         self.two_b, self.pi_half, self.i_pow)
 
-    def evaluate(self, lam):
-        val = complex(self.rf.evaluate(lam))
-        val *= cmath.exp(math.log(2.0) * (float(self.two_a) + float(self.two_b) * lam))
-        val *= math.pi ** (float(self.pi_half) / 2.0)
-        val *= 1j ** self.i_pow
-        return val
+    def reflect(self, point):
+        """lam -> point - lam."""
+        point = _frac(point)
+        return SymCoeff(self.rf.reflect(point), self.two_a + self.two_b * point,
+                        -self.two_b, self.pi_half, self.i_pow)
 
     def pretty(self):
         bits = []
@@ -362,3 +360,22 @@ def check_factorization(n):
     rhs = symbol_ks_after_onestep(n).scale(factorization_constant(n))
     return lhs == rhs
 
+
+def check_ks_inversion(n):
+    """Exact identity: the intertwiner symbols at lam and n-lam compose to
+    Knapp-Stein's inversion constant pi^n / (Gamma(lam) Gamma(n-lam)).
+
+    The symbol is one term c(lam) h_s(lam) (x) Fhat, so the composition
+    multiplies by c(lam) c(n-lam) |eta|^(s(lam)+s(n-lam)) over the kernel
+    Gammas Gamma(n/2 + s(lam)/2) Gamma(n/2 + s(n-lam)/2).  That is the
+    constant exactly when the |eta| powers cancel, n/2 + s(lam)/2 = n - lam
+    (so the kernel Gammas are Gamma(n-lam) and, at n-lam, Gamma(lam)), and
+    c(lam) c(n-lam) = pi^n.
+    """
+    terms = knapp_stein_symbol(n).terms
+    if len(terms) != 1 or terms[0].eta_pow or terms[0].target != FHAT:
+        return False  # no multiplier by a function of |eta| alone
+    (t,) = terms
+    return (2 * t.s_const + n * t.s_lam == 0
+            and (Fraction(n, 2) + t.s_const / 2, t.s_lam / 2) == (n, -1)
+            and t.coeff * t.coeff.reflect(n) == SymCoeff(1, pi_half=2 * n))

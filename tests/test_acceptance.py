@@ -16,7 +16,7 @@ from covop.conformal import (ConformalMap, Dilation, GaussianBump, Translation,
                              full_rotation)
 from covop.diffop import op_vars
 from covop.juhl import iterated, juhl_coeffs, leading_coeff, one_step
-from covop.symbolcalc import check_factorization
+from covop.symbolcalc import check_factorization, check_ks_inversion
 
 from oracles import apply, decompose_tangential
 
@@ -154,15 +154,8 @@ def test_criterion_09_kernel_pairing():
 
 
 def test_criterion_10_inversion_constant():
-    rng = np.random.default_rng(20240504)
-    worst = 0.0
-    ok = True
-    for n in (1, 2, 3, 4):
-        r = verify.check_ks_inversion(n, rng, samples=20, tol=1e-10)
-        worst = max(worst, r.max_rel_err)
-        ok = ok and r.passed
-    _report(10, "symbol-level inversion constant, 20 samples per n=1..4",
-            ok, f"max_rel_err {worst:.2e}, tol 1e-10")
+    ok = all(check_ks_inversion(n) for n in range(1, 9))
+    _report(10, "symbol-level inversion constant, exact identity for n=1..8", ok)
 
 
 def test_criterion_11_ambient_identities():

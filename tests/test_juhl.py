@@ -254,19 +254,27 @@ def test_one_step_never_zero():
 # -- normalization metadata --------------------------------------------------
 
 
+def _ratio_at(m, lam):
+    """The parity ratio at a rational lam, in Fractions."""
+    val = m.ratio_prefactor * Fraction(2) ** m.ratio_two_power
+    for b, a in m.ratio_factors:
+        val *= b * lam + a
+    return val
+
+
 def test_meta_even_ratio_example():
     # n=4, N=2 at lam=0: (2!/1!) * 2^0 * (2*0) = 0 flags a reducibility point
     m = normalization_meta(4, 2)
     assert m.parity == "even"
-    assert m.ratio_value(0.0) == 0.0
-    assert m.ratio_value(1.0) == pytest.approx(4.0)
+    assert _ratio_at(m, Fraction(0)) == 0
+    assert _ratio_at(m, Fraction(1)) == 4
 
 
 def test_meta_odd_ratio_example():
     # n=3, N=1 at lam=1: (1!/0!) * 2^1 * (2-3+1+1) = 2
     m = normalization_meta(3, 1)
     assert m.parity == "odd"
-    assert m.ratio_value(1.0) == pytest.approx(2.0)
+    assert _ratio_at(m, Fraction(1)) == 2
 
 
 def test_meta_gamma_factors_at_order_one():

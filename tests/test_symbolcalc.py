@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from covop import symbolcalc
 from covop.algebra import Poly, RationalFunction
 from covop.symbolcalc import (DFHAT, FHAT, ClosureExceeded, HExpr, HTerm,
-                              SymCoeff, check_factorization, d_normal,
+                              SymCoeff, check_factorization,
+                              check_ks_inversion, d_normal,
                               factorization_constant, hat_kernel,
                               knapp_stein_symbol, mul_norm_sq,
                               symbol_ks_after_onestep, symbol_mult_after_ks)
@@ -52,10 +54,14 @@ def test_symcoeff_add_requires_commensurable_parts():
     assert (a + SymCoeff(1, two_a=1, two_b=2)) == SymCoeff(3, two_b=2)
 
 
-def test_symcoeff_evaluate():
-    c = SymCoeff(rf([0, 2]), two_a=1, pi_half=2, i_pow=1)
-    got = c.evaluate(1.5)
-    assert got == pytest.approx(1j * 3.0 * 2.0 * 3.141592653589793)
+def test_symcoeff_reflect():
+    # lam -> 4 - lam: 2^(1+3lam) becomes 2^(13-3lam) and lam + 1 becomes 5 - lam
+    c = SymCoeff(rf([1, 1]), two_a=1, two_b=3, pi_half=2, i_pow=1)
+    assert c.reflect(4) == SymCoeff(rf([5, -1]), two_a=13, two_b=-3, pi_half=2, i_pow=1)
+    assert c.reflect(4).reflect(4) == c
+    # lam / (2 lam - 1) at 1/2 - lam is (1/2 - lam) / (-2 lam)
+    q = SymCoeff(rf([0, 1], [-1, 2]))
+    assert q.reflect(Fraction(1, 2)) == SymCoeff(rf([Fraction(1, 2), -1], [0, -2]))
 
 
 # -- kernel rules -----------------------------------------------------------------
@@ -185,7 +191,7 @@ def test_ks_after_onestep_n3_coefficients():
 def test_dfhat_coefficient_vanishes_at_lam_one_n2():
     e = symbol_ks_after_onestep(2)
     d = next(t for t in e.terms if t.target == DFHAT)
-    assert abs(d.coeff.evaluate(1.0)) < 1e-14
+    assert d.coeff.rf.num.evaluate([Fraction(1)]) == 0
 
 
 def test_mult_after_ks_fhat_vanishes_at_half_n1():
@@ -193,13 +199,27 @@ def test_mult_after_ks_fhat_vanishes_at_half_n1():
     # whose numerator vanishes at lam = 1/2
     e = symbol_mult_after_ks(1)
     f = next(t for t in e.terms if t.target == FHAT)
-    assert abs(f.coeff.evaluate(0.5)) < 1e-14
     assert f.coeff.rf.num.evaluate([Fraction(1, 2)]) == 0
 
 
 def test_factorization_identity():
     for n in range(1, 9):
         assert check_factorization(n)
+
+
+def test_ks_inversion_identity():
+    for n in range(1, 9):
+        assert check_ks_inversion(n)
+
+
+@pytest.mark.parametrize("shape", ["eta_n power", "second term"])
+def test_ks_inversion_needs_one_multiplier_term(monkeypatch, shape):
+    # an eta_n power or a second term is no multiplier by a function of |eta|
+    (t,) = knapp_stein_symbol(2).terms
+    wrong = {"eta_n power": [term(t.coeff, 1, t.s_const, t.s_lam)],
+             "second term": [t, term(t.coeff, 0, t.s_const + 2, t.s_lam)]}[shape]
+    monkeypatch.setattr(symbolcalc, "knapp_stein_symbol", lambda n: HExpr(wrong))
+    assert not check_ks_inversion(2)
 
 
 def test_factorization_fails_with_wrong_constant():

@@ -9,12 +9,11 @@ from covop.algebra import Poly
 from covop.conformal import ConformalMap, Dilation, GaussianBump, Translation
 from covop.diffop import DiffOp
 from covop.jets import coordinate_jets
-from covop.special import PoleAtLambda
 from covop.verify import (CheckReport, check_ambient_compact,
                           check_ambient_noncompact, check_covariance_iterated,
                           check_covariance_one_step, check_extension_independence,
                           check_kernel_pairing, check_ks_intertwining,
-                          check_ks_inversion, check_yamabe_constant, chart_family,
+                          check_yamabe_constant, chart_family,
                           dalembertian, knapp_stein_value, rel_err)
 
 import oracles
@@ -262,24 +261,6 @@ def test_ring_angles_match_linspace_bit_for_bit():
         k *= 2
 
 
-# -- inversion constant ------------------------------------------------------------
-
-
-def test_ks_inversion_samples():
-    for n in (2, 3):
-        r = check_ks_inversion(n, np.random.default_rng(12), samples=5)
-        assert r.passed and r.samples == 5 and r.max_rel_err <= 1e-10, r
-    r = check_ks_inversion(3, StubRng([1.5, 0.3]), samples=1)
-    assert r.passed and r.max_rel_err <= 1e-10, r
-
-
-def test_ks_inversion_pole():
-    # lam = 0 is a pole of Gamma(lam), lam = n of Gamma(n - lam)
-    for re in (0.0, 2.0):
-        with pytest.raises(PoleAtLambda):
-            check_ks_inversion(2, StubRng([re, 0.0]), samples=1)
-
-
 # -- pairing -----------------------------------------------------------------------
 
 
@@ -490,6 +471,16 @@ def test_leading_coeff_fails_on_a_doubled_closed_form(monkeypatch):
     assert not r.passed and r.max_rel_err == r.samples == 50
 
 
+def test_leading_coeff_fails_on_a_doubled_closed_form_when_cached(monkeypatch):
+    # in a process that already ran the suite every juhl_coeffs entry is
+    # cached and builds nothing, so the report itself must compare a_0
+    verify.run_suites("symbolic")
+    original = juhl.leading_coeff
+    monkeypatch.setattr(juhl, "leading_coeff", lambda n, N: 2 * original(n, N))
+    r = _report("juhl_leading_coeff")
+    assert not r.passed and r.max_rel_err == r.samples == 50
+
+
 def test_hat_involution_fails_on_a_doubled_coefficient(monkeypatch):
     original = symbolcalc.hat_kernel
 
@@ -500,6 +491,67 @@ def test_hat_involution_fails_on_a_doubled_coefficient(monkeypatch):
     monkeypatch.setattr(symbolcalc, "hat_kernel", doubled)
     r = _report("kernel_hat_involution")
     assert not r.passed and r.max_rel_err == r.samples == 24
+
+
+# each takes the intertwiner symbol's one term (coeff, s_const, s_lam) to a
+# wrong one
+KS_PERTURBATIONS = {
+    "doubled_coefficient": lambda c, sc, sl: (c * 2, sc, sl),
+    "pi_half_plus_1": lambda c, sc, sl: (
+        symbolcalc.SymCoeff(c.rf, c.two_a, c.two_b, c.pi_half + 1, c.i_pow), sc, sl),
+    "two_b_1": lambda c, sc, sl: (
+        symbolcalc.SymCoeff(c.rf, c.two_a, 1, c.pi_half, c.i_pow), sc, sl),
+    "i_pow_1": lambda c, sc, sl: (
+        symbolcalc.SymCoeff(c.rf, c.two_a, c.two_b, c.pi_half, 1), sc, sl),
+    "rf_times_lam": lambda c, sc, sl: (c * Poly.variable("lam", ("lam",)), sc, sl),
+    "s_const_plus_1": lambda c, sc, sl: (c, sc + 1, sl),
+    "s_lam_minus_1": lambda c, sc, sl: (c, sc, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KS_PERTURBATIONS))
+def test_ks_inversion_fails_on_a_perturbed_symbol(monkeypatch, name):
+    original = symbolcalc.knapp_stein_symbol
+
+    def perturbed(n):
+        (t,) = original(n).terms
+        coeff, s_const, s_lam = KS_PERTURBATIONS[name](t.coeff, t.s_const, t.s_lam)
+        return symbolcalc.HExpr([symbolcalc.HTerm(coeff, t.eta_pow, s_const, s_lam,
+                                                  t.target)])
+
+    monkeypatch.setattr(symbolcalc, "knapp_stein_symbol", perturbed)
+    reports = [r for r in verify.suite_numeric(seed=0)
+               if r.name.startswith("ks_inversion_symbol")]
+    assert [r.name for r in reports] == [f"ks_inversion_symbol_n{n}" for n in (1, 2, 3, 4)]
+    assert not any(r.passed for r in reports)
+
+
+class RecordingTols(dict):
+    """An empty tolerance mapping, so every suite runs on its defaults, that
+    records each name a suite looks up with ``get`` or ``in``."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __bool__(self):
+        return True  # a suite must not swap it for a plain {}
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+    def __contains__(self, name):
+        self.read.add(name)
+        return super().__contains__(name)
+
+
+def test_every_tolerance_is_read():
+    # a tolerance that no check reads is a --tol knob that turns nothing
+    tols = RecordingTols()
+    reports = verify.run_suites("all", seed=0, tols=tols)
+    assert reports and all(r.passed for r in reports)
+    assert tols.read == set(verify.TOLERANCES)
 
 
 @pytest.mark.parametrize("n_min, n_max", [(1, 1), (2, 3), (4, 8), (7, 8)])
