@@ -15,7 +15,6 @@ from .diffop import DiffOp, op_vars
 from .jets import Jet, coordinate_jets
 from .juhl import (NormalizationMeta, TangentialOp, iterated, juhl_coeffs,
                    leading_coeff, leading_factors, normalization_meta, one_step)
-from .special import PoleAtLambda
 from .symbolcalc import (HExpr, HTerm, SymCoeff, ClosureExceeded,
                          check_factorization, check_ks_inversion, d_normal,
                          knapp_stein_symbol, mul_norm_sq,
@@ -31,7 +30,7 @@ __all__ = [
     "Jet", "coordinate_jets",
     "one_step", "iterated", "juhl_coeffs", "leading_coeff", "leading_factors",
     "normalization_meta", "NormalizationMeta",
-    "SymCoeff", "HTerm", "HExpr", "ClosureExceeded", "PoleAtLambda",
+    "SymCoeff", "HTerm", "HExpr", "ClosureExceeded",
     "knapp_stein_symbol", "mul_norm_sq", "d_normal",
     "symbol_mult_after_ks", "symbol_ks_after_onestep", "check_factorization",
     "check_ks_inversion",

@@ -34,7 +34,6 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         tangential_rotation, xi_vars)
 from .jets import Jet, _squares, coordinate_jets
 from .juhl import _reduced_iterated, juhl_coeffs, lap_prime_terms
-from .special import gamma_checked
 from . import juhl, symbolcalc
 
 
@@ -468,7 +467,7 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
     point = tuple(point)
     center, r0 = _effective_ball(func)
     radius = float(np.linalg.norm(np.array(point) - center)) + r0 + 1.0
-    norm = 1.0 / gamma_checked(lam - n / 2.0)
+    norm = 1.0 / math.gamma(lam - n / 2.0)
     s = 2.0 * lam - 2.0 * n
     if n == 1:
         x = point[0]
@@ -519,8 +518,10 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
 def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5):
     """Convolution intertwiner applied to the twisted pullback against the
     weight n-lam pullback of the transformed function, at points drawn
-    uniformly from [-1, 1]^n."""
+    uniformly from [-1, 1]^n.  The report is named after n, lam and the
+    generator word of g, e.g. ``ks_intertwining_n1_lam0.8_dilation``."""
     pulled = PulledBack(lam, g, f)
+    word = "_".join(type(w).__name__.lower() for w in g.word) or "identity"
 
     def draw(_):
         xi = tuple(float(c) for c in rng.uniform(-1.0, 1.0, n))
@@ -529,7 +530,7 @@ def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5)
         rhs = k ** (n - lam) * knapp_stein_value(n, lam, f, zeta, quad_tol)
         return rel_err(lhs, rhs), f"lam={lam}, xi={xi}"
 
-    return _sampled(f"ks_intertwining_n{n}_lam{lam:g}", samples, tol, draw)
+    return _sampled(f"ks_intertwining_n{n}_lam{lam:g}_{word}", samples, tol, draw)
 
 
 # -- kernel Fourier pairing ---------------------------------------------------------
@@ -553,14 +554,14 @@ def check_kernel_pairing(n, s, quad_tol=1e-10, tol=1e-8):
     radial integrals and cross-checked against their closed Gamma forms."""
     if not (-n < s < 0):
         raise ValueError("need -n < s < 0 for both pairings to converge absolutely")
-    omega = 2.0 * math.pi ** (n / 2.0) / gamma_checked(n / 2.0)
+    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     i1 = _gaussian_moment(s + n - 1, 4.0, quad_tol)
-    i1_closed = 0.5 * 2.0 ** (s + n) * gamma_checked((s + n) / 2.0)
+    i1_closed = 0.5 * 2.0 ** (s + n) * math.gamma((s + n) / 2.0)
     i2 = _gaussian_moment(-s - 1, 1.0, quad_tol)
-    i2_closed = 0.5 * gamma_checked(-s / 2.0)
+    i2_closed = 0.5 * math.gamma(-s / 2.0)
 
-    lhs = math.pi ** (n / 2.0) / gamma_checked((n + s) / 2.0) * omega * i1
-    rhs = 2.0 ** (n + s) * math.pi ** (n / 2.0) / gamma_checked(-s / 2.0) * omega * i2
+    lhs = math.pi ** (n / 2.0) / math.gamma((n + s) / 2.0) * omega * i1
+    rhs = 2.0 ** (n + s) * math.pi ** (n / 2.0) / math.gamma(-s / 2.0) * omega * i2
     errs = [rel_err(lhs, rhs), rel_err(i1, i1_closed), rel_err(i2, i2_closed)]
     diags = ["pairing lhs vs rhs", "radial integral vs closed form (lhs)",
              "radial integral vs closed form (rhs)"]

@@ -184,13 +184,18 @@ def test_verify_seeded_bytes_pinned(capsys):
         # seed 0 at rounding level.  The numeric digests of seeds 0, 7 and 11
         # were re-pinned when the four ks_inversion_symbol reports became one
         # exact case each instead of 20 sampled lam; that check was the last
-        # to draw from the rng, so no other report moved
-        ("numeric", "7"): "c84488a0b622fc6bc87714da0ef1c5922f0737246ba9b39b4b4c0dde512fcfdf",
-        ("numeric", "0"): "3b552f0bc3f227cd390873134de070e0de0dc4b6b9b09f05ef0cb016ebb62849",
+        # to draw from the rng, so no other report moved.  They were re-pinned
+        # again when the Gamma values came from math.gamma instead of a port
+        # of scipy's Cephes Gamma, which moved max_rel_err (and with it the
+        # worst-sample diagnostics) of some ks_intertwining and kernel_pairing
+        # reports at rounding level, and when each ks_intertwining name took
+        # the generator word of its map as a suffix
+        ("numeric", "7"): "f7e97def1f4b01bc27e6620d44478de216a17bb782e81f8d8b9338644c297b75",
+        ("numeric", "0"): "ba1125d597a4bbe0c11444c228016111ae75a20e0a863a9b0561ec52863af81f",
         ("ambient", "7"): "f4d41df3645e0b6d179ec5073d3742bd581f37855f1178a2a9f69d9422cf4869",
         # written while the ambient point lists were drawn ahead of the checks
         ("ambient", "0"): "c6a64cac6660a43138133f834ee30774df6407caac4153f3da3f07732b0486d1",
-        ("numeric", "11"): "1140a542ebd64132e716c5913e5362aa894a1bcade29e56fc628e2737d371a88",
+        ("numeric", "11"): "988fa325249f7fdf9793ee44ed87a24bb0df8e1a8136544a139c372a098d9845",
         # written while a rotation was a numpy-validated matrix
         ("ambient", "11"): "43585eb65630a241a1303b7b917bdc6ca6e1720e74d8d95e4ff97eca798cff1b",
     }
@@ -217,16 +222,6 @@ def test_verify_quad_tol_reaches_kernel_pairing(capsys):
                              "--n-max", "3", "--tol", "quad_tol=1e-30")
     assert code == 3 and out == ""
     assert err.startswith("covop verify: QuadratureBudgetExceeded:")
-
-
-def test_verify_pole_exits_3(capsys, monkeypatch):
-    import covop.cli
-    from covop.special import gamma_checked
-
-    monkeypatch.setattr(covop.cli, "run_suites", lambda *a, **k: gamma_checked(-2.0))
-    code, out, err = run_cli(capsys, "verify", "--suite", "numeric")
-    assert code == 3 and out == ""
-    assert err == "covop verify: PoleAtLambda: Gamma pole at argument -2.0\n"
 
 
 def test_import_leaves_scipy_integrate_out(covop_env):

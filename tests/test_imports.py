@@ -1,4 +1,5 @@
-"""Every module-level import in src/covop is used by its module."""
+"""Every module-level import in src/covop is used by its module, and every
+name in ``covop.__all__`` resolves."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,10 @@ def test_no_unused_module_level_import():
     found = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
              for name in unused_imports(path)}
     assert found == KEPT
+
+
+def test_every_public_name_resolves():
+    # the unused-import check counts ``__all__`` entries as used, so a stale
+    # entry for a name that is gone would pass it
+    missing = [name for name in covop.__all__ if not hasattr(covop, name)]
+    assert missing == []

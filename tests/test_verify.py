@@ -177,6 +177,19 @@ def test_ks_truncation_self_consistency(monkeypatch):
     assert abs(v1 - v2) < quad_tol / 10.0
 
 
+def test_ks_intertwining_fails_on_a_point_dependent_factor(monkeypatch):
+    # a factor that depends on the point breaks the intertwining relation
+    # between xi and its image under the map, for every map of the suite
+    value = verify.knapp_stein_value
+    monkeypatch.setattr(verify, "knapp_stein_value",
+                        lambda n, lam, func, point, quad_tol=1e-6:
+                        value(n, lam, func, point, quad_tol) * (1.0 + 1e-3 * point[0]))
+    reports = [r for r in verify.suite_numeric(seed=0, n_min=1, n_max=2)
+               if r.name.startswith("ks_intertwining")]
+    assert len(reports) == 12
+    assert not any(r.passed for r in reports)
+
+
 def test_ks_rejects_bad_parameters():
     f = GaussianBump((0.0,), 1.0)
     with pytest.raises(ValueError):
@@ -278,18 +291,24 @@ def test_kernel_pairing_range_check():
 
 
 def test_kernel_pairing_continuity_towards_zero():
-    # the normalized family stays continuous as s -> 0^-
-    vals = []
+    # the normalized family stays continuous as s -> 0^-: the rhs radial
+    # integral grows like Gamma(-s/2) while its normalizer 1/Gamma(-s/2)
+    # falls to 0, and the pairing still holds near rounding level
     for s in (-0.2, -0.1, -0.05):
-        n = 2
-        omega = 2.0 * math.pi / 1.0
-        from covop.special import gamma_checked
-        lhs = math.pi / gamma_checked((2 + s) / 2.0) * omega \
-            * 0.5 * 2.0 ** (s + 2) * gamma_checked((s + 2) / 2.0)
-        vals.append(lhs)
-    limit = math.pi * 2 * math.pi * 0.5 * 4.0  # s = 0 value
-    assert abs(vals[-1] - limit) < abs(vals[0] - limit)
-    assert vals[-1] == pytest.approx(limit, rel=0.1)
+        r = check_kernel_pairing(2, s)
+        assert r.passed and r.max_rel_err <= 1e-12, (s, r)
+
+
+def test_kernel_pairing_fails_on_a_perturbed_radial_integral(monkeypatch):
+    # the same factor on both radial integrals cancels in the pairing, so
+    # only the closed Gamma forms can catch it
+    moment = verify._gaussian_moment
+    monkeypatch.setattr(verify, "_gaussian_moment",
+                        lambda p, c, quad_tol: moment(p, c, quad_tol) * (1.0 + 1e-6))
+    reports = [r for r in verify.suite_numeric(seed=0)
+               if r.name.startswith("kernel_pairing")]
+    assert len(reports) == 3
+    assert not any(r.passed for r in reports)
 
 
 # -- ambient -----------------------------------------------------------------------
@@ -561,6 +580,14 @@ def test_no_report_passes_on_no_case(n_min, n_max):
     reports = verify.run_suites("all", seed=0, n_min=n_min, n_max=n_max)
     assert reports
     assert [r.name for r in reports if r.samples == 0] == []
+
+
+def test_report_names_are_unique():
+    # a failing report must point at one check: the map of a Knapp-Stein
+    # report is part of its name
+    names = [r.name for r in verify.run_suites("all", seed=0)]
+    assert len(names) == len(set(names))
+    assert "ks_intertwining_n1_lam0.8_dilation_translation" in names
 
 
 def test_run_suites_selection():
