@@ -11,10 +11,9 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, Rotation, SingularPoint, Translation,
                         chart_inverse, full_rotation, stereographic,
                         stereographic_factor, tangential_rotation)
-from .diffop import DiffOp, op_vars
 from .jets import Jet, coordinate_jets
 from .juhl import (NormalizationMeta, TangentialOp, iterated, juhl_coeffs,
-                   leading_coeff, leading_factors, normalization_meta, one_step)
+                   leading_coeff, leading_factors, normalization_meta)
 from .symbolcalc import (HExpr, HTerm, SymCoeff, ClosureExceeded,
                          check_factorization, check_ks_inversion, d_normal,
                          knapp_stein_symbol, mul_norm_sq,
@@ -26,9 +25,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Poly", "RationalFunction",
-    "DiffOp", "TangentialOp", "op_vars",
+    "TangentialOp",
     "Jet", "coordinate_jets",
-    "one_step", "iterated", "juhl_coeffs", "leading_coeff", "leading_factors",
+    "iterated", "juhl_coeffs", "leading_coeff", "leading_factors",
     "normalization_meta", "NormalizationMeta",
     "SymCoeff", "HTerm", "HExpr", "ClosureExceeded",
     "knapp_stein_symbol", "mul_norm_sq", "d_normal",

@@ -1,10 +1,8 @@
 """Exact arithmetic: multivariate polynomials and rational functions over Q.
 
-Everything downstream (operator composition and restriction, the
+Everything downstream (the coefficients of the operator families, the
 Fourier-symbol algebra) reduces to identities in these rings, so coefficients
-are arbitrary-precision rationals throughout.  Repeated Leibniz composition
-makes coefficients grow fast enough that fixed-width integers would overflow
-already for moderate operator orders.
+are arbitrary-precision rationals throughout.
 """
 
 from fractions import Fraction
@@ -170,24 +168,7 @@ class Poly:
             k >>= 1
         return out
 
-    # -- calculus and substitution ----------------------------------------
-
-    def partial(self, name):
-        """Formal partial derivative with respect to the named variable."""
-        i = self.vars.index(name)
-        res = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                ne = e[:i] + (e[i] - 1,) + e[i + 1:]
-                s = res.get(ne, Fraction(0)) + c * e[i]
-                if s:
-                    res[ne] = s
-                elif ne in res:
-                    del res[ne]
-        out = Poly.__new__(Poly)
-        out.vars = self.vars
-        out.terms = res
-        return out
+    # -- substitution and evaluation --------------------------------------
 
     def shift_var(self, name, offset):
         """Substitute ``var -> var + offset`` with exact binomial expansion."""

@@ -5,13 +5,13 @@ Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 a quadrature that ran out of nodes before its tolerance, which
 prints one ``covop verify: ...`` line on stderr and nothing on stdout.  JSON
 output keeps every coefficient exact as integer numerator and denominator
-strings, so parse(emit(D)) reproduces D bit for bit.  The operator export
-is streamed term by term from the coefficient classes of the reduced basis
-(``juhl.operator_classes``) and the lazy expansion of Lap'^s
+strings, so parsing a document gives back its coefficients bit for bit.
+The operator export is streamed term by term from the coefficient classes of
+the reduced basis (``juhl.iterated``) and the lazy expansion of Lap'^s
 (``juhl.lap_prime_terms``), in the bytes ``json.dump`` with ``indent=2,
 sort_keys=True, ensure_ascii=False`` would write for the same document; no
-DiffOp, term list or document dict is built.  Every other JSON document is
-encoded in full and written in one call.
+term list or document dict is built.  Every other JSON document is encoded
+in full and written in one call.
 """
 
 import argparse
@@ -19,14 +19,10 @@ import heapq
 import json
 import math
 import sys
-from fractions import Fraction
 
-from .algebra import Poly, pretty_terms
-from .diffop import DiffOp, op_vars
-# unused ``iterated`` stays bound: perfbench checks its tracer patches it here
-from .juhl import (iterated, juhl_coeffs, lap_prime_terms,  # noqa: F401
-                   leading_factors, normalization_meta, operator_classes,
-                   pretty_factors)
+from .algebra import pretty_terms
+from .juhl import (iterated, juhl_coeffs, lap_prime_terms, leading_factors,
+                   normalization_meta, pretty_factors)
 from .verify import TOLERANCES, QuadratureBudgetExceeded, run_suites
 
 COEFFS_MAX_N = 8
@@ -40,21 +36,6 @@ def poly_to_triples(p):
     """[(exponent vector, numerator string, denominator string)] sorted."""
     return [[list(e), str(c.numerator), str(c.denominator)]
             for e, c in sorted(p.terms.items())]
-
-
-def poly_from_triples(variables, triples):
-    terms = {}
-    for exps, num, den in triples:
-        terms[tuple(exps)] = Fraction(int(num), int(den))
-    return Poly(tuple(variables), terms)
-
-
-def operator_from_dict(d):
-    variables = tuple(d["variables"])
-    n = d["n"]
-    terms = {tuple(t["alpha"]): poly_from_triples(variables, t["coeff"])
-             for t in d["terms"]}
-    return DiffOp(n, terms)
 
 
 def normalization_to_dict(meta):
@@ -92,11 +73,16 @@ def _json_list(items, indent):
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
+def op_vars(n):
+    """The variables of an operator document on R^n: (lam, xi1..xin)."""
+    return ("lam",) + tuple(f"xi{i}" for i in range(1, n + 1))
+
+
 def _emit_operator(n, N, stream):
     """Write the operator document of ``iterated(n, N)``: keys N, kind, n,
     terms (sorted by alpha, each with alpha, coeff triples sorted by
     exponent vector, and display) and variables, in the bytes of
-    ``_emit_json``.  The terms come from ``juhl.operator_classes``: alpha =
+    ``_emit_json``.  The terms come from ``iterated``: alpha =
     (2m', a) has the coefficient multinomial(m') * F(s, a) with |m'| = s, so
     the coeff and display text is encoded once per (s, a, multinomial(m'))
     and each term writes only its alpha.  The m' of every s are merged from
@@ -105,7 +91,7 @@ def _emit_operator(n, N, stream):
     lam_xin = (variables[0], variables[-1])  # the only variables that occur
     zeros = ["0"] * (n - 1)
     enc = json.encoder.encode_basestring
-    classes = operator_classes(n, N)
+    classes = iterated(n, N)
     a_by_s = {}
     for s, a in sorted(classes):
         a_by_s.setdefault(s, []).append(a)

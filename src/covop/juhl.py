@@ -7,11 +7,11 @@ The one-step operator is
 lam a formal variable.  Iterating it with shifted parameters and restricting
 to the hyperplane xi_n = 0 produces the Juhl-type tangential families.  This
 module gives every iterate in closed form in the reduced basis xi_n^i d_n^j
-Lap^k and reads the tangential coefficients (a ``TangentialOp``), the export
-and the Gamma-factor normalization metadata off it.  ``lap_prime_terms`` is
-the one expansion of Lap'^s over derivative multi-indices; ``iterated``, the
-export and the numeric covariance table read it.  The Fraction DiffOps
-``one_step`` and ``iterated`` are the oracles that the tests compose.
+Lap^k, splits it over derivatives into the coefficient classes of
+``iterated``, and reads the tangential coefficients (a ``TangentialOp``),
+the export and the Gamma-factor normalization metadata off those.
+``lap_prime_terms`` is the one expansion of Lap'^s over derivative
+multi-indices; the export and the numeric covariance table read it.
 """
 
 from dataclasses import dataclass
@@ -20,23 +20,6 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .algebra import Poly
-from .diffop import DiffOp, op_vars
-
-
-def one_step(n):
-    """The order-2 operator (2*lam - n + 2) d_n + xi_n * Lap on R^n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    vars_ = op_vars(n)
-    lam = Poly.variable("lam", vars_)
-    xin = Poly.variable(f"xi{n}", vars_)
-    terms = {}
-    e_n = (0,) * (n - 1) + (1,)
-    terms[e_n] = 2 * lam + (2 - n)
-    for j in range(1, n + 1):
-        alpha = tuple(2 if i == j - 1 else 0 for i in range(n))
-        terms[alpha] = terms.get(alpha, Poly.zero(vars_)) + xin
-    return DiffOp(n, terms)
 
 
 # -- iterated family -----------------------------------------------------------
@@ -46,9 +29,9 @@ def one_step(n):
 # iterate is a combination of monomials X^i P^j L^k with lam-polynomial
 # coefficients, which _reduced_iterated gives in closed form as tuples of
 # ints; the symbolic suite's shift_consistency composes in the same basis.
-# operator_classes is the one place the basis is split over derivatives,
-# into coefficient classes of which the expansion is multinomial multiples;
-# juhl_coeffs, the operator export and the oracle ``iterated`` read them.
+# iterated is the one place the basis is split over derivatives, into
+# coefficient classes of which the expansion is multinomial multiples;
+# juhl_coeffs and the operator export read them.
 
 
 @lru_cache(maxsize=None)
@@ -103,16 +86,19 @@ def lap_prime_terms(n, s):
         yield (), 1
 
 
-def operator_classes(n, N):
-    """The iterated family by coefficient class: {(s, a): {(lam_deg,
-    xi_n_deg): int}} with no zero entry.
+def iterated(n, N):
+    """The N-fold composition of one-step operators with per-factor shifts
+    lam, lam+1, ..., lam+N-1 (first factor applied first), by coefficient
+    class: {(s, a): {(lam_deg, xi_n_deg): int}} with no zero entry.
 
     Write alpha = (2m', a) with |m'| = s.  Lap^k = sum_{|m| = k}
     multinomial(m) d^(2m) and multinomial(m', m_n) = C(k, m_n) *
     multinomial(m'), so the coefficient of d^alpha in the family is
     multinomial(m') times F(s, a) = sum C(k, m_n) c_(i, j, k) over the
     reduced keys with j + 2 m_n = a and k = s + m_n; no other alpha occurs.
-    For n = 1 there is no m', so m_n = k and s = 0.
+    As sum_{|m'| = s} multinomial(m') d^(2m') = Lap'^s, the family is
+    sum F(s, a) Lap'^s d_n^a.  For n = 1 there is no m', so m_n = k and
+    s = 0.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -129,21 +115,6 @@ def operator_classes(n, N):
         if coeff:
             out[sa] = coeff
     return out
-
-
-@lru_cache(maxsize=None)
-def iterated(n, N):
-    """The N-fold composition of one-step operators with per-factor shifts
-    lam, lam+1, ..., lam+N-1 (first factor applied first), as a Fraction
-    DiffOp: d^(2m', a) has the coefficient multinomial(m') * F(s, a) of
-    ``operator_classes``, with terms sorted by (s, a), then m'."""
-    vars_, zeros = op_vars(n), (0,) * (n - 1)
-    terms = {}
-    for (s, a), coeff in sorted(operator_classes(n, N).items()):
-        for m, w in lap_prime_terms(n, s):
-            terms[tuple(2 * x for x in m) + (a,)] = Poly(
-                vars_, {(deg,) + zeros + (i,): w * c for (deg, i), c in sorted(coeff.items())})
-    return DiffOp(n, terms)
 
 
 def leading_factors(n, N):
@@ -208,13 +179,13 @@ def juhl_coeffs(n, N):
 
     Restriction to xi_n = 0 keeps the xi_n-free terms.  Every term of the
     order-N family has j + 2k - i = N in the reduced basis, so in
-    ``operator_classes`` those terms lie in the classes (m, N - 2m): with
+    ``iterated`` those terms lie in the classes (m, N - 2m): with
     Lap = Lap' + d_n^2, a_m is the xi_n-free part of F(m, N - 2m), the
     coefficient of d_n^(N-2m) Lap'^m.  For n = 1 there is no Lap' and only
     a_0 survives.  a_0 is checked against the closed form, so a mismatch can
     only mean an implementation bug.
     """
-    classes = operator_classes(n, N)
+    classes = iterated(n, N)
     coeffs = [Poly(("lam",), {(deg,): c for (deg, i), c in
                               sorted(classes.get((m, N - 2 * m), {}).items()) if not i})
               for m in range(N // 2 + 1)]

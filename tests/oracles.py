@@ -1,19 +1,25 @@
 """Reference routes that the tests compare the library against.
 
 The library builds the families in the reduced X^i P^j L^k basis of
-``covop.juhl``.  These are the generic routes it replaced: applying a
-``DiffOp`` to a polynomial, evaluating a coefficient at a value, and writing
-a restricted operator in the tangential basis with a zero-residual
-certificate.  They enumerate the multi-indices of Lap'^s themselves, so a
-test that uses them does not rest on ``juhl.lap_prime_terms``.
+``covop.juhl``.  These are the generic routes it replaced: the Fraction
+``DiffOp`` with exact Leibniz composition and restriction, the one-step
+operator as one, the family expanded from the classes of ``juhl.iterated``,
+applying a ``DiffOp`` to a polynomial, partial derivatives, evaluating a
+coefficient at a value, parsing an operator or coefficient document back,
+and writing a restricted operator in the tangential basis with a
+zero-residual certificate.  They enumerate the multi-indices of Lap'^s
+themselves, so a test that uses them does not rest on
+``juhl.lap_prime_terms``.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from itertools import product as _cartesian
+from math import comb, factorial
 
 from covop.algebra import Poly, _as_fraction
-from covop.diffop import op_vars
-from covop.juhl import TangentialOp
+from covop.cli import op_vars
+from covop.juhl import TangentialOp, iterated
 
 
 class NonTangentialForm(Exception):
@@ -26,9 +32,6 @@ def weak_compositions(total, parts):
     if parts == 0:
         if total == 0:
             yield ()
-        return
-    if parts == 1:
-        yield (total,)
         return
     for head in range(total + 1):
         for rest in weak_compositions(total - head, parts - 1):
@@ -43,6 +46,118 @@ def multinomial(parts):
     return out
 
 
+def partial(p, name):
+    """Formal partial derivative of the Poly p in the named variable."""
+    i = p.vars.index(name)
+    return Poly(p.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                         for e, c in p.terms.items() if e[i]})
+
+
+class DiffOp:
+    """Differential operator sum_alpha c_alpha(lam, xi) d^alpha on R^n, each
+    c_alpha a Poly over op_vars(n); zero coefficients are dropped.  Operators
+    act on the left, so A.compose(B) applies B first."""
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n, terms=None):
+        self.n = n
+        self.terms = {tuple(a): c for a, c in (terms or {}).items() if c}
+
+    def __eq__(self, other):
+        if not isinstance(other, DiffOp):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def shift_lambda(self, offset):
+        """Substitute lam -> lam + offset in every coefficient."""
+        return DiffOp(self.n, {a: p.shift_var("lam", offset)
+                               for a, p in self.terms.items()})
+
+    def compose(self, other):
+        """Exact operator product self o other (other applied first):
+        (p d^a) o (q d^b) = p * sum_{g<=a} binom(a,g) (d^g q) d^(a-g+b)."""
+        if self.n != other.n:
+            raise ValueError(f"dimension mismatch: {self.n} vs {other.n}")
+        vars_ = op_vars(self.n)
+        res = {}
+        dcache = {}  # partial derivatives of the right factor's coefficients
+
+        def deriv(b, q, g):
+            got = dcache.get((b, g))
+            if got is None:
+                if not any(g):
+                    got = q
+                else:
+                    i = next(j for j, x in enumerate(g) if x > 0)
+                    got = partial(deriv(b, q, g[:i] + (g[i] - 1,) + g[i + 1:]), vars_[i + 1])
+                dcache[b, g] = got
+            return got
+
+        for a, p in self.terms.items():
+            for b, q in other.terms.items():
+                for g in _cartesian(*(range(ai + 1) for ai in a)):
+                    dq = deriv(b, q, g)
+                    if not dq:
+                        continue
+                    binom = 1
+                    for ai, gi in zip(a, g):
+                        binom *= comb(ai, gi)
+                    alpha = tuple(ai - gi + bi for ai, gi, bi in zip(a, g, b))
+                    contrib = p * dq * binom
+                    s = res.get(alpha)
+                    res[alpha] = contrib if s is None else s + contrib
+        return DiffOp(self.n, res)
+
+    def restrict(self):
+        """Evaluate every coefficient at xi_n = 0, i.e. keep the terms free of
+        xi_n; derivative indices are kept (normal derivatives act before
+        restriction)."""
+        slot = self.n  # position of xi_n in op_vars(n)
+        return DiffOp(self.n, {a: Poly(c.vars, {e: v for e, v in c.terms.items() if not e[slot]})
+                               for a, c in self.terms.items()})
+
+
+def one_step(n):
+    """The order-2 operator (2*lam - n + 2) d_n + xi_n * Lap on R^n."""
+    vars_ = op_vars(n)
+    lam = Poly.variable("lam", vars_)
+    xin = Poly.variable(f"xi{n}", vars_)
+    terms = {(0,) * (n - 1) + (1,): 2 * lam + (2 - n)}
+    for j in range(n):
+        alpha = tuple(2 if i == j else 0 for i in range(n))
+        terms[alpha] = terms.get(alpha, Poly.zero(vars_)) + xin
+    return DiffOp(n, terms)
+
+
+@lru_cache(maxsize=None)
+def expand(n, N):
+    """The classes of ``juhl.iterated(n, N)`` expanded to a DiffOp:
+    d^(2m', a) has the coefficient multinomial(m') * F(s, a), |m'| = s,
+    with the terms in the order of (s, a), then ascending m'."""
+    vars_, zeros = op_vars(n), (0,) * (n - 1)
+    terms = {}
+    for (s, a), coeff in sorted(iterated(n, N).items()):
+        for m in weak_compositions(s, n - 1):
+            w = multinomial(m)
+            terms[tuple(2 * x for x in m) + (a,)] = Poly(
+                vars_, {(deg,) + zeros + (i,): w * c for (deg, i), c in sorted(coeff.items())})
+    return DiffOp(n, terms)
+
+
+def poly_from_triples(variables, triples):
+    """The Poly of [(exponent vector, numerator, denominator)] triples."""
+    return Poly(tuple(variables), {tuple(exps): Fraction(int(num), int(den))
+                                   for exps, num, den in triples})
+
+
+def operator_from_dict(d):
+    """The DiffOp of an ``operator`` JSON document."""
+    variables = tuple(d["variables"])
+    return DiffOp(d["n"], {tuple(t["alpha"]): poly_from_triples(variables, t["coeff"])
+                           for t in d["terms"]})
+
+
 def apply(D, p):
     """Exact polynomial D(p) for p over the same variable list."""
     if p.vars != op_vars(D.n):
@@ -52,7 +167,7 @@ def apply(D, p):
         dp = p
         for i, k in enumerate(alpha):
             for _ in range(k):
-                dp = dp.partial(p.vars[i + 1])
+                dp = partial(dp, p.vars[i + 1])
             if not dp:
                 break
         if dp:
@@ -113,11 +228,7 @@ def decompose_tangential(D, N):
         else:
             probe = (2 * j,) + (0,) * (n - 2) + (N - 2 * j,)
         a_j = working.get(probe, Poly.zero(vars_))
-        try:
-            a_univ = Poly.from_univariate(a_j.to_univariate("lam"))
-        except ValueError as exc:  # pragma: no cover - guarded above
-            raise NonTangentialForm(str(exc))
-        coeffs.append(a_univ)
+        coeffs.append(Poly.from_univariate(a_j.to_univariate("lam")))
         if a_j.is_zero():
             continue
         # subtract a_j * eta_n^(N-2j) |eta'|^(2j) expanded over monomials

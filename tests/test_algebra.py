@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from covop.algebra import Poly, RationalFunction
 
-from oracles import subs_value
+from oracles import partial, subs_value
 
 VARS = ("lam", "xi1", "xi2")
 
@@ -35,14 +35,14 @@ def test_linear_factor_product_hand_expansion():
 
 def test_partial_power_rule():
     x2 = Poly.variable("xi2", VARS)
-    assert (x2 ** 3).partial("xi2") == 3 * x2 ** 2
+    assert partial(x2 ** 3, "xi2") == 3 * x2 ** 2
 
 
 def test_partial_constant_and_mixed():
-    assert Poly.const(7, VARS).partial("xi1").is_zero()
+    assert partial(Poly.const(7, VARS), "xi1").is_zero()
     x1 = Poly.variable("xi1", VARS)
     x2 = Poly.variable("xi2", VARS)
-    assert (x1 * x2 ** 2).partial("xi2") == 2 * x1 * x2
+    assert partial(x1 * x2 ** 2, "xi2") == 2 * x1 * x2
 
 
 def test_variable_list_mismatch():
@@ -51,7 +51,7 @@ def test_variable_list_mismatch():
     with pytest.raises(ValueError):
         p * q
     with pytest.raises(ValueError):
-        p.partial("nope")
+        partial(p, "nope")
 
 
 def test_shift_var():
@@ -103,8 +103,8 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=40, deadline=None)
 @given(polys)
 def test_partials_commute(p):
-    assert p.partial("xi1").partial("xi2") == p.partial("xi2").partial("xi1")
-    assert p.partial("lam").partial("xi1") == p.partial("xi1").partial("lam")
+    assert partial(partial(p, "xi1"), "xi2") == partial(partial(p, "xi2"), "xi1")
+    assert partial(partial(p, "lam"), "xi1") == partial(partial(p, "xi1"), "lam")
 
 
 # -- rational functions ---------------------------------------------------------

@@ -9,8 +9,7 @@ import covop
 SRC = Path(covop.__file__).resolve().parent
 
 # (module, name): bound on purpose though the module never reads it.
-# cli.iterated: the perfbench self-test checks that its tracer patches it.
-KEPT = {("cli", "iterated")}
+KEPT = set()
 
 
 def unused_imports(path):

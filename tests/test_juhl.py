@@ -7,13 +7,13 @@ from itertools import zip_longest
 import pytest
 
 from covop.algebra import Poly, RationalFunction
-from covop.diffop import DiffOp, op_vars
+from covop.cli import op_vars
 from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, lap_prime_terms,
-                        leading_coeff, normalization_meta, one_step, operator_classes)
+                        leading_coeff, normalization_meta)
 from covop.verify import _restricted_table
 
-from oracles import (apply, decompose_tangential, multinomial, subs_value,
-                     weak_compositions)
+from oracles import (DiffOp, apply, decompose_tangential, expand, multinomial,
+                     one_step, subs_value, weak_compositions)
 
 
 def lam_poly(n):
@@ -47,31 +47,32 @@ def test_one_step_drops_xin():
 
 def test_iterated_single_factor():
     for n in (1, 2, 3):
-        assert iterated(n, 1) == one_step(n)
+        assert expand(n, 1) == one_step(n)
 
 
 def test_iterated_equals_generic_composition():
-    # the reduced-basis build must agree with plain Leibniz composition
+    # the reduced-basis build, expanded, must agree with plain Leibniz
+    # composition
     for n in (1, 2, 3):
         for N in (2, 3, 4):
             direct = one_step(n)
             for j in range(1, N):
                 direct = one_step(n).shift_lambda(j).compose(direct)
-            assert iterated(n, N) == direct
+            assert expand(n, N) == direct
 
 
 def test_juhl_coeffs_pin_to_generic_route():
     # the reduced-basis read-off must agree with expand, restrict, decompose
     for n in (1, 2, 3, 4):
         for N in (1, 2, 3, 5, 6):
-            assert juhl_coeffs(n, N) == decompose_tangential(iterated(n, N).restrict(), N)
+            assert juhl_coeffs(n, N) == decompose_tangential(expand(n, N).restrict(), N)
 
 
 def test_restrict_pins_to_subs_value_route():
     # keeping the xi_n-free terms is evaluation at xi_n = 0, term order included
     for n in (1, 2, 3, 4):
         for N in (1, 2, 3, 5, 6):
-            D = iterated(n, N)
+            D = expand(n, N)
             got = D.restrict()
             want = DiffOp(n, {a: subs_value(c, f"xi{n}", 0) for a, c in D.terms.items()})
             assert got == want
@@ -93,26 +94,7 @@ def test_iterated_on_normal_powers():
             want = Poly.const(math.factorial(N), vars_)
             for m in range(N + 1, 2 * N + 1):
                 want = want * (2 * lam + (m - n))
-            assert apply(iterated(n, N), xin ** N) == want
-
-
-def test_iterated_n2_on_square():
-    # N=2 applied to xi_n^2 -> 2 (2 lam - n + 3)(2 lam - n + 4)
-    n = 3
-    vars_ = op_vars(n)
-    xin = Poly.variable("xi3", vars_)
-    lam = lam_poly(n)
-    got = apply(iterated(n, 2), xin ** 2)
-    assert got == 2 * (2 * lam + (3 - n)) * (2 * lam + (4 - n))
-
-
-def test_iterated_n3_on_cube():
-    n = 2
-    vars_ = op_vars(n)
-    xin = Poly.variable("xi2", vars_)
-    lam = lam_poly(n)
-    got = apply(iterated(n, 3), xin ** 3)
-    assert got == 6 * (2 * lam + (4 - n)) * (2 * lam + (5 - n)) * (2 * lam + (6 - n))
+            assert apply(expand(n, N), xin ** N) == want
 
 
 def test_leading_coeff_closed_form():
@@ -163,8 +145,8 @@ def test_juhl_coeffs_polynomial_in_lam():
 def test_shift_consistency():
     for n in (2, 3):
         for N in (1, 2):
-            lhs = iterated(n, N).shift_lambda(1).compose(one_step(n))
-            assert lhs == iterated(n, N + 1)
+            lhs = expand(n, N).shift_lambda(1).compose(one_step(n))
+            assert lhs == expand(n, N + 1)
 
 
 def test_lap_prime_terms_match_the_weak_compositions():
@@ -186,7 +168,7 @@ def test_operator_classes_rebuild_the_expansion():
             if N > 1:
                 direct = one_step(n).shift_lambda(N - 1).compose(direct)
             rebuilt = {}
-            for (s, a), F in operator_classes(n, N).items():
+            for (s, a), F in iterated(n, N).items():
                 for m in weak_compositions(s, n - 1):
                     w = multinomial(m)
                     rebuilt[tuple(2 * x for x in m) + (a,)] = \
@@ -238,9 +220,18 @@ def test_closed_form_matches_the_recursion():
             assert _reduced_iterated(n, N) == reference_reduced(n, N), (n, N)
 
 
+def test_iterated_is_the_class_table():
+    # (2 lam) d_2 + xi_2 (d_1^2 + d_2^2) on R^2, by class (s, a) of
+    # d^(2m', a), |m'| = s: {(lam_deg, xi_n_deg): coefficient}
+    assert iterated(2, 1) == {(0, 1): {(1, 0): 2}, (1, 0): {(0, 1): 1},
+                              (0, 2): {(0, 1): 1}}
+    with pytest.raises(ValueError):
+        iterated(2, 0)
+
+
 def test_operator_classes_count_at_8_10():
     # 67,078 terms of the expansion in 608 coefficient classes
-    classes = operator_classes(8, 10)
+    classes = iterated(8, 10)
     assert len(classes) == 91
     assert len({(s, a, multinomial(m)) for s, a in classes
                 for m in weak_compositions(s, 7)}) == 608
@@ -294,3 +285,19 @@ def test_meta_pi_power():
 def test_meta_parity_matches_order():
     for N in range(1, 8):
         assert normalization_meta(3, N).parity == ("even" if N % 2 == 0 else "odd")
+
+
+def test_meta_ratio_is_the_top_tangential_coefficient():
+    # ratio_prefactor * 2^ratio_two_power * prod(b lam + a) is
+    # 2^(2 ceil(N/2) - 1) * a_floor(N/2), the coefficient of Lap'^(N/2), or
+    # of d_n Lap'^((N-1)/2) for odd N.  n = 1 is left out: it has no Lap',
+    # so a_floor(N/2) is 0 for N >= 2 while the exported ratio is not.
+    lam = Poly.from_univariate([0, 1])
+    for n in range(2, 9):
+        for N in range(1, 13):
+            m = normalization_meta(n, N)
+            ratio = Poly.const(m.ratio_prefactor * 2 ** m.ratio_two_power, ("lam",))
+            for b, a in m.ratio_factors:
+                ratio = ratio * (b * lam + a)
+            top = juhl_coeffs(n, N).coeffs[N // 2]
+            assert ratio == top * 2 ** (2 * ((N + 1) // 2) - 1), (n, N)
