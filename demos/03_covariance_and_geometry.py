@@ -23,8 +23,8 @@ print("  conformal factor: ", round(g.factor(xi), 6))
 print("  preserves the hyperplane:", g.preserves_hyperplane())
 
 rng = np.random.default_rng(42)
-print("\ngeometric identities (100 seeded samples each):")
-for r in verify.geometry_suite(n, rng, 100):
+print("\ngeometric identities (100 seeded samples each, 50 for mult_intertwining):")
+for r in verify.geometry_suite(n, rng):
     print(f"    {r.name:32s} max_rel_err={r.max_rel_err:.2e}  passed={r.passed}")
 
 print("\ncovariance of the one-step operator (random words, length <= 3):")

@@ -17,13 +17,12 @@ in full and written in one call.
 import argparse
 import heapq
 import json
-import math
 import sys
 
 from .algebra import pretty_terms
 from .juhl import (iterated, juhl_coeffs, lap_prime_terms, leading_factors,
                    normalization_meta, pretty_factors)
-from .verify import TOLERANCES, QuadratureBudgetExceeded, run_suites
+from .verify import QuadratureBudgetExceeded, run_suites
 
 COEFFS_MAX_N = 8
 COEFFS_MAX_ORDER = 12
@@ -179,29 +178,8 @@ def cmd_operator(args, stream):
     return 0
 
 
-def _parse_tols(pairs):
-    tols = {}
-    for item in pairs or ():
-        if "=" not in item:
-            raise ValueError(f"--tol expects name=value, got {item!r}")
-        name, val = item.split("=", 1)
-        name = name.strip()
-        if name not in TOLERANCES:
-            raise ValueError(f"--tol: unknown tolerance {name!r}; known names: "
-                             + ", ".join(TOLERANCES))
-        try:
-            value = float(val)
-        except ValueError:
-            value = math.nan  # not a number: refused below, as NaN is
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"--tol {name} must be a finite number >= 0, got {val!r}")
-        tols[name] = value
-    return tols
-
-
 def cmd_verify(args, stream):
     try:
-        tols = _parse_tols(args.tol)
         _check_n_bounds(args.n_min, args.n_max)
         if args.seed < 0:
             raise ValueError(f"--seed must be at least 0 (got {args.seed})")
@@ -210,7 +188,7 @@ def cmd_verify(args, stream):
         return 2
     try:
         reports = run_suites(args.suite, seed=args.seed, n_min=args.n_min,
-                             n_max=args.n_max, tols=tols)
+                             n_max=args.n_max)
     except QuadratureBudgetExceeded as exc:
         print(f"covop verify: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
@@ -243,8 +221,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                   help="override a tolerance, e.g. --tol covariance=1e-6")
 
     p = sub.add_parser("operator", help="export the unrestricted iterated operator")
     p.add_argument("--n", type=int, required=True)

@@ -225,8 +225,12 @@ class NormalizationMeta:
     Gamma(n-lam-N) relating the iterated family to the twisted composition
     with convolution intertwiners; ``ratio_*`` give the parity-dependent
     multiplicative factor relating the restricted family to Juhl's own
-    normalization.  Purely analytic bookkeeping, kept exact: none of it
-    enters the operator coefficients.
+    normalization.  For n >= 2 the ratio, ratio_prefactor *
+    2^ratio_two_power * prod(b lam + a), equals 2^(2 ceil(N/2) - 1) times
+    a_floor(N/2), the coefficient of Lap'^(N/2) (of d_n Lap'^((N-1)/2) for odd
+    N).  For n = 1 and N >= 2 there is no Lap', a_floor(N/2) is 0, and the
+    ratio matches no coefficient of the family.  Purely analytic
+    bookkeeping, kept exact: none of it enters the operator coefficients.
     """
 
     n: int

@@ -10,7 +10,7 @@ import pytest
 
 from covop.cli import coeff_table, main, op_vars, poly_to_triples
 from covop.juhl import leading_coeff
-from covop.verify import TOLERANCES
+from covop import verify
 
 from oracles import expand, one_step, operator_from_dict, poly_from_triples
 
@@ -205,21 +205,22 @@ def test_verify_seeded_bytes_pinned(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (suite, seed)
 
 
-def test_verify_quadrature_budget_exits_3(capsys):
+def test_verify_quadrature_budget_exits_3(capsys, monkeypatch):
     # a numeric evaluation that cannot be carried out is neither a failed
-    # check (1) nor a usage error (2)
-    code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
-                             "--tol", "quad_tol=1e-30")
+    # check (1) nor a usage error (2); level 0 alone never settles
+    monkeypatch.setattr(verify, "DE_MAX_LEVEL", 0)
+    code, out, err = run_cli(capsys, "verify", "--suite", "numeric")
     assert code == 3 and out == ""
     assert err.startswith("covop verify: QuadratureBudgetExceeded:")
     assert err.count("\n") == 1
 
 
-def test_verify_quad_tol_reaches_kernel_pairing(capsys):
+def test_verify_quad_tol_reaches_kernel_pairing(capsys, monkeypatch):
     # n = 3 runs no Knapp-Stein check, so only the pairing integrals can
-    # refuse a quad_tol below the rounding floor
+    # run out of quadrature levels
+    monkeypatch.setattr(verify, "DE_MAX_LEVEL", 0)
     code, out, err = run_cli(capsys, "verify", "--suite", "numeric", "--n-min", "3",
-                             "--n-max", "3", "--tol", "quad_tol=1e-30")
+                             "--n-max", "3")
     assert code == 3 and out == ""
     assert err.startswith("covop verify: QuadratureBudgetExceeded:")
 
@@ -250,45 +251,13 @@ def test_import_leaves_scipy_integrate_out(covop_env):
                                         "coeffs 0 False []", "operator 0 False []"]
 
 
-def test_verify_tolerance_override_looser_still_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "symbolic",
-                           "--tol", "covariance=1e-6")
-    assert code == 0
-
-
-def test_verify_bad_tol_flag(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "symbolic", "--tol", "oops")
-    assert code == 2 and "name=value" in err
-    # a tolerance no error can meet, or that every error meets, is a usage error
-    for value in ("nan", "inf", "-1e-9"):
-        code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
-                                 "--tol", f"cocycle={value}")
-        assert code == 2 and out == "", value
-        assert "finite number >= 0" in err, err
-    # text that is no number at all names the flag and the tolerance too
-    code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
-                             "--tol", "covariance=abc")
-    assert code == 2 and out == ""
-    assert err == "covop verify: --tol covariance must be a finite number >= 0, got 'abc'\n"
-
-
-def test_verify_unknown_tol_name(capsys):
-    # a misspelt name must not silently run with the default tolerance
-    code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
-                             "--tol", "covarience=1e-6")
-    assert code == 2 and out == ""
-    assert "'covarience'" in err
-    assert "covariance, covariance_restricted" in err and "ambient_compact" in err
-
-
-def test_verify_retired_inversion_tolerance(capsys):
-    # the inversion constant is an exact identity and reads no tolerance, so
-    # its former name is refused like a misspelt one
-    code, out, err = run_cli(capsys, "verify", "--suite", "numeric",
-                             "--tol", "inversion=1e-6")
-    assert code == 2 and out == ""
-    assert err == ("covop verify: --tol: unknown tolerance 'inversion'; known names: "
-                   + ", ".join(TOLERANCES) + "\n")
+def test_verify_has_no_tolerance_option(capsys):
+    # each check's tolerance is fixed at the check; --tol is an unknown option
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "verify", "--tol", "covariance=1e-6")
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "unrecognized arguments: --tol" in out.err
 
 
 def test_verify_bad_n_range(capsys):
@@ -318,23 +287,23 @@ def test_verify_range_without_checks(capsys):
     assert code == 2 and out == ""
 
 
-def test_reused_parser_keeps_no_tol_between_calls(capsys, monkeypatch):
+def test_reused_parser_keeps_no_n_min_between_calls(capsys, monkeypatch):
     import covop.cli
 
     seen = []
-    verify = covop.cli.cmd_verify
+    cmd_verify = covop.cli.cmd_verify
 
     def recording_verify(args, stream):
-        seen.append(args.tol)
-        return verify(args, stream)
+        seen.append(args.n_min)
+        return cmd_verify(args, stream)
 
     monkeypatch.setattr(covop.cli, "cmd_verify", recording_verify)
     report = SimpleNamespace(passed=True, to_dict=dict)
     monkeypatch.setattr(covop.cli, "run_suites",
-                        lambda *a, tols, **k: seen.append(tols) or [report])
-    assert run_cli(capsys, "verify", "--tol", "covariance=1e-6")[0] == 0
+                        lambda *a, n_min, **k: seen.append(n_min) or [report])
+    assert run_cli(capsys, "verify", "--n-min", "2")[0] == 0
     assert run_cli(capsys, "verify")[0] == 0
-    assert seen == [["covariance=1e-6"], {"covariance": 1e-6}, None, {}]
+    assert seen == [2, 2, None, None]
 
 
 def test_usage_error_after_a_call_matches_a_fresh_process(capsys, monkeypatch,

@@ -1,10 +1,14 @@
-"""Every demo script runs to completion against this checkout."""
+"""Every demo script runs to completion against this checkout, and the
+README's examples match the package."""
 
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from covop.cli import build_parser
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -29,3 +33,15 @@ def test_readme_example_prints_what_its_comment_says(covop_env):
                           env={**covop_env, "PYTHONIOENCODING": "utf-8"})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == want
+
+
+def test_readme_command_lines_parse():
+    # every `covop ...` line of the README's command-line block is a valid
+    # invocation of the parser; the commands are parsed, not run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("covop ")]
+    assert lines
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])

@@ -374,6 +374,21 @@ def test_extension_independence_and_euler():
         assert r.passed, r
 
 
+def test_extension_off_its_degree_fails_the_report(monkeypatch):
+    # an extension one degree off breaks the Euler identity: the check fails
+    # its report with a finite error and names the identity, and the suite
+    # runner reports it instead of raising
+    extension = verify.sphere_extension
+    monkeypatch.setattr(verify, "sphere_extension",
+                        lambda n, fs, degree: extension(n, fs, degree + 1.0))
+    r = check_extension_independence(3, np.random.default_rng(0), samples=10)
+    assert not r.passed and math.isfinite(r.max_rel_err)
+    assert r.diagnostics.startswith("Euler homogeneity identity residual ")
+    reports = verify.run_suites("ambient", n_min=3, n_max=3)
+    assert not next(r for r in reports
+                    if r.name == "extension_independence_n3").passed
+
+
 def test_ambient_compact_three_routes():
     rng = np.random.default_rng(9)
     n = 4
@@ -541,34 +556,6 @@ def test_ks_inversion_fails_on_a_perturbed_symbol(monkeypatch, name):
                if r.name.startswith("ks_inversion_symbol")]
     assert [r.name for r in reports] == [f"ks_inversion_symbol_n{n}" for n in (1, 2, 3, 4)]
     assert not any(r.passed for r in reports)
-
-
-class RecordingTols(dict):
-    """An empty tolerance mapping, so every suite runs on its defaults, that
-    records each name a suite looks up with ``get`` or ``in``."""
-
-    def __init__(self):
-        super().__init__()
-        self.read = set()
-
-    def __bool__(self):
-        return True  # a suite must not swap it for a plain {}
-
-    def get(self, name, default=None):
-        self.read.add(name)
-        return super().get(name, default)
-
-    def __contains__(self, name):
-        self.read.add(name)
-        return super().__contains__(name)
-
-
-def test_every_tolerance_is_read():
-    # a tolerance that no check reads is a --tol knob that turns nothing
-    tols = RecordingTols()
-    reports = verify.run_suites("all", seed=0, tols=tols)
-    assert reports and all(r.passed for r in reports)
-    assert tols.read == set(verify.TOLERANCES)
 
 
 @pytest.mark.parametrize("n_min, n_max", [(1, 1), (2, 3), (4, 8), (7, 8)])
