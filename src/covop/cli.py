@@ -7,15 +7,14 @@ prints one ``covop verify: ...`` line on stderr and nothing on stdout.  JSON
 output keeps every coefficient exact as integer numerator and denominator
 strings, so parsing a document gives back its coefficients bit for bit.
 The operator export is streamed term by term from the coefficient classes of
-the reduced basis (``juhl.iterated``) and the lazy expansion of Lap'^s
-(``juhl.lap_prime_terms``), in the bytes ``json.dump`` with ``indent=2,
-sort_keys=True, ensure_ascii=False`` would write for the same document; no
-term list or document dict is built.  Every other JSON document is encoded
+the reduced basis (``juhl.iterated``) and one lazy walk over the m' of every
+Lap'^s (``juhl.lap_prime_terms``), in the bytes ``json.dump`` with
+``indent=2, sort_keys=True, ensure_ascii=False`` would write for the same
+document; no term list or document dict is built.  Every other JSON document is encoded
 in full and written in one call.
 """
 
 import argparse
-import heapq
 import json
 import sys
 
@@ -84,8 +83,10 @@ def _emit_operator(n, N, stream):
     ``_emit_json``.  The terms come from ``iterated``: alpha =
     (2m', a) has the coefficient multinomial(m') * F(s, a) with |m'| = s, so
     the coeff and display text is encoded once per (s, a, multinomial(m'))
-    and each term writes only its alpha.  The m' of every s are merged from
-    the ascending ``lap_prime_terms`` generators, never held in a list."""
+    and each term writes only its alpha.  The m' of every s come in
+    ascending order from one ``lap_prime_terms`` walk, never held in a list;
+    the alpha text of an m' is built once from a table of entry strings and
+    shared by the terms of every a of its s."""
     variables = op_vars(n)
     lam_xin = (variables[0], variables[-1])  # the only variables that occur
     zeros = ["0"] * (n - 1)
@@ -106,16 +107,17 @@ def _emit_operator(n, N, stream):
 
     tails = {}  # (s, multinomial(m')) -> [term tail for each a of s]
     pad = "\n        "
+    cell = [f"{2 * x},{pad}" for x in range(max(a_by_s) + 1)]  # one alpha entry
     stream.write(f'{{\n  "N": {N},\n  "kind": "operator",\n  "n": {n},\n  "terms": [')
     sep = "\n"
     # alpha = (2m', a) sorts by m' first, then by a; m' of distinct s differ
-    for m, w in heapq.merge(*(lap_prime_terms(n, s) for s in a_by_s)):
+    for m, w in lap_prime_terms(n, a_by_s):
         s = sum(m)
         texts = tails.get((s, w))
         if texts is None:
             texts = tails[s, w] = [term_tail(s, a, w) for a in a_by_s[s]]
-        head = '    {\n      "alpha": [' + pad + "".join(f"{2 * x},{pad}" for x in m)
-        stream.write(sep + ",\n".join(head + t for t in texts))
+        head = '    {\n      "alpha": [' + pad + "".join(map(cell.__getitem__, m))
+        stream.write(sep + head + (",\n" + head).join(texts))
         sep = ",\n"
     stream.write(f'\n  ],\n  "variables": {_json_list(map(enc, variables), 2)}\n}}\n')
 

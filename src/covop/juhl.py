@@ -65,25 +65,47 @@ def _reduced_iterated(n, N):
     return out
 
 
-def lap_prime_terms(n, s):
-    """Lap'^s on R^n, Lap' the Laplacian in xi_1..xi_(n-1), as the pairs
-    (m', multinomial(m')) of Lap'^s = sum_{|m'| = s} multinomial(m')
-    d^(2m', 0), yielded lazily in ascending m'.  The multinomial is built
-    from its head: multinomial(h, rest) = C(s, h) * multinomial(rest).
-    For n = 1 there is no m': Lap'^0 is ((), 1) and Lap'^s, s > 0, is empty."""
-    def split(total, parts):
-        if parts == 1:
-            yield (total,), 1
+def lap_prime_terms(n, orders):
+    """Lap'^s on R^n for every s in ``orders``, Lap' the Laplacian in
+    xi_1..xi_(n-1), as the pairs (m', multinomial(m')) of Lap'^s =
+    sum_{|m'| = s} multinomial(m') d^(2m', 0), yielded lazily in ascending m'
+    across all the orders.  One walk steps the entries before the last like
+    an odometer through every prefix whose sum stays within the largest
+    order; the last entry then closes the sum on each order the prefix has
+    not passed.  The multinomial is built along the prefix as
+    prod_k C(m_1 + ... + m_k, m_k).  For n = 1 there is no m': Lap'^0 is
+    ((), 1) and Lap'^s, s > 0, is empty."""
+    orders = sorted(set(orders))
+    if not orders:
+        return
+    if n == 1:
+        if orders[0] == 0:
+            yield (), 1
+        return
+    top = orders[-1]
+    # after a prefix of sum p the last entry is t - p with the factor C(t, p)
+    ends = [[((t - p,), comb(t, p)) for t in orders if t >= p] for p in range(top + 1)]
+    d = n - 2  # the entries before the last
+    m = [0] * d
+    sums = [0] * (d + 1)  # sums[k] = m_1 + ... + m_k
+    ws = [1] * (d + 1)  # ws[k] = prod_{j <= k} C(sums[j], m_j)
+    while True:
+        head, w = tuple(m), ws[d]
+        for last, c in ends[sums[d]]:
+            yield head + last, w * c
+        # step the rightmost entry that can still grow, zeroing those after it
+        k = d - 1
+        while k >= 0 and sums[k + 1] == top:
+            k -= 1
+        if k < 0:
             return
-        for head in range(total + 1):
-            w = comb(total, head)
-            for rest, v in split(total - head, parts - 1):
-                yield (head,) + rest, w * v
-
-    if n > 1:
-        yield from split(s, n - 1)
-    elif s == 0:
-        yield (), 1
+        m[k] += 1
+        p = sums[k + 1] = sums[k + 1] + 1
+        w = ws[k + 1] = ws[k] * comb(p, m[k])
+        for j in range(k + 1, d):
+            m[j] = 0
+            sums[j + 1] = p
+            ws[j + 1] = w
 
 
 def iterated(n, N):

@@ -186,6 +186,11 @@ def sample_point_for(rng, g, f, on_hyperplane=False):
 
 
 def check_cocycle(n, rng, samples=100, tol=1e-12):
+    """The factor of g1 @ g2 at xi against g1's factor at g2(xi) times g2's
+    at xi.  This checks word composition only: ``act_and_factor`` multiplies
+    whatever each generator returns along the orbit, so a fault in a
+    generator's own factor (a squared inversion factor, say) passes it;
+    ``check_factor_vs_jet`` is the check of the factors themselves."""
     def draw(_):
         g1 = sample_gprime_word(rng, n, 2)
         g2 = sample_gprime_word(rng, n, 2)
@@ -308,7 +313,10 @@ def _restricted_table(n, N):
     table = {}
     for m, a in enumerate(juhl_coeffs(n, N).coeffs):
         terms = [(e[0], int(c)) for e, c in sorted(a.terms.items())]
-        for mp, w in lap_prime_terms(n, m):
+        # one walk per order, not one over all: the insertion order of table
+        # is the float summation order of _apply_coeff_table, so walking
+        # every order at once would reorder those sums and move the digits
+        for mp, w in lap_prime_terms(n, (m,)):
             table[tuple(2 * x for x in mp) + (N - 2 * m,)] = [(deg, w * c) for deg, c in terms]
     return table
 

@@ -119,9 +119,10 @@ def _operator_document_via_dict(n, N):
 
 
 def test_operator_stream_matches_json_dump_bytes(capsys):
-    # n = 1 has no Lap', N = 1 is the one-step operator, (5, 2) has negative
+    # n = 1 has no Lap', N = 1 is the one-step operator, at (8, 4) the walk
+    # over m' steps seven tangential entries, (5, 2) has negative
     # coefficients (a " - " in display)
-    for n, N in ((1, 3), (1, 1), (4, 1), (2, 3), (3, 4), (5, 2)):
+    for n, N in ((1, 3), (1, 1), (4, 1), (2, 3), (3, 4), (8, 4), (6, 4), (2, 8), (5, 2)):
         code, out, _ = run_cli(capsys, "operator", "--n", str(n), "--N", str(N))
         assert code == 0
         assert out == _operator_document_via_dict(n, N), (n, N)
