@@ -10,7 +10,9 @@ The operator export is streamed term by term from the coefficient classes of
 the reduced basis (``juhl.iterated``) and one lazy walk over the m' of every
 Lap'^s (``juhl.lap_prime_terms``), in the bytes ``json.dump`` with
 ``indent=2, sort_keys=True, ensure_ascii=False`` would write for the same
-document; no term list or document dict is built.  Every other JSON document is encoded
+document; no term list or document dict is built.  Each term's ASCII text
+and its non-ASCII display line (λ, ξ) are written apart, so the bulk of the
+document never becomes a wide string.  Every other JSON document is encoded
 in full and written in one call.
 """
 
@@ -86,7 +88,11 @@ def _emit_operator(n, N, stream):
     and each term writes only its alpha.  The m' of every s come in
     ascending order from one ``lap_prime_terms`` walk, never held in a list;
     the alpha text of an m' is built once from a table of entry strings and
-    shared by the terms of every a of its s."""
+    shared by the terms of every a of its s.  Each term goes out in two
+    writes: its ASCII text (separator, alpha, coeff, the "display" key),
+    then its display line, the one part with λ or ξ.  Joining them would
+    store the whole text at two bytes a character and make the stream
+    encode it character by character."""
     variables = op_vars(n)
     lam_xin = (variables[0], variables[-1])  # the only variables that occur
     zeros = ["0"] * (n - 1)
@@ -97,18 +103,21 @@ def _emit_operator(n, N, stream):
         a_by_s.setdefault(s, []).append(a)
 
     def term_tail(s, a, w):
-        # the term after the first n - 1 alpha entries
+        # the term after the first n - 1 alpha entries: its ASCII text, then
+        # the display line and the closing brace
         coeff = {key: w * c for key, c in sorted(classes[s, a].items())}
         triples = [_json_list([_json_list([str(deg), *zeros, str(i)], 10),
                                enc(str(c)), '"1"'], 8)
                    for (deg, i), c in coeff.items()]
         return (f'{a}\n      ],\n      "coeff": {_json_list(triples, 6)},\n'
-                f'      "display": {enc(pretty_terms(lam_xin, coeff))}\n    }}')
+                '      "display": ',
+                f'{enc(pretty_terms(lam_xin, coeff))}\n    }}')
 
-    tails = {}  # (s, multinomial(m')) -> [term tail for each a of s]
+    tails = {}  # (s, multinomial(m')) -> [(text, display) for each a of s]
     pad = "\n        "
     cell = [f"{2 * x},{pad}" for x in range(max(a_by_s) + 1)]  # one alpha entry
-    stream.write(f'{{\n  "N": {N},\n  "kind": "operator",\n  "n": {n},\n  "terms": [')
+    write = stream.write
+    write(f'{{\n  "N": {N},\n  "kind": "operator",\n  "n": {n},\n  "terms": [')
     sep = "\n"
     # alpha = (2m', a) sorts by m' first, then by a; m' of distinct s differ
     for m, w in lap_prime_terms(n, a_by_s):
@@ -117,9 +126,11 @@ def _emit_operator(n, N, stream):
         if texts is None:
             texts = tails[s, w] = [term_tail(s, a, w) for a in a_by_s[s]]
         head = '    {\n      "alpha": [' + pad + "".join(map(cell.__getitem__, m))
-        stream.write(sep + head + (",\n" + head).join(texts))
-        sep = ",\n"
-    stream.write(f'\n  ],\n  "variables": {_json_list(map(enc, variables), 2)}\n}}\n')
+        for text, display in texts:
+            write(sep + head + text)
+            write(display)
+            sep = ",\n"
+    write(f'\n  ],\n  "variables": {_json_list(map(enc, variables), 2)}\n}}\n')
 
 
 def _emit_coeffs_csv(n, N, stream):

@@ -208,7 +208,12 @@ class ConformalMap:
         return ConformalMap(self.n, tuple(g.inverse() for g in reversed(self.word)))
 
     def act(self, point):
-        return self.act_and_factor(point)[0]
+        """Image of the point: the word's images alone, with no cocycle
+        product formed."""
+        xs = list(point)
+        for g in self.word:
+            xs = g.act_and_factor(xs)[0]
+        return tuple(xs)
 
     def factor(self, point):
         """Conformal factor kappa(self, point) via the cocycle product."""

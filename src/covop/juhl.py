@@ -8,8 +8,9 @@ lam a formal variable.  Iterating it with shifted parameters and restricting
 to the hyperplane xi_n = 0 produces the Juhl-type tangential families.  This
 module gives every iterate in closed form in the reduced basis xi_n^i d_n^j
 Lap^k, splits it over derivatives into the coefficient classes of
-``iterated``, and reads the tangential coefficients (a ``TangentialOp``),
-the export and the Gamma-factor normalization metadata off those.
+``iterated`` for the export, and reads the tangential coefficients (a
+``TangentialOp``) off its xi_n-free keys; the Gamma-factor normalization
+metadata is in closed form.
 ``lap_prime_terms`` is the one expansion of Lap'^s over derivative
 multi-indices; the export and the numeric covariance table read it.
 """
@@ -30,8 +31,9 @@ from .algebra import Poly
 # coefficients, which _reduced_iterated gives in closed form as tuples of
 # ints; the symbolic suite's shift_consistency composes in the same basis.
 # iterated is the one place the basis is split over derivatives, into
-# coefficient classes of which the expansion is multinomial multiples;
-# juhl_coeffs and the operator export read them.
+# coefficient classes of which the expansion is multinomial multiples; the
+# operator export reads them.  juhl_coeffs needs only the xi_n-free part of
+# the classes (m, N - 2m) and reads it straight from the i = 0 keys.
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +122,9 @@ def iterated(n, N):
     reduced keys with j + 2 m_n = a and k = s + m_n; no other alpha occurs.
     As sum_{|m'| = s} multinomial(m') d^(2m') = Lap'^s, the family is
     sum F(s, a) Lap'^s d_n^a.  For n = 1 there is no m', so m_n = k and
-    s = 0.
+    s = 0.  The operator export reads this table; ``juhl_coeffs`` reads the
+    xi_n-free part of its classes (m, N - 2m) from the i = 0 reduced keys
+    alone, and the tests hold the two equal.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -199,18 +203,32 @@ class TangentialOp:
 def juhl_coeffs(n, N):
     """Tangential coefficients of the restricted iterated family.
 
-    Restriction to xi_n = 0 keeps the xi_n-free terms.  Every term of the
-    order-N family has j + 2k - i = N in the reduced basis, so in
-    ``iterated`` those terms lie in the classes (m, N - 2m): with
-    Lap = Lap' + d_n^2, a_m is the xi_n-free part of F(m, N - 2m), the
-    coefficient of d_n^(N-2m) Lap'^m.  For n = 1 there is no Lap' and only
+    Restriction to xi_n = 0 keeps the xi_n-free terms, the reduced keys with
+    i = 0, whose j = N - 2k.  With Lap^k = (Lap' + d_n^2)^k, the term
+    c_(0, N-2k, k) d_n^(N-2k) Lap^k gives C(k, m) c_(0, N-2k, k) to the
+    coefficient of d_n^(N-2m) Lap'^m, so
+
+        a_m = sum_{k=m}^{N//2} C(k, m) c_(0, N-2k, k),
+
+    the xi_n-free part of the class F(m, N - 2m) of ``iterated``, read
+    without building the class table.  For n = 1 there is no Lap' and only
     a_0 survives.  a_0 is checked against the closed form, so a mismatch can
     only mean an implementation bug.
     """
-    classes = iterated(n, N)
-    coeffs = [Poly(("lam",), {(deg,): c for (deg, i), c in
-                              sorted(classes.get((m, N - 2 * m), {}).items()) if not i})
-              for m in range(N // 2 + 1)]
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    reduced = _reduced_iterated(n, N)
+    coeffs = []
+    for m in range(N // 2 + 1):
+        a = []
+        if m == 0 or n > 1:
+            # the k = m term has the highest lam-degree, N - m
+            a = list(reduced[0, N - 2 * m, m])
+            for k in range(m + 1, N // 2 + 1):
+                w = comb(k, m)
+                for deg, x in enumerate(reduced[0, N - 2 * k, k]):
+                    a[deg] += w * x
+        coeffs.append(Poly.from_univariate(a))
     if coeffs[0] != leading_coeff(n, N):
         raise RuntimeError(
             f"leading tangential coefficient deviates from closed form at n={n}, N={N}")

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from covop.cli import coeff_table, main, op_vars, poly_to_triples
+from covop.cli import _emit_operator, coeff_table, main, op_vars, poly_to_triples
 from covop.juhl import leading_coeff
 from covop import verify
 
@@ -127,6 +127,29 @@ def test_operator_stream_matches_json_dump_bytes(capsys):
         assert code == 0
         assert out == _operator_document_via_dict(n, N), (n, N)
     assert " - " in out
+
+
+class _RecordingStream(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_operator_stream_writes_ascii_apart_from_display(capsys):
+    # the bulk of the document stays ASCII: only the short display lines
+    # (with λ or ξ) are written as non-ASCII text
+    for n, N in ((1, 3), (2, 8), (8, 4)):
+        code, out, _ = run_cli(capsys, "operator", "--n", str(n), "--N", str(N))
+        assert code == 0
+        stream = _RecordingStream()
+        _emit_operator(n, N, stream)
+        assert stream.getvalue() == out, (n, N)
+        wide = [w for w in stream.writes if not w.isascii()]
+        assert wide and max(map(len, wide)) < 300, (n, N)
 
 
 def test_operator_n4_N6_bytes_pinned(capsys):

@@ -70,6 +70,23 @@ def test_inversion_step_evaluates_norm_once(monkeypatch):
     assert calls == [3]
 
 
+def test_act_is_the_image_of_act_and_factor(monkeypatch):
+    # act walks the word for the image alone, with no cocycle product, and
+    # gives the same floats and the same jets
+    words = [ConformalMap(3, [Translation((0.3, -0.2, 0.1)), Inversion(),
+                              Dilation(1.7), full_rotation(3, 0.4)]),
+             ConformalMap(3, [Inversion(), tangential_rotation(3, 1.1),
+                              Inversion(), Translation((0.0, 0.5, -0.4))])]
+    points = [(0.7, -0.4, 0.9), (-1.2, 0.3, 0.25)]
+    want = [(g.act_and_factor(p)[0], g.act_and_factor(coordinate_jets(p, 2))[0])
+            for g in words for p in points]
+    monkeypatch.setattr(ConformalMap, "act_and_factor", None)
+    got = [(g.act(p), g.act(coordinate_jets(p, 2))) for g in words for p in points]
+    for (floats, jets), (want_floats, want_jets) in zip(got, want):
+        assert floats == want_floats
+        assert [j.terms for j in jets] == [j.terms for j in want_jets]
+
+
 def test_rotation_validation():
     with pytest.raises(ValueError):
         Rotation(2, 1.0, 0.1)  # off the unit circle

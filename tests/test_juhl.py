@@ -136,6 +136,21 @@ def test_juhl_coeffs_match_closed_form_grid():
                 assert a == closed_form_coeff(n, N, m), (n, N, m)
 
 
+def test_juhl_coeffs_read_the_xin_free_part_of_the_classes():
+    # a_m, read from the i = 0 reduced keys, is the xi_n-free part of the
+    # class (m, N - 2m) of the class table; for n = 1 only a_0 survives
+    for n in range(1, 9):
+        for N in range(1, 13):
+            classes = iterated(n, N)
+            coeffs = juhl_coeffs(n, N).coeffs
+            assert len(coeffs) == N // 2 + 1
+            for m, a in enumerate(coeffs):
+                want = {(deg,): c for (deg, i), c in
+                        classes.get((m, N - 2 * m), {}).items() if not i}
+                assert a == Poly(("lam",), want), (n, N, m)
+                assert (n == 1 and m > 0) == (not a), (n, N, m)
+
+
 def test_juhl_coeffs_polynomial_in_lam():
     for n in (2, 3):
         for N in (1, 2, 3, 4):
