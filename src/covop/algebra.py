@@ -3,6 +3,12 @@
 Everything downstream (the coefficients of the operator families, the
 Fourier-symbol algebra) reduces to identities in these rings, so coefficients
 are arbitrary-precision rationals throughout.
+
+A RationalFunction is kept in one normal form: denominator monic, numerator
+and denominator coprime, and zero stored as 0/1.  Building one runs the
+Fraction Euclid only when both sides have degree >= 1; with a constant side
+the gcd is 1.  ``RationalFunction.scale`` multiplies by a rational without
+renormalizing, since a unit factor on the numerator keeps the normal form.
 """
 
 from fractions import Fraction
@@ -295,9 +301,23 @@ def _ugcd(a, b):
     return [c / lc for c in a]
 
 
+def _upoly(coeffs, var):
+    """One-variable Poly from ascending Fraction coefficients, with no
+    re-validation: the caller's list already holds Fractions."""
+    out = Poly.__new__(Poly)
+    out.vars = (var,)
+    out.terms = {(k,): c for k, c in enumerate(coeffs) if c}
+    return out
+
+
 class RationalFunction:
     """Quotient of one-variable polynomials over Q, kept in normal form:
-    denominator monic and coprime to the numerator."""
+    denominator monic and coprime to the numerator, and zero stored as 0/1.
+
+    Euclid runs only when both sides have degree >= 1.  A nonzero constant
+    is a unit, so with a constant side the gcd is 1 and normalizing is at
+    most one division by the leading coefficient of the denominator.
+    """
 
     __slots__ = ("num", "den", "var")
 
@@ -314,15 +334,19 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         self.var = num.vars[0]
         nc, dc = num.to_univariate(self.var), den.to_univariate(self.var)
-        g = _ugcd(nc, dc)
-        if len(g) > 1 or g[0] != 1:
-            nc, _ = _udivmod(nc, g)
-            dc, _ = _udivmod(dc, g)
+        if len(nc) > 1 and len(dc) > 1:
+            g = _ugcd(nc, dc)
+            if len(g) > 1:
+                nc, _ = _udivmod(nc, g)
+                dc, _ = _udivmod(dc, g)
+        elif num.is_zero():
+            dc = [Fraction(1)]
         lc = dc[-1]
-        nc = [c / lc for c in nc]
-        dc = [c / lc for c in dc]
-        self.num = Poly.from_univariate(nc, self.var)
-        self.den = Poly.from_univariate(dc, self.var)
+        if lc != 1:
+            nc = [c / lc for c in nc]
+            dc = [c / lc for c in dc]
+        self.num = _upoly(nc, self.var)
+        self.den = _upoly(dc, self.var)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -366,6 +390,17 @@ class RationalFunction:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
+
+    def scale(self, q):
+        """self * q for a rational q, without renormalizing: a nonzero q
+        multiplies the numerator alone, which keeps the normal form."""
+        if not q:
+            return RationalFunction(0, var=self.var)
+        out = RationalFunction.__new__(RationalFunction)
+        out.var = self.var
+        out.num = self.num * q
+        out.den = self.den
+        return out
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):

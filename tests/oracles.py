@@ -6,8 +6,10 @@ The library builds the families in the reduced X^i P^j L^k basis of
 operator as one, the family expanded from the classes of ``juhl.iterated``,
 applying a ``DiffOp`` to a polynomial, partial derivatives, evaluating a
 coefficient at a value, parsing an operator or coefficient document back,
-and writing a restricted operator in the tangential basis with a
-zero-residual certificate.  They enumerate the multi-indices of Lap'^s
+writing a restricted operator in the tangential basis with a
+zero-residual certificate, the rational-function normal form by Euclid at
+every degree, and the symbol-coefficient canonical form by a full
+rational-function product.  They enumerate the multi-indices of Lap'^s
 themselves, so a test that uses them does not rest on
 ``juhl.lap_prime_terms``.
 """
@@ -15,9 +17,9 @@ themselves, so a test that uses them does not rest on
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from math import comb, factorial
+from math import comb, factorial, gcd
 
-from covop.algebra import Poly, _as_fraction
+from covop.algebra import Poly, _as_fraction, _udivmod, _ugcd
 from covop.cli import op_vars
 from covop.juhl import TangentialOp, iterated
 
@@ -245,3 +247,41 @@ def decompose_tangential(D, N):
         raise NonTangentialForm(
             f"residual symbol is nonzero, e.g. at multi-index {worst}")
     return TangentialOp(n, N, coeffs)
+
+
+def rational_normal_form(num, den):
+    """(num, den) of num/den in normal form, by the Fraction Euclid whatever
+    the degrees: the gcd divided out, then both sides divided by the leading
+    coefficient of the denominator, so 0 comes out as 0/1."""
+    var = num.vars[0]
+    nc, dc = num.to_univariate(var), den.to_univariate(var)
+    g = _ugcd(nc, dc)
+    if len(g) > 1 or g[0] != 1:
+        nc, _ = _udivmod(nc, g)
+        dc, _ = _udivmod(dc, g)
+    lc = dc[-1]
+    return (Poly.from_univariate([c / lc for c in nc], var),
+            Poly.from_univariate([c / lc for c in dc], var))
+
+
+def symcoeff_fields(rf, two_a=0, two_b=0, pi_half=0, i_pow=0):
+    """(rf, two_a, two_b, pi_half, i_pow) of the canonical SymCoeff: the
+    signed rational content of rf's numerator taken out as a product
+    ``rf * Fraction`` of rational functions, its 2-part added to two_a and
+    its sign to i_pow."""
+    if rf.is_zero():
+        return rf, Fraction(0), Fraction(0), Fraction(0), 0
+    g, l = 0, 1
+    for c in rf.num.terms.values():
+        g = gcd(g, abs(c.numerator))
+        l = l * c.denominator // gcd(l, c.denominator)
+    content = Fraction(g, l)
+    if rf.num.terms[max(rf.num.terms)] < 0:
+        content = -content
+    # 2-adic valuation from the lowest set bits of numerator and denominator
+    top, bottom = abs(content.numerator), content.denominator
+    v = (top & -top).bit_length() - (bottom & -bottom).bit_length()
+    sign = 1 if content > 0 else -1
+    return (rf * (sign * Fraction(2) ** -v),
+            Fraction(two_a) + v, Fraction(two_b), Fraction(pi_half),
+            (i_pow + (2 if sign < 0 else 0)) % 4)

@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covop.algebra import Poly, RationalFunction
 
-from oracles import partial, subs_value
+from oracles import partial, rational_normal_form, subs_value
 
 VARS = ("lam", "xi1", "xi2")
 
@@ -166,3 +166,52 @@ def test_rf_eq_is_equivalence(sample):
     assert r == scaled and scaled == r
     rescaled = RationalFunction(L(num) * L(scale) * 2, L(den) * L(scale) * 2)
     assert scaled == rescaled and r == rescaled
+
+
+# -- the normal form against Euclid at every degree -----------------------------
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+nonzero = small.filter(bool)
+
+
+def _times_roots(p, roots):
+    for r in roots:
+        p = p * L([-r, 1])
+    return p
+
+
+# numerator, denominator, shared linear factors (lam - r) and a scale on each
+normal_form_cases = st.tuples(
+    st.lists(small, max_size=3), st.lists(small, min_size=1, max_size=3).filter(any),
+    st.lists(small, max_size=2), nonzero, nonzero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(normal_form_cases)
+@example(([], [3], [], 1, 1))                # 0 over a non-monic constant
+@example(([], [1, 0, 2], [], 1, 1))          # 0 over a non-monic quadratic
+@example(([0], [0, 1], [2], 3, 1))           # 0 over a shared linear factor
+@example(([5], [2], [], 1, 1))               # constant over non-monic constant
+@example(([Fraction(1, 3)], [1, 2], [], 1, 1))  # constant over non-monic linear
+@example(([1, 2], [3], [], 1, 1))            # linear over non-monic constant
+@example(([1], [1], [Fraction(-1, 2)], 2, 6))   # shared factor, constant rest
+@example(([-1, 1], [2, 1], [3, 0], 1, -3))   # shared factors, linear rest
+def test_rf_normal_form_matches_euclid_at_every_degree(case):
+    num, den, roots, a, b = case
+    num = _times_roots(L(num), roots) * a
+    den = _times_roots(L(den), roots) * b
+    r = RationalFunction(num, den)
+    want_num, want_den = rational_normal_form(num, den)
+    assert r.num.terms == want_num.terms and r.den.terms == want_den.terms
+    assert r.num.vars == r.den.vars == ("lam",)
+    assert all(type(c) is Fraction for c in (*r.num.terms.values(), *r.den.terms.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(normal_form_cases, small)
+def test_rf_scale_is_the_product_by_a_constant(case, q):
+    num, den, roots, a, b = case
+    r = RationalFunction(_times_roots(L(num), roots) * a, _times_roots(L(den), roots) * b)
+    for k in (q, int(q)):
+        got, want = r.scale(k), r * k
+        assert got.num.terms == want.num.terms and got.den.terms == want.den.terms

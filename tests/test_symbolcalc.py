@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from covop import symbolcalc
+from covop import algebra, symbolcalc, verify
 from covop.algebra import Poly, RationalFunction
 from covop.symbolcalc import (DFHAT, FHAT, ClosureExceeded, HExpr, HTerm,
                               SymCoeff, check_factorization,
@@ -11,6 +11,8 @@ from covop.symbolcalc import (DFHAT, FHAT, ClosureExceeded, HExpr, HTerm,
                               factorization_constant, hat_kernel,
                               knapp_stein_symbol, mul_norm_sq,
                               symbol_ks_after_onestep, symbol_mult_after_ks)
+
+from oracles import symcoeff_fields
 
 
 def rf(num, den=None):
@@ -243,3 +245,57 @@ def test_scaling_both_sides_preserves_verdict(a, ipow):
     rhs = symbol_ks_after_onestep(n).scale(factorization_constant(n)).scale(common)
     assert lhs == rhs
 
+
+# -- the rescaling that keeps the normal form -------------------------------------
+
+
+def fields(c):
+    return (c.rf.num.terms, c.rf.den.terms, c.rf.var, c.two_a, c.two_b,
+            c.pi_half, c.i_pow)
+
+
+def product_fields(rf, *rest):
+    ref, *tail = symcoeff_fields(rf, *rest)
+    return (ref.num.terms, ref.den.terms, ref.var, *tail)
+
+
+small_q = st.fractions(min_value=-12, max_value=12, max_denominator=8)
+symcoeff_cases = st.tuples(
+    st.lists(small_q, max_size=3), st.lists(small_q, min_size=1, max_size=3).filter(any),
+    st.lists(small_q, max_size=3), st.integers(-3, 3), st.integers(-2, 2),
+    st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 2]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(symcoeff_cases, small_q)
+def test_symcoeff_rescaling_matches_the_rf_product(case, q):
+    num, den, num2, two_a, two_b, pi_half, i_pow, di = case
+    r = rf(num, den)
+    c = SymCoeff(r, two_a, two_b, pi_half, i_pow)
+    assert fields(c) == product_fields(r, two_a, two_b, pi_half, i_pow)
+    # by an int or a Fraction, zero included
+    for k in (q, int(q)):
+        assert fields(c * k) == product_fields(c.rf * k, c.two_a, c.two_b,
+                                               c.pi_half, c.i_pow)
+    # a sum of commensurable coefficients: the 2-power offset and the sign
+    # of the second are folded into its rational function
+    d = SymCoeff(rf(num2, den), two_a + 2, two_b, pi_half, i_pow + di)
+    if c.is_zero() or d.is_zero():
+        return
+    sign = 1 if (d.i_pow - c.i_pow) % 4 == 0 else -1
+    want = c.rf + d.rf * (sign * Fraction(2) ** (d.two_a - c.two_a))
+    assert fields(c + d) == product_fields(want, c.two_a, c.two_b, c.pi_half, c.i_pow)
+
+
+def test_suite_symbolic_runs_euclid_only_on_nonconstant_pairs(monkeypatch):
+    calls = []
+    ugcd = algebra._ugcd
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return ugcd(a, b)
+
+    monkeypatch.setattr(algebra, "_ugcd", spy)
+    assert all(r.passed for r in verify.suite_symbolic())
+    assert calls, "the suite has rational functions with both degrees >= 1"
+    assert all(la > 1 and lb > 1 for la, lb in calls), calls

@@ -36,6 +36,15 @@ def test_report_pass_criterion():
     assert not r.passed and r.diagnostics == "b"
 
 
+def test_nan_error_fails_its_report():
+    # a NaN error is the worst sample: np.argmax returns its index, and the
+    # NaN <= tol comparison is False
+    r = CheckReport.from_errors("x", [0.0, math.nan], 1.0)
+    assert r.passed is False
+    assert r.diagnostics == "sample 1"
+    assert r.samples == 2 and math.isnan(r.max_rel_err)
+
+
 def test_sampler_gives_up_on_a_draw_that_always_rejects():
     seen = []
 
