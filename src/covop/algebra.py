@@ -7,8 +7,8 @@ are arbitrary-precision rationals throughout.
 A RationalFunction is kept in one normal form: denominator monic, numerator
 and denominator coprime, and zero stored as 0/1.  Building one runs the
 Fraction Euclid only when both sides have degree >= 1; with a constant side
-the gcd is 1.  ``RationalFunction.scale`` multiplies by a rational without
-renormalizing, since a unit factor on the numerator keeps the normal form.
+the gcd is 1.  A product with an int or Fraction scales the numerator and
+does not renormalize, since a unit factor keeps the normal form.
 """
 
 from fractions import Fraction
@@ -301,15 +301,6 @@ def _ugcd(a, b):
     return [c / lc for c in a]
 
 
-def _upoly(coeffs, var):
-    """One-variable Poly from ascending Fraction coefficients, with no
-    re-validation: the caller's list already holds Fractions."""
-    out = Poly.__new__(Poly)
-    out.vars = (var,)
-    out.terms = {(k,): c for k, c in enumerate(coeffs) if c}
-    return out
-
-
 class RationalFunction:
     """Quotient of one-variable polynomials over Q, kept in normal form:
     denominator monic and coprime to the numerator, and zero stored as 0/1.
@@ -345,8 +336,8 @@ class RationalFunction:
         if lc != 1:
             nc = [c / lc for c in nc]
             dc = [c / lc for c in dc]
-        self.num = _upoly(nc, self.var)
-        self.den = _upoly(dc, self.var)
+        self.num = Poly.from_univariate(nc, self.var)
+        self.den = Poly.from_univariate(dc, self.var)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -380,6 +371,16 @@ class RationalFunction:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a nonzero constant multiplies the numerator alone, which keeps
+            # the normal form
+            if not other:
+                return RationalFunction(0, var=self.var)
+            out = RationalFunction.__new__(RationalFunction)
+            out.var = self.var
+            out.num = self.num * other
+            out.den = self.den
+            return out
         other = self._coerce(other)
         return RationalFunction(self.num * other.num, self.den * other.den)
 
@@ -390,17 +391,6 @@ class RationalFunction:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def scale(self, q):
-        """self * q for a rational q, without renormalizing: a nonzero q
-        multiplies the numerator alone, which keeps the normal form."""
-        if not q:
-            return RationalFunction(0, var=self.var)
-        out = RationalFunction.__new__(RationalFunction)
-        out.var = self.var
-        out.num = self.num * q
-        out.den = self.den
-        return out
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):

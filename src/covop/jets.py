@@ -38,10 +38,6 @@ from fractions import Fraction
 
 
 def _scalar(c):
-    # the exact type test comes first: isinstance against Fraction goes
-    # through ABCMeta.__instancecheck__, which every float would pay
-    if type(c) is float:
-        return c
     if isinstance(c, Fraction):
         return float(c)
     return c

@@ -83,7 +83,7 @@ class SymCoeff:
         # rf -> rf / (sign * 2^v): fold the sign into i_pow, the 2-part into two_a
         v = _two_adic(content)
         sign = 1 if content > 0 else -1
-        self.rf = rf.scale(sign * Fraction(2) ** -v) if v or sign < 0 else rf
+        self.rf = rf * (Fraction(sign) * Fraction(2) ** (-v)) if v or sign < 0 else rf
         self.two_a = two_a + v
         self.two_b = two_b
         self.pi_half = pi_half
@@ -100,10 +100,7 @@ class SymCoeff:
                 and self.rf.num == other.rf.num and self.rf.den == other.rf.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymCoeff(self.rf.scale(other), self.two_a, self.two_b,
-                            self.pi_half, self.i_pow)
-        if isinstance(other, (Poly, RationalFunction)):
+        if isinstance(other, (int, Fraction, Poly, RationalFunction)):
             return SymCoeff(self.rf * other, self.two_a, self.two_b,
                             self.pi_half, self.i_pow)
         return SymCoeff(self.rf * other.rf, self.two_a + other.two_a,
@@ -131,7 +128,7 @@ class SymCoeff:
             sign = -1
         else:
             raise ValueError("cannot add coefficients differing by an odd power of i")
-        rf = self.rf + other.rf.scale(sign * Fraction(2) ** delta)
+        rf = self.rf + other.rf * (Fraction(sign) * Fraction(2) ** delta)
         return SymCoeff(rf, self.two_a, self.two_b, self.pi_half, self.i_pow)
 
     def __neg__(self):

@@ -8,8 +8,8 @@ applying a ``DiffOp`` to a polynomial, partial derivatives, evaluating a
 coefficient at a value, parsing an operator or coefficient document back,
 writing a restricted operator in the tangential basis with a
 zero-residual certificate, the rational-function normal form by Euclid at
-every degree, and the symbol-coefficient canonical form by a full
-rational-function product.  They enumerate the multi-indices of Lap'^s
+every degree, and the symbol-coefficient canonical form by renormalizing
+the rescaled numerator.  They enumerate the multi-indices of Lap'^s
 themselves, so a test that uses them does not rest on
 ``juhl.lap_prime_terms``.
 """
@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb, factorial, gcd
 
-from covop.algebra import Poly, _as_fraction, _udivmod, _ugcd
+from covop.algebra import Poly, RationalFunction, _as_fraction, _udivmod, _ugcd
 from covop.cli import op_vars
 from covop.juhl import TangentialOp, iterated
 
@@ -266,9 +266,9 @@ def rational_normal_form(num, den):
 
 def symcoeff_fields(rf, two_a=0, two_b=0, pi_half=0, i_pow=0):
     """(rf, two_a, two_b, pi_half, i_pow) of the canonical SymCoeff: the
-    signed rational content of rf's numerator taken out as a product
-    ``rf * Fraction`` of rational functions, its 2-part added to two_a and
-    its sign to i_pow."""
+    signed rational content of rf's numerator taken out by dividing the
+    numerator and renormalizing, its 2-part added to two_a and its sign to
+    i_pow."""
     if rf.is_zero():
         return rf, Fraction(0), Fraction(0), Fraction(0), 0
     g, l = 0, 1
@@ -282,6 +282,6 @@ def symcoeff_fields(rf, two_a=0, two_b=0, pi_half=0, i_pow=0):
     top, bottom = abs(content.numerator), content.denominator
     v = (top & -top).bit_length() - (bottom & -bottom).bit_length()
     sign = 1 if content > 0 else -1
-    return (rf * (sign * Fraction(2) ** -v),
+    return (RationalFunction(rf.num * (sign * Fraction(2) ** -v), rf.den),
             Fraction(two_a) + v, Fraction(two_b), Fraction(pi_half),
             (i_pow + (2 if sign < 0 else 0)) % 4)

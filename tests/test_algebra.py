@@ -206,12 +206,3 @@ def test_rf_normal_form_matches_euclid_at_every_degree(case):
     assert r.num.vars == r.den.vars == ("lam",)
     assert all(type(c) is Fraction for c in (*r.num.terms.values(), *r.den.terms.values()))
 
-
-@settings(max_examples=60, deadline=None)
-@given(normal_form_cases, small)
-def test_rf_scale_is_the_product_by_a_constant(case, q):
-    num, den, roots, a, b = case
-    r = RationalFunction(_times_roots(L(num), roots) * a, _times_roots(L(den), roots) * b)
-    for k in (q, int(q)):
-        got, want = r.scale(k), r * k
-        assert got.num.terms == want.num.terms and got.den.terms == want.den.terms

@@ -268,14 +268,15 @@ symcoeff_cases = st.tuples(
 
 @settings(max_examples=80, deadline=None)
 @given(symcoeff_cases, small_q)
-def test_symcoeff_rescaling_matches_the_rf_product(case, q):
+def test_symcoeff_rescaling_matches_renormalizing(case, q):
     num, den, num2, two_a, two_b, pi_half, i_pow, di = case
     r = rf(num, den)
     c = SymCoeff(r, two_a, two_b, pi_half, i_pow)
     assert fields(c) == product_fields(r, two_a, two_b, pi_half, i_pow)
     # by an int or a Fraction, zero included
     for k in (q, int(q)):
-        assert fields(c * k) == product_fields(c.rf * k, c.two_a, c.two_b,
+        want = RationalFunction(c.rf.num * k, c.rf.den)
+        assert fields(c * k) == product_fields(want, c.two_a, c.two_b,
                                                c.pi_half, c.i_pow)
     # a sum of commensurable coefficients: the 2-power offset and the sign
     # of the second are folded into its rational function
@@ -283,7 +284,8 @@ def test_symcoeff_rescaling_matches_the_rf_product(case, q):
     if c.is_zero() or d.is_zero():
         return
     sign = 1 if (d.i_pow - c.i_pow) % 4 == 0 else -1
-    want = c.rf + d.rf * (sign * Fraction(2) ** (d.two_a - c.two_a))
+    q = sign * Fraction(2) ** (d.two_a - c.two_a)
+    want = c.rf + RationalFunction(d.rf.num * q, d.rf.den)
     assert fields(c + d) == product_fields(want, c.two_a, c.two_b, c.pi_half, c.i_pow)
 
 
