@@ -6,7 +6,7 @@ that factors the convolution intertwiners through them, and seeded numerical
 verification of every covariance and ambient-space identity involved.
 """
 
-from .algebra import Poly, RationalFunction
+from .algebra import Poly
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, Rotation, SingularPoint, Translation,
                         chart_inverse, full_rotation, stereographic,
@@ -14,22 +14,22 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
 from .jets import Jet, coordinate_jets
 from .juhl import (NormalizationMeta, TangentialOp, iterated, juhl_coeffs,
                    leading_coeff, leading_factors, normalization_meta)
-from .symbolcalc import (HExpr, HTerm, SymCoeff, ClosureExceeded,
-                         check_factorization, check_ks_inversion, d_normal,
-                         knapp_stein_symbol, mul_norm_sq,
-                         symbol_ks_after_onestep, symbol_mult_after_ks)
+from .symbolcalc import (HExpr, HTerm, SymCoeff, check_factorization,
+                         check_ks_inversion, d_normal, knapp_stein_symbol,
+                         mul_norm_sq, symbol_ks_after_onestep,
+                         symbol_mult_after_ks)
 from .verify import (CheckReport, QuadratureBudgetExceeded,
                      run_suites, suite_ambient, suite_numeric, suite_symbolic)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly", "RationalFunction",
+    "Poly",
     "TangentialOp",
     "Jet", "coordinate_jets",
     "iterated", "juhl_coeffs", "leading_coeff", "leading_factors",
     "normalization_meta", "NormalizationMeta",
-    "SymCoeff", "HTerm", "HExpr", "ClosureExceeded",
+    "SymCoeff", "HTerm", "HExpr",
     "knapp_stein_symbol", "mul_norm_sq", "d_normal",
     "symbol_mult_after_ks", "symbol_ks_after_onestep", "check_factorization",
     "check_ks_inversion",

@@ -1,14 +1,9 @@
-"""Exact arithmetic: multivariate polynomials and rational functions over Q.
+"""Exact arithmetic: multivariate polynomials over Q.
 
-Everything downstream (the coefficients of the operator families, the
-Fourier-symbol algebra) reduces to identities in these rings, so coefficients
-are arbitrary-precision rationals throughout.
-
-A RationalFunction is kept in one normal form: denominator monic, numerator
-and denominator coprime, and zero stored as 0/1.  Building one runs the
-Fraction Euclid only when both sides have degree >= 1; with a constant side
-the gcd is 1.  A product with an int or Fraction scales the numerator and
-does not renormalize, since a unit factor keeps the normal form.
+The coefficients of the operator families reduce to identities in this ring,
+so coefficients are arbitrary-precision rationals throughout.  The rational
+functions of the Fourier-symbol algebra live in ``symbolcalc.SymCoeff``,
+which prints through :func:`pretty_terms`.
 """
 
 from fractions import Fraction
@@ -262,161 +257,3 @@ def pretty_terms(variables, terms):
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
-
-
-# -- univariate division (for rational-function normalization) ------------
-
-
-def _udivmod(a, b):
-    if len(b) == 1 and not b[0]:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and not a[-1]:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = f
-        for i, bc in enumerate(b):
-            a[i + k] -= f * bc
-        a.pop()
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    if not a:
-        a = [Fraction(0)]
-    return q, a
-
-
-def _ugcd(a, b):
-    a, b = list(a), list(b)
-    while any(b):
-        _, r = _udivmod(a, b)
-        a, b = b, r
-    if not any(a):
-        return [Fraction(1)]
-    lc = a[-1]
-    return [c / lc for c in a]
-
-
-class RationalFunction:
-    """Quotient of one-variable polynomials over Q, kept in normal form:
-    denominator monic and coprime to the numerator, and zero stored as 0/1.
-
-    Euclid runs only when both sides have degree >= 1.  A nonzero constant
-    is a unit, so with a constant side the gcd is 1 and normalizing is at
-    most one division by the leading coefficient of the denominator.
-    """
-
-    __slots__ = ("num", "den", "var")
-
-    def __init__(self, num, den=None, var="lam"):
-        if isinstance(num, (int, Fraction)):
-            num = Poly.const(num, (var,))
-        if den is None:
-            den = Poly.const(1, num.vars[0:1])
-        if isinstance(den, (int, Fraction)):
-            den = Poly.const(den, num.vars)
-        if num.vars != den.vars or len(num.vars) != 1:
-            raise ValueError("numerator and denominator must share one variable")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        self.var = num.vars[0]
-        nc, dc = num.to_univariate(self.var), den.to_univariate(self.var)
-        if len(nc) > 1 and len(dc) > 1:
-            g = _ugcd(nc, dc)
-            if len(g) > 1:
-                nc, _ = _udivmod(nc, g)
-                dc, _ = _udivmod(dc, g)
-        elif num.is_zero():
-            dc = [Fraction(1)]
-        lc = dc[-1]
-        if lc != 1:
-            nc = [c / lc for c in nc]
-            dc = [c / lc for c in dc]
-        self.num = Poly.from_univariate(nc, self.var)
-        self.den = Poly.from_univariate(dc, self.var)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def is_polynomial(self):
-        return self.den.to_univariate(self.var) == [Fraction(1)]
-
-    def __eq__(self, other):
-        """Cross-multiplied identity of rational functions."""
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RationalFunction(other if isinstance(other, Poly) else
-                                     Poly.const(other, (self.var,)))
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a nonzero constant multiplies the numerator alone, which keeps
-            # the normal form
-            if not other:
-                return RationalFunction(0, var=self.var)
-            out = RationalFunction.__new__(RationalFunction)
-            out.var = self.var
-            out.num = self.num * other
-            out.den = self.den
-            return out
-        other = self._coerce(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Poly):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(Poly.const(other, (self.var,)))
-        raise TypeError(f"cannot combine RationalFunction with {type(other).__name__}")
-
-    def shift(self, offset):
-        """Substitute ``lam -> lam + offset``."""
-        return RationalFunction(self.num.shift_var(self.var, offset),
-                                self.den.shift_var(self.var, offset))
-
-    def reflect(self, point):
-        """Substitute ``lam -> point - lam``."""
-        def flip(p):
-            c = p.shift_var(self.var, point).to_univariate(self.var)
-            return Poly.from_univariate([(-1) ** k * x for k, x in enumerate(c)], self.var)
-        return RationalFunction(flip(self.num), flip(self.den))
-
-    def pretty(self):
-        if self.is_polynomial():
-            return self.num.pretty()
-        return f"({self.num.pretty()})/({self.den.pretty()})"
-
-    def __repr__(self):
-        return f"RationalFunction({self.pretty()})"

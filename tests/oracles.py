@@ -7,9 +7,9 @@ operator as one, the family expanded from the classes of ``juhl.iterated``,
 applying a ``DiffOp`` to a polynomial, partial derivatives, evaluating a
 coefficient at a value, parsing an operator or coefficient document back,
 writing a restricted operator in the tangential basis with a
-zero-residual certificate, the rational-function normal form by Euclid at
-every degree, and the symbol-coefficient canonical form by renormalizing
-the rescaled numerator.  They enumerate the multi-indices of Lap'^s
+zero-residual certificate, and the normal form of a symbol coefficient by
+Euclid at every degree, normalizing again after the numerator's content is
+taken out.  They enumerate the multi-indices of Lap'^s
 themselves, so a test that uses them does not rest on
 ``juhl.lap_prime_terms``.
 """
@@ -19,9 +19,10 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb, factorial, gcd
 
-from covop.algebra import Poly, RationalFunction, _as_fraction, _udivmod, _ugcd
+from covop.algebra import Poly, _as_fraction
 from covop.cli import op_vars
 from covop.juhl import TangentialOp, iterated
+from covop.symbolcalc import _udivmod, _ugcd
 
 
 class NonTangentialForm(Exception):
@@ -249,39 +250,44 @@ def decompose_tangential(D, N):
     return TangentialOp(n, N, coeffs)
 
 
-def rational_normal_form(num, den):
-    """(num, den) of num/den in normal form, by the Fraction Euclid whatever
-    the degrees: the gcd divided out, then both sides divided by the leading
-    coefficient of the denominator, so 0 comes out as 0/1."""
-    var = num.vars[0]
-    nc, dc = num.to_univariate(var), den.to_univariate(var)
-    g = _ugcd(nc, dc)
-    if len(g) > 1 or g[0] != 1:
-        nc, _ = _udivmod(nc, g)
-        dc, _ = _udivmod(dc, g)
-    lc = dc[-1]
-    return (Poly.from_univariate([c / lc for c in nc], var),
-            Poly.from_univariate([c / lc for c in dc], var))
+def _euclid_normal_form(num, den):
+    """num/den by the Fraction Euclid whatever the degrees: the gcd divided
+    out, then both sides divided by the leading coefficient of the
+    denominator, so 0 comes out as ()/(1,)."""
+    num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
+    for p in (num, den):
+        while p and not p[-1]:
+            p.pop()
+    if not num:
+        return [], [Fraction(1)]
+    g = _ugcd(num, den)
+    num, _ = _udivmod(num, g)
+    den, _ = _udivmod(den, g)
+    lc = den[-1]
+    return [c / lc for c in num], [c / lc for c in den]
 
 
-def symcoeff_fields(rf, two_a=0, two_b=0, pi_half=0, i_pow=0):
-    """(rf, two_a, two_b, pi_half, i_pow) of the canonical SymCoeff: the
-    signed rational content of rf's numerator taken out by dividing the
-    numerator and renormalizing, its 2-part added to two_a and its sign to
-    i_pow."""
-    if rf.is_zero():
-        return rf, Fraction(0), Fraction(0), Fraction(0), 0
+def symcoeff_normal_form(num, den=(1,), two_a=0, two_b=0, pi_half=0, i_pow=0):
+    """(num, den, two_a, two_b, pi_half, i_pow) of the SymCoeff
+    num/den * 2^(two_a + two_b lam) pi^(pi_half/2) i^i_pow, from ascending
+    coefficients: normalized by Euclid at every degree, then the signed
+    rational content of the numerator taken out by dividing the numerator
+    and normalizing again, its 2-part added to two_a and its sign to i_pow."""
+    num, den = _euclid_normal_form(num, den)
+    if not num:
+        return (), (Fraction(1),), Fraction(0), Fraction(0), Fraction(0), 0
     g, l = 0, 1
-    for c in rf.num.terms.values():
+    for c in num:
         g = gcd(g, abs(c.numerator))
         l = l * c.denominator // gcd(l, c.denominator)
-    content = Fraction(g, l)
-    if rf.num.terms[max(rf.num.terms)] < 0:
-        content = -content
-    # 2-adic valuation from the lowest set bits of numerator and denominator
-    top, bottom = abs(content.numerator), content.denominator
-    v = (top & -top).bit_length() - (bottom & -bottom).bit_length()
+    content = Fraction(g, l) if num[-1] > 0 else Fraction(-g, l)
+    # 2-adic valuation by halving
+    v, top, bottom = 0, content.numerator, content.denominator
+    while top % 2 == 0:
+        top, v = top // 2, v + 1
+    while bottom % 2 == 0:
+        bottom, v = bottom // 2, v - 1
     sign = 1 if content > 0 else -1
-    return (RationalFunction(rf.num * (sign * Fraction(2) ** -v), rf.den),
-            Fraction(two_a) + v, Fraction(two_b), Fraction(pi_half),
-            (i_pow + (2 if sign < 0 else 0)) % 4)
+    num, den = _euclid_normal_form([c * (sign * Fraction(2) ** -v) for c in num], den)
+    return (tuple(num), tuple(den), Fraction(two_a) + v, Fraction(two_b),
+            Fraction(pi_half), (i_pow + (2 if sign < 0 else 0)) % 4)

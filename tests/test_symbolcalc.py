@@ -3,25 +3,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from covop import algebra, symbolcalc, verify
-from covop.algebra import Poly, RationalFunction
-from covop.symbolcalc import (DFHAT, FHAT, ClosureExceeded, HExpr, HTerm,
-                              SymCoeff, check_factorization,
+from covop import symbolcalc, verify
+from covop.algebra import Poly
+from covop.symbolcalc import (HExpr, HTerm, SymCoeff, check_factorization,
                               check_ks_inversion, d_normal,
                               factorization_constant, hat_kernel,
                               knapp_stein_symbol, mul_norm_sq,
                               symbol_ks_after_onestep, symbol_mult_after_ks)
 
-from oracles import symcoeff_fields
+from oracles import symcoeff_normal_form
 
 
-def rf(num, den=None):
-    return RationalFunction(Poly.from_univariate(num),
-                            None if den is None else Poly.from_univariate(den))
-
-
-def term(coeff, eta, s_const, s_lam, target=FHAT):
+def term(coeff, eta, s_const, s_lam, target=0):
     return HTerm(coeff, eta, s_const, s_lam, target)
+
+
+def at(coeffs, x):
+    """Value at x of the polynomial with these ascending coefficients."""
+    return sum(c * x ** k for k, c in enumerate(coeffs))
 
 
 # -- coefficient canonicalization ------------------------------------------------
@@ -29,16 +28,26 @@ def term(coeff, eta, s_const, s_lam, target=FHAT):
 
 def test_symcoeff_folds_two_powers_and_signs():
     # 2 lam/(lam-2) * 2^0  ==  lam/(lam-2) * 2^1
-    a = SymCoeff(rf([0, 2], [-2, 1]), two_a=0)
-    b = SymCoeff(rf([0, 1], [-2, 1]), two_a=1)
+    a = SymCoeff((0, 2), (-2, 1), two_a=0)
+    b = SymCoeff((0, 1), (-2, 1), two_a=1)
     assert a == b
     # the numerator content 3/4 keeps its odd part, the 2-part moves out
-    c = SymCoeff(rf([0, 3], [-8, 4]), two_a=0)   # 3 lam/(4 lam - 8)
-    d = SymCoeff(rf([0, 3], [-2, 1]), two_a=-2)  # 3 lam/(lam - 2) * 2^-2
+    c = SymCoeff((0, 3), (-8, 4), two_a=0)   # 3 lam/(4 lam - 8)
+    d = SymCoeff((0, 3), (-2, 1), two_a=-2)  # 3 lam/(lam - 2) * 2^-2
     assert c == d
     # a sign flip lands in the i-power
-    e = SymCoeff(rf([-1], [-2, 1]), two_a=2)
-    assert e == SymCoeff(rf([1], [-2, 1]), two_a=2, i_pow=2)
+    e = SymCoeff(-1, (-2, 1), two_a=2)
+    assert e == SymCoeff(1, (-2, 1), two_a=2, i_pow=2)
+
+
+def test_symcoeff_exponents_are_keyword_only():
+    # a positional exponent after the denominator is refused, not read as one
+    with pytest.raises(TypeError):
+        SymCoeff((0, 1), (1, 1), 2, 0, 0)
+    assert SymCoeff((0, 1), 2) == SymCoeff((0, 1), two_a=-1)
+    # products take an int, a Fraction or a SymCoeff only
+    with pytest.raises(TypeError):
+        SymCoeff(1) * Poly.from_univariate([0, 1])
 
 
 def test_symcoeff_multiplication_tracks_exponents():
@@ -58,12 +67,12 @@ def test_symcoeff_add_requires_commensurable_parts():
 
 def test_symcoeff_reflect():
     # lam -> 4 - lam: 2^(1+3lam) becomes 2^(13-3lam) and lam + 1 becomes 5 - lam
-    c = SymCoeff(rf([1, 1]), two_a=1, two_b=3, pi_half=2, i_pow=1)
-    assert c.reflect(4) == SymCoeff(rf([5, -1]), two_a=13, two_b=-3, pi_half=2, i_pow=1)
+    c = SymCoeff((1, 1), two_a=1, two_b=3, pi_half=2, i_pow=1)
+    assert c.reflect(4) == SymCoeff((5, -1), two_a=13, two_b=-3, pi_half=2, i_pow=1)
     assert c.reflect(4).reflect(4) == c
     # lam / (2 lam - 1) at 1/2 - lam is (1/2 - lam) / (-2 lam)
-    q = SymCoeff(rf([0, 1], [-1, 2]))
-    assert q.reflect(Fraction(1, 2)) == SymCoeff(rf([Fraction(1, 2), -1], [0, -2]))
+    q = SymCoeff((0, 1), (-1, 2))
+    assert q.reflect(Fraction(1, 2)) == SymCoeff((Fraction(1, 2), -1), (0, -2))
 
 
 # -- kernel rules -----------------------------------------------------------------
@@ -84,7 +93,7 @@ def test_knapp_stein_symbol_n2():
     e = knapp_stein_symbol(2)
     assert len(e.terms) == 1
     t = e.terms[0]
-    assert t.target == FHAT and t.eta_pow == 0
+    assert t.target == 0 and t.eta_pow == 0
     assert (t.s_const, t.s_lam) == (2, -2)
     assert t.coeff == SymCoeff(1, two_a=-2, two_b=2, pi_half=2)
 
@@ -113,8 +122,8 @@ def test_d_normal_product_rule():
     e = HExpr([term(SymCoeff(1), 0, 0, 2)])  # s = 2 lam
     got = d_normal(n, e)
     want = HExpr([
-        term(SymCoeff(rf([0, 4], [1, 2])), 1, -2, 2),
-        term(SymCoeff(1), 0, 0, 2, DFHAT),
+        term(SymCoeff((0, 4), (1, 2)), 1, -2, 2),
+        term(SymCoeff(1), 0, 0, 2, 1),
     ])
     assert got == want
 
@@ -123,7 +132,7 @@ def test_d_normal_s_zero_kills_kernel_term():
     # s identically 0: coefficient 2s/(n+s-2) vanishes as a rational function
     n = 5
     got = d_normal(n, HExpr([term(SymCoeff(1), 0, 0, 0)]))
-    assert got == HExpr([term(SymCoeff(1), 0, 0, 0, DFHAT)])
+    assert got == HExpr([term(SymCoeff(1), 0, 0, 0, 1)])
 
 
 def test_d_normal_eta_product_rule():
@@ -132,16 +141,33 @@ def test_d_normal_eta_product_rule():
     got = d_normal(n, e)
     want = HExpr([
         term(SymCoeff(1), 0, 0, 2),
-        term(SymCoeff(rf([0, 4], [1, 2])), 2, -2, 2),
-        term(SymCoeff(1), 1, 0, 2, DFHAT),
+        term(SymCoeff((0, 4), (1, 2)), 2, -2, 2),
+        term(SymCoeff(1), 1, 0, 2, 1),
     ])
     assert got == want
 
 
 def test_d_normal_closure():
-    e = HExpr([term(SymCoeff(1), 0, 0, 2, DFHAT)])
-    with pytest.raises(ClosureExceeded):
-        d_normal(3, e)
+    # targets close under every normal derivative: d/deta_n raises the
+    # derivative order of f^ by one, here to 2
+    n = 3
+    first = d_normal(n, HExpr([term(SymCoeff(1), 0, 0, 2, 1)]))  # s = 2 lam
+    assert first == HExpr([
+        term(SymCoeff((0, 4), (1, 2)), 1, -2, 2, 1),
+        term(SymCoeff(1), 0, 0, 2, 2),
+    ])
+    # twice from f^: 4lam/(2lam+1) * (4lam-4)/(2lam-1) on eta_n^2 h_(2lam-4),
+    # and the eta_n h_(2lam-2) (x) df^ terms of both steps merged
+    second = d_normal(n, d_normal(n, HExpr([term(SymCoeff(1), 0, 0, 2)])))
+    assert second == HExpr([
+        term(SymCoeff((0, 4), (1, 2)), 0, -2, 2),
+        term(SymCoeff((0, -16, 16), (-1, 0, 4)), 2, -4, 2),
+        term(SymCoeff((0, 8), (1, 2)), 1, -2, 2, 1),
+        term(SymCoeff(1), 0, 0, 2, 2),
+    ])
+    assert second.terms[-1].pretty() == "1·h_(2λ)⊗∂^2 f̂/∂η_n^2"
+    assert [t.pretty().rsplit("⊗", 1)[1] for t in first.terms] == [
+        "∂f̂/∂η_n", "∂^2 f̂/∂η_n^2"]
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=2)
@@ -169,39 +195,39 @@ def test_mult_after_ks_n3_coefficients():
     e = symbol_mult_after_ks(3)
     assert len(e.terms) == 2
     by_target = {t.target: t for t in e.terms}
-    d = by_target[DFHAT]
+    d = by_target[1]
     assert (d.s_const, d.s_lam, d.eta_pow) == (3, -2, 0)
     assert d.coeff == SymCoeff(1, two_a=-3, two_b=2, pi_half=3, i_pow=3)
-    f = by_target[FHAT]
+    f = by_target[0]
     assert (f.s_const, f.s_lam, f.eta_pow) == (1, -2, 1)
     # -i pi^(3/2) 2^(-3+2lam) (3-2lam)/(2-lam)
-    assert f.coeff == SymCoeff(rf([3, -2], [2, -1]), two_a=-3, two_b=2,
+    assert f.coeff == SymCoeff((3, -2), (2, -1), two_a=-3, two_b=2,
                                pi_half=3, i_pow=3)
 
 
 def test_ks_after_onestep_n3_coefficients():
     e = symbol_ks_after_onestep(3)
     by_target = {t.target: t for t in e.terms}
-    d = by_target[DFHAT]
+    d = by_target[1]
     # -i 2^(-1+2lam) pi^(3/2) (lam-2)
-    assert d.coeff == SymCoeff(rf([-2, 1]), two_a=-1, two_b=2, pi_half=3, i_pow=3)
-    f = by_target[FHAT]
-    assert f.coeff == SymCoeff(rf([-3, 2]), two_a=-1, two_b=2, pi_half=3, i_pow=3)
+    assert d.coeff == SymCoeff((-2, 1), two_a=-1, two_b=2, pi_half=3, i_pow=3)
+    f = by_target[0]
+    assert f.coeff == SymCoeff((-3, 2), two_a=-1, two_b=2, pi_half=3, i_pow=3)
     assert (f.s_const, f.s_lam, f.eta_pow) == (1, -2, 1)
 
 
 def test_dfhat_coefficient_vanishes_at_lam_one_n2():
     e = symbol_ks_after_onestep(2)
-    d = next(t for t in e.terms if t.target == DFHAT)
-    assert d.coeff.rf.num.evaluate([Fraction(1)]) == 0
+    d = next(t for t in e.terms if t.target == 1)
+    assert at(d.coeff.num, Fraction(1)) == 0
 
 
 def test_mult_after_ks_fhat_vanishes_at_half_n1():
     # n = 1: the kernel-term coefficient carries the factor (n - 2 lam),
     # whose numerator vanishes at lam = 1/2
     e = symbol_mult_after_ks(1)
-    f = next(t for t in e.terms if t.target == FHAT)
-    assert f.coeff.rf.num.evaluate([Fraction(1, 2)]) == 0
+    f = next(t for t in e.terms if t.target == 0)
+    assert at(f.coeff.num, Fraction(1, 2)) == 0
 
 
 def test_factorization_identity():
@@ -226,8 +252,7 @@ def test_ks_inversion_needs_one_multiplier_term(monkeypatch, shape):
 
 def test_factorization_fails_with_wrong_constant():
     for n in (1, 3):
-        den = Poly.from_univariate([4 * (2 - n), 4])  # 4(lam - n + 2): wrong shift
-        wrong = SymCoeff(RationalFunction(Poly.from_univariate([1]), den))
+        wrong = SymCoeff(1, (4 * (2 - n), 4))  # 4(lam - n + 2): wrong shift
         lhs = symbol_mult_after_ks(n)
         rhs = symbol_ks_after_onestep(n).scale(wrong)
         assert lhs != rhs
@@ -250,13 +275,7 @@ def test_scaling_both_sides_preserves_verdict(a, ipow):
 
 
 def fields(c):
-    return (c.rf.num.terms, c.rf.den.terms, c.rf.var, c.two_a, c.two_b,
-            c.pi_half, c.i_pow)
-
-
-def product_fields(rf, *rest):
-    ref, *tail = symcoeff_fields(rf, *rest)
-    return (ref.num.terms, ref.den.terms, ref.var, *tail)
+    return (c.num, c.den, c.two_a, c.two_b, c.pi_half, c.i_pow)
 
 
 small_q = st.fractions(min_value=-12, max_value=12, max_denominator=8)
@@ -270,34 +289,36 @@ symcoeff_cases = st.tuples(
 @given(symcoeff_cases, small_q)
 def test_symcoeff_rescaling_matches_renormalizing(case, q):
     num, den, num2, two_a, two_b, pi_half, i_pow, di = case
-    r = rf(num, den)
-    c = SymCoeff(r, two_a, two_b, pi_half, i_pow)
-    assert fields(c) == product_fields(r, two_a, two_b, pi_half, i_pow)
+    c = SymCoeff(num, den, two_a=two_a, two_b=two_b, pi_half=pi_half, i_pow=i_pow)
+    assert fields(c) == symcoeff_normal_form(num, den, two_a, two_b, pi_half, i_pow)
+    exps = (c.two_a, c.two_b, c.pi_half, c.i_pow)
     # by an int or a Fraction, zero included
     for k in (q, int(q)):
-        want = RationalFunction(c.rf.num * k, c.rf.den)
-        assert fields(c * k) == product_fields(want, c.two_a, c.two_b,
-                                               c.pi_half, c.i_pow)
+        assert fields(c * k) == symcoeff_normal_form([x * k for x in c.num], c.den, *exps)
     # a sum of commensurable coefficients: the 2-power offset and the sign
-    # of the second are folded into its rational function
-    d = SymCoeff(rf(num2, den), two_a + 2, two_b, pi_half, i_pow + di)
+    # of the second are folded into its numerator
+    d = SymCoeff(num2, den, two_a=two_a + 2, two_b=two_b, pi_half=pi_half,
+                 i_pow=i_pow + di)
     if c.is_zero() or d.is_zero():
         return
     sign = 1 if (d.i_pow - c.i_pow) % 4 == 0 else -1
     q = sign * Fraction(2) ** (d.two_a - c.two_a)
-    want = c.rf + RationalFunction(d.rf.num * q, d.rf.den)
-    assert fields(c + d) == product_fields(want, c.two_a, c.two_b, c.pi_half, c.i_pow)
+    L = Poly.from_univariate
+    want_num = L(c.num) * L(d.den) + L(d.num) * q * L(c.den)
+    want_den = L(c.den) * L(d.den)
+    assert fields(c + d) == symcoeff_normal_form(
+        want_num.to_univariate(), want_den.to_univariate(), *exps)
 
 
 def test_suite_symbolic_runs_euclid_only_on_nonconstant_pairs(monkeypatch):
     calls = []
-    ugcd = algebra._ugcd
+    ugcd = symbolcalc._ugcd
 
     def spy(a, b):
         calls.append((len(a), len(b)))
         return ugcd(a, b)
 
-    monkeypatch.setattr(algebra, "_ugcd", spy)
+    monkeypatch.setattr(symbolcalc, "_ugcd", spy)
     assert all(r.passed for r in verify.suite_symbolic())
     assert calls, "the suite has rational functions with both degrees >= 1"
     assert all(la > 1 and lb > 1 for la, lb in calls), calls

@@ -539,12 +539,15 @@ def test_hat_involution_fails_on_a_doubled_coefficient(monkeypatch):
 KS_PERTURBATIONS = {
     "doubled_coefficient": lambda c, sc, sl: (c * 2, sc, sl),
     "pi_half_plus_1": lambda c, sc, sl: (
-        symbolcalc.SymCoeff(c.rf, c.two_a, c.two_b, c.pi_half + 1, c.i_pow), sc, sl),
+        symbolcalc.SymCoeff(c.num, c.den, two_a=c.two_a, two_b=c.two_b,
+                            pi_half=c.pi_half + 1, i_pow=c.i_pow), sc, sl),
     "two_b_1": lambda c, sc, sl: (
-        symbolcalc.SymCoeff(c.rf, c.two_a, 1, c.pi_half, c.i_pow), sc, sl),
+        symbolcalc.SymCoeff(c.num, c.den, two_a=c.two_a, two_b=1,
+                            pi_half=c.pi_half, i_pow=c.i_pow), sc, sl),
     "i_pow_1": lambda c, sc, sl: (
-        symbolcalc.SymCoeff(c.rf, c.two_a, c.two_b, c.pi_half, 1), sc, sl),
-    "rf_times_lam": lambda c, sc, sl: (c * Poly.variable("lam", ("lam",)), sc, sl),
+        symbolcalc.SymCoeff(c.num, c.den, two_a=c.two_a, two_b=c.two_b,
+                            pi_half=c.pi_half, i_pow=1), sc, sl),
+    "rf_times_lam": lambda c, sc, sl: (c * symbolcalc.SymCoeff((0, 1)), sc, sl),
     "s_const_plus_1": lambda c, sc, sl: (c, sc + 1, sl),
     "s_lam_minus_1": lambda c, sc, sl: (c, sc, -1),
 }
