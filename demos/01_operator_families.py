@@ -9,13 +9,15 @@ polynomial coefficients we can read off exactly.
 
 covop hands out each composition by coefficient class: ``iterated(n, N)``
 maps (s, a) to the coefficient of Δ'^s ∂_n^a, a polynomial in λ and ξ_n.
+A tangential coefficient is a polynomial in λ alone, the tuple of its
+integer coefficients in ascending order, printed by ``pretty_lam``.
 """
 
 from fractions import Fraction
 from math import comb
 
 from covop import iterated, juhl_coeffs, leading_coeff, normalization_meta
-from covop.algebra import pretty_terms
+from covop.algebra import pretty_lam, pretty_terms
 
 n = 3
 
@@ -49,12 +51,12 @@ show({sa: F for sa, F in restricted.items() if F}, ("lam",))
 print("\ntangential coefficients for N = 1..4:")
 for N in range(1, 5):
     tang = juhl_coeffs(n, N)
-    row = ",  ".join(f"a_{j} = {a.pretty()}" for j, a in enumerate(tang.coeffs))
+    row = ",  ".join(f"a_{j} = {pretty_lam(a)}" for j, a in enumerate(tang.coeffs))
     print(f"    N={N}:  {row}")
 
 print("\nthe leading coefficient has the closed product form:")
 for N in (2, 5):
-    print(f"    N={N}:  {leading_coeff(n, N).pretty()}")
+    print(f"    N={N}:  {pretty_lam(leading_coeff(n, N))}")
 
 print("\nscalar normalization metadata (Gamma factors and parity ratio):")
 for N in (1, 2):

@@ -1,13 +1,14 @@
-"""Exact arithmetic: multivariate polynomials over Q.
+"""Exact arithmetic: multivariate polynomials over Q, and the display of
+polynomials in lam.
 
-The coefficients of the operator families reduce to identities in this ring,
-so coefficients are arbitrary-precision rationals throughout.  The rational
-functions of the Fourier-symbol algebra live in ``symbolcalc.SymCoeff``,
-which prints through :func:`pretty_terms`.
+``Poly`` holds the polynomial test functions in xi (the prefactor of a
+``GaussianBump``, the sphere functions of the ambient suite).  A polynomial
+in lam, as the operator families and the symbol algebra hold it, is a plain
+tuple of its coefficients in ascending order with no trailing zero (zero is
+``()``); :func:`pretty_lam` prints it.
 """
 
 from fractions import Fraction
-from math import comb
 
 
 def _as_fraction(c):
@@ -70,19 +71,11 @@ class Poly:
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(vars, {exps: Fraction(1)})
 
-    @classmethod
-    def from_univariate(cls, coeffs, name="lam"):
-        """Build a one-variable Poly from ascending coefficients."""
-        return cls((name,), {(k,): _as_fraction(c) for k, c in enumerate(coeffs) if c})
-
     # -- basic structure ---------------------------------------------------
 
     def _check(self, other):
         if self.vars != other.vars:
             raise ValueError(f"variable lists differ: {self.vars} vs {other.vars}")
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -93,9 +86,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     # -- ring operations ---------------------------------------------------
 
@@ -169,23 +159,7 @@ class Poly:
             k >>= 1
         return out
 
-    # -- substitution and evaluation --------------------------------------
-
-    def shift_var(self, name, offset):
-        """Substitute ``var -> var + offset`` with exact binomial expansion."""
-        i = self.vars.index(name)
-        offset = _as_fraction(offset)
-        res = Poly.zero(self.vars)
-        for e, c in self.terms.items():
-            k = e[i]
-            for j in range(k + 1):
-                ne = e[:i] + (j,) + e[i + 1:]
-                res = res + Poly(self.vars, {ne: c * comb(k, j) * offset ** (k - j)})
-        return res
-
-    def degree_in(self, name):
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
+    # -- evaluation ------------------------------------------------------
 
     def evaluate(self, values):
         """Evaluate at a full assignment (one value per variable).
@@ -203,17 +177,6 @@ class Poly:
                     term = term * v
             total = total + term
         return total
-
-    def to_univariate(self, name="lam"):
-        """Ascending coefficient list, requiring all other variables absent."""
-        i = self.vars.index(name)
-        deg = self.degree_in(name)
-        coeffs = [Fraction(0)] * (deg + 1)
-        for e, c in self.terms.items():
-            if any(e[j] for j in range(len(e)) if j != i):
-                raise ValueError(f"polynomial involves variables other than {name}")
-            coeffs[e[i]] = c
-        return coeffs
 
     # -- display -----------------------------------------------------------
 
@@ -257,3 +220,9 @@ def pretty_terms(variables, terms):
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
+
+
+def pretty_lam(coeffs):
+    """Display string of a polynomial in lam given by its ascending
+    coefficients, as :func:`pretty_terms` prints it."""
+    return pretty_terms(("lam",), {(k,): c for k, c in enumerate(coeffs) if c})

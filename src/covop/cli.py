@@ -20,22 +20,16 @@ import argparse
 import json
 import sys
 
-from .algebra import pretty_terms
+from .algebra import pretty_lam, pretty_terms
 from .juhl import (iterated, juhl_coeffs, lap_prime_terms, leading_factors,
                    normalization_meta, pretty_factors)
-from .verify import QuadratureBudgetExceeded, run_suites
+from .verify import SUITES, QuadratureBudgetExceeded, run_suites
 
 COEFFS_MAX_N = 8
 COEFFS_MAX_ORDER = 12
 
 
 # -- exact serialization -----------------------------------------------------
-
-
-def poly_to_triples(p):
-    """[(exponent vector, numerator string, denominator string)] sorted."""
-    return [[list(e), str(c.numerator), str(c.denominator)]
-            for e, c in sorted(p.terms.items())]
 
 
 def normalization_to_dict(meta):
@@ -54,7 +48,8 @@ def normalization_to_dict(meta):
 def coeff_table(n, N):
     rows = []
     for j, p in enumerate(juhl_coeffs(n, N).coeffs):
-        row = {"j": j, "poly": poly_to_triples(p), "display": p.pretty()}
+        poly = [[[k], str(c.numerator), str(c.denominator)] for k, c in enumerate(p) if c]
+        row = {"j": j, "poly": poly, "display": pretty_lam(p)}
         if j == 0:
             row["factored"] = pretty_factors(leading_factors(n, N))
         rows.append(row)
@@ -136,14 +131,14 @@ def _emit_operator(n, N, stream):
 def _emit_coeffs_csv(n, N, stream):
     stream.write("j,coeffs,display\n")
     for j, p in enumerate(juhl_coeffs(n, N).coeffs):
-        asc = ";".join(map(str, p.to_univariate()))
-        stream.write(f"{j},{asc},{p.pretty()}\n")
+        asc = ";".join(map(str, p or (0,)))
+        stream.write(f"{j},{asc},{pretty_lam(p)}\n")
 
 
 def _emit_coeffs_latex(n, N, stream):
     stream.write("\\begin{aligned}\n")
     for j, p in enumerate(juhl_coeffs(n, N).coeffs):
-        body = pretty_factors(leading_factors(n, N)) if j == 0 else p.pretty()
+        body = pretty_factors(leading_factors(n, N)) if j == 0 else pretty_lam(p)
         body = body.replace("λ", "\\lambda ")
         stream.write(f"a_{{{j}}}(\\lambda) &= {body} \\\\\n")
     stream.write("\\end{aligned}\n")
@@ -229,8 +224,7 @@ def build_parser():
     p.add_argument("--format", choices=("json", "csv", "latex"), default="json")
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("--suite", choices=("symbolic", "numeric", "ambient", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-min", type=int, default=None)
     p.add_argument("--n-max", type=int, default=None)

@@ -10,7 +10,8 @@ module gives every iterate in closed form in the reduced basis xi_n^i d_n^j
 Lap^k, splits it over derivatives into the coefficient classes of
 ``iterated`` for the export, and reads the tangential coefficients (a
 ``TangentialOp``) off its xi_n-free keys; the Gamma-factor normalization
-metadata is in closed form.
+metadata is in closed form.  A polynomial in lam is the tuple of its
+integer coefficients in ascending order with no trailing zero, () for 0.
 ``lap_prime_terms`` is the one expansion of Lap'^s over derivative
 multi-indices; the export and the numeric covariance table read it.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .algebra import Poly
+from .algebra import pretty_lam
 
 
 # -- iterated family -----------------------------------------------------------
@@ -156,16 +157,18 @@ def pretty_factors(factors):
 
 def leading_coeff(n, N):
     """Closed form of the pure-normal-derivative coefficient of the restricted
-    family: prod_{m=N+1}^{2N} (2*lam - n + m), multiplied out in ints."""
+    family: prod_{m=N+1}^{2N} (2*lam - n + m), multiplied out in ints; the
+    top coefficient is 2^N, so there is no trailing zero."""
     c = [1]
     for m in range(N + 1, 2 * N + 1):
         c = [(m - n) * x + 2 * y for x, y in zip(c + [0], [0] + c)]
-    return Poly.from_univariate(c)
+    return tuple(c)
 
 
 class TangentialOp:
     """Hyperplane operator sum_j a_j d_n^(N-2j) Lap'^j followed by restriction;
-    each coefficient a_j is a one-variable Poly in lam."""
+    each coefficient a_j is a polynomial in lam, the tuple of its ascending
+    coefficients with no trailing zero."""
 
     __slots__ = ("n", "N", "coeffs")
 
@@ -180,8 +183,7 @@ class TangentialOp:
     def __eq__(self, other):
         if not isinstance(other, TangentialOp):
             return NotImplemented
-        return (self.n, self.N) == (other.n, other.N) and \
-            all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return (self.n, self.N, self.coeffs) == (other.n, other.N, other.coeffs)
 
     def pretty(self):
         parts = []
@@ -192,7 +194,7 @@ class TangentialOp:
             if j:
                 ds.append(f"Δ'^{j}" if j > 1 else "Δ'")
             head = "·".join(ds) if ds else "1"
-            parts.append(f"({a.pretty()})·{head}")
+            parts.append(f"({pretty_lam(a)})·{head}")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -211,8 +213,10 @@ def juhl_coeffs(n, N):
         a_m = sum_{k=m}^{N//2} C(k, m) c_(0, N-2k, k),
 
     the xi_n-free part of the class F(m, N - 2m) of ``iterated``, read
-    without building the class table.  For n = 1 there is no Lap' and only
-    a_0 survives.  a_0 is checked against the closed form, so a mismatch can
+    without building the class table.  The k = m term alone reaches the top
+    degree N - m, with a positive coefficient, so no a_m has a trailing
+    zero.  For n = 1 there is no Lap' and only a_0 survives; a_m, m > 0, is
+    ().  a_0 is checked against the closed form, so a mismatch can
     only mean an implementation bug.
     """
     if N < 1:
@@ -228,7 +232,7 @@ def juhl_coeffs(n, N):
                 w = comb(k, m)
                 for deg, x in enumerate(reduced[0, N - 2 * k, k]):
                     a[deg] += w * x
-        coeffs.append(Poly.from_univariate(a))
+        coeffs.append(tuple(a))
     if coeffs[0] != leading_coeff(n, N):
         raise RuntimeError(
             f"leading tangential coefficient deviates from closed form at n={n}, N={N}")

@@ -21,7 +21,7 @@ coefficient tuples, and SymCoeff owns its one normal form.
 import math
 from fractions import Fraction
 
-from .algebra import _as_fraction as _frac, pretty_terms
+from .algebra import _as_fraction as _frac, pretty_lam
 
 
 def _two_adic(q):
@@ -234,10 +234,9 @@ class SymCoeff:
                 bits.append(f"2^{self.two_a}")
         if self.pi_half:
             bits.append(f"π^({self.pi_half}/2)")
-
-        def text(p):
-            return pretty_terms(("lam",), {(k,): c for k, c in enumerate(p) if c})
-        rf = text(self.num) if self.den == (1,) else f"({text(self.num)})/({text(self.den)})"
+        rf = pretty_lam(self.num)
+        if self.den != (1,):
+            rf = f"({rf})/({pretty_lam(self.den)})"
         if rf != "1" or not bits:
             bits.append(f"({rf})" if ("+" in rf or "-" in rf[1:]) else rf)
         return "·".join(bits)

@@ -58,7 +58,8 @@ class CheckReport:
     def from_errors(cls, name, errs, tol, diags=None):
         if not errs:
             return cls(name, 0, 0.0, tol, True, "no samples")
-        worst = int(np.argmax(errs))
+        # the first NaN, else the first largest error, as np.argmax picks
+        worst = max(range(len(errs)), key=lambda k: (math.isnan(errs[k]), errs[k]))
         diag = diags[worst] if diags else f"sample {worst}"
         return cls(name, len(errs), float(errs[worst]), tol,
                    bool(errs[worst] <= tol), diag)
@@ -140,14 +141,15 @@ def _sampled(name, samples, tol, draw):
     """CheckReport over ``samples`` accepted results of draw(k), k the number
     accepted so far, within DRAWS_PER_SAMPLE * samples draws.  A draw returns
     (err, diagnostic), or rejects its sample by returning None or raising
-    SingularPoint/RuntimeError; a check left short of its samples fails."""
+    SingularPoint; any other exception propagates.  A check left short of
+    its samples fails."""
     got = []
     for _ in range(DRAWS_PER_SAMPLE * samples):
         if len(got) == samples:
             break
         try:
             out = draw(len(got))
-        except (SingularPoint, RuntimeError):
+        except SingularPoint:
             continue
         if out is not None:
             got.append(out)
@@ -162,7 +164,9 @@ def _sampled(name, samples, tol, draw):
 
 def sample_point_for(rng, g, f, on_hyperplane=False):
     """A point xi where rho_lam(g) f is healthy: xi = g(y) with y inside the
-    bump, resampled until no inversion hits its singular guard."""
+    bump, resampled until no inversion hits its singular guard.  Raises
+    SingularPoint when POINT_TRIES candidates all fail, which rejects the
+    sample in ``_sampled``."""
     n = f.n
     for _ in range(POINT_TRIES):
         y = np.array(f.center) + rng.uniform(-1.0, 1.0, n) * 0.8 * f.width
@@ -179,7 +183,7 @@ def sample_point_for(rng, g, f, on_hyperplane=False):
         if on_hyperplane:
             xi = xi[:-1] + (0.0,)
         return xi
-    raise RuntimeError("could not sample a regular point for this word")
+    raise SingularPoint("could not sample a regular point for this word")
 
 
 # -- geometric identities ---------------------------------------------------------
@@ -312,7 +316,7 @@ def _restricted_table(n, N):
     coefficient multinomial(m') * a_m, |m'| = m, lam-degrees ascending."""
     table = {}
     for m, a in enumerate(juhl_coeffs(n, N).coeffs):
-        terms = [(e[0], int(c)) for e, c in sorted(a.terms.items())]
+        terms = [(deg, c) for deg, c in enumerate(a) if c]
         # one walk per order, not one over all: the insertion order of table
         # is the float summation order of _apply_coeff_table, so walking
         # every order at once would reorder those sums and move the digits
@@ -844,7 +848,7 @@ def suite_symbolic(n_min=1, n_max=8):
             for deg, x in enumerate(c):
                 key = (deg, i + N - drop)
                 got[key] = got.get(key, 0) + x * factor
-        want = enumerate(juhl.leading_coeff(n, N).to_univariate())
+        want = enumerate(juhl.leading_coeff(n, N))
         return ({key: c for key, c in got.items() if c}
                 == {(deg, 0): math.factorial(N) * c for deg, c in want if c})
 
@@ -943,9 +947,16 @@ def suite_ambient(seed=0, n_min=1, n_max=8):
     return reports
 
 
+SUITES = ("symbolic", "numeric", "ambient", "all")
+
+
 def run_suites(which="all", seed=0, n_min=None, n_max=None):
     """Reports of the chosen suites over n_min <= n <= n_max (None: 1 and 8);
-    empty when no check of those suites covers an n in the range."""
+    empty when no check of those suites covers an n in the range.  A
+    ``which`` outside SUITES raises ValueError."""
+    if which not in SUITES:
+        raise ValueError(f"unknown suite {which!r}; choose one of "
+                         f"{', '.join(SUITES)}")
     n_min = 1 if n_min is None else n_min
     n_max = 8 if n_max is None else n_max
     reports = []

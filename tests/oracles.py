@@ -4,8 +4,10 @@ The library builds the families in the reduced X^i P^j L^k basis of
 ``covop.juhl``.  These are the generic routes it replaced: the Fraction
 ``DiffOp`` with exact Leibniz composition and restriction, the one-step
 operator as one, the family expanded from the classes of ``juhl.iterated``,
-applying a ``DiffOp`` to a polynomial, partial derivatives, evaluating a
-coefficient at a value, parsing an operator or coefficient document back,
+applying a ``DiffOp`` to a polynomial, partial derivatives, the shift
+lam -> lam + t, evaluating a coefficient at a value, a polynomial in lam
+to and from its ascending coefficients, writing a polynomial as the exact
+triples of a document and parsing an operator or coefficient document back,
 writing a restricted operator in the tangential basis with a
 zero-residual certificate, and the normal form of a symbol coefficient by
 Euclid at every degree, normalizing again after the numerator's content is
@@ -56,6 +58,38 @@ def partial(p, name):
                          for e, c in p.terms.items() if e[i]})
 
 
+def shift_var(p, name, offset):
+    """Substitute ``name -> name + offset`` in the Poly p with exact binomial
+    expansion."""
+    i = p.vars.index(name)
+    offset = _as_fraction(offset)
+    res = Poly.zero(p.vars)
+    for e, c in p.terms.items():
+        k = e[i]
+        for j in range(k + 1):
+            ne = e[:i] + (j,) + e[i + 1:]
+            res = res + Poly(p.vars, {ne: c * comb(k, j) * offset ** (k - j)})
+    return res
+
+
+def lam_poly(coeffs):
+    """The one-variable Poly in lam of the ascending coefficients ``coeffs``."""
+    return Poly(("lam",), {(k,): c for k, c in enumerate(coeffs)})
+
+
+def lam_coeffs(p):
+    """The Poly p, which may involve lam alone, as the tuple of its ascending
+    lam coefficients with no trailing zero, each an int when it is one: the
+    form of ``juhl``'s polynomials in lam."""
+    i = p.vars.index("lam")
+    if any(x for e in p.terms for j, x in enumerate(e) if j != i):
+        raise ValueError("polynomial involves variables other than lam")
+    out = [0] * (max((e[i] for e in p.terms), default=-1) + 1)
+    for e, c in p.terms.items():
+        out[e[i]] = c.numerator if c.denominator == 1 else c
+    return tuple(out)
+
+
 class DiffOp:
     """Differential operator sum_alpha c_alpha(lam, xi) d^alpha on R^n, each
     c_alpha a Poly over op_vars(n); zero coefficients are dropped.  Operators
@@ -74,7 +108,7 @@ class DiffOp:
 
     def shift_lambda(self, offset):
         """Substitute lam -> lam + offset in every coefficient."""
-        return DiffOp(self.n, {a: p.shift_var("lam", offset)
+        return DiffOp(self.n, {a: shift_var(p, "lam", offset)
                                for a, p in self.terms.items()})
 
     def compose(self, other):
@@ -148,6 +182,14 @@ def expand(n, N):
     return DiffOp(n, terms)
 
 
+def poly_to_triples(p):
+    """[(exponent vector, numerator string, denominator string)] of the Poly
+    p, sorted by exponent vector: the ``poly`` and ``coeff`` fields of the
+    JSON documents."""
+    return [[list(e), str(c.numerator), str(c.denominator)]
+            for e, c in sorted(p.terms.items())]
+
+
 def poly_from_triples(variables, triples):
     """The Poly of [(exponent vector, numerator, denominator)] triples."""
     return Poly(tuple(variables), {tuple(exps): Fraction(int(num), int(den))
@@ -210,11 +252,12 @@ def decompose_tangential(D, N):
     input lies in the tangential span.
     """
     n = D.n
-    # coefficients must be constant in all xi variables and polynomial in lam
+    # coefficients must be constant in all xi variables and polynomial in lam;
+    # xi_i is slot i of op_vars(n)
     working = {}
     for alpha, coeff in D.terms.items():
         for i in range(1, n + 1):
-            if coeff.degree_in(f"xi{i}") > 0:
+            if any(e[i] for e in coeff.terms):
                 raise NonTangentialForm(
                     f"coefficient of {alpha} depends on xi{i}")
         working[alpha] = coeff
@@ -225,14 +268,14 @@ def decompose_tangential(D, N):
         if n == 1:
             # no tangential directions: only the pure normal term survives
             if j > 0:
-                coeffs.append(Poly.zero(("lam",)))
+                coeffs.append(())
                 continue
             probe = (N,)
         else:
             probe = (2 * j,) + (0,) * (n - 2) + (N - 2 * j,)
         a_j = working.get(probe, Poly.zero(vars_))
-        coeffs.append(Poly.from_univariate(a_j.to_univariate("lam")))
-        if a_j.is_zero():
+        coeffs.append(lam_coeffs(a_j))
+        if not a_j:
             continue
         # subtract a_j * eta_n^(N-2j) |eta'|^(2j) expanded over monomials
         for m in weak_compositions(j, n - 1):

@@ -1,18 +1,21 @@
 import hashlib
+import importlib.util
 import io
 import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from covop.cli import _emit_operator, coeff_table, main, op_vars, poly_to_triples
-from covop.juhl import leading_coeff
+from covop.cli import _emit_operator, coeff_table, main, op_vars
+from covop.juhl import juhl_coeffs, leading_coeff
 from covop import verify
 
-from oracles import expand, one_step, operator_from_dict, poly_from_triples
+from oracles import (expand, lam_coeffs, lam_poly, one_step, operator_from_dict,
+                     poly_from_triples, poly_to_triples)
 
 
 def run_cli(capsys, *argv):
@@ -29,7 +32,7 @@ def test_coeffs_json_n4_N1(capsys):
     assert len(doc["rows"]) == 1
     assert doc["rows"][0]["display"] == "2λ - 2"
     p = poly_from_triples(("lam",), doc["rows"][0]["poly"])
-    assert p == leading_coeff(4, 1)
+    assert lam_coeffs(p) == leading_coeff(4, 1)
 
 
 def test_coeffs_row_count_and_a0():
@@ -37,7 +40,19 @@ def test_coeffs_row_count_and_a0():
         table = coeff_table(n, N)
         assert len(table["rows"]) == N // 2 + 1
         p = poly_from_triples(("lam",), table["rows"][0]["poly"])
-        assert p == leading_coeff(n, N)
+        assert lam_coeffs(p) == leading_coeff(n, N)
+
+
+def test_coeffs_rows_match_the_poly_route():
+    # each row's poly and display are the triples and text of the one-variable
+    # Poly of its coefficients, zero rows (n = 1) included
+    for n in (1, 3, 8):
+        for N in (1, 4, 7):
+            rows = coeff_table(n, N)["rows"]
+            for row, a in zip(rows, juhl_coeffs(n, N).coeffs):
+                p = lam_poly(a)
+                assert row["poly"] == poly_to_triples(p), (n, N)
+                assert row["display"] == p.pretty(), (n, N)
 
 
 def test_coeffs_csv_expanded(capsys):
@@ -67,6 +82,25 @@ def test_coeffs_bytes_pinned(capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--n", "8", "--N", "12", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
+
+
+def test_coeffs_match_the_benchmark_golden(capsys, tmp_path):
+    # every coeffs call of the export benchmark, digested as the benchmark's
+    # own output check digests it, against its golden file
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", bench / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    golden = json.loads((bench / "golden.json").read_text(encoding="utf-8"))["export"]
+    calls = [key for key in golden if key.startswith("coeffs ")]
+    assert len(calls) == 8 * 12 * 3
+    path = tmp_path / "out"
+    for key in calls:
+        argv = key.split()
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, key
+        path.write_text(out, encoding="utf-8")
+        assert checks.document_digest(argv, str(path)) == golden[key], key
 
 
 def test_coeffs_range_violation(capsys):

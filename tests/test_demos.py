@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against this checkout, the symbol
-demo prints its pinned text, and the README's examples match the package."""
+"""Every demo script runs to completion against this checkout, the family
+and symbol demos print their pinned text, and the README's examples match
+the package."""
 
 import hashlib
 import shlex
@@ -14,9 +15,12 @@ from covop.cli import build_parser
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-# stdout sha256 of the demos whose text is pinned byte for byte: the symbol
-# demo prints coefficients and kernels through SymCoeff.pretty and HTerm.pretty
-PINNED = {"02_symbol_factorization.py":
+# stdout sha256 of the demos whose text is pinned byte for byte: the family
+# demo prints the exact classes and tangential coefficients, the symbol demo
+# coefficients and kernels through SymCoeff.pretty and HTerm.pretty
+PINNED = {"01_operator_families.py":
+          "4d3c39a3423b552b301b68741fe429acfa816d2c41f65d775ea67a4d4f5dd41e",
+          "02_symbol_factorization.py":
           "08ae7a4e31ca76209b21357fbb37a85cf0803429422ede4f66f48ee31609c3d0"}
 
 

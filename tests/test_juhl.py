@@ -13,8 +13,8 @@ from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, lap_prime_term
                         leading_coeff, normalization_meta)
 from covop.verify import _restricted_table
 
-from oracles import (DiffOp, apply, decompose_tangential, expand, multinomial,
-                     one_step, subs_value, weak_compositions)
+from oracles import (DiffOp, apply, decompose_tangential, expand, lam_coeffs,
+                     multinomial, one_step, subs_value, weak_compositions)
 
 
 def lam_poly(n):
@@ -99,32 +99,33 @@ def test_iterated_on_normal_powers():
 
 
 def test_leading_coeff_closed_form():
-    lam = Poly.from_univariate([0, 1])
-    assert leading_coeff(4, 1) == 2 * lam - 2
-    assert leading_coeff(3, 2) == (2 * lam) * (2 * lam + 1)
-    assert leading_coeff(3, 3) == (2 * lam + 1) * (2 * lam + 2) * (2 * lam + 3)
+    lam = Poly.variable("lam", ("lam",))
+    assert leading_coeff(4, 1) == (-2, 2) == lam_coeffs(2 * lam - 2)
+    assert leading_coeff(3, 2) == lam_coeffs((2 * lam) * (2 * lam + 1))
+    assert leading_coeff(3, 3) == lam_coeffs((2 * lam + 1) * (2 * lam + 2) * (2 * lam + 3))
 
 
 def test_juhl_coeffs_small_orders():
     t1 = juhl_coeffs(3, 1)
-    assert t1.coeffs[0] == Poly.from_univariate([-1, 2])
+    assert t1.coeffs[0] == (-1, 2)
     t2 = juhl_coeffs(3, 2)
-    lam = Poly.from_univariate([0, 1])
-    assert t2.coeffs[0] == (2 * lam) * (2 * lam + 1)
-    assert t2.coeffs[1] == 2 * lam + 1
+    lam = Poly.variable("lam", ("lam",))
+    assert t2.coeffs[0] == lam_coeffs((2 * lam) * (2 * lam + 1))
+    assert t2.coeffs[1] == (1, 2)
 
 
 def closed_form_coeff(n, N, m):
     """a_m = N!/(2^m m! (N-2m)!) prod (2 lam - n + k), k over N+1..2N
-    without the m odd values 2N-1, 2N-3, ..., 2N-2m+1."""
-    lam = Poly.from_univariate([0, 1])
+    without the m odd values 2N-1, 2N-3, ..., 2N-2m+1, as ascending
+    coefficients."""
+    lam = Poly.variable("lam", ("lam",))
     skip = {2 * N - 2 * r + 1 for r in range(1, m + 1)}
     out = Poly.const(Fraction(math.factorial(N),
                               2 ** m * math.factorial(m) * math.factorial(N - 2 * m)), ("lam",))
     for k in range(N + 1, 2 * N + 1):
         if k not in skip:
             out = out * (2 * lam + (k - n))
-    return out
+    return lam_coeffs(out)
 
 
 def test_juhl_coeffs_match_closed_form_grid():
@@ -147,15 +148,17 @@ def test_juhl_coeffs_read_the_xin_free_part_of_the_classes():
             for m, a in enumerate(coeffs):
                 want = {(deg,): c for (deg, i), c in
                         classes.get((m, N - 2 * m), {}).items() if not i}
-                assert a == Poly(("lam",), want), (n, N, m)
+                assert a == lam_coeffs(Poly(("lam",), want)), (n, N, m)
                 assert (n == 1 and m > 0) == (not a), (n, N, m)
 
 
 def test_juhl_coeffs_polynomial_in_lam():
-    for n in (2, 3):
+    # each a_m is a tuple of ints with no trailing zero, () for 0
+    for n in (1, 2, 3):
         for N in (1, 2, 3, 4):
             for a in juhl_coeffs(n, N).coeffs:
-                assert isinstance(a, Poly) and a.vars == ("lam",)
+                assert type(a) is tuple and all(type(c) is int for c in a)
+                assert not a or a[-1]
 
 
 def test_shift_consistency():
@@ -320,7 +323,7 @@ def test_meta_ratio_is_the_top_tangential_coefficient():
     # 2^(2 ceil(N/2) - 1) * a_floor(N/2), the coefficient of Lap'^(N/2), or
     # of d_n Lap'^((N-1)/2) for odd N.  n = 1 is left out: it has no Lap',
     # so a_floor(N/2) is 0 for N >= 2 while the exported ratio is not.
-    lam = Poly.from_univariate([0, 1])
+    lam = Poly.variable("lam", ("lam",))
     for n in range(2, 9):
         for N in range(1, 13):
             m = normalization_meta(n, N)
@@ -328,4 +331,5 @@ def test_meta_ratio_is_the_top_tangential_coefficient():
             for b, a in m.ratio_factors:
                 ratio = ratio * (b * lam + a)
             top = juhl_coeffs(n, N).coeffs[N // 2]
-            assert ratio == top * 2 ** (2 * ((N + 1) // 2) - 1), (n, N)
+            scale = 2 ** (2 * ((N + 1) // 2) - 1)
+            assert lam_coeffs(ratio) == tuple(scale * c for c in top), (n, N)

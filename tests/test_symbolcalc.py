@@ -11,7 +11,7 @@ from covop.symbolcalc import (HExpr, HTerm, SymCoeff, check_factorization,
                               knapp_stein_symbol, mul_norm_sq,
                               symbol_ks_after_onestep, symbol_mult_after_ks)
 
-from oracles import symcoeff_normal_form
+from oracles import lam_coeffs, lam_poly, symcoeff_normal_form
 
 
 def term(coeff, eta, s_const, s_lam, target=0):
@@ -47,7 +47,7 @@ def test_symcoeff_exponents_are_keyword_only():
     assert SymCoeff((0, 1), 2) == SymCoeff((0, 1), two_a=-1)
     # products take an int, a Fraction or a SymCoeff only
     with pytest.raises(TypeError):
-        SymCoeff(1) * Poly.from_univariate([0, 1])
+        SymCoeff(1) * Poly.variable("lam", ("lam",))
 
 
 def test_symcoeff_multiplication_tracks_exponents():
@@ -303,11 +303,11 @@ def test_symcoeff_rescaling_matches_renormalizing(case, q):
         return
     sign = 1 if (d.i_pow - c.i_pow) % 4 == 0 else -1
     q = sign * Fraction(2) ** (d.two_a - c.two_a)
-    L = Poly.from_univariate
+    L = lam_poly
     want_num = L(c.num) * L(d.den) + L(d.num) * q * L(c.den)
     want_den = L(c.den) * L(d.den)
     assert fields(c + d) == symcoeff_normal_form(
-        want_num.to_univariate(), want_den.to_univariate(), *exps)
+        lam_coeffs(want_num), lam_coeffs(want_den), *exps)
 
 
 def test_suite_symbolic_runs_euclid_only_on_nonconstant_pairs(monkeypatch):

@@ -43,6 +43,13 @@ def test_nan_error_fails_its_report():
     assert r.passed is False
     assert r.diagnostics == "sample 1"
     assert r.samples == 2 and math.isnan(r.max_rel_err)
+    # a NaN after a larger finite error is still the worst sample
+    r = CheckReport.from_errors("x", [0.5, 9.0, math.nan, 0.1], 1.0)
+    assert r.passed is False and r.diagnostics == "sample 2"
+    assert math.isnan(r.max_rel_err)
+    # of tied largest errors the first is the worst sample
+    r = CheckReport.from_errors("x", [0.1, 3.0, 0.2, 3.0], 1.0, list("abcd"))
+    assert r.passed is False and r.diagnostics == "b" and r.max_rel_err == 3.0
 
 
 def test_sampler_gives_up_on_a_draw_that_always_rejects():
@@ -58,6 +65,42 @@ def test_sampler_gives_up_on_a_draw_that_always_rejects():
     assert not r.passed and r.samples == 0
     assert r.diagnostics == f"accepted 0 of 5 samples in {verify.DRAWS_PER_SAMPLE * 5} draws"
     assert seen == [0] * (verify.DRAWS_PER_SAMPLE * 5)
+
+
+def test_sampler_lets_other_errors_propagate():
+    # only SingularPoint rejects a sample: a fault in a draw is not a rejection
+    calls = []
+
+    def draw(k):
+        calls.append(k)
+        if len(calls) == 3:
+            raise NotImplementedError("a fault in the check")
+        return 1e-12, f"k={k}"
+
+    with pytest.raises(NotImplementedError):
+        verify._sampled("faulty", 5, 1e-9, draw)
+    assert calls == [0, 1, 2]
+
+    def recurse(k):
+        return recurse(k)
+
+    with pytest.raises(RecursionError):
+        verify._sampled("recursing", 3, 1e-9, recurse)
+
+
+def test_point_sampler_rejects_a_word_by_singular_point():
+    # a word with no regular point near the bump raises SingularPoint, which
+    # _sampled counts as a rejected sample
+    class Singular:
+        def act(self, xi):
+            raise verify.SingularPoint("always")
+
+    f = GaussianBump((0.0, 0.0), 1.0)
+    with pytest.raises(verify.SingularPoint):
+        verify.sample_point_for(np.random.default_rng(0), Singular(), f)
+    r = verify._sampled("singular", 2, 1e-9, lambda k: verify.sample_point_for(
+        np.random.default_rng(k), Singular(), f))
+    assert not r.passed and r.samples == 0
 
 
 def test_sampler_counts_accepted_samples():
@@ -137,7 +180,8 @@ def test_covariance_iterated_fails_on_a_doubled_a1(monkeypatch):
 
     def doubled(n, N):
         t = original(n, N)
-        return juhl.TangentialOp(n, N, (t.coeffs[0], 2 * t.coeffs[1]) + t.coeffs[2:])
+        a1 = tuple(2 * c for c in t.coeffs[1])
+        return juhl.TangentialOp(n, N, (t.coeffs[0], a1) + t.coeffs[2:])
 
     monkeypatch.setattr(verify, "juhl_coeffs", doubled)
     for n in (2, 3):
@@ -506,7 +550,8 @@ def test_leading_coeff_fails_on_a_doubled_closed_form(monkeypatch):
     # a cached entry skips that, so the cache is emptied first.  Every
     # patched build raises, so no wrong entry is cached.
     original = juhl.leading_coeff
-    monkeypatch.setattr(juhl, "leading_coeff", lambda n, N: 2 * original(n, N))
+    monkeypatch.setattr(juhl, "leading_coeff",
+                        lambda n, N: tuple(2 * c for c in original(n, N)))
     juhl.juhl_coeffs.cache_clear()
     r = _report("juhl_leading_coeff")
     assert not r.passed and r.max_rel_err == r.samples == 50
@@ -517,7 +562,8 @@ def test_leading_coeff_fails_on_a_doubled_closed_form_when_cached(monkeypatch):
     # cached and builds nothing, so the report itself must compare a_0
     verify.run_suites("symbolic")
     original = juhl.leading_coeff
-    monkeypatch.setattr(juhl, "leading_coeff", lambda n, N: 2 * original(n, N))
+    monkeypatch.setattr(juhl, "leading_coeff",
+                        lambda n, N: tuple(2 * c for c in original(n, N)))
     r = _report("juhl_leading_coeff")
     assert not r.passed and r.max_rel_err == r.samples == 50
 
@@ -592,3 +638,10 @@ def test_run_suites_selection():
     names = {r.name for r in reps}
     assert "symbol_factorization" in names
     assert all(r.passed for r in reps)
+
+
+def test_run_suites_rejects_an_unknown_suite():
+    with pytest.raises(ValueError) as info:
+        verify.run_suites("symbolc")
+    for suite in ("symbolic", "numeric", "ambient", "all"):
+        assert suite in str(info.value)
