@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from covop import iterated, juhl_coeffs, leading_coeff, normalization_meta
-from covop.algebra import pretty_lam, pretty_terms
+from covop.juhl import pretty_lam, pretty_terms
 
 n = 3
 

@@ -6,7 +6,6 @@ that factors the convolution intertwiners through them, and seeded numerical
 verification of every covariance and ambient-space identity involved.
 """
 
-from .algebra import Poly
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, Rotation, SingularPoint, Translation,
                         chart_inverse, full_rotation, stereographic,
@@ -24,7 +23,6 @@ from .verify import (CheckReport, QuadratureBudgetExceeded,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly",
     "TangentialOp",
     "Jet", "coordinate_jets",
     "iterated", "juhl_coeffs", "leading_coeff", "leading_factors",

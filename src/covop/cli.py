@@ -20,9 +20,8 @@ import argparse
 import json
 import sys
 
-from .algebra import pretty_lam, pretty_terms
 from .juhl import (iterated, juhl_coeffs, lap_prime_terms, leading_factors,
-                   normalization_meta, pretty_factors)
+                   normalization_meta, pretty_factors, pretty_lam, pretty_terms)
 from .verify import SUITES, QuadratureBudgetExceeded, run_suites
 
 COEFFS_MAX_N = 8

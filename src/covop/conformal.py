@@ -7,16 +7,16 @@ which returns the image of a point and the generator's conformal factor there;
 a word multiplies the factors along the orbit (the cocycle product).  A
 rotation is the pair (cos, sin) of a rotation in the (xi_1, xi_2) plane, the
 only rotations the checks use.  All evaluation code is generic over the scalar
-type: plain floats, exact Fractions, numpy arrays (batched points) and jets
-all go through the same formulas, so derivative information is exact to
-rounding wherever jets are fed in.
+type: plain floats, numpy arrays (batched points) and jets all go through the
+same formulas, so derivative information is exact to rounding wherever jets
+are fed in.  A test function's polynomial prefactor has int coefficients, so
+a float input gives floats and an array input a float64 array.
 """
 
 import math
 
 import numpy as np
 
-from .algebra import Poly
 from .jets import Jet, coordinate_jets
 
 #: points whose inversion input is closer to the origin than this are rejected
@@ -82,7 +82,7 @@ class Rotation:
         c, s = float(c), float(s)
         if dim < 1:
             raise ValueError("a rotation acts on R^dim with dim >= 1")
-        if abs(c * c + s * s - 1.0) > 1e-12:
+        if not abs(c * c + s * s - 1.0) <= 1e-12:
             raise ValueError("(c, s) is not on the unit circle to 1e-12")
         if dim == 1 and (s != 0.0 or c < 0.0):
             raise ValueError("the only rotation of R^1 is the identity")
@@ -117,8 +117,8 @@ class Dilation:
 
     def __init__(self, r):
         r = float(r)
-        if r <= 0:
-            raise ValueError("dilation ratio must be positive")
+        if not 0 < r < math.inf:
+            raise ValueError("dilation ratio must be positive and finite")
         self.r = r
 
     dim = None  # acts in any dimension
@@ -257,13 +257,24 @@ class ConformalMap:
 # -- test functions --------------------------------------------------------------
 
 
-def xi_vars(n):
-    return tuple(f"xi{i}" for i in range(1, n + 1))
+def _eval_prefactor(prefactor, xs):
+    """sum c * prod xs[i]^e_i over the terms {e: c}: the terms summed in
+    order from 0, each term c times each coordinate e_i times in index
+    order."""
+    total = 0
+    for e, c in prefactor.items():
+        term = c
+        for x, k in zip(xs, e):
+            for _ in range(k):
+                term = term * x
+        total = total + term
+    return total
 
 
 class GaussianBump:
     """P(xi) * exp(-|xi - m|^2 / a^2): Schwartz-class test function with an
-    optional polynomial prefactor (variables xi1..xin)."""
+    optional polynomial prefactor P, a dict {exponent tuple: int} with one
+    exponent per coordinate."""
 
     __slots__ = ("n", "center", "width", "prefactor")
 
@@ -271,10 +282,10 @@ class GaussianBump:
         self.center = tuple(float(x) for x in center)
         self.n = len(self.center)
         self.width = float(width)
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("width must be positive")
-        if prefactor is not None and prefactor.vars != xi_vars(self.n):
-            raise ValueError("prefactor must be a Poly in xi1..xin")
+        if prefactor is not None and any(len(e) != self.n for e in prefactor):
+            raise ValueError(f"prefactor exponents must have length {self.n}")
         self.prefactor = prefactor
 
     def eval_generic(self, xs):
@@ -289,7 +300,7 @@ class GaussianBump:
             e = math.exp(arg)
         if self.prefactor is None:
             return e
-        return self.prefactor.evaluate(list(xs)) * e
+        return _eval_prefactor(self.prefactor, xs) * e
 
     def value(self, point):
         return self.eval_generic(list(point))
@@ -299,15 +310,17 @@ class GaussianBump:
 
     def times_coordinate(self, i):
         """The test function xi_i * f (stays in the class)."""
-        v = Poly.variable(f"xi{i + 1}", xi_vars(self.n))
-        pre = v if self.prefactor is None else self.prefactor * v
+        if self.prefactor is None:
+            pre = {tuple(int(j == i) for j in range(self.n)): 1}
+        else:
+            pre = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in self.prefactor.items()}
         return GaussianBump(self.center, self.width, pre)
 
     def effective_radius(self, eps=1e-16):
         """Radius around the center outside which |f| < eps * scale."""
         extra = 0
-        if self.prefactor is not None and self.prefactor.terms:
-            extra = max(sum(e) for e in self.prefactor.terms)
+        if self.prefactor:
+            extra = max(sum(e) for e in self.prefactor)
         return self.width * (math.sqrt(math.log(1.0 / eps)) + extra)
 
     def __repr__(self):

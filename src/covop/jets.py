@@ -4,7 +4,7 @@ A jet stores the Taylor coefficients of a smooth function at a point up to a
 fixed total order, so derivatives obtained from composed jets are exact up to
 rounding -- no finite-difference step-size tuning anywhere.  Order 2 covers
 the second-order operators; higher orders are used when composed operator
-families are evaluated numerically.
+families are evaluated numerically.  A jet holds floats or complex values.
 
 Nothing here reorders a float operation; the speed comes from not redoing
 work.  Seeded reports print errors with full ``repr``, so a reordered sum
@@ -34,13 +34,6 @@ another order, which is why jets stay dicts.
 import cmath
 import functools
 import math
-from fractions import Fraction
-
-
-def _scalar(c):
-    if isinstance(c, Fraction):
-        return float(c)
-    return c
 
 
 def _exponents(dim, order):
@@ -123,7 +116,6 @@ def _mul_terms(dim, order, a, b):
 
 def _add_constant(t, z, c):
     """t + c in place, as ``+ Jet.constant(c)`` sums and deletes."""
-    c = _scalar(c)
     if c == 0:
         return
     s = t.get(z, 0.0) + c
@@ -176,7 +168,6 @@ class Jet:
 
     @classmethod
     def constant(cls, value, dim, order):
-        value = _scalar(value)
         if value == 0:
             return cls(dim, order)
         return cls(dim, order, {(0,) * dim: value})
@@ -184,7 +175,6 @@ class Jet:
     @classmethod
     def variable(cls, value, i, dim, order):
         t = {}
-        value = _scalar(value)
         if value != 0:
             t[(0,) * dim] = value
         if order >= 1:
@@ -265,11 +255,10 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            c = _scalar(other)
-            if c == 0:
+            if other == 0:
                 return Jet(self.dim, self.order)
             return Jet._adopt(self.dim, self.order,
-                              {e: v * c for e, v in self.terms.items()})
+                              {e: v * other for e, v in self.terms.items()})
         other = self._like(other)
         return Jet._adopt(self.dim, self.order,
                           _mul_terms(self.dim, self.order, self.terms, other.terms))
@@ -278,7 +267,7 @@ class Jet:
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return self * (1.0 / _scalar(other))
+            return self * (1.0 / other)
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):
@@ -323,7 +312,7 @@ class Jet:
         dim, order = self.dim, self.order
         z = (0,) * dim
         w = dict(self.terms)
-        _add_constant(w, z, -_scalar(self.value))
+        _add_constant(w, z, -self.value)
         acc = {}
         _add_constant(acc, z, derivs[order] / math.factorial(order))
         for k in range(order - 1, -1, -1):

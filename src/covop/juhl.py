@@ -11,7 +11,9 @@ Lap^k, splits it over derivatives into the coefficient classes of
 ``iterated`` for the export, and reads the tangential coefficients (a
 ``TangentialOp``) off its xi_n-free keys; the Gamma-factor normalization
 metadata is in closed form.  A polynomial in lam is the tuple of its
-integer coefficients in ascending order with no trailing zero, () for 0.
+integer coefficients in ascending order with no trailing zero, () for 0;
+``pretty_lam`` prints it, and ``pretty_terms`` prints a polynomial in several
+variables given as {exponent tuple: coefficient}.
 ``lap_prime_terms`` is the one expansion of Lap'^s over derivative
 multi-indices; the export and the numeric covariance table read it.
 """
@@ -20,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-
-from .algebra import pretty_lam
 
 
 # -- iterated family -----------------------------------------------------------
@@ -153,6 +153,55 @@ def pretty_factors(factors):
     """Affine factors (b, a), each b*lam + a, displayed as '(2λ)(2λ+1)(2λ-3)'."""
     return "".join(f"({b}λ+{a})" if a > 0 else (f"({b}λ{a})" if a else f"({b}λ)")
                    for b, a in factors)
+
+
+def _subscript_var(name):
+    if name == "lam":
+        return "λ"
+    if name.startswith("xi"):
+        return "ξ" + name[2:]
+    return name
+
+
+def pretty_terms(variables, terms):
+    """Display string of {exponent tuple: rational} over ``variables``,
+    highest exponent first.
+
+    Coefficients may be ints or Fractions, and a variable whose exponent is
+    0 in every term may be left out of both arguments without changing the
+    text.
+    """
+    if not terms:
+        return "0"
+    names = [_subscript_var(v) for v in variables]
+    parts = []
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        factors = []
+        for name, k in zip(names, e):
+            if k == 1:
+                factors.append(name)
+            elif k > 1:
+                factors.append(f"{name}^{k}")
+        mono = "".join(factors)
+        if not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append("-" + mono)
+        else:
+            parts.append(f"{c}{mono}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def pretty_lam(coeffs):
+    """Display string of a polynomial in lam given by its ascending
+    coefficients, as :func:`pretty_terms` prints it."""
+    return pretty_terms(("lam",), {(k,): c for k, c in enumerate(coeffs) if c})
 
 
 def leading_coeff(n, N):

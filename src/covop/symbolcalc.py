@@ -21,7 +21,15 @@ coefficient tuples, and SymCoeff owns its one normal form.
 import math
 from fractions import Fraction
 
-from .algebra import _as_fraction as _frac, pretty_lam
+from .juhl import pretty_lam
+
+
+def _as_fraction(c):
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
 
 
 def _two_adic(q):
@@ -37,7 +45,7 @@ def _two_adic(q):
 def _coeffs(p):
     """Ascending Fraction coefficients of an int, a Fraction or a sequence of
     them, with trailing zeros dropped (so zero is the empty list)."""
-    out = [_frac(c) for c in ((p,) if isinstance(p, (int, Fraction)) else p)]
+    out = [_as_fraction(c) for c in ((p,) if isinstance(p, (int, Fraction)) else p)]
     while out and not out[-1]:
         out.pop()
     return out
@@ -115,7 +123,8 @@ class SymCoeff:
 
     def __init__(self, num=1, den=1, *, two_a=0, two_b=0, pi_half=0, i_pow=0):
         num, den = _coeffs(num), _coeffs(den)
-        two_a, two_b, pi_half = _frac(two_a), _frac(two_b), _frac(pi_half)
+        two_a, two_b = _as_fraction(two_a), _as_fraction(two_b)
+        pi_half = _as_fraction(pi_half)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
@@ -206,13 +215,13 @@ class SymCoeff:
 
     def shift(self, offset):
         """lam -> lam + offset."""
-        offset = _frac(offset)
+        offset = _as_fraction(offset)
         return self._with(_pshift(self.num, offset), _pshift(self.den, offset),
                           two_a=self.two_a + self.two_b * offset)
 
     def reflect(self, point):
         """lam -> point - lam."""
-        point = _frac(point)
+        point = _as_fraction(point)
 
         def flip(p):
             return [c if k % 2 == 0 else -c for k, c in enumerate(_pshift(p, point))]
@@ -259,8 +268,8 @@ class HTerm:
             raise ValueError("eta_n power must be nonnegative")
         self.coeff = coeff
         self.eta_pow = eta_pow
-        self.s_const = _frac(s_const)
-        self.s_lam = _frac(s_lam)
+        self.s_const = _as_fraction(s_const)
+        self.s_lam = _as_fraction(s_lam)
         self.target = target
 
     def key(self):
@@ -325,7 +334,7 @@ class HExpr:
 
     def shift(self, offset):
         """lam -> lam + offset everywhere (coefficients and kernel indices)."""
-        offset = _frac(offset)
+        offset = _as_fraction(offset)
         return HExpr(HTerm(t.coeff.shift(offset), t.eta_pow,
                            t.s_const + t.s_lam * offset, t.s_lam, t.target)
                      for t in self.terms)
@@ -345,7 +354,7 @@ class HExpr:
 def hat_kernel(n, s_const, s_lam):
     """Fourier transform rule for the normalized kernel:
     hat(h_s) = 2^(n+s) pi^(n/2) h_(-n-s).  Returns (coeff, s'_const, s'_lam)."""
-    s_const, s_lam = _frac(s_const), _frac(s_lam)
+    s_const, s_lam = _as_fraction(s_const), _as_fraction(s_lam)
     coeff = SymCoeff(1, two_a=n + s_const, two_b=s_lam, pi_half=n)
     return coeff, -n - s_const, -s_lam
 

@@ -1,19 +1,20 @@
 """Reference routes that the tests compare the library against.
 
 The library builds the families in the reduced X^i P^j L^k basis of
-``covop.juhl``.  These are the generic routes it replaced: the Fraction
-``DiffOp`` with exact Leibniz composition and restriction, the one-step
-operator as one, the family expanded from the classes of ``juhl.iterated``,
-applying a ``DiffOp`` to a polynomial, partial derivatives, the shift
-lam -> lam + t, evaluating a coefficient at a value, a polynomial in lam
-to and from its ascending coefficients, writing a polynomial as the exact
-triples of a document and parsing an operator or coefficient document back,
-writing a restricted operator in the tangential basis with a
-zero-residual certificate, and the normal form of a symbol coefficient by
-Euclid at every degree, normalizing again after the numerator's content is
-taken out.  They enumerate the multi-indices of Lap'^s
-themselves, so a test that uses them does not rest on
-``juhl.lap_prime_terms``.
+``covop.juhl``.  These are the generic routes it replaced, computed in the
+ring ``Poly`` of multivariate polynomials over Q (also the oracle of a test
+function's prefactor): the Fraction ``DiffOp`` with exact Leibniz
+composition and restriction, the one-step operator as one, the family
+expanded from the classes of ``juhl.iterated``, applying a ``DiffOp`` to a
+polynomial, partial derivatives, the shift lam -> lam + t, evaluating a
+coefficient at a value, a polynomial in lam to and from its ascending
+coefficients, writing a polynomial as the exact triples of a document and
+parsing an operator or coefficient document back, writing a restricted
+operator in the tangential basis with a zero-residual certificate, and the
+normal form of a symbol coefficient by Euclid at every degree, normalizing
+again after the numerator's content is taken out.  They enumerate the
+multi-indices of Lap'^s themselves, so a test that uses them does not rest
+on ``juhl.lap_prime_terms``.
 """
 
 from fractions import Fraction
@@ -21,15 +22,163 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from math import comb, factorial, gcd
 
-from covop.algebra import Poly, _as_fraction
 from covop.cli import op_vars
-from covop.juhl import TangentialOp, iterated
-from covop.symbolcalc import _udivmod, _ugcd
+from covop.juhl import TangentialOp, iterated, pretty_terms
+from covop.symbolcalc import _as_fraction, _udivmod, _ugcd
 
 
 class NonTangentialForm(Exception):
     """Raised when a restricted operator is not in the tangential span
     a_0 d_n^N + a_1 d_n^(N-2) Lap' + ... (certified by a nonzero residual)."""
+
+
+class Poly:
+    """Polynomial over Q in a fixed ordered tuple of formal variables.
+
+    ``terms`` maps dense exponent tuples (one slot per variable) to nonzero
+    Fraction coefficients.  Instances are treated as immutable: every
+    operation returns a fresh Poly.
+    """
+
+    __slots__ = ("vars", "terms")
+
+    def __init__(self, vars, terms=None):
+        self.vars = tuple(vars)
+        nv = len(self.vars)
+        clean = {}
+        if terms:
+            for exps, c in terms.items():
+                exps = tuple(exps)
+                if len(exps) != nv:
+                    raise ValueError(f"exponent vector {exps} has wrong length for {self.vars}")
+                c = _as_fraction(c)
+                if c:
+                    clean[exps] = c
+        self.terms = clean
+
+    @classmethod
+    def zero(cls, vars):
+        return cls(vars)
+
+    @classmethod
+    def const(cls, c, vars):
+        c = _as_fraction(c)
+        if not c:
+            return cls(vars)
+        return cls(vars, {(0,) * len(tuple(vars)): c})
+
+    @classmethod
+    def variable(cls, name, vars):
+        vars = tuple(vars)
+        i = vars.index(name)
+        exps = tuple(1 if j == i else 0 for j in range(len(vars)))
+        return cls(vars, {exps: Fraction(1)})
+
+    def _check(self, other):
+        if self.vars != other.vars:
+            raise ValueError(f"variable lists differ: {self.vars} vs {other.vars}")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Poly.const(other, self.vars)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.vars == other.vars and self.terms == other.terms
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Poly.const(other, self.vars)
+        self._check(other)
+        res = dict(self.terms)
+        for e, c in other.terms.items():
+            s = res.get(e, Fraction(0)) + c
+            if s:
+                res[e] = s
+            elif e in res:
+                del res[e]
+        out = Poly.__new__(Poly)
+        out.vars = self.vars
+        out.terms = res
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        out = Poly.__new__(Poly)
+        out.vars = self.vars
+        out.terms = {e: -c for e, c in self.terms.items()}
+        return out
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = Poly.const(other, self.vars)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _as_fraction(other)
+            if not other:
+                return Poly.zero(self.vars)
+            out = Poly.__new__(Poly)
+            out.vars = self.vars
+            out.terms = {e: c * other for e, c in self.terms.items()}
+            return out
+        self._check(other)
+        res = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                s = res.get(e, Fraction(0)) + c1 * c2
+                if s:
+                    res[e] = s
+                elif e in res:
+                    del res[e]
+        out = Poly.__new__(Poly)
+        out.vars = self.vars
+        out.terms = res
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("only nonnegative integer powers")
+        out = Poly.const(1, self.vars)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def evaluate(self, values):
+        """Evaluate at a full assignment (one value per variable): the terms
+        summed in order from 0, each term c times each value e_i times in
+        index order.  Exact with Fractions; generic over floats, jets and
+        arrays."""
+        if len(values) != len(self.vars):
+            raise ValueError("wrong number of values")
+        total = 0
+        for e, c in self.terms.items():
+            term = c
+            for v, k in zip(values, e):
+                for _ in range(k):
+                    term = term * v
+            total = total + term
+        return total
+
+    def pretty(self):
+        return pretty_terms(self.vars, self.terms)
+
+    def __repr__(self):
+        return f"Poly({self.pretty()})"
 
 
 def weak_compositions(total, parts):

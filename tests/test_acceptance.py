@@ -10,14 +10,14 @@ import time
 import numpy as np
 
 from covop import verify
-from covop.algebra import Poly
 from covop.cli import main as cli_main, op_vars
 from covop.conformal import (ConformalMap, Dilation, GaussianBump, Translation,
                              full_rotation)
 from covop.juhl import juhl_coeffs, leading_coeff
 from covop.symbolcalc import check_factorization, check_ks_inversion
 
-from oracles import apply, decompose_tangential, expand, one_step, operator_from_dict
+from oracles import (Poly, apply, decompose_tangential, expand, one_step,
+                     operator_from_dict)
 
 GRID = [(n, N) for n in range(2, 7) for N in range(1, 11)]
 

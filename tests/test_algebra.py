@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from covop.algebra import Poly
 from covop.symbolcalc import SymCoeff
 
-from oracles import (lam_coeffs, lam_poly, partial, shift_var, subs_value,
+from oracles import (Poly, lam_coeffs, lam_poly, partial, shift_var, subs_value,
                      symcoeff_normal_form)
 
 VARS = ("lam", "xi1", "xi2")

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from covop import conformal
-from covop.algebra import Poly
 from covop.conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                              PulledBack, Rotation, SingularPoint, Translation,
                              chart_inverse, full_rotation, stereographic,
-                             stereographic_factor, tangential_rotation, xi_vars)
+                             stereographic_factor, tangential_rotation)
 from covop.jets import Jet, coordinate_jets
+
+from oracles import Poly
 
 
 def test_dilation_action_and_factor():
@@ -205,12 +206,76 @@ def test_gaussian_value_and_jet():
 
 
 def test_gaussian_prefactor_and_times_coordinate():
-    vars_ = xi_vars(2)
-    pre = Poly.variable("xi1", vars_)
-    f = GaussianBump((0.0, 0.0), 1.0, pre)
+    f = GaussianBump((0.0, 0.0), 1.0, {(1, 0): 1})
     assert f.value((0.5, 0.2)) == pytest.approx(0.5 * math.exp(-(0.29)))
     g = GaussianBump((0.0, 0.0), 1.0).times_coordinate(1)
+    assert g.prefactor == {(0, 1): 1}
     assert g.value((0.5, 0.2)) == pytest.approx(0.2 * math.exp(-(0.29)))
+    h = GaussianBump((0.0, 0.0), 1.0, {(0, 0): 1, (1, 0): -2}).times_coordinate(0)
+    assert list(h.prefactor.items()) == [((1, 0), 1), ((2, 0), -2)]
+    assert h.effective_radius() == pytest.approx(math.sqrt(math.log(1e16)) + 2)
+
+
+def _hex_terms(x):
+    """The bits of a float, or of every coefficient of a jet."""
+    if isinstance(x, Jet):
+        return {e: float(c).hex() for e, c in x.terms.items()}
+    return float(x).hex()
+
+
+def test_prefactor_matches_the_poly_oracle_bit_for_bit():
+    # a prefactor is summed as Poly.evaluate sums, on floats and on order-2
+    # jets, also after times_coordinate has raised its exponents
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        names = tuple(f"xi{i}" for i in range(1, n + 1))
+        for _ in range(15):
+            pre = {tuple(int(k) for k in rng.integers(0, 3, n)): int(c)
+                   for c in rng.integers(-3, 4, 3) if c}
+            f = GaussianBump(tuple(rng.uniform(-0.5, 0.5, n)), 1.1, pre or None)
+            for i in rng.integers(0, n, int(rng.integers(0, 3))):
+                f = f.times_coordinate(int(i))
+            if f.prefactor is None:
+                continue
+            plain = GaussianBump(f.center, f.width)
+            oracle = Poly(names, f.prefactor)
+            xi = tuple(float(c) for c in rng.uniform(-1.0, 1.0, n))
+            cj = coordinate_jets(xi, 2)
+            assert _hex_terms(f.value(xi)) == _hex_terms(
+                oracle.evaluate(list(xi)) * plain.value(xi))
+            assert _hex_terms(f.jet(xi, 2)) == _hex_terms(
+                oracle.evaluate(cj) * plain.eval_generic(cj))
+
+
+def test_prefactored_bump_on_an_array_is_float64():
+    # int coefficients keep a batched evaluation in float64; a Fraction
+    # coefficient would turn the array into one of Python objects
+    f = GaussianBump((0.1, -0.2), 1.0, {(0, 0): 1, (1, 0): -2}).times_coordinate(1)
+    xs = [np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 1.0, 5)]
+    got = f.eval_generic(xs)
+    assert got.dtype == np.float64
+    want = [f.value((a, b)) for a, b in zip(*xs)]
+    assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
+
+
+def test_dilation_rejects_a_nonpositive_or_nonfinite_ratio():
+    for r in (0.0, -1.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Dilation(r)
+
+
+def test_rotation_rejects_nan():
+    for c, s in ((math.nan, 0.0), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            Rotation(3, c, s)
+
+
+def test_gaussian_rejects_a_nonpositive_or_nan_width_and_a_short_exponent():
+    for width in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            GaussianBump((0.0,), width=width)
+    with pytest.raises(ValueError):
+        GaussianBump((0.0, 0.0), prefactor={(1,): 1})
 
 
 def test_rho_identity_and_dilation():

@@ -9,14 +9,12 @@ from seed 0, passes before it and fails every report after it), or to the
 
 import ast
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covop import verify
-from covop.algebra import Poly
 from covop.conformal import ConformalMap, GaussianBump, Inversion
 from covop.jets import _squares
 
@@ -101,15 +99,13 @@ def test_named_controls_exist():
                             if isinstance(node, ast.FunctionDef)}, fam
 
 
-def _sphere_poly(n):
-    vars_ = tuple(f"x{i}" for i in range(n + 1))
-    x = [Poly.variable(v, vars_) for v in vars_]
-    return x[0] * x[n] + x[1] ** 2 + Fraction(1, 2)
+def _sphere_function(n):
+    return lambda x: x[0] * x[n] + x[1] * x[1] + 0.5
 
 
 #: the arguments of the checks that take more than (n, rng, samples)
 EXTRA_ARGS = {"ambient_noncompact": lambda n: (0.9, GaussianBump((0.2,) * n, 1.1)),
-              "ambient_compact": lambda n: (1.2, _sphere_poly(n))}
+              "ambient_compact": lambda n: (1.2, _sphere_function(n))}
 
 
 def _reports(fam):

@@ -1,6 +1,5 @@
-"""Every demo script runs to completion against this checkout, the family
-and symbol demos print their pinned text, and the README's examples match
-the package."""
+"""Every demo script runs to completion against this checkout and prints its
+pinned text, and the README's examples match the package."""
 
 import hashlib
 import shlex
@@ -15,13 +14,18 @@ from covop.cli import build_parser
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-# stdout sha256 of the demos whose text is pinned byte for byte: the family
-# demo prints the exact classes and tangential coefficients, the symbol demo
-# coefficients and kernels through SymCoeff.pretty and HTerm.pretty
+# stdout sha256 of every demo, pinned byte for byte: the family demo prints
+# the exact classes and tangential coefficients, the symbol demo coefficients
+# and kernels through SymCoeff.pretty and HTerm.pretty, and the covariance and
+# ambient demos seeded errors of the float checks
 PINNED = {"01_operator_families.py":
           "4d3c39a3423b552b301b68741fe429acfa816d2c41f65d775ea67a4d4f5dd41e",
           "02_symbol_factorization.py":
-          "08ae7a4e31ca76209b21357fbb37a85cf0803429422ede4f66f48ee31609c3d0"}
+          "08ae7a4e31ca76209b21357fbb37a85cf0803429422ede4f66f48ee31609c3d0",
+          "03_covariance_and_geometry.py":
+          "8d8d25e8728071e00a2891436dbeda385af861c7b799663a070037dcd17332fa",
+          "04_ambient_picture.py":
+          "2ffab09a0cfa947b6a896bd7692e3b9cb5475a4406bda8c12fcf8aa061818845"}
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covop.algebra import Poly
 from covop.cli import op_vars
 
-from oracles import (DiffOp, NonTangentialForm, apply, decompose_tangential,
+from oracles import (DiffOp, NonTangentialForm, Poly, apply, decompose_tangential,
                      lam_coeffs, one_step, subs_value)
 
 

@@ -7,13 +7,12 @@ from itertools import zip_longest
 
 import pytest
 
-from covop.algebra import Poly
 from covop.cli import op_vars
 from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, lap_prime_terms,
                         leading_coeff, normalization_meta)
 from covop.verify import _restricted_table
 
-from oracles import (DiffOp, apply, decompose_tangential, expand, lam_coeffs,
+from oracles import (DiffOp, Poly, apply, decompose_tangential, expand, lam_coeffs,
                      multinomial, one_step, subs_value, weak_compositions)
 
 

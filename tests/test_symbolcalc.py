@@ -4,14 +4,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from covop import symbolcalc, verify
-from covop.algebra import Poly
 from covop.symbolcalc import (HExpr, HTerm, SymCoeff, check_factorization,
                               check_ks_inversion, d_normal,
                               factorization_constant, hat_kernel,
                               knapp_stein_symbol, mul_norm_sq,
                               symbol_ks_after_onestep, symbol_mult_after_ks)
 
-from oracles import lam_coeffs, lam_poly, symcoeff_normal_form
+from oracles import Poly, lam_coeffs, lam_poly, symcoeff_normal_form
 
 
 def term(coeff, eta, s_const, s_lam, target=0):

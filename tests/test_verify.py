@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from covop import juhl, symbolcalc, verify
-from covop.algebra import Poly
 from covop.conformal import ConformalMap, Dilation, GaussianBump, Translation
-from covop.jets import coordinate_jets
+from covop.jets import Jet, coordinate_jets
 from covop.verify import (CheckReport, check_ambient_compact,
                           check_ambient_noncompact, check_covariance_iterated,
                           check_covariance_one_step, check_extension_independence,
@@ -442,13 +441,22 @@ def test_extension_off_its_degree_fails_the_report(monkeypatch):
                     if r.name == "extension_independence_n3").passed
 
 
+def test_extension_independence_fails_on_a_nan_euler_residual(monkeypatch):
+    # a NaN Euler residual fails the report as a large one does: max() would
+    # drop the NaN, and a "residual > bound" test is false for it
+    grad = Jet.grad.fget
+    for bad in (1e3, math.nan):
+        monkeypatch.setattr(Jet, "grad", property(lambda j, bad=bad: [bad] + grad(j)[1:]))
+        r = check_extension_independence(2, np.random.default_rng(0), samples=5)
+        assert not r.passed, bad
+        assert r.diagnostics.startswith("Euler homogeneity identity residual ")
+
+
 def test_ambient_compact_three_routes():
     rng = np.random.default_rng(9)
     n = 4
-    vars_ = tuple(f"x{i}" for i in range(n + 1))
-    fpoly = Poly.variable(vars_[0], vars_) * Poly.variable(vars_[n], vars_) \
-        + Poly.variable(vars_[1], vars_) ** 2
-    r = check_ambient_compact(n, 1.2, fpoly, rng, samples=10, tol=1e-8)
+    r = check_ambient_compact(n, 1.2, lambda x: x[0] * x[n] + x[1] * x[1], rng,
+                              samples=10, tol=1e-8)
     assert r.passed and r.samples == 10, r
 
 
@@ -456,9 +464,8 @@ def test_ambient_compact_fails_when_every_draw_misses_the_guards():
     # xi = 0 maps to the pole (1, 0, ..., 0), where x_n = 0: every draw is
     # rejected, and the check reports the shortfall instead of raising
     n = 3
-    vars_ = tuple(f"x{i}" for i in range(n + 1))
-    fpoly = Poly.variable(vars_[1], vars_) ** 2
-    r = check_ambient_compact(n, 1.2, fpoly, StubRng(itertools.repeat(np.zeros(n))))
+    r = check_ambient_compact(n, 1.2, lambda x: x[1] * x[1],
+                              StubRng(itertools.repeat(np.zeros(n))))
     assert not r.passed and r.samples == 0
     assert r.diagnostics == "accepted 0 of 20 samples in 200 draws"
 
