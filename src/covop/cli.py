@@ -10,10 +10,10 @@ The operator export is streamed term by term from the coefficient classes of
 the reduced basis (``juhl.iterated``) and one lazy walk over the m' of every
 Lap'^s (``juhl.lap_prime_terms``), in the bytes ``json.dump`` with
 ``indent=2, sort_keys=True, ensure_ascii=False`` would write for the same
-document; no term list or document dict is built.  Each term's ASCII text
-and its non-ASCII display line (λ, ξ) are written apart, so the bulk of the
-document never becomes a wide string.  Every other JSON document is encoded
-in full and written in one call.
+document; no term list or document dict is built.  It is encoded once per
+coefficient class and m' and goes to the stream's binary buffer in batches
+of about 64 KiB, encoded as the stream would encode it.  Every other JSON
+document is encoded in full and written in one call.
 """
 
 import argparse
@@ -26,6 +26,7 @@ from .verify import SUITES, QuadratureBudgetExceeded, run_suites
 
 COEFFS_MAX_N = 8
 COEFFS_MAX_ORDER = 12
+EMIT_BATCH = 1 << 16  # bytes of operator text collected before one write
 
 
 # -- exact serialization -----------------------------------------------------
@@ -79,14 +80,14 @@ def _emit_operator(n, N, stream):
     ``_emit_json``.  The terms come from ``iterated``: alpha =
     (2m', a) has the coefficient multinomial(m') * F(s, a) with |m'| = s, so
     the coeff and display text is encoded once per (s, a, multinomial(m'))
-    and each term writes only its alpha.  The m' of every s come in
+    and each term adds only its alpha.  The m' of every s come in
     ascending order from one ``lap_prime_terms`` walk, never held in a list;
-    the alpha text of an m' is built once from a table of entry strings and
-    shared by the terms of every a of its s.  Each term goes out in two
-    writes: its ASCII text (separator, alpha, coeff, the "display" key),
-    then its display line, the one part with λ or ξ.  Joining them would
-    store the whole text at two bytes a character and make the stream
-    encode it character by character."""
+    the alpha text of an m' is encoded once, and all terms of the m' are one
+    bytes join.  The class text is encoded with the stream's encoding and
+    errors and the bytes go to its binary buffer after a flush (so earlier
+    text comes first), in writes of ``EMIT_BATCH`` bytes plus at most one
+    m'.  A stream with no buffer (io.StringIO), or whose encoding does not
+    write ASCII as ASCII (UTF-16), gets the UTF-8 bytes decoded to text."""
     variables = op_vars(n)
     lam_xin = (variables[0], variables[-1])  # the only variables that occur
     zeros = ["0"] * (n - 1)
@@ -95,36 +96,48 @@ def _emit_operator(n, N, stream):
     a_by_s = {}
     for s, a in sorted(classes):
         a_by_s.setdefault(s, []).append(a)
+    stream.flush()
+    encoding = getattr(stream, "encoding", None) or "utf-8"
+    errors = getattr(stream, "errors", None) or "strict"
+    buffer = getattr(stream, "buffer", None)
+    if buffer is not None and "\n".encode(encoding) == b"\n":
+        write = buffer.write
+    else:  # no buffer, or an encoding that does not write ASCII as ASCII
+        encoding, errors = "utf-8", "strict"
+        write = lambda data: stream.write(data.decode())
 
     def term_tail(s, a, w):
-        # the term after the first n - 1 alpha entries: its ASCII text, then
-        # the display line and the closing brace
+        # the term after the first n - 1 alpha entries, closing brace included
         coeff = {key: w * c for key, c in sorted(classes[s, a].items())}
         triples = [_json_list([_json_list([str(deg), *zeros, str(i)], 10),
                                enc(str(c)), '"1"'], 8)
                    for (deg, i), c in coeff.items()]
-        return (f'{a}\n      ],\n      "coeff": {_json_list(triples, 6)},\n'
-                '      "display": ',
-                f'{enc(pretty_terms(lam_xin, coeff))}\n    }}')
+        text = (f'{a}\n      ],\n      "coeff": {_json_list(triples, 6)},\n'
+                f'      "display": {enc(pretty_terms(lam_xin, coeff))}\n    }}')
+        return text.encode(encoding, errors)
 
-    tails = {}  # (s, multinomial(m')) -> [(text, display) for each a of s]
+    tails = {}  # (s, multinomial(m')) -> [encoded tail for each a of s]
     pad = "\n        "
-    cell = [f"{2 * x},{pad}" for x in range(max(a_by_s) + 1)]  # one alpha entry
-    write = stream.write
-    write(f'{{\n  "N": {N},\n  "kind": "operator",\n  "n": {n},\n  "terms": [')
-    sep = "\n"
+    cell = [f"{2 * x},{pad}".encode() for x in range(max(a_by_s) + 1)]  # one alpha entry
+    open_alpha = f'    {{\n      "alpha": [{pad}'.encode()
+    batch = [f'{{\n  "N": {N},\n  "kind": "operator",\n  "n": {n},\n  "terms": ['.encode()]
+    size, sep = 0, b"\n"
     # alpha = (2m', a) sorts by m' first, then by a; m' of distinct s differ
     for m, w in lap_prime_terms(n, a_by_s):
         s = sum(m)
         texts = tails.get((s, w))
         if texts is None:
             texts = tails[s, w] = [term_tail(s, a, w) for a in a_by_s[s]]
-        head = '    {\n      "alpha": [' + pad + "".join(map(cell.__getitem__, m))
-        for text, display in texts:
-            write(sep + head + text)
-            write(display)
-            sep = ",\n"
-    write(f'\n  ],\n  "variables": {_json_list(map(enc, variables), 2)}\n}}\n')
+        head = open_alpha + b"".join(map(cell.__getitem__, m))
+        batch.append(sep + head + (b",\n" + head).join(texts))
+        size += len(batch[-1])
+        if size >= EMIT_BATCH:
+            write(b"".join(batch))
+            batch, size = [], 0
+        sep = b",\n"
+    tail = f'\n  ],\n  "variables": {_json_list(map(enc, variables), 2)}\n}}\n'
+    batch.append(tail.encode())
+    write(b"".join(batch))
 
 
 def _emit_coeffs_csv(n, N, stream):

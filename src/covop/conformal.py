@@ -53,6 +53,8 @@ class Translation:
 
     def __init__(self, v):
         self.v = tuple(float(x) for x in v)
+        if not all(map(math.isfinite, self.v)):
+            raise ValueError("translation entries must be finite")
 
     @property
     def dim(self):
@@ -280,10 +282,12 @@ class GaussianBump:
 
     def __init__(self, center, width=1.0, prefactor=None):
         self.center = tuple(float(x) for x in center)
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("center must be finite")
         self.n = len(self.center)
         self.width = float(width)
-        if not self.width > 0:
-            raise ValueError("width must be positive")
+        if not 0 < self.width < math.inf:
+            raise ValueError("width must be positive and finite")
         if prefactor is not None and any(len(e) != self.n for e in prefactor):
             raise ValueError(f"prefactor exponents must have length {self.n}")
         self.prefactor = prefactor

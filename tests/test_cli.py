@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from covop.cli import _emit_operator, coeff_table, main, op_vars
+from covop.cli import EMIT_BATCH, _emit_operator, coeff_table, main, op_vars
 from covop.juhl import juhl_coeffs, leading_coeff
 from covop import verify
 
@@ -163,27 +164,93 @@ def test_operator_stream_matches_json_dump_bytes(capsys):
     assert " - " in out
 
 
-class _RecordingStream(io.StringIO):
+class _RecordingBuffer(io.BytesIO):
     def __init__(self):
         super().__init__()
         self.writes = []
 
-    def write(self, text):
-        self.writes.append(text)
-        return super().write(text)
+    def write(self, data):
+        self.writes.append(len(data))
+        return super().write(data)
 
 
-def test_operator_stream_writes_ascii_apart_from_display(capsys):
-    # the bulk of the document stays ASCII: only the short display lines
-    # (with λ or ξ) are written as non-ASCII text
+def _largest_m_block(out):
+    # bytes of the largest run of terms sharing alpha[:-1] = 2m': the most
+    # one m' adds to a batch
+    starts = [m.start() for m in re.finditer(r"\n    \{\n", out)]
+    ends = starts[1:] + [out.index('\n  ],\n  "variables"')]
+    blocks = {}
+    for term, a, b in zip(json.loads(out)["terms"], starts, ends):
+        key = tuple(term["alpha"][:-1])
+        blocks[key] = blocks.get(key, 0) + len(out[a:b].encode("utf-8"))
+    return max(blocks.values())
+
+
+def test_operator_stream_writes_bounded_byte_batches(capsys):
+    # the document goes to the stream's binary buffer in batches of
+    # EMIT_BATCH bytes (the last one shorter), none longer than EMIT_BATCH
+    # plus one m' block; a stream with no buffer gets the same text
     for n, N in ((1, 3), (2, 8), (8, 4)):
         code, out, _ = run_cli(capsys, "operator", "--n", str(n), "--N", str(N))
         assert code == 0
-        stream = _RecordingStream()
+        raw = _RecordingBuffer()
+        stream = io.TextIOWrapper(raw, encoding="utf-8")
         _emit_operator(n, N, stream)
-        assert stream.getvalue() == out, (n, N)
-        wide = [w for w in stream.writes if not w.isascii()]
-        assert wide and max(map(len, wide)) < 300, (n, N)
+        stream.flush()
+        assert raw.getvalue() == out.encode("utf-8"), (n, N)
+        assert max(raw.writes) <= EMIT_BATCH + _largest_m_block(out), (n, N)
+        assert all(w >= EMIT_BATCH for w in raw.writes[:-1]), (n, N)
+        text = io.StringIO()
+        _emit_operator(n, N, text)
+        assert text.getvalue() == out, (n, N)
+    assert len(raw.writes) > 1  # (8, 4) spans several batches
+
+
+def test_operator_bytes_follow_earlier_text(monkeypatch):
+    # text written before the operator is flushed ahead of its bytes, and
+    # text written after it follows them
+    argvs = (["coeffs", "--n", "3", "--N", "4"],
+             ["operator", "--n", "3", "--N", "4"],
+             ["coeffs", "--n", "2", "--N", "5", "--format", "csv"])
+
+    def output(*argvs):
+        raw = io.BytesIO()
+        stream = io.TextIOWrapper(raw, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", stream)
+        for argv in argvs:
+            assert main(argv) == 0
+        stream.flush()
+        return raw.getvalue()
+
+    assert output(*argvs) == b"".join(output(argv) for argv in argvs)
+
+
+def test_subprocess_operator_encodes_as_stdout(covop_env):
+    # stdout's encoding and error handler apply to the operator bytes as to
+    # any text written to it
+    def run(n, N, encoding="utf-8"):
+        env = dict(covop_env, PYTHONIOENCODING=encoding)
+        return subprocess.run([sys.executable, "-m", "covop", "operator",
+                               "--n", str(n), "--N", str(N)],
+                              capture_output=True, env=env)
+
+    proc = run(2, 2, "ascii:backslashreplace")
+    assert proc.returncode == 0
+    assert proc.stdout == _operator_document_via_dict(2, 2).encode(
+        "ascii", "backslashreplace")
+    assert b"\\u03bb" in proc.stdout
+    proc = run(2, 2, "ascii")
+    assert proc.returncode == 1
+    assert b"UnicodeEncodeError" in proc.stderr
+    proc = run(8, 4)  # several batches through the real BufferedWriter
+    assert proc.returncode == 0
+    assert proc.stdout == _operator_document_via_dict(8, 4).encode("utf-8")
+    # UTF-16 does not write ASCII as ASCII: the text goes through the stream
+    raw = io.BytesIO()
+    stream = io.TextIOWrapper(raw, encoding="utf-16")
+    _emit_operator(2, 2, stream)
+    stream.flush()
+    assert raw.getvalue() == _operator_document_via_dict(2, 2).encode("utf-16")
 
 
 def test_operator_n4_N6_bytes_pinned(capsys):

@@ -278,6 +278,21 @@ def test_gaussian_rejects_a_nonpositive_or_nan_width_and_a_short_exponent():
         GaussianBump((0.0, 0.0), prefactor={(1,): 1})
 
 
+def test_gaussian_rejects_an_infinite_width_and_a_nonfinite_center():
+    with pytest.raises(ValueError):
+        GaussianBump((0.0,), width=math.inf)
+    for center in ((math.nan,), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError):
+            GaussianBump(center, 1.0)
+
+
+def test_translation_rejects_nonfinite_entries():
+    for v in ((math.nan, 0.0), (0.0, math.inf), (-math.inf,)):
+        with pytest.raises(ValueError):
+            Translation(v)
+    assert Translation((0.5, -1.0)).inverse().v == (-0.5, 1.0)
+
+
 def test_rho_identity_and_dilation():
     n = 2
     f = GaussianBump((0.2, -0.1), 1.0)
