@@ -13,7 +13,6 @@ A tangential coefficient is a polynomial in λ alone, the tuple of its
 integer coefficients in ascending order, printed by ``pretty_lam``.
 """
 
-from fractions import Fraction
 from math import comb
 
 from covop import iterated, juhl_coeffs, leading_coeff, normalization_meta
@@ -61,8 +60,8 @@ for N in (2, 5):
 print("\nscalar normalization metadata (Gamma factors and parity ratio):")
 for N in (1, 2):
     m = normalization_meta(n, N)
-    print(f"    N={N}:  {m.pretty()}")
-    ratio = m.ratio_prefactor * Fraction(2) ** m.ratio_two_power
-    for b, a in m.ratio_factors:
-        ratio *= b + a
+    print(f"    N={N}:  {m['display']}")
+    ratio = int(m["ratio_prefactor"]) * 2 ** m["ratio_two_power"]
+    for b, a in m["ratio_factors"]:
+        ratio *= int(b) + int(a)
     print(f"           ratio at λ=1: {ratio}")

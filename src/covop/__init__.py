@@ -11,9 +11,9 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         chart_inverse, full_rotation, stereographic,
                         stereographic_factor, tangential_rotation)
 from .jets import Jet, coordinate_jets
-from .juhl import (NormalizationMeta, TangentialOp, iterated, juhl_coeffs,
-                   leading_coeff, leading_factors, normalization_meta)
-from .symbolcalc import (HExpr, HTerm, SymCoeff, check_factorization,
+from .juhl import (TangentialOp, iterated, juhl_coeffs, leading_coeff,
+                   leading_factors, normalization_meta)
+from .symbolcalc import (HExpr, SymCoeff, check_factorization,
                          check_ks_inversion, d_normal, knapp_stein_symbol,
                          mul_norm_sq, symbol_ks_after_onestep,
                          symbol_mult_after_ks)
@@ -26,8 +26,8 @@ __all__ = [
     "TangentialOp",
     "Jet", "coordinate_jets",
     "iterated", "juhl_coeffs", "leading_coeff", "leading_factors",
-    "normalization_meta", "NormalizationMeta",
-    "SymCoeff", "HTerm", "HExpr",
+    "normalization_meta",
+    "SymCoeff", "HExpr",
     "knapp_stein_symbol", "mul_norm_sq", "d_normal",
     "symbol_mult_after_ks", "symbol_ks_after_onestep", "check_factorization",
     "check_ks_inversion",

@@ -32,19 +32,6 @@ EMIT_BATCH = 1 << 16  # bytes of operator text collected before one write
 # -- exact serialization -----------------------------------------------------
 
 
-def normalization_to_dict(meta):
-    return {
-        "pi_power": meta.pi_power,
-        "gamma_factors": [{"const": str(g.const), "lam_coeff": str(g.lam_coeff),
-                           "exponent": g.exponent} for g in meta.gammas],
-        "parity": meta.parity,
-        "ratio_prefactor": str(meta.ratio_prefactor),
-        "ratio_two_power": meta.ratio_two_power,
-        "ratio_factors": [[str(b), str(a)] for b, a in meta.ratio_factors],
-        "display": meta.pretty(),
-    }
-
-
 def coeff_table(n, N):
     rows = []
     for j, p in enumerate(juhl_coeffs(n, N).coeffs):
@@ -54,7 +41,7 @@ def coeff_table(n, N):
             row["factored"] = pretty_factors(leading_factors(n, N))
         rows.append(row)
     return {"kind": "juhl_coeffs", "n": n, "N": N, "rows": rows,
-            "normalization": normalization_to_dict(normalization_meta(n, N))}
+            "normalization": normalization_meta(n, N)}
 
 
 def _emit_json(obj, stream):

@@ -179,7 +179,8 @@ def full_rotation(n, angle):
 
 
 class ConformalMap:
-    """A word of generators applied left to right: word[0] acts first.
+    """A word of generators applied left to right: word[0] acts first;
+    ``ConformalMap(n)``, the empty word, is the identity.
 
     ``g1 @ g2`` composes as operators (g2 applied first).  The conformal
     factor of a word is the cocycle product of the generator factors along
@@ -195,10 +196,6 @@ class ConformalMap:
             if g.dim is not None and g.dim != n:
                 raise ValueError(f"generator {g!r} has wrong dimension for n={n}")
         self.word = word
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, ())
 
     def __matmul__(self, other):
         """self o other: other applied first."""
@@ -313,7 +310,9 @@ class GaussianBump:
         return self.eval_generic(coordinate_jets(point, order))
 
     def times_coordinate(self, i):
-        """The test function xi_i * f (stays in the class)."""
+        """The test function xi_i * f (stays in the class), 0 <= i < n."""
+        if not 0 <= i < self.n:
+            raise ValueError(f"coordinate index must be in 0..{self.n - 1}, got {i}")
         if self.prefactor is None:
             pre = {tuple(int(j == i) for j in range(self.n)): 1}
         else:

@@ -4,7 +4,8 @@ A jet stores the Taylor coefficients of a smooth function at a point up to a
 fixed total order, so derivatives obtained from composed jets are exact up to
 rounding -- no finite-difference step-size tuning anywhere.  Order 2 covers
 the second-order operators; higher orders are used when composed operator
-families are evaluated numerically.  A jet holds floats or complex values.
+families are evaluated numerically.  A jet holds floats or complex values;
+``exp`` takes a real value part.
 
 Nothing here reorders a float operation; the speed comes from not redoing
 work.  Seeded reports print errors with full ``repr``, so a reordered sum
@@ -31,7 +32,6 @@ another order, which is why jets stay dicts.
   where ``c / b`` and ``c * (1 / b)`` differ in the last bit.
 """
 
-import cmath
 import functools
 import math
 
@@ -203,22 +203,8 @@ class Jet:
         get = self.terms.get
         return [get(e, 0.0) for e in _units(self.dim)]
 
-    @property
-    def hess(self):
-        h = [[0.0] * self.dim for _ in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                e = tuple((1 if k == i else 0) + (1 if k == j else 0)
-                          for k in range(self.dim))
-                v = self.terms.get(e, 0.0)
-                if i == j:
-                    v = 2.0 * v
-                h[i][j] = v
-                h[j][i] = v
-        return h
-
     def laplacian(self):
-        # the diagonal of hess, read directly: 2 * (coefficient of x_i^2)
+        # the diagonal of the Hessian: 2 * (coefficient of x_i^2)
         get = self.terms.get
         return sum(2.0 * get(e, 0.0) for e in _squares(self.dim))
 
@@ -321,18 +307,7 @@ class Jet:
         return Jet._adopt(dim, order, acc)
 
     def exp(self):
-        v = self.value
-        e = cmath.exp(v) if isinstance(v, complex) else math.exp(v)
-        return self.compose_series([e] * (self.order + 1))
-
-    def log(self):
-        v = self.value
-        if isinstance(v, complex) or v <= 0:
-            raise ValueError("log of a jet requires a positive value part")
-        derivs = [math.log(v)]
-        for k in range(1, self.order + 1):
-            derivs.append((-1.0) ** (k - 1) * math.factorial(k - 1) / v ** k)
-        return self.compose_series(derivs)
+        return self.compose_series([math.exp(self.value)] * (self.order + 1))
 
     def __repr__(self):
         return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"

@@ -9,17 +9,16 @@ to the hyperplane xi_n = 0 produces the Juhl-type tangential families.  This
 module gives every iterate in closed form in the reduced basis xi_n^i d_n^j
 Lap^k, splits it over derivatives into the coefficient classes of
 ``iterated`` for the export, and reads the tangential coefficients (a
-``TangentialOp``) off its xi_n-free keys; the Gamma-factor normalization
-metadata is in closed form.  A polynomial in lam is the tuple of its
-integer coefficients in ascending order with no trailing zero, () for 0;
-``pretty_lam`` prints it, and ``pretty_terms`` prints a polynomial in several
-variables given as {exponent tuple: coefficient}.
+``TangentialOp``) off its xi_n-free keys.  ``normalization_meta`` gives the
+Gamma-factor normalization block of a ``coeffs`` document in closed form,
+as the plain ints and strings the document holds.  A polynomial in lam is
+the tuple of its integer coefficients in ascending order with no trailing
+zero, () for 0; ``pretty_lam`` prints it, and ``pretty_terms`` prints a
+polynomial in several variables given as {exponent tuple: coefficient}.
 ``lap_prime_terms`` is the one expansion of Lap'^s over derivative
 multi-indices; the export and the numeric covariance table read it.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -145,8 +144,9 @@ def iterated(n, N):
 
 
 def leading_factors(n, N):
-    """Linear factors (b, a) meaning b*lam + a of the leading coefficient."""
-    return [(Fraction(2), Fraction(m - n)) for m in range(N + 1, 2 * N + 1)]
+    """Linear factors (b, a) meaning b*lam + a of the leading coefficient,
+    as int pairs."""
+    return [(2, m - n) for m in range(N + 1, 2 * N + 1)]
 
 
 def pretty_factors(factors):
@@ -291,77 +291,44 @@ def juhl_coeffs(n, N):
 # -- normalization metadata ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GammaFactor:
-    """Gamma(lam_coeff * lam + const) ** exponent."""
-    const: Fraction
-    lam_coeff: Fraction
-    exponent: int = 1
-
-    def pretty(self):
-        b, a = self.lam_coeff, self.const
-        if b == 1:
-            inner = f"λ+{a}" if a > 0 else (f"λ{a}" if a < 0 else "λ")
-        elif b == -1:
-            inner = f"{a}-λ" if a != 0 else "-λ"
-        else:
-            inner = f"{b}λ+{a}"
-        s = f"Γ({inner})"
-        return s if self.exponent == 1 else f"{s}^{self.exponent}"
-
-
-@dataclass(frozen=True)
-class NormalizationMeta:
-    """Scalar normalization data for the iterated family of order N.
-
-    ``pi_power``/``gammas`` describe the factor pi^(n(N-1)) Gamma(lam+N)
-    Gamma(n-lam-N) relating the iterated family to the twisted composition
-    with convolution intertwiners; ``ratio_*`` give the parity-dependent
-    multiplicative factor relating the restricted family to Juhl's own
-    normalization.  For n >= 2 the ratio, ratio_prefactor *
-    2^ratio_two_power * prod(b lam + a), equals 2^(2 ceil(N/2) - 1) times
-    a_floor(N/2), the coefficient of Lap'^(N/2) (of d_n Lap'^((N-1)/2) for odd
-    N).  For n = 1 and N >= 2 there is no Lap', a_floor(N/2) is 0, and the
-    ratio matches no coefficient of the family.  Purely analytic
-    bookkeeping, kept exact: none of it enters the operator coefficients.
-    """
-
-    n: int
-    N: int
-    pi_power: int
-    gammas: tuple
-    parity: str
-    ratio_prefactor: Fraction
-    ratio_two_power: int
-    ratio_factors: tuple  # affine (b, a): factor b*lam + a
-
-    def pretty(self):
-        gam = "".join(g.pretty() for g in self.gammas)
-        head = f"π^{self.pi_power}·{gam}" if self.pi_power else gam
-        ratio = (f"{self.ratio_prefactor}·2^{self.ratio_two_power}·"
-                 f"{pretty_factors(self.ratio_factors)}")
-        return f"normalization {head}; {self.parity} ratio {ratio}"
-
-
 def normalization_meta(n, N):
+    """The ``normalization`` block of the ``coeffs`` document of order N on
+    R^n, as the document holds it: ints, strings where the schema has
+    strings, and the ``display`` line.
+
+    ``pi_power`` and ``gamma_factors`` describe the factor pi^(n(N-1))
+    Gamma(lam+N) Gamma(n-lam-N) relating the iterated family to the twisted
+    composition with convolution intertwiners; ``ratio_*`` give the
+    parity-dependent multiplicative factor relating the restricted family to
+    Juhl's own normalization.  For n >= 2 the ratio, ratio_prefactor *
+    2^ratio_two_power * prod(b lam + a) over the pairs [b, a] of
+    ``ratio_factors``, equals 2^(2 ceil(N/2) - 1) times a_floor(N/2), the
+    coefficient of Lap'^(N/2) (of d_n Lap'^((N-1)/2) for odd N).  For n = 1
+    and N >= 2 there is no Lap', a_floor(N/2) is 0, and the ratio matches no
+    coefficient of the family.  Purely analytic bookkeeping, kept exact: none
+    of it enters the operator coefficients.  The prefactor N!/floor(N/2)! is
+    an integer, so every value is.
+    """
     if N < 1:
         raise ValueError("N must be >= 1")
-    gammas = (
-        GammaFactor(const=Fraction(N), lam_coeff=Fraction(1)),
-        GammaFactor(const=Fraction(n - N), lam_coeff=Fraction(-1)),
-    )
+    pi_power = n * (N - 1)
+    pref = factorial(N) // factorial(N // 2)
     if N % 2 == 0:
-        parity = "even"
-        pref = Fraction(factorial(N), factorial(N // 2))
-        two = N // 2 - 1
-        factors = tuple((Fraction(2), Fraction(-n + N + 2 * j))
-                        for j in range(1, N // 2 + 1))
+        parity, two = "even", N // 2 - 1
+        factors = [(2, N - n + 2 * j) for j in range(1, N // 2 + 1)]
     else:
-        parity = "odd"
-        pref = Fraction(factorial(N), factorial((N - 1) // 2))
-        two = (N + 1) // 2
-        factors = tuple((Fraction(2), Fraction(-n + N + 1 + 2 * j))
-                        for j in range((N - 1) // 2 + 1))
-    return NormalizationMeta(n=n, N=N, pi_power=n * (N - 1), gammas=gammas,
-                             parity=parity, ratio_prefactor=pref,
-                             ratio_two_power=two, ratio_factors=factors)
+        parity, two = "odd", (N + 1) // 2
+        factors = [(2, N - n + 1 + 2 * j) for j in range(N // 2 + 1)]
+    gammas = f"Γ(λ+{N})Γ({n - N if n != N else ''}-λ)"
+    head = f"π^{pi_power}·{gammas}" if pi_power else gammas
+    return {
+        "pi_power": pi_power,
+        "gamma_factors": [{"const": str(N), "lam_coeff": "1", "exponent": 1},
+                          {"const": str(n - N), "lam_coeff": "-1", "exponent": 1}],
+        "parity": parity,
+        "ratio_prefactor": str(pref),
+        "ratio_two_power": two,
+        "ratio_factors": [[str(b), str(a)] for b, a in factors],
+        "display": (f"normalization {head}; {parity} ratio "
+                    f"{pref}·2^{two}·{pretty_factors(factors)}"),
+    }

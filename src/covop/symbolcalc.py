@@ -7,7 +7,9 @@ Expressions are finite sums of terms
 where h_s(eta) = |eta|^s / Gamma(n/2 + s/2), s is kept exactly affine in lam,
 l is the order of the normal derivative of the transformed function, and
 coefficients are rational functions of lam times tracked powers of 2,
-sqrt(pi) and i.  The rewrite rules are
+sqrt(pi) and i.  An ``HExpr`` holds its sum as one dict from the key
+(l, s_const, s_lam, a) to the coefficient, and every operation works on
+(key, coefficient) pairs.  The rewrite rules are
 
     |eta|^2 h_s = (n+s)/2 * h_{s+2},
     d/deta_n h_s = 2s/(n+s-2) * eta_n h_{s-2},
@@ -254,95 +256,70 @@ class SymCoeff:
         return f"SymCoeff({self.pretty()})"
 
 
-class HTerm:
-    """One term coeff * eta_n^eta_pow * h_{s_const + s_lam*lam} (x)
-    d^target Fhat / deta_n^target: ``target`` is the order of the normal
-    derivative of the transformed function (0 for Fhat itself)."""
-
-    __slots__ = ("coeff", "eta_pow", "s_const", "s_lam", "target")
-
-    def __init__(self, coeff, eta_pow, s_const, s_lam, target):
-        if not isinstance(target, int) or target < 0:
-            raise ValueError(f"target must be a derivative order >= 0, got {target!r}")
-        if eta_pow < 0:
-            raise ValueError("eta_n power must be nonnegative")
-        self.coeff = coeff
-        self.eta_pow = eta_pow
-        self.s_const = _as_fraction(s_const)
-        self.s_lam = _as_fraction(s_lam)
-        self.target = target
-
-    def key(self):
-        return (self.target, self.s_const, self.s_lam, self.eta_pow)
-
-    def pretty(self):
-        if not self.s_lam:
-            s = f"{self.s_const}"
-        else:
-            head = "" if self.s_lam == 1 else ("-" if self.s_lam == -1 else f"{self.s_lam}")
-            s = f"{head}λ"
-            if self.s_const:
-                s += f"+{self.s_const}" if self.s_const > 0 else f"{self.s_const}"
-        eta = "" if not self.eta_pow else (
-            "η_n·" if self.eta_pow == 1 else f"η_n^{self.eta_pow}·")
-        l = self.target
-        tgt = ("f̂", "∂f̂/∂η_n")[l] if l < 2 else f"∂^{l} f̂/∂η_n^{l}"
-        return f"{self.coeff.pretty()}·{eta}h_({s})⊗{tgt}"
+def pretty_term(key, coeff):
+    """One term of an HExpr, e.g. '2^-1·η_n·h_(λ-1)⊗∂f̂/∂η_n'."""
+    target, s_const, s_lam, eta_pow = key
+    if not s_lam:
+        s = f"{s_const}"
+    else:
+        head = "" if s_lam == 1 else ("-" if s_lam == -1 else f"{s_lam}")
+        s = f"{head}λ"
+        if s_const:
+            s += f"+{s_const}" if s_const > 0 else f"{s_const}"
+    eta = "" if not eta_pow else ("η_n·" if eta_pow == 1 else f"η_n^{eta_pow}·")
+    tgt = ("f̂", "∂f̂/∂η_n")[target] if target < 2 else f"∂^{target} f̂/∂η_n^{target}"
+    return f"{coeff.pretty()}·{eta}h_({s})⊗{tgt}"
 
 
 class HExpr:
-    """Canonical sum of HTerms: like terms merged, zeros dropped, sorted."""
+    """Canonical sum of terms coeff * eta_n^eta_pow * h_{s_const + s_lam*lam}
+    (x) d^target Fhat / deta_n^target: ``terms`` maps each key (target,
+    s_const, s_lam, eta_pow) to its SymCoeff, keys sorted, like terms merged
+    and zero coefficients dropped.  ``target`` is the order of the normal
+    derivative of the transformed function (0 for Fhat itself).  Built from
+    (key, coeff) pairs in any order."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=()):
+    def __init__(self, pairs=()):
         merged = {}
-        for t in terms:
-            k = t.key()
-            if k in merged:
-                merged[k] = HTerm(merged[k].coeff + t.coeff, t.eta_pow,
-                                  t.s_const, t.s_lam, t.target)
-            else:
-                merged[k] = t
-        self.terms = tuple(merged[k] for k in sorted(merged)
-                           if not merged[k].coeff.is_zero())
+        for (target, s_const, s_lam, eta_pow), coeff in pairs:
+            if not isinstance(target, int) or target < 0 or eta_pow < 0:
+                raise ValueError(f"target and eta_n power must be ints >= 0, "
+                                 f"got {target!r} and {eta_pow!r}")
+            k = (target, _as_fraction(s_const), _as_fraction(s_lam), eta_pow)
+            merged[k] = merged[k] + coeff if k in merged else coeff
+        self.terms = {k: merged[k] for k in sorted(merged) if not merged[k].is_zero()}
 
     def __eq__(self, other):
         if not isinstance(other, HExpr):
             return NotImplemented
-        if len(self.terms) != len(other.terms):
-            return False
-        return all(a.key() == b.key() and a.coeff == b.coeff
-                   for a, b in zip(self.terms, other.terms))
+        return self.terms == other.terms
 
     def __add__(self, other):
-        return HExpr(self.terms + other.terms)
+        return HExpr([*self.terms.items(), *other.terms.items()])
 
     def scale(self, coeff):
         """Multiply every coefficient by an int, a Fraction or a SymCoeff."""
-        return HExpr(HTerm(t.coeff * coeff, t.eta_pow, t.s_const, t.s_lam, t.target)
-                     for t in self.terms)
+        return HExpr((k, c * coeff) for k, c in self.terms.items())
 
     def mul_eta(self):
         """Multiply by eta_n."""
-        return HExpr(HTerm(t.coeff, t.eta_pow + 1, t.s_const, t.s_lam, t.target)
-                     for t in self.terms)
+        return HExpr(((l, sc, sl, a + 1), c) for (l, sc, sl, a), c in self.terms.items())
 
     def retarget(self, target):
-        return HExpr(HTerm(t.coeff, t.eta_pow, t.s_const, t.s_lam, target)
-                     for t in self.terms)
+        return HExpr(((target, sc, sl, a), c) for (_, sc, sl, a), c in self.terms.items())
 
     def shift(self, offset):
         """lam -> lam + offset everywhere (coefficients and kernel indices)."""
         offset = _as_fraction(offset)
-        return HExpr(HTerm(t.coeff.shift(offset), t.eta_pow,
-                           t.s_const + t.s_lam * offset, t.s_lam, t.target)
-                     for t in self.terms)
+        return HExpr(((l, sc + sl * offset, sl, a), c.shift(offset))
+                     for (l, sc, sl, a), c in self.terms.items())
 
     def pretty(self):
         if not self.terms:
             return "0"
-        return "  +  ".join(t.pretty() for t in self.terms)
+        return "  +  ".join(pretty_term(k, c) for k, c in self.terms.items())
 
     def __repr__(self):
         return f"HExpr({self.pretty()})"
@@ -361,12 +338,8 @@ def hat_kernel(n, s_const, s_lam):
 
 def mul_norm_sq(n, e):
     """|eta|^2 applied to each term: s -> s+2 with coefficient (n+s)/2."""
-    out = []
-    for t in e.terms:
-        factor = SymCoeff((n + t.s_const, t.s_lam), 2)
-        out.append(HTerm(t.coeff * factor, t.eta_pow,
-                         t.s_const + 2, t.s_lam, t.target))
-    return HExpr(out)
+    return HExpr(((l, sc + 2, sl, a), c * SymCoeff((n + sc, sl), 2))
+                 for (l, sc, sl, a), c in e.terms.items())
 
 
 def d_normal(n, e):
@@ -374,22 +347,21 @@ def d_normal(n, e):
 
     The kernel factor follows d/deta_n h_s = 2s/(n+s-2) eta_n h_{s-2}, and a
     target's derivative order goes up by one, so the rule closes under every
-    normal derivative.
+    normal derivative.  A kernel with s = 0 is constant and has no kernel
+    term, even where n + s - 2 vanishes too.
     """
     out = []
-    for t in e.terms:
-        if t.eta_pow:
-            out.append(HTerm(t.coeff * t.eta_pow, t.eta_pow - 1,
-                             t.s_const, t.s_lam, t.target))
-        den = (n + t.s_const - 2, t.s_lam)
-        if not any(den):
-            raise ValueError(
-                "kernel derivative at the analytic-continuation point s = 2-n "
-                "with s constant in lam")
-        if t.s_const or t.s_lam:
-            out.append(HTerm(t.coeff * SymCoeff((2 * t.s_const, 2 * t.s_lam), den),
-                             t.eta_pow + 1, t.s_const - 2, t.s_lam, t.target))
-        out.append(HTerm(t.coeff, t.eta_pow, t.s_const, t.s_lam, t.target + 1))
+    for (l, sc, sl, a), c in e.terms.items():
+        if a:
+            out.append(((l, sc, sl, a - 1), c * a))
+        if sc or sl:
+            den = (n + sc - 2, sl)
+            if not any(den):
+                raise ValueError(
+                    "kernel derivative at the analytic-continuation point s = 2-n "
+                    "with s constant in lam")
+            out.append(((l, sc - 2, sl, a + 1), c * SymCoeff((2 * sc, 2 * sl), den)))
+        out.append(((l + 1, sc, sl, a), c))
     return HExpr(out)
 
 
@@ -402,7 +374,7 @@ def knapp_stein_symbol(n):
     if n < 1:
         raise ValueError("n must be >= 1")
     coeff, sc, sl = hat_kernel(n, Fraction(-2 * n), Fraction(2))
-    return HExpr([HTerm(coeff, 0, sc, sl, 0)])
+    return HExpr([((0, sc, sl, 0), coeff)])
 
 
 def symbol_mult_after_ks(n):
@@ -448,9 +420,10 @@ def check_ks_inversion(n):
     c(lam) c(n-lam) = pi^n.
     """
     terms = knapp_stein_symbol(n).terms
-    if len(terms) != 1 or terms[0].eta_pow or terms[0].target:
+    if len(terms) != 1:
         return False  # no multiplier by a function of |eta| alone
-    (t,) = terms
-    return (2 * t.s_const + n * t.s_lam == 0
-            and (Fraction(n, 2) + t.s_const / 2, t.s_lam / 2) == (n, -1)
-            and t.coeff * t.coeff.reflect(n) == SymCoeff(1, pi_half=2 * n))
+    ((target, s_const, s_lam, eta_pow), c), = terms.items()
+    return (not target and not eta_pow  # nor with a derivative or an eta_n power
+            and 2 * s_const + n * s_lam == 0
+            and (Fraction(n, 2) + s_const / 2, s_lam / 2) == (n, -1)
+            and c * c.reflect(n) == SymCoeff(1, pi_half=2 * n))

@@ -12,7 +12,9 @@ coefficients, writing a polynomial as the exact triples of a document and
 parsing an operator or coefficient document back, writing a restricted
 operator in the tangential basis with a zero-residual certificate, and the
 normal form of a symbol coefficient by Euclid at every degree, normalizing
-again after the numerator's content is taken out.  They enumerate the
+again after the numerator's content is taken out; and the Hessian of a jet,
+whose diagonal the library reads directly, and the series of log that
+composes a jet's logarithm.  They enumerate the
 multi-indices of Lap'^s themselves, so a test that uses them does not rest
 on ``juhl.lap_prime_terms``.
 """
@@ -20,7 +22,7 @@ on ``juhl.lap_prime_terms``.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, log
 
 from covop.cli import op_vars
 from covop.juhl import TangentialOp, iterated, pretty_terms
@@ -483,3 +485,25 @@ def symcoeff_normal_form(num, den=(1,), two_a=0, two_b=0, pi_half=0, i_pow=0):
     num, den = _euclid_normal_form([c * (sign * Fraction(2) ** -v) for c in num], den)
     return (tuple(num), tuple(den), Fraction(two_a) + v, Fraction(two_b),
             Fraction(pi_half), (i_pow + (2 if sign < 0 else 0)) % 4)
+
+
+def hess(jet):
+    """The Hessian of the function a jet of order >= 2 expands, as a list of
+    rows, read off its degree-2 coefficients (the diagonal ones doubled)."""
+    h = [[0.0] * jet.dim for _ in range(jet.dim)]
+    for i in range(jet.dim):
+        for j in range(i, jet.dim):
+            e = tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(jet.dim))
+            v = jet.terms.get(e, 0.0)
+            if i == j:
+                v = 2.0 * v
+            h[i][j] = v
+            h[j][i] = v
+    return h
+
+
+def log_series(v, order):
+    """The derivatives of log at v > 0, orders 0..order: composed with a jet
+    of value part v, they give the jet's logarithm."""
+    return [log(v)] + [(-1.0) ** (k - 1) * factorial(k - 1) / v ** k
+                       for k in range(1, order + 1)]

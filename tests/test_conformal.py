@@ -11,7 +11,7 @@ from covop.conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                              stereographic_factor, tangential_rotation)
 from covop.jets import Jet, coordinate_jets
 
-from oracles import Poly
+from oracles import Poly, hess, log_series
 
 
 def test_dilation_action_and_factor():
@@ -202,7 +202,7 @@ def test_gaussian_value_and_jet():
     v = math.exp(-(0.3 ** 2 + 0.2 ** 2))
     assert j.value == pytest.approx(v)
     assert j.grad[0] == pytest.approx(-2 * 0.3 * v)
-    assert j.hess[0][1] == pytest.approx(4 * 0.3 * (-0.2) * v, abs=1e-12)
+    assert hess(j)[0][1] == pytest.approx(4 * 0.3 * (-0.2) * v, abs=1e-12)
 
 
 def test_gaussian_prefactor_and_times_coordinate():
@@ -293,11 +293,21 @@ def test_translation_rejects_nonfinite_entries():
     assert Translation((0.5, -1.0)).inverse().v == (-0.5, 1.0)
 
 
+def test_times_coordinate_rejects_an_index_outside_the_coordinates():
+    # with or without a prefactor: no silent no-op and no IndexError
+    for f in (GaussianBump((0.1, 0.2)), GaussianBump((0.1, 0.2), 1.0, {(1, 0): 1})):
+        for i in (2, 5, -1):
+            with pytest.raises(ValueError, match="coordinate index"):
+                f.times_coordinate(i)
+        assert f.times_coordinate(1).value((0.5, 0.5)) == \
+            pytest.approx(0.5 * f.value((0.5, 0.5)))
+
+
 def test_rho_identity_and_dilation():
     n = 2
     f = GaussianBump((0.2, -0.1), 1.0)
     xi = (0.4, 0.3)
-    ident = ConformalMap.identity(n)
+    ident = ConformalMap(n)
     j = PulledBack(1.3, ident, f).jet(xi, 2)
     jf = f.jet(xi, 2)
     assert j.value == pytest.approx(jf.value)
@@ -386,7 +396,7 @@ def test_jet_power_and_log_roundtrip():
     q = (p * p - 1.0) / j
     assert q.value == pytest.approx(1.7)
     assert q.grad[0] == pytest.approx(1.0, abs=1e-12)
-    e = j.log().exp()
+    e = j.compose_series(log_series(1.7, 3)).exp()  # log, then exp
     assert e.value == pytest.approx(1.7)
     assert e.grad[0] == pytest.approx(1.0)
 
@@ -417,4 +427,4 @@ def test_jet_against_finite_differences():
     up = (xi[0] + h, xi[1])
     dn = (xi[0] - h, xi[1])
     fd2 = (u.value(up) - 2 * u.value(xi) + u.value(dn)) / h ** 2
-    assert j.hess[0][0] == pytest.approx(fd2, rel=2e-4, abs=1e-6)
+    assert hess(j)[0][0] == pytest.approx(fd2, rel=2e-4, abs=1e-6)

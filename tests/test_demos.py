@@ -16,8 +16,8 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 # stdout sha256 of every demo, pinned byte for byte: the family demo prints
 # the exact classes and tangential coefficients, the symbol demo coefficients
-# and kernels through SymCoeff.pretty and HTerm.pretty, and the covariance and
-# ambient demos seeded errors of the float checks
+# and kernels through SymCoeff.pretty and HExpr.pretty's term printer, and
+# the covariance and ambient demos seeded errors of the float checks
 PINNED = {"01_operator_families.py":
           "4d3c39a3423b552b301b68741fe429acfa816d2c41f65d775ea67a4d4f5dd41e",
           "02_symbol_factorization.py":

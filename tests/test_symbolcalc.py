@@ -4,17 +4,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from covop import symbolcalc, verify
-from covop.symbolcalc import (HExpr, HTerm, SymCoeff, check_factorization,
+from covop.symbolcalc import (HExpr, SymCoeff, check_factorization,
                               check_ks_inversion, d_normal,
                               factorization_constant, hat_kernel,
-                              knapp_stein_symbol, mul_norm_sq,
+                              knapp_stein_symbol, mul_norm_sq, pretty_term,
                               symbol_ks_after_onestep, symbol_mult_after_ks)
 
 from oracles import Poly, lam_coeffs, lam_poly, symcoeff_normal_form
 
 
 def term(coeff, eta, s_const, s_lam, target=0):
-    return HTerm(coeff, eta, s_const, s_lam, target)
+    """The (key, coeff) pair of coeff * eta_n^eta * h_(s_const + s_lam lam)
+    (x) d^target Fhat / deta_n^target."""
+    return (target, s_const, s_lam, eta), coeff
 
 
 def at(coeffs, x):
@@ -91,16 +93,16 @@ def test_hat_rule_twice_is_two_pi_to_n():
 def test_knapp_stein_symbol_n2():
     e = knapp_stein_symbol(2)
     assert len(e.terms) == 1
-    t = e.terms[0]
-    assert t.target == 0 and t.eta_pow == 0
-    assert (t.s_const, t.s_lam) == (2, -2)
-    assert t.coeff == SymCoeff(1, two_a=-2, two_b=2, pi_half=2)
+    (target, s_const, s_lam, eta_pow), coeff = next(iter(e.terms.items()))
+    assert target == 0 and eta_pow == 0
+    assert (s_const, s_lam) == (2, -2)
+    assert coeff == SymCoeff(1, two_a=-2, two_b=2, pi_half=2)
 
 
 def test_knapp_stein_symbol_n1():
-    t = knapp_stein_symbol(1).terms[0]
-    assert (t.s_const, t.s_lam) == (1, -2)
-    assert t.coeff == SymCoeff(1, two_a=-1, two_b=2, pi_half=1)
+    (_, s_const, s_lam, _), coeff = next(iter(knapp_stein_symbol(1).terms.items()))
+    assert (s_const, s_lam) == (1, -2)
+    assert coeff == SymCoeff(1, two_a=-1, two_b=2, pi_half=1)
 
 
 def test_mul_norm_sq_examples():
@@ -113,6 +115,35 @@ def test_mul_norm_sq_examples():
     assert mul_norm_sq(3, e) == HExpr([term(SymCoeff(1), 0, 1, 0)])
     # zero coefficients disappear
     assert mul_norm_sq(2, HExpr([term(SymCoeff(0), 0, 0, 0)])) == HExpr()
+
+
+def test_hexpr_is_canonical_whatever_the_order_of_its_pairs():
+    # like terms merge, zero sums drop and the keys sort, so any order of the
+    # same pairs gives the same expression and the same text
+    pairs = [term(SymCoeff((0, 4), (1, 2)), 1, -2, 2),
+             term(SymCoeff(1), 0, 0, 2, 1),
+             term(SymCoeff(3), 2, Fraction(1, 2), 0),
+             term(SymCoeff(-1), 0, 0, 2, 1),
+             term(SymCoeff(1, two_a=1), 0, 0, 2, 1),
+             term(SymCoeff((1, 1)), 0, 0, 0)]
+    orders = [pairs, pairs[::-1], pairs[2:] + pairs[:2], pairs[1::2] + pairs[::2]]
+    exprs = [HExpr(p) for p in orders]
+    for e in exprs[1:]:
+        assert e == exprs[0]
+        assert e.pretty() == exprs[0].pretty()
+        assert list(e.terms) == list(exprs[0].terms)
+    assert list(exprs[0].terms) == sorted(exprs[0].terms)
+    # the two unit coefficients of one key cancel, leaving the 2^1 one
+    assert exprs[0].terms[1, 0, 2, 0] == SymCoeff(1, two_a=1)
+    assert len(exprs[0].terms) == 4
+
+
+def test_hexpr_rejects_a_negative_or_fractional_target_and_a_negative_eta_power():
+    for bad in (term(SymCoeff(1), 0, 0, 0, -1), term(SymCoeff(1), 0, 0, 0, 1.0),
+                term(SymCoeff(1), -1, 0, 0)):
+        with pytest.raises(ValueError, match="target and eta_n power"):
+            HExpr([bad])
+    assert HExpr([term(SymCoeff(1), 0, 0, 0, 1)]).pretty() == "1·h_(0)⊗∂f̂/∂η_n"
 
 
 def test_d_normal_product_rule():
@@ -132,6 +163,18 @@ def test_d_normal_s_zero_kills_kernel_term():
     n = 5
     got = d_normal(n, HExpr([term(SymCoeff(1), 0, 0, 0)]))
     assert got == HExpr([term(SymCoeff(1), 0, 0, 0, 1)])
+
+
+def test_d_normal_s_zero_at_n2_has_no_kernel_term():
+    # h_0 is constant, so at n = 2, where n + s - 2 vanishes too, the rule
+    # gives h_0 (x) df^ as at every other n
+    for n in (2, 3):
+        got = d_normal(n, HExpr([term(SymCoeff(1), 0, 0, 0)]))
+        assert got == HExpr([term(SymCoeff(1), 0, 0, 0, 1)])
+    # a constant s = 2 - n != 0 is the analytic-continuation point itself
+    for n in (1, 3, 4):
+        with pytest.raises(ValueError, match="analytic-continuation point"):
+            d_normal(n, HExpr([term(SymCoeff(1), 0, 2 - n, 0)]))
 
 
 def test_d_normal_eta_product_rule():
@@ -164,8 +207,8 @@ def test_d_normal_closure():
         term(SymCoeff((0, 8), (1, 2)), 1, -2, 2, 1),
         term(SymCoeff(1), 0, 0, 2, 2),
     ])
-    assert second.terms[-1].pretty() == "1·h_(2λ)⊗∂^2 f̂/∂η_n^2"
-    assert [t.pretty().rsplit("⊗", 1)[1] for t in first.terms] == [
+    assert pretty_term(*list(second.terms.items())[-1]) == "1·h_(2λ)⊗∂^2 f̂/∂η_n^2"
+    assert [pretty_term(k, c).rsplit("⊗", 1)[1] for k, c in first.terms.items()] == [
         "∂f̂/∂η_n", "∂^2 f̂/∂η_n^2"]
 
 
@@ -193,40 +236,40 @@ def test_commutator_identity(a, b):
 def test_mult_after_ks_n3_coefficients():
     e = symbol_mult_after_ks(3)
     assert len(e.terms) == 2
-    by_target = {t.target: t for t in e.terms}
-    d = by_target[1]
-    assert (d.s_const, d.s_lam, d.eta_pow) == (3, -2, 0)
-    assert d.coeff == SymCoeff(1, two_a=-3, two_b=2, pi_half=3, i_pow=3)
-    f = by_target[0]
-    assert (f.s_const, f.s_lam, f.eta_pow) == (1, -2, 1)
+    by_target = {key[0]: (key[1:], c) for key, c in e.terms.items()}
+    d_rest, d = by_target[1]  # (s_const, s_lam, eta_pow), coeff
+    assert d_rest == (3, -2, 0)
+    assert d == SymCoeff(1, two_a=-3, two_b=2, pi_half=3, i_pow=3)
+    f_rest, f = by_target[0]
+    assert f_rest == (1, -2, 1)
     # -i pi^(3/2) 2^(-3+2lam) (3-2lam)/(2-lam)
-    assert f.coeff == SymCoeff((3, -2), (2, -1), two_a=-3, two_b=2,
-                               pi_half=3, i_pow=3)
+    assert f == SymCoeff((3, -2), (2, -1), two_a=-3, two_b=2,
+                         pi_half=3, i_pow=3)
 
 
 def test_ks_after_onestep_n3_coefficients():
     e = symbol_ks_after_onestep(3)
-    by_target = {t.target: t for t in e.terms}
-    d = by_target[1]
+    by_target = {key[0]: (key[1:], c) for key, c in e.terms.items()}
+    _, d = by_target[1]
     # -i 2^(-1+2lam) pi^(3/2) (lam-2)
-    assert d.coeff == SymCoeff((-2, 1), two_a=-1, two_b=2, pi_half=3, i_pow=3)
-    f = by_target[0]
-    assert f.coeff == SymCoeff((-3, 2), two_a=-1, two_b=2, pi_half=3, i_pow=3)
-    assert (f.s_const, f.s_lam, f.eta_pow) == (1, -2, 1)
+    assert d == SymCoeff((-2, 1), two_a=-1, two_b=2, pi_half=3, i_pow=3)
+    f_rest, f = by_target[0]  # (s_const, s_lam, eta_pow), coeff
+    assert f == SymCoeff((-3, 2), two_a=-1, two_b=2, pi_half=3, i_pow=3)
+    assert f_rest == (1, -2, 1)
 
 
 def test_dfhat_coefficient_vanishes_at_lam_one_n2():
     e = symbol_ks_after_onestep(2)
-    d = next(t for t in e.terms if t.target == 1)
-    assert at(d.coeff.num, Fraction(1)) == 0
+    d = next(c for key, c in e.terms.items() if key[0] == 1)
+    assert at(d.num, Fraction(1)) == 0
 
 
 def test_mult_after_ks_fhat_vanishes_at_half_n1():
     # n = 1: the kernel-term coefficient carries the factor (n - 2 lam),
     # whose numerator vanishes at lam = 1/2
     e = symbol_mult_after_ks(1)
-    f = next(t for t in e.terms if t.target == 0)
-    assert at(f.coeff.num, Fraction(1, 2)) == 0
+    f = next(c for key, c in e.terms.items() if key[0] == 0)
+    assert at(f.num, Fraction(1, 2)) == 0
 
 
 def test_factorization_identity():
@@ -242,9 +285,10 @@ def test_ks_inversion_identity():
 @pytest.mark.parametrize("shape", ["eta_n power", "second term"])
 def test_ks_inversion_needs_one_multiplier_term(monkeypatch, shape):
     # an eta_n power or a second term is no multiplier by a function of |eta|
-    (t,) = knapp_stein_symbol(2).terms
-    wrong = {"eta_n power": [term(t.coeff, 1, t.s_const, t.s_lam)],
-             "second term": [t, term(t.coeff, 0, t.s_const + 2, t.s_lam)]}[shape]
+    (t,) = knapp_stein_symbol(2).terms.items()
+    (_, s_const, s_lam, _), coeff = t
+    wrong = {"eta_n power": [term(coeff, 1, s_const, s_lam)],
+             "second term": [t, term(coeff, 0, s_const + 2, s_lam)]}[shape]
     monkeypatch.setattr(symbolcalc, "knapp_stein_symbol", lambda n: HExpr(wrong))
     assert not check_ks_inversion(2)
 

@@ -201,7 +201,7 @@ def test_j1_gaussian_is_one():
 
 def test_ks_identity_map_trivial():
     f = GaussianBump((0.2,), 1.0)
-    r = check_ks_intertwining(1, 0.9, ConformalMap.identity(1), f,
+    r = check_ks_intertwining(1, 0.9, ConformalMap(1), f,
                               np.random.default_rng(10), samples=2,
                               quad_tol=1e-8, tol=1e-10)
     assert r.passed and r.samples == 2
@@ -401,7 +401,7 @@ def test_dalembertian_reads_the_hessian_diagonal():
     n = 2
     F = chart_family(n, 0.8, GaussianBump((0.1, 0.2), 1.0))
     Fj = F(coordinate_jets((1.0, 0.3, 0.1, 0.4), 2))
-    h = Fj.hess
+    h = oracles.hess(Fj)
     assert dalembertian(Fj, n) == h[0][0] - sum(h[i][i] for i in range(1, n + 2))
 
 
@@ -611,10 +611,9 @@ def test_ks_inversion_fails_on_a_perturbed_symbol(monkeypatch, name):
     original = symbolcalc.knapp_stein_symbol
 
     def perturbed(n):
-        (t,) = original(n).terms
-        coeff, s_const, s_lam = KS_PERTURBATIONS[name](t.coeff, t.s_const, t.s_lam)
-        return symbolcalc.HExpr([symbolcalc.HTerm(coeff, t.eta_pow, s_const, s_lam,
-                                                  t.target)])
+        (((target, s_const, s_lam, eta_pow), coeff),) = original(n).terms.items()
+        coeff, s_const, s_lam = KS_PERTURBATIONS[name](coeff, s_const, s_lam)
+        return symbolcalc.HExpr([((target, s_const, s_lam, eta_pow), coeff)])
 
     monkeypatch.setattr(symbolcalc, "knapp_stein_symbol", perturbed)
     reports = [r for r in verify.suite_numeric(seed=0)
