@@ -50,7 +50,7 @@ show({sa: F for sa, F in restricted.items() if F}, ("lam",))
 print("\ntangential coefficients for N = 1..4:")
 for N in range(1, 5):
     tang = juhl_coeffs(n, N)
-    row = ",  ".join(f"a_{j} = {pretty_lam(a)}" for j, a in enumerate(tang.coeffs))
+    row = ",  ".join(f"a_{j} = {pretty_lam(a)}" for j, a in enumerate(tang))
     print(f"    N={N}:  {row}")
 
 print("\nthe leading coefficient has the closed product form:")

@@ -11,8 +11,8 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         chart_inverse, full_rotation, stereographic,
                         stereographic_factor, tangential_rotation)
 from .jets import Jet, coordinate_jets
-from .juhl import (TangentialOp, iterated, juhl_coeffs, leading_coeff,
-                   leading_factors, normalization_meta)
+from .juhl import (iterated, juhl_coeffs, leading_coeff, leading_factors,
+                   normalization_meta)
 from .symbolcalc import (HExpr, SymCoeff, check_factorization,
                          check_ks_inversion, d_normal, knapp_stein_symbol,
                          mul_norm_sq, symbol_ks_after_onestep,
@@ -23,7 +23,6 @@ from .verify import (CheckReport, QuadratureBudgetExceeded,
 __version__ = "0.1.0"
 
 __all__ = [
-    "TangentialOp",
     "Jet", "coordinate_jets",
     "iterated", "juhl_coeffs", "leading_coeff", "leading_factors",
     "normalization_meta",

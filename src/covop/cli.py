@@ -34,8 +34,8 @@ EMIT_BATCH = 1 << 16  # bytes of operator text collected before one write
 
 def coeff_table(n, N):
     rows = []
-    for j, p in enumerate(juhl_coeffs(n, N).coeffs):
-        poly = [[[k], str(c.numerator), str(c.denominator)] for k, c in enumerate(p) if c]
+    for j, p in enumerate(juhl_coeffs(n, N)):
+        poly = [[[k], str(c), "1"] for k, c in enumerate(p) if c]
         row = {"j": j, "poly": poly, "display": pretty_lam(p)}
         if j == 0:
             row["factored"] = pretty_factors(leading_factors(n, N))
@@ -129,14 +129,14 @@ def _emit_operator(n, N, stream):
 
 def _emit_coeffs_csv(n, N, stream):
     stream.write("j,coeffs,display\n")
-    for j, p in enumerate(juhl_coeffs(n, N).coeffs):
+    for j, p in enumerate(juhl_coeffs(n, N)):
         asc = ";".join(map(str, p or (0,)))
         stream.write(f"{j},{asc},{pretty_lam(p)}\n")
 
 
 def _emit_coeffs_latex(n, N, stream):
     stream.write("\\begin{aligned}\n")
-    for j, p in enumerate(juhl_coeffs(n, N).coeffs):
+    for j, p in enumerate(juhl_coeffs(n, N)):
         body = pretty_factors(leading_factors(n, N)) if j == 0 else pretty_lam(p)
         body = body.replace("λ", "\\lambda ")
         stream.write(f"a_{{{j}}}(\\lambda) &= {body} \\\\\n")
@@ -154,12 +154,15 @@ def _check_range(n, N):
     return None
 
 
-def _check_n_bounds(n_min, n_max):
+def _check_verify_args(n_min, n_max, seed):
     for flag, value in (("--n-min", n_min), ("--n-max", n_max)):
         if value is not None and value < 1:
-            raise ValueError(f"{flag} must be at least 1 (got {value})")
+            return f"{flag} must be at least 1 (got {value})"
     if None not in (n_min, n_max) and n_min > n_max:
-        raise ValueError(f"--n-min must not exceed --n-max (got {n_min} > {n_max})")
+        return f"--n-min must not exceed --n-max (got {n_min} > {n_max})"
+    if seed < 0:
+        return f"--seed must be at least 0 (got {seed})"
+    return None
 
 
 def cmd_coeffs(args, stream):
@@ -186,12 +189,9 @@ def cmd_operator(args, stream):
 
 
 def cmd_verify(args, stream):
-    try:
-        _check_n_bounds(args.n_min, args.n_max)
-        if args.seed < 0:
-            raise ValueError(f"--seed must be at least 0 (got {args.seed})")
-    except ValueError as exc:
-        print(f"covop verify: {exc}", file=sys.stderr)
+    problem = _check_verify_args(args.n_min, args.n_max, args.seed)
+    if problem:
+        print(f"covop verify: {problem}", file=sys.stderr)
         return 2
     try:
         reports = run_suites(args.suite, seed=args.seed, n_min=args.n_min,

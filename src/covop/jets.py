@@ -307,6 +307,9 @@ class Jet:
         return Jet._adopt(dim, order, acc)
 
     def exp(self):
+        """exp of the jet, for a real value part only.  A complex value part,
+        which a fractional power of a negative value part gives, makes
+        math.exp raise TypeError."""
         return self.compose_series([math.exp(self.value)] * (self.order + 1))
 
     def __repr__(self):

@@ -5,16 +5,21 @@ The one-step operator is
     (2*lam - n + 2) d/dxi_n  +  xi_n * Laplacian,
 
 lam a formal variable.  Iterating it with shifted parameters and restricting
-to the hyperplane xi_n = 0 produces the Juhl-type tangential families.  This
-module gives every iterate in closed form in the reduced basis xi_n^i d_n^j
-Lap^k, splits it over derivatives into the coefficient classes of
-``iterated`` for the export, and reads the tangential coefficients (a
-``TangentialOp``) off its xi_n-free keys.  ``normalization_meta`` gives the
-Gamma-factor normalization block of a ``coeffs`` document in closed form,
-as the plain ints and strings the document holds.  A polynomial in lam is
-the tuple of its integer coefficients in ascending order with no trailing
-zero, () for 0; ``pretty_lam`` prints it, and ``pretty_terms`` prints a
-polynomial in several variables given as {exponent tuple: coefficient}.
+to the hyperplane xi_n = 0 produces the Juhl-type tangential families.  Their
+coefficients depend on n only through u = 2 lam - n, and this module holds
+them in u: every iterate in closed form in the reduced basis xi_n^i d_n^j
+Lap^k, and the leading product, as int tuples in u cached per order N.
+``lam_poly`` turns a polynomial in u into one in lam, and only the three
+functions whose polynomials leave the module call it: ``iterated`` splits
+the iterate over derivatives into coefficient classes for the export,
+``juhl_coeffs`` reads the tangential coefficients, a tuple of polynomials,
+off the xi_n-free keys, and ``leading_coeff`` gives the first of them in
+closed form.  ``normalization_meta`` gives the Gamma-factor normalization
+block of a ``coeffs`` document in closed form, as the plain ints and
+strings the document holds.  A polynomial in u or lam is the tuple of its
+integer coefficients in ascending order with no trailing zero, () for 0;
+``pretty_lam`` prints one in lam, and ``pretty_terms`` prints a polynomial
+in several variables given as {exponent tuple: coefficient}.
 ``lap_prime_terms`` is the one expansion of Lap'^s over derivative
 multi-indices; the export and the numeric covariance table read it.
 """
@@ -27,8 +32,8 @@ from math import comb, factorial
 #
 # The factors generate a small closed algebra: with X = mult by xi_n,
 # P = d_n and L = Lap one has [P, X] = 1, [L, X] = 2P, [P, L] = 0, so every
-# iterate is a combination of monomials X^i P^j L^k with lam-polynomial
-# coefficients, which _reduced_iterated gives in closed form as tuples of
+# iterate is a combination of monomials X^i P^j L^k with coefficients
+# polynomial in u, which _reduced_iterated gives in closed form as tuples of
 # ints; the symbolic suite's shift_consistency composes in the same basis.
 # iterated is the one place the basis is split over derivatives, into
 # coefficient classes of which the expansion is multinomial multiples; the
@@ -37,23 +42,23 @@ from math import comb, factorial
 
 
 @lru_cache(maxsize=None)
-def _reduced_iterated(n, N):
+def _reduced_iterated(N):
     """{(i, j, k): c} for xi_n^i d_n^j Lap^k in the N-fold composition with
     the parameter shifted by one per factor; c holds the integer
-    coefficients of lam^0, lam^1, ... with no trailing zero.  The keys are
-    0 <= i <= k with j = N + i - 2k >= 0, and
+    coefficients of u^0, u^1, ..., u = 2 lam - n, with no trailing zero.
+    The keys are 0 <= i <= k with j = N + i - 2k >= 0, and
 
-        c_(i,j,k) = N! / (i! (k-i)! 2^(k-i) j!) * prod_{t=k+1}^{N} (2 lam - n + 2t).
+        c_(i,j,k) = N! / (i! (k-i)! 2^(k-i) j!) * prod_{t=k+1}^{N} (u + 2t).
 
     Proof by induction from c_(0,0,0) = 1 at N = 0: order N composes
-    f P + X L, f = 2 lam + 2N - n, on the left of order N - 1, so by
-    [P, X] = 1 and [L, X] = 2P its key (i, j, k) collects (f + 2i) c_(i,j-1,k)
+    f P + X L, f = u + 2N, on the left of order N - 1, so by [P, X] = 1 and
+    [L, X] = 2P its key (i, j, k) collects (f + 2i) c_(i,j-1,k)
     + (i+1)(f + i) c_(i+1,j,k) + c_(i-1,j,k-1), each branch raising the
-    weight j + 2k - i by one.  With u = 2 lam - n, dividing by the common
-    factor leaves N (u + 2N) = j (u + 2N + 2i) + 2(k-i)(u + 2N + i) + i (u + 2k),
-    true as j + 2k - i = N; a missing key carries a vanishing factor j, k - i
-    or i.  No key cancels: its top lam coefficient is positive.  The product
-    is multiplied out in ints as in ``leading_coeff``; the recursion makes
+    weight j + 2k - i by one.  Dividing by the common factor leaves
+    N (u + 2N) = j (u + 2N + 2i) + 2(k-i)(u + 2N + i) + i (u + 2k), true as
+    j + 2k - i = N; a missing key carries a vanishing factor j, k - i or i.
+    Every coefficient is positive, so no key cancels.  The product is
+    multiplied out in ints as in ``_leading_product``; the recursion makes
     the division exact.
     """
     out, prod = {}, [1]
@@ -63,8 +68,29 @@ def _reduced_iterated(n, N):
             den = factorial(i) * factorial(k - i) * 2 ** (k - i) * factorial(j)
             out[i, j, k] = tuple(factorial(N) * x // den for x in prod)
         # the product for k - 1 takes t = k
-        prod = [(2 * k - n) * x + 2 * y for x, y in zip(prod + [0], [0] + prod)]
+        prod = [2 * k * x + y for x, y in zip(prod + [0], [0] + prod)]
     return out
+
+
+@lru_cache(maxsize=None)
+def _leading_product(N):
+    """prod_{m=N+1}^{2N} (u + m) multiplied out in ints, ascending in u."""
+    c = [1]
+    for m in range(N + 1, 2 * N + 1):
+        c = [m * x + y for x, y in zip(c + [0], [0] + c)]
+    return tuple(c)
+
+
+def lam_poly(p, n):
+    """The polynomial sum_r c_r (2 lam - n)^r in lam, for p = (c_0, c_1, ...)
+    in u = 2 lam - n, by Horner.  The top coefficient is 2^r times that of
+    p, so no trailing zero is made.  This is the one place the families
+    leave u for lam."""
+    out = []
+    for c in reversed(p):
+        out = [2 * y - n * x for x, y in zip(out + [0], [0] + out)]
+        out[0] += c
+    return tuple(out)
 
 
 def lap_prime_terms(n, orders):
@@ -129,7 +155,8 @@ def iterated(n, N):
     if N < 1:
         raise ValueError("N must be >= 1")
     classes = {}
-    for (i, j, k), c in _reduced_iterated(n, N).items():
+    for (i, j, k), c in _reduced_iterated(N).items():
+        c = lam_poly(c, n)
         for m_n in range(k + 1) if n > 1 else (k,):
             coeff = classes.setdefault((k - m_n, j + 2 * m_n), {})
             w = comb(k, m_n)
@@ -208,51 +235,13 @@ def leading_coeff(n, N):
     """Closed form of the pure-normal-derivative coefficient of the restricted
     family: prod_{m=N+1}^{2N} (2*lam - n + m), multiplied out in ints; the
     top coefficient is 2^N, so there is no trailing zero."""
-    c = [1]
-    for m in range(N + 1, 2 * N + 1):
-        c = [(m - n) * x + 2 * y for x, y in zip(c + [0], [0] + c)]
-    return tuple(c)
-
-
-class TangentialOp:
-    """Hyperplane operator sum_j a_j d_n^(N-2j) Lap'^j followed by restriction;
-    each coefficient a_j is a polynomial in lam, the tuple of its ascending
-    coefficients with no trailing zero."""
-
-    __slots__ = ("n", "N", "coeffs")
-
-    def __init__(self, n, N, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != N // 2 + 1:
-            raise ValueError("need floor(N/2)+1 coefficients")
-        self.n = n
-        self.N = N
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, TangentialOp):
-            return NotImplemented
-        return (self.n, self.N, self.coeffs) == (other.n, other.N, other.coeffs)
-
-    def pretty(self):
-        parts = []
-        for j, a in enumerate(self.coeffs):
-            ds = []
-            if self.N - 2 * j:
-                ds.append(f"∂n^{self.N - 2 * j}" if self.N - 2 * j > 1 else "∂n")
-            if j:
-                ds.append(f"Δ'^{j}" if j > 1 else "Δ'")
-            head = "·".join(ds) if ds else "1"
-            parts.append(f"({pretty_lam(a)})·{head}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TangentialOp(n={self.n}, N={self.N}, {self.pretty()})"
+    return lam_poly(_leading_product(N), n)
 
 
 @lru_cache(maxsize=None)
 def juhl_coeffs(n, N):
-    """Tangential coefficients of the restricted iterated family.
+    """Tangential coefficients (a_0, ..., a_(N//2)) of the restricted iterated
+    family sum_m a_m d_n^(N-2m) Lap'^m, each a polynomial in lam.
 
     Restriction to xi_n = 0 keeps the xi_n-free terms, the reduced keys with
     i = 0, whose j = N - 2k.  With Lap^k = (Lap' + d_n^2)^k, the term
@@ -262,30 +251,31 @@ def juhl_coeffs(n, N):
         a_m = sum_{k=m}^{N//2} C(k, m) c_(0, N-2k, k),
 
     the xi_n-free part of the class F(m, N - 2m) of ``iterated``, read
-    without building the class table.  The k = m term alone reaches the top
-    degree N - m, with a positive coefficient, so no a_m has a trailing
-    zero.  For n = 1 there is no Lap' and only a_0 survives; a_m, m > 0, is
-    ().  a_0 is checked against the closed form, so a mismatch can
-    only mean an implementation bug.
+    without building the class table.  It is summed in u and depends on n
+    only through u.  The k = m term alone reaches the top degree N - m, with
+    a positive coefficient, so no a_m has a trailing zero.  For n = 1 there
+    is no Lap' and only a_0 survives; a_m, m > 0, is ().  a_0 is checked
+    against the closed form, so a mismatch can only mean an implementation
+    bug.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    reduced = _reduced_iterated(n, N)
+    reduced = _reduced_iterated(N)
     coeffs = []
     for m in range(N // 2 + 1):
         a = []
         if m == 0 or n > 1:
-            # the k = m term has the highest lam-degree, N - m
+            # the k = m term has the highest degree, N - m
             a = list(reduced[0, N - 2 * m, m])
             for k in range(m + 1, N // 2 + 1):
                 w = comb(k, m)
                 for deg, x in enumerate(reduced[0, N - 2 * k, k]):
                     a[deg] += w * x
-        coeffs.append(tuple(a))
+        coeffs.append(lam_poly(a, n))
     if coeffs[0] != leading_coeff(n, N):
         raise RuntimeError(
             f"leading tangential coefficient deviates from closed form at n={n}, N={N}")
-    return TangentialOp(n, N, coeffs)
+    return tuple(coeffs)
 
 
 # -- normalization metadata ---------------------------------------------------

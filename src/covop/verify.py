@@ -32,7 +32,7 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         full_rotation, stereographic, stereographic_factor,
                         tangential_rotation)
 from .jets import Jet, _squares, coordinate_jets
-from .juhl import _reduced_iterated, juhl_coeffs, lap_prime_terms
+from .juhl import _leading_product, _reduced_iterated, juhl_coeffs, lap_prime_terms
 from . import juhl, symbolcalc
 
 
@@ -317,7 +317,7 @@ def _restricted_table(n, N):
     tangential coefficients a_m of ``juhl_coeffs``, d^(2m', N - 2m) has the
     coefficient multinomial(m') * a_m, |m'| = m, lam-degrees ascending."""
     table = {}
-    for m, a in enumerate(juhl_coeffs(n, N).coeffs):
+    for m, a in enumerate(juhl_coeffs(n, N)):
         terms = [(deg, c) for deg, c in enumerate(a) if c]
         # one walk per order, not one over all: the insertion order of table
         # is the float summation order of _apply_coeff_table, so walking
@@ -802,22 +802,27 @@ def _exact_report(name, cases, holds, text):
     return CheckReport(name, len(cases), float(bad), 0.0, bad == 0, text)
 
 
-def _compose_first_factor(n, N):
-    """Order N at lam + 1 composed on the left of the first factor
-    (2 lam - n + 2) P + X L, in the reduced basis: order N + 1 built from the
-    other side than the closed form's induction.  Normal order uses
-    P^j L^k X = X P^j L^k + j P^(j-1) L^k + 2k P^(j+1) L^(k-1)."""
+def _compose_first_factor(N):
+    """Order N at lam + 1, which is u -> u + 2, composed on the left of the
+    first factor (u + 2) P + X L, in the reduced basis: order N + 1 built
+    from the other side than the closed form's induction.  Normal order uses
+    P^j L^k X = X P^j L^k + j P^(j-1) L^k + 2k P^(j+1) L^(k-1).  Every
+    coefficient in u is positive, so a sum has no trailing zero."""
     out = {}
-    for (i, j, k), c in _reduced_iterated(n, N).items():
-        c1 = [sum(math.comb(d, e) * x for d, x in enumerate(c)) for e in range(len(c))]
-        p = [(2 - n) * x + 2 * y for x, y in zip(c1 + [0], [0] + c1)]
-        for key, w, q in (((i, j + 1, k), 1, p), ((i + 1, j, k + 1), 1, c1),
-                          ((i, j - 1, k + 1), j, c1), ((i, j + 1, k), 2 * k, c1)):
-            out[key] = [x + w * y for x, y in zip_longest(out.get(key, ()), q, fillvalue=0)]
-    for c in out.values():
-        while c and not c[-1]:
-            c.pop()
-    return {key: tuple(c) for key, c in out.items() if c}
+    for (i, j, k), c in _reduced_iterated(N).items():
+        c2 = [sum(math.comb(d, e) * 2 ** (d - e) * c[d] for d in range(e, len(c)))
+              for e in range(len(c))]
+        p = [2 * x + y for x, y in zip(c2 + [0], [0] + c2)]
+        for key, w, q in (((i, j + 1, k), 1, p), ((i + 1, j, k + 1), 1, c2),
+                          ((i, j - 1, k + 1), j, c2), ((i, j + 1, k), 2 * k, c2)):
+            if w:
+                out[key] = [x + w * y for x, y in zip_longest(out.get(key, ()), q, fillvalue=0)]
+    return {key: tuple(c) for key, c in out.items()}
+
+
+def _within(ns, n_min, n_max):
+    """The n of ``ns`` in n_min..n_max, in their order."""
+    return [n for n in ns if n_min <= n <= n_max]
 
 
 def suite_symbolic(n_min=1, n_max=8):
@@ -832,39 +837,41 @@ def suite_symbolic(n_min=1, n_max=8):
         # juhl_coeffs raises when it builds an entry whose a_0 is off the
         # closed form; a cached entry is compared here
         try:
-            return juhl_coeffs(n, N).coeffs[0] == juhl.leading_coeff(n, N)
+            return juhl_coeffs(n, N)[0] == juhl.leading_coeff(n, N)
         except RuntimeError:
             return False
 
-    def power_constant(n, N):
+    # the reduced basis is in u = 2 lam - n, so the checks below compare in
+    # u and the n of their case does not enter
+
+    def power_constant(_, N):
         # Lap acts on a function of xi_n alone as d_n^2, so X^i P^j L^k takes
         # xi_n^N to N!/(N-j-2k)! xi_n^(i+N-j-2k); math.perm is 0 past N
         got = {}
-        for (i, j, k), c in _reduced_iterated(n, N).items():
+        for (i, j, k), c in _reduced_iterated(N).items():
             drop = j + 2 * k
             factor = math.perm(N, drop)
             for deg, x in enumerate(c):
                 key = (deg, i + N - drop)
                 got[key] = got.get(key, 0) + x * factor
-        want = enumerate(juhl.leading_coeff(n, N))
+        want = enumerate(_leading_product(N))
         return ({key: c for key, c in got.items() if c}
                 == {(deg, 0): math.factorial(N) * c for deg, c in want if c})
 
-    def zero_residual(n, N):
+    def zero_residual(_, N):
         # every term of the order-N family has weight j + 2k - i = N, so its
         # i = 0 part, the restriction, is a sum of c P^j L^k with j + 2k = N,
         # which with L = Lap' + P^2 lies in the span of P^(N-2m) Lap'^m
-        return all(j + 2 * k - i == N for i, j, k in _reduced_iterated(n, N))
+        return all(j + 2 * k - i == N for i, j, k in _reduced_iterated(N))
 
-    def shift_consistent(n, N):
-        return _compose_first_factor(n, N) == _reduced_iterated(n, N + 1)
+    def shift_consistent(_, N):
+        return _compose_first_factor(N) == _reduced_iterated(N + 1)
 
-    ns = [n for n in range(1, 9) if n_min <= n <= n_max]
+    ns = _within(range(1, 9), n_min, n_max)
     pairs = ((Fraction(0), Fraction(2)), (Fraction(-1), Fraction(-2)),
              (Fraction(3, 2), Fraction(1)))
-    grid = [(n, N) for n in range(max(2, n_min), min(6, n_max) + 1)
-            for N in range(1, 11)]
-    small = [(n, N) for n in (2, 3) if n_min <= n <= n_max for N in (1, 2, 3)]
+    grid = [(n, N) for n in _within(range(2, 7), n_min, n_max) for N in range(1, 11)]
+    small = [(n, N) for n in _within((2, 3), n_min, n_max) for N in (1, 2, 3)]
     checks = [
         ("symbol_factorization", [(n,) for n in ns],
          symbolcalc.check_factorization, f"exact identity for n in {ns}"),
@@ -886,20 +893,14 @@ def suite_symbolic(n_min=1, n_max=8):
 def suite_numeric(seed=0, n_min=1, n_max=8):
     rng = np.random.default_rng(seed)
     reports = []
-    for n in (2, 3):
-        if n_min <= n <= n_max:
-            reports.extend(geometry_suite(n, rng))
-    for n in (2, 3):
-        if n_min <= n <= n_max:
-            reports.append(check_covariance_one_step(n, rng))
-    for n in (2, 3):
-        if not (n_min <= n <= n_max):
-            continue
+    for n in _within((2, 3), n_min, n_max):
+        reports.extend(geometry_suite(n, rng))
+    for n in _within((2, 3), n_min, n_max):
+        reports.append(check_covariance_one_step(n, rng))
+    for n in _within((2, 3), n_min, n_max):
         for N in (1, 2, 3):
             reports.append(check_covariance_iterated(n, N, rng))
-    for n in (1, 2):
-        if not (n_min <= n <= n_max):
-            continue
+    for n in _within((1, 2), n_min, n_max):
         f = GaussianBump((0.3,) * n, 1.1)
         maps = [ConformalMap(n, [Dilation(2.0)]),
                 ConformalMap(n, [Translation((0.4,) * n)])]
@@ -910,33 +911,28 @@ def suite_numeric(seed=0, n_min=1, n_max=8):
         for lam in (0.8 * n, 1.1 * n):
             for g in maps:
                 reports.append(check_ks_intertwining(n, lam, g, f, rng))
-    for n, s in ((1, -0.5), (2, -1.0), (3, -1.5)):
-        if n_min <= n <= n_max:
-            reports.append(check_kernel_pairing(n, s))
-    for n in (1, 2, 3, 4):
-        if n_min <= n <= n_max:
-            reports.append(_exact_report(
-                f"ks_inversion_symbol_n{n}", [(n,)], symbolcalc.check_ks_inversion,
-                "exact identity: symbols at lam and n-lam compose to "
-                "pi^n/(Gamma(lam)Gamma(n-lam))"))
+    for n in _within((1, 2, 3), n_min, n_max):
+        # s = -n/2, where h_s and its transform have the same order
+        reports.append(check_kernel_pairing(n, -n / 2))
+    for n in _within((1, 2, 3, 4), n_min, n_max):
+        reports.append(_exact_report(
+            f"ks_inversion_symbol_n{n}", [(n,)], symbolcalc.check_ks_inversion,
+            "exact identity: symbols at lam and n-lam compose to "
+            "pi^n/(Gamma(lam)Gamma(n-lam))"))
     return reports
 
 
 def suite_ambient(seed=0, n_min=1, n_max=8):
     rng = np.random.default_rng(seed)
     reports = []
-    for n in (2, 3, 4):
-        if not (n_min <= n <= n_max):
-            continue
+    for n in _within((2, 3, 4), n_min, n_max):
         f = sample_bump(rng, n)
         lam = float(rng.uniform(0.3, 1.5))
         reports.append(check_ambient_noncompact(n, lam, f, rng))
         reports.append(check_weight_conjugation(n, rng))
         reports.append(check_yamabe_constant(n, rng))
         reports.append(check_extension_independence(n, rng))
-    for n in (3, 4):
-        if not (n_min <= n <= n_max):
-            continue
+    for n in _within((3, 4), n_min, n_max):
         reports.append(check_ambient_compact(
             n, 1.2, lambda x: x[0] * x[n] + x[1] * x[1] + 0.5, rng))
     return reports

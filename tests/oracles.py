@@ -25,7 +25,7 @@ from itertools import product as _cartesian
 from math import comb, factorial, gcd, log
 
 from covop.cli import op_vars
-from covop.juhl import TangentialOp, iterated, pretty_terms
+from covop.juhl import iterated, pretty_terms
 from covop.symbolcalc import _as_fraction, _udivmod, _ugcd
 
 
@@ -441,7 +441,7 @@ def decompose_tangential(D, N):
         worst = sorted(residual)[0]
         raise NonTangentialForm(
             f"residual symbol is nonzero, e.g. at multi-index {worst}")
-    return TangentialOp(n, N, coeffs)
+    return tuple(coeffs)
 
 
 def _euclid_normal_form(num, den):

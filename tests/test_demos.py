@@ -42,7 +42,7 @@ def test_readme_example_prints_what_its_comment_says(covop_env):
     # prints is the one its comment shows
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
-    call = "print(juhl_coeffs(3, 2).pretty())"
+    call = "print(juhl_coeffs(3, 2))"
     comment = next(line for line in block.splitlines() if line.startswith(call))
     want = comment.split("# ", 1)[1]
     proc = subprocess.run([sys.executable, "-c", block], capture_output=True,

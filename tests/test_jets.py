@@ -240,6 +240,16 @@ def test_exp_log_and_quotients_match_the_unfused_horner_loop(dim, order):
         assert_same_jet(pos.compose_series(logs), reference_compose(pos, logs))
 
 
+def test_exp_of_a_complex_jet_raises_type_error():
+    # a fractional power of a negative value part is a complex jet, and exp
+    # takes a real value part only
+    rng = random.Random(3)
+    x = with_value(random_jet(rng, 3, 2, False, True), -1.5) ** 0.5
+    assert isinstance(x.value, complex)
+    with pytest.raises(TypeError):
+        x.exp()
+
+
 def test_the_reciprocal_is_computed_once_and_not_shared_by_a_copy():
     rng = random.Random(5)
     b = with_value(random_jet(rng, 3, 2, True, False), 1.3)

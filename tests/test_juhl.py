@@ -1,6 +1,7 @@
 import heapq
 import inspect
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -8,22 +9,22 @@ from itertools import zip_longest
 import pytest
 
 from covop.cli import op_vars
-from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, lap_prime_terms,
-                        leading_coeff, normalization_meta)
+from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, lam_poly,
+                        lap_prime_terms, leading_coeff, normalization_meta)
 from covop.verify import _restricted_table
 
 from oracles import (DiffOp, Poly, apply, decompose_tangential, expand, lam_coeffs,
                      multinomial, one_step, subs_value, weak_compositions)
 
 
-def lam_poly(n):
+def lam_var(n):
     return Poly.variable("lam", op_vars(n))
 
 
 def test_one_step_n2():
     n = 2
     vars_ = op_vars(n)
-    lam = lam_poly(n)
+    lam = lam_var(n)
     xin = Poly.variable("xi2", vars_)
     want = DiffOp(n, {(0, 1): 2 * lam, (2, 0): xin, (0, 2): xin})
     assert one_step(n) == want
@@ -41,7 +42,7 @@ def test_one_step_drops_xin():
     for n in (1, 2, 4):
         vars_ = op_vars(n)
         xin = Poly.variable(f"xi{n}", vars_)
-        lam = lam_poly(n)
+        lam = lam_var(n)
         assert apply(one_step(n), xin) == 2 * lam + (2 - n)
 
 
@@ -90,7 +91,7 @@ def test_iterated_on_normal_powers():
         for N in (2, 3):
             vars_ = op_vars(n)
             xin = Poly.variable(f"xi{n}", vars_)
-            lam = lam_poly(n)
+            lam = lam_var(n)
             want = Poly.const(math.factorial(N), vars_)
             for m in range(N + 1, 2 * N + 1):
                 want = want * (2 * lam + (m - n))
@@ -106,11 +107,11 @@ def test_leading_coeff_closed_form():
 
 def test_juhl_coeffs_small_orders():
     t1 = juhl_coeffs(3, 1)
-    assert t1.coeffs[0] == (-1, 2)
+    assert t1[0] == (-1, 2)
     t2 = juhl_coeffs(3, 2)
     lam = Poly.variable("lam", ("lam",))
-    assert t2.coeffs[0] == lam_coeffs((2 * lam) * (2 * lam + 1))
-    assert t2.coeffs[1] == (1, 2)
+    assert t2[0] == lam_coeffs((2 * lam) * (2 * lam + 1))
+    assert t2[1] == (1, 2)
 
 
 def closed_form_coeff(n, N, m):
@@ -130,7 +131,7 @@ def closed_form_coeff(n, N, m):
 def test_juhl_coeffs_match_closed_form_grid():
     for n in range(2, 9):
         for N in range(1, 13):
-            coeffs = juhl_coeffs(n, N).coeffs
+            coeffs = juhl_coeffs(n, N)
             assert coeffs[0] == leading_coeff(n, N)
             for m, a in enumerate(coeffs):
                 assert a == closed_form_coeff(n, N, m), (n, N, m)
@@ -142,7 +143,7 @@ def test_juhl_coeffs_read_the_xin_free_part_of_the_classes():
     for n in range(1, 9):
         for N in range(1, 13):
             classes = iterated(n, N)
-            coeffs = juhl_coeffs(n, N).coeffs
+            coeffs = juhl_coeffs(n, N)
             assert len(coeffs) == N // 2 + 1
             for m, a in enumerate(coeffs):
                 want = {(deg,): c for (deg, i), c in
@@ -151,11 +152,35 @@ def test_juhl_coeffs_read_the_xin_free_part_of_the_classes():
                 assert (n == 1 and m > 0) == (not a), (n, N, m)
 
 
+def test_juhl_coeffs_depend_on_n_only_through_u():
+    # at lam = (u + n)/2 each a_m takes one value for every n >= 2
+    for N in range(1, 13):
+        for u in range(-2 * N - 3, 4):
+            lam = Fraction(u, 2)
+            values = {tuple(sum(c * (lam + Fraction(n, 2)) ** d for d, c in enumerate(a))
+                            for a in juhl_coeffs(n, N)) for n in range(2, 9)}
+            assert len(values) == 1, (N, u)
+
+
+def test_lam_poly_is_the_substitution_u_to_2lam_minus_n():
+    rng = random.Random(11)
+    lam = Poly.variable("lam", ("lam",))
+    for n in range(1, 9):
+        for _ in range(20):
+            p = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))]
+            while p and not p[-1]:
+                p.pop()
+            want = Poly.zero(("lam",))
+            for r, c in enumerate(p):
+                want = want + c * (2 * lam - n) ** r
+            assert lam_poly(tuple(p), n) == lam_coeffs(want), (n, p)
+
+
 def test_juhl_coeffs_polynomial_in_lam():
     # each a_m is a tuple of ints with no trailing zero, () for 0
     for n in (1, 2, 3):
         for N in (1, 2, 3, 4):
-            for a in juhl_coeffs(n, N).coeffs:
+            for a in juhl_coeffs(n, N):
                 assert type(a) is tuple and all(type(c) is int for c in a)
                 assert not a or a[-1]
 
@@ -245,9 +270,11 @@ def reference_reduced(n, N):
 
 
 def test_closed_form_matches_the_recursion():
+    # the closed form in u, turned into lam, against the recursion in lam
     for n in range(1, 9):
         for N in range(1, 13):
-            assert _reduced_iterated(n, N) == reference_reduced(n, N), (n, N)
+            got = {key: lam_poly(c, n) for key, c in _reduced_iterated(N).items()}
+            assert got == reference_reduced(n, N), (n, N)
 
 
 def test_iterated_is_the_class_table():
@@ -330,6 +357,6 @@ def test_meta_ratio_is_the_top_tangential_coefficient():
                                ("lam",))
             for b, a in m["ratio_factors"]:
                 ratio = ratio * (int(b) * lam + int(a))
-            top = juhl_coeffs(n, N).coeffs[N // 2]
+            top = juhl_coeffs(n, N)[N // 2]
             scale = 2 ** (2 * ((N + 1) // 2) - 1)
             assert lam_coeffs(ratio) == tuple(scale * c for c in top), (n, N)
