@@ -192,6 +192,9 @@ class Jet:
         alpha = tuple(alpha)
         c = self.terms.get(alpha)
         if c is None:
+            # every key has dim entries, so only a miss can be a bad index
+            if len(alpha) != self.dim:
+                raise ValueError(f"multi-index {alpha} needs {self.dim} entries")
             return 0.0
         fact = 1
         for a in alpha:

@@ -18,14 +18,50 @@ closed form.  ``normalization_meta`` gives the Gamma-factor normalization
 block of a ``coeffs`` document in closed form, as the plain ints and
 strings the document holds.  A polynomial in u or lam is the tuple of its
 integer coefficients in ascending order with no trailing zero, () for 0;
-``pretty_lam`` prints one in lam, and ``pretty_terms`` prints a polynomial
-in several variables given as {exponent tuple: coefficient}.
+``padd``, ``pmul`` and ``substitute`` are the one arithmetic of that format,
+for the symbolic suite and the symbol calculus too.  ``pretty_lam`` prints
+one in lam, and ``pretty_terms`` prints a polynomial in several variables
+given as {exponent tuple: coefficient}.
 ``lap_prime_terms`` is the one expansion of Lap'^s over derivative
 multi-indices; the export and the numeric covariance table read it.
 """
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, factorial
+
+
+# -- ascending coefficient arithmetic ---------------------------------------------
+
+
+def padd(a, b):
+    """Sum of two ascending coefficient sequences, trailing zeros kept."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return out
+
+
+def pmul(a, b):
+    """Product of two ascending coefficient sequences; ints stay ints."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def substitute(p, a, b):
+    """p(a x + b) from the ascending coefficients of p(x), by Horner; for
+    a != 0 the top coefficient is a^r times that of p, so none is zero."""
+    out = []
+    for c in reversed(p):
+        out = [a * y + b * x for x, y in zip(out + [0], [0] + out)]
+        out[0] += c
+    return tuple(out)
 
 
 # -- iterated family -----------------------------------------------------------
@@ -58,8 +94,8 @@ def _reduced_iterated(N):
     N (u + 2N) = j (u + 2N + 2i) + 2(k-i)(u + 2N + i) + i (u + 2k), true as
     j + 2k - i = N; a missing key carries a vanishing factor j, k - i or i.
     Every coefficient is positive, so no key cancels.  The product is
-    multiplied out in ints as in ``_leading_product``; the recursion makes
-    the division exact.
+    multiplied out in ints by ``pmul``; the recursion makes the division
+    exact.
     """
     out, prod = {}, [1]
     for k in range(N, -1, -1):
@@ -68,29 +104,20 @@ def _reduced_iterated(N):
             den = factorial(i) * factorial(k - i) * 2 ** (k - i) * factorial(j)
             out[i, j, k] = tuple(factorial(N) * x // den for x in prod)
         # the product for k - 1 takes t = k
-        prod = [2 * k * x + y for x, y in zip(prod + [0], [0] + prod)]
+        prod = pmul(prod, (2 * k, 1))
     return out
 
 
 @lru_cache(maxsize=None)
 def _leading_product(N):
     """prod_{m=N+1}^{2N} (u + m) multiplied out in ints, ascending in u."""
-    c = [1]
-    for m in range(N + 1, 2 * N + 1):
-        c = [m * x + y for x, y in zip(c + [0], [0] + c)]
-    return tuple(c)
+    return tuple(reduce(pmul, [(m, 1) for m in range(N + 1, 2 * N + 1)], [1]))
 
 
 def lam_poly(p, n):
-    """The polynomial sum_r c_r (2 lam - n)^r in lam, for p = (c_0, c_1, ...)
-    in u = 2 lam - n, by Horner.  The top coefficient is 2^r times that of
-    p, so no trailing zero is made.  This is the one place the families
-    leave u for lam."""
-    out = []
-    for c in reversed(p):
-        out = [2 * y - n * x for x, y in zip(out + [0], [0] + out)]
-        out[0] += c
-    return tuple(out)
+    """p(2 lam - n) in lam for p in u = 2 lam - n: the one place the
+    families leave u for lam."""
+    return substitute(p, 2, -n)
 
 
 def lap_prime_terms(n, orders):
@@ -265,12 +292,8 @@ def juhl_coeffs(n, N):
     for m in range(N // 2 + 1):
         a = []
         if m == 0 or n > 1:
-            # the k = m term has the highest degree, N - m
-            a = list(reduced[0, N - 2 * m, m])
-            for k in range(m + 1, N // 2 + 1):
-                w = comb(k, m)
-                for deg, x in enumerate(reduced[0, N - 2 * k, k]):
-                    a[deg] += w * x
+            for k in range(m, N // 2 + 1):
+                a = padd(a, pmul((comb(k, m),), reduced[0, N - 2 * k, k]))
         coeffs.append(lam_poly(a, n))
     if coeffs[0] != leading_coeff(n, N):
         raise RuntimeError(

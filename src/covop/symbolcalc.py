@@ -17,13 +17,14 @@ sqrt(pi) and i.  An ``HExpr`` holds its sum as one dict from the key
 and keeping s symbolic means the pole of the second rule is never evaluated:
 all identities are proved at the rational-function level.  A coefficient's
 rational function is held by SymCoeff itself, as numerator and denominator
-coefficient tuples, and SymCoeff owns its one normal form.
+coefficient tuples in the arithmetic of ``covop.juhl``, and SymCoeff owns its
+one normal form and its one substitution lam -> a lam + b, ``subs``.
 """
 
 import math
 from fractions import Fraction
 
-from .juhl import pretty_lam
+from .juhl import padd, pmul, pretty_lam, substitute
 
 
 def _as_fraction(c):
@@ -50,36 +51,6 @@ def _coeffs(p):
     out = [_as_fraction(c) for c in ((p,) if isinstance(p, (int, Fraction)) else p)]
     while out and not out[-1]:
         out.pop()
-    return out
-
-
-def _pmul(a, b):
-    """Product of two coefficient sequences."""
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _padd(a, b):
-    """Sum of two coefficient sequences, trailing zeros kept."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    return out
-
-
-def _pshift(a, t):
-    """Coefficients of p(lam + t) from those of p(lam)."""
-    out = [Fraction(0)] * len(a)
-    for k, c in enumerate(a):
-        for j in range(k + 1):
-            out[j] += c * math.comb(k, j) * t ** (k - j)
     return out
 
 
@@ -178,11 +149,8 @@ class SymCoeff:
                 and self.num == other.num and self.den == other.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymCoeff(other)
-        elif not isinstance(other, SymCoeff):
-            raise TypeError(f"cannot multiply SymCoeff by {type(other).__name__}")
-        return SymCoeff(_pmul(self.num, other.num), _pmul(self.den, other.den),
+        other = _symcoeff(other)
+        return SymCoeff(pmul(self.num, other.num), pmul(self.den, other.den),
                         two_a=self.two_a + other.two_a, two_b=self.two_b + other.two_b,
                         pi_half=self.pi_half + other.pi_half,
                         i_pow=self.i_pow + other.i_pow)
@@ -192,6 +160,7 @@ class SymCoeff:
     def __add__(self, other):
         """Sum of two coefficients; only defined when they are commensurable
         (same transcendental parts up to integer 2-powers and a sign)."""
+        other = _symcoeff(other)
         if self.is_zero():
             return other
         if other.is_zero():
@@ -209,26 +178,17 @@ class SymCoeff:
         else:
             raise ValueError("cannot add coefficients differing by an odd power of i")
         q = sign * Fraction(2) ** delta
-        num = _padd(_pmul(self.num, other.den), _pmul([c * q for c in other.num], self.den))
-        return self._with(num, _pmul(self.den, other.den))
+        num = padd(pmul(self.num, other.den), pmul([c * q for c in other.num], self.den))
+        return self._with(num, pmul(self.den, other.den))
 
     def __neg__(self):
         return self._with(self.num, self.den, i_pow=self.i_pow + 2)
 
-    def shift(self, offset):
-        """lam -> lam + offset."""
-        offset = _as_fraction(offset)
-        return self._with(_pshift(self.num, offset), _pshift(self.den, offset),
-                          two_a=self.two_a + self.two_b * offset)
-
-    def reflect(self, point):
-        """lam -> point - lam."""
-        point = _as_fraction(point)
-
-        def flip(p):
-            return [c if k % 2 == 0 else -c for k, c in enumerate(_pshift(p, point))]
-        return self._with(flip(self.num), flip(self.den),
-                          two_a=self.two_a + self.two_b * point, two_b=-self.two_b)
+    def subs(self, a, b):
+        """lam -> a lam + b: 2^(two_b lam) gives 2^(two_b b) to two_a and
+        turns two_b into two_b a."""
+        return self._with(substitute(self.num, a, b), substitute(self.den, a, b),
+                          two_a=self.two_a + self.two_b * b, two_b=self.two_b * a)
 
     def pretty(self):
         bits = []
@@ -254,6 +214,15 @@ class SymCoeff:
 
     def __repr__(self):
         return f"SymCoeff({self.pretty()})"
+
+
+def _symcoeff(c):
+    """c as a SymCoeff, an int or a Fraction as the constant c."""
+    if isinstance(c, SymCoeff):
+        return c
+    if isinstance(c, (int, Fraction)):
+        return SymCoeff(c)
+    raise TypeError(f"cannot combine SymCoeff with {type(c).__name__}")
 
 
 def pretty_term(key, coeff):
@@ -313,7 +282,7 @@ class HExpr:
     def shift(self, offset):
         """lam -> lam + offset everywhere (coefficients and kernel indices)."""
         offset = _as_fraction(offset)
-        return HExpr(((l, sc + sl * offset, sl, a), c.shift(offset))
+        return HExpr(((l, sc + sl * offset, sl, a), c.subs(1, offset))
                      for (l, sc, sl, a), c in self.terms.items())
 
     def pretty(self):
@@ -426,4 +395,4 @@ def check_ks_inversion(n):
     return (not target and not eta_pow  # nor with a derivative or an eta_n power
             and 2 * s_const + n * s_lam == 0
             and (Fraction(n, 2) + s_const / 2, s_lam / 2) == (n, -1)
-            and c * c.reflect(n) == SymCoeff(1, pi_half=2 * n))
+            and c * c.subs(-1, n) == SymCoeff(1, pi_half=2 * n))

@@ -23,7 +23,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 
 import numpy as np
 
@@ -32,7 +31,8 @@ from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         full_rotation, stereographic, stereographic_factor,
                         tangential_rotation)
 from .jets import Jet, _squares, coordinate_jets
-from .juhl import _leading_product, _reduced_iterated, juhl_coeffs, lap_prime_terms
+from .juhl import (_leading_product, _reduced_iterated, juhl_coeffs, lap_prime_terms,
+                   padd, pmul, substitute)
 from . import juhl, symbolcalc
 
 
@@ -144,7 +144,9 @@ def _sampled(name, samples, tol, draw):
     accepted so far, within DRAWS_PER_SAMPLE * samples draws.  A draw returns
     (err, diagnostic), or rejects its sample by returning None or raising
     SingularPoint; any other exception propagates.  A check left short of
-    its samples fails."""
+    its samples fails; samples < 1 is refused before any draw."""
+    if samples < 1:
+        raise ValueError(f"{name}: samples must be >= 1, got {samples}")
     got = []
     for _ in range(DRAWS_PER_SAMPLE * samples):
         if len(got) == samples:
@@ -191,6 +193,15 @@ def sample_point_for(rng, g, f, on_hyperplane=False):
 # -- geometric identities ---------------------------------------------------------
 
 
+def _stretch(rng, comps, n):
+    """|J eta| for the Jacobian J of the order-1 jets ``comps`` (a float has
+    zero gradient) and eta drawn uniformly from the unit sphere of R^n."""
+    jac = np.array([c.grad if isinstance(c, Jet) else [0.0] * n for c in comps])
+    eta = rng.normal(size=n)
+    eta /= np.linalg.norm(eta)
+    return float(np.linalg.norm(jac @ eta))
+
+
 def check_cocycle(n, rng, samples=100, tol=1e-12):
     """The factor of g1 @ g2 at xi against g1's factor at g2(xi) times g2's
     at xi.  This checks word composition only: ``act_and_factor`` multiplies
@@ -214,11 +225,7 @@ def check_factor_vs_jet(n, rng, samples=100, tol=1e-10):
         g = sample_gprime_word(rng, n, 3)
         xi = tuple(float(c) for c in rng.uniform(-2.0, 2.0, n))
         k = g.factor(xi)
-        comps = g.act(coordinate_jets(xi, 1))
-        jac = np.array([c.grad if isinstance(c, Jet) else [0.0] * n for c in comps])
-        eta = rng.normal(size=n)
-        eta /= np.linalg.norm(eta)
-        return rel_err(float(np.linalg.norm(jac @ eta)), k), f"xi={xi}"
+        return rel_err(_stretch(rng, g.act(coordinate_jets(xi, 1)), n), k), f"xi={xi}"
 
     return _sampled(f"factor_vs_jet_n{n}", samples, tol, draw)
 
@@ -241,12 +248,8 @@ def check_chart_conformality(n, rng, samples=100, tol=1e-10):
     """|Dc(xi) eta| = (2/(1+|xi|^2)) |eta| for the stereographic chart."""
     def draw(_):
         xi = tuple(float(c) for c in rng.uniform(-2.0, 2.0, n))
-        comps = stereographic(coordinate_jets(xi, 1))
-        jac = np.array([c.grad for c in comps])
-        eta = rng.normal(size=n)
-        eta /= np.linalg.norm(eta)
-        return (rel_err(float(np.linalg.norm(jac @ eta)), stereographic_factor(xi)),
-                f"xi={xi}")
+        stretch = _stretch(rng, stereographic(coordinate_jets(xi, 1)), n)
+        return rel_err(stretch, stereographic_factor(xi)), f"xi={xi}"
 
     return _sampled(f"chart_conformality_n{n}", samples, tol, draw)
 
@@ -643,6 +646,12 @@ def check_ambient_noncompact(n, lam, f, rng, samples=30, tol=1e-9):
     return _sampled(f"ambient_noncompact_n{n}_lam{lam:g}", samples, tol, draw)
 
 
+def _conjugated_yamabe(mu, xn, box, f):
+    """x_n |x_n|^(-mu) Box(|x_n|^mu F) + mu(mu-1) F / x_n at a point, from
+    the values xn, box = Box(|x_n|^mu F) and f = F there."""
+    return xn * abs(xn) ** (-mu) * box + mu * (mu - 1.0) / xn * f
+
+
 def check_weight_conjugation(n, rng, samples=20, tol=1e-9):
     """B_mu F = x_n |x_n|^(-mu) Box(|x_n|^mu F) + mu(mu-1) F / x_n for smooth
     ambient F and x_n != 0 (direct two-route jet evaluation)."""
@@ -660,11 +669,8 @@ def check_weight_conjugation(n, rng, samples=20, tol=1e-9):
         Fj = F(coords)
         lhs = _ambient_operator_of_jet(mu, Fj, coords, n)
         xn = coords[n + 1]
-        w = (xn * xn) ** (mu / 2.0)
-        Gj = w * Fj
-        xn_val = xn.value
-        rhs = xn_val * abs(xn_val) ** (-mu) * dalembertian(Gj, n) \
-            + mu * (mu - 1.0) / xn_val * Fj.value
+        Gj = (xn * xn) ** (mu / 2.0) * Fj
+        rhs = _conjugated_yamabe(mu, xn.value, dalembertian(Gj, n), Fj.value)
         return rel_err(lhs, rhs), f"mu={mu}, t={t}, x={tuple(float(c) for c in x)}"
 
     return _sampled(f"weight_conjugation_n{n}", samples, tol, draw)
@@ -717,10 +723,7 @@ def check_ambient_compact(n, lam, fs, rng, samples=20, tol=1e-8):
         a_val = ambient_operator(mu, FA, coords, n)
 
         # conjugated Yamabe route
-        ds = dalembertian(FB(coords), n)
-        xn = x[n]
-        f_here = fs(x)
-        b_val = xn * abs(xn) ** (-mu) * ds + mu * (mu - 1.0) / xn * f_here
+        b_val = _conjugated_yamabe(mu, x[n], dalembertian(FB(coords), n), fs(x))
 
         # chart transport route
         cj = coordinate_jets(xi, 2)
@@ -806,17 +809,17 @@ def _compose_first_factor(N):
     """Order N at lam + 1, which is u -> u + 2, composed on the left of the
     first factor (u + 2) P + X L, in the reduced basis: order N + 1 built
     from the other side than the closed form's induction.  Normal order uses
-    P^j L^k X = X P^j L^k + j P^(j-1) L^k + 2k P^(j+1) L^(k-1).  Every
-    coefficient in u is positive, so a sum has no trailing zero."""
+    P^j L^k X = X P^j L^k + j P^(j-1) L^k + 2k P^(j+1) L^(k-1), so the key
+    (i, j + 1, k) takes (u + 2) + 2k = u + 2k + 2 times the shifted c.
+    Every coefficient in u is positive, so a sum has no trailing zero."""
     out = {}
     for (i, j, k), c in _reduced_iterated(N).items():
-        c2 = [sum(math.comb(d, e) * 2 ** (d - e) * c[d] for d in range(e, len(c)))
-              for e in range(len(c))]
-        p = [2 * x + y for x, y in zip(c2 + [0], [0] + c2)]
-        for key, w, q in (((i, j + 1, k), 1, p), ((i + 1, j, k + 1), 1, c2),
-                          ((i, j - 1, k + 1), j, c2), ((i, j + 1, k), 2 * k, c2)):
-            if w:
-                out[key] = [x + w * y for x, y in zip_longest(out.get(key, ()), q, fillvalue=0)]
+        c = substitute(c, 1, 2)
+        for key, q in (((i, j + 1, k), pmul((2 * k + 2, 1), c)),
+                       ((i + 1, j, k + 1), c),
+                       ((i, j - 1, k + 1), pmul((j,), c) if j else ())):
+            if q:
+                out[key] = padd(out.get(key, ()), q)
     return {key: tuple(c) for key, c in out.items()}
 
 

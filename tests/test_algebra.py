@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from covop.juhl import padd, pmul, substitute
 from covop.symbolcalc import SymCoeff
 
 from oracles import (Poly, lam_coeffs, lam_poly, partial, shift_var, subs_value,
@@ -202,3 +203,29 @@ def test_rf_normal_form_matches_euclid_at_every_degree(case):
             == symcoeff_normal_form(lam_coeffs(num), lam_coeffs(den)))
     assert all(type(c) is Fraction for c in (*r.num, *r.den))
 
+
+# -- juhl's ascending-tuple arithmetic against the ring ---------------------------
+
+int_coeffs = st.integers(min_value=-9, max_value=9)
+frac_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+tuples = st.one_of(st.lists(int_coeffs, max_size=5), st.lists(frac_coeffs, max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tuples, tuples, st.sampled_from((1, -1, 2)), st.one_of(int_coeffs, frac_coeffs))
+@example([1, 2], [], 2, -3)          # a product with zero is []
+@example([0, 0, 5], [3], -1, 0)      # p(-lam)
+def test_tuple_arithmetic_matches_the_ring(p, q, a, b):
+    lam = Poly.variable("lam", ("lam",))
+    assert lam_poly(padd(p, q)) == lam_poly(p) + lam_poly(q)
+    assert lam_poly(pmul(p, q)) == lam_poly(p) * lam_poly(q)
+    want = Poly.zero(("lam",))
+    for r, c in enumerate(p):
+        want = want + c * (a * lam + b) ** r
+    got = substitute(p, a, b)
+    assert lam_poly(got) == want and len(got) == len(p)
+    if p and p[-1]:
+        assert got[-1]  # a != 0 keeps the degree
+    # int coefficients stay ints
+    if all(type(c) is int for c in (*p, *q, b)):
+        assert all(type(c) is int for c in (*padd(p, q), *pmul(p, q), *got))

@@ -409,6 +409,15 @@ def test_jet_higher_order_derivative():
     assert f.derivative((3,)) == pytest.approx(want, rel=1e-12)
 
 
+def test_jet_derivative_refuses_a_multi_index_of_the_wrong_length():
+    # a short or long multi-index names no derivative; it is not a zero one
+    x = coordinate_jets((0.5, 0.2))[0]
+    assert x.derivative((1, 0)) == 1.0 and x.derivative((0, 1)) == 0.0
+    for alpha in ((1,), (), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            x.derivative(alpha)
+
+
 def test_jet_against_finite_differences():
     # independent spot check of the jet machinery on the twisted pullback
     n = 2

@@ -69,11 +69,38 @@ def test_symcoeff_add_requires_commensurable_parts():
 def test_symcoeff_reflect():
     # lam -> 4 - lam: 2^(1+3lam) becomes 2^(13-3lam) and lam + 1 becomes 5 - lam
     c = SymCoeff((1, 1), two_a=1, two_b=3, pi_half=2, i_pow=1)
-    assert c.reflect(4) == SymCoeff((5, -1), two_a=13, two_b=-3, pi_half=2, i_pow=1)
-    assert c.reflect(4).reflect(4) == c
+    assert c.subs(-1, 4) == SymCoeff((5, -1), two_a=13, two_b=-3, pi_half=2, i_pow=1)
+    assert c.subs(-1, 4).subs(-1, 4) == c
     # lam / (2 lam - 1) at 1/2 - lam is (1/2 - lam) / (-2 lam)
     q = SymCoeff((0, 1), (-1, 2))
-    assert q.reflect(Fraction(1, 2)) == SymCoeff((Fraction(1, 2), -1), (0, -2))
+    assert q.subs(-1, Fraction(1, 2)) == SymCoeff((Fraction(1, 2), -1), (0, -2))
+
+
+def test_symcoeff_subs_scales_lam():
+    # lam -> 2 lam - 1: 2^(1+3lam) becomes 2^(-2+6lam), and
+    # (lam + 1)/(lam - 3) becomes 2 lam/(2 lam - 4) = lam/(lam - 2)
+    c = SymCoeff((1, 1), (-3, 1), two_a=1, two_b=3, pi_half=2, i_pow=1)
+    assert c.subs(2, -1) == SymCoeff((0, 1), (-2, 1), two_a=-2, two_b=6, pi_half=2, i_pow=1)
+    # a shift is subs(1, t), and it composes: lam + 1/2 twice is lam + 1
+    half = c.subs(1, Fraction(1, 2))
+    assert half.subs(1, Fraction(1, 2)) == c.subs(1, 1)
+    assert c.subs(1, 1) == SymCoeff((2, 1), (-2, 1), two_a=4, two_b=3, pi_half=2, i_pow=1)
+
+
+def test_symcoeff_sum_and_product_coerce_the_same_operands():
+    # an int or a Fraction is the constant coefficient
+    assert SymCoeff(0) + 5 == SymCoeff(5)
+    assert SymCoeff(1) + 5 == SymCoeff(6)
+    assert SymCoeff(1) + Fraction(1, 2) == SymCoeff(Fraction(3, 2))
+    assert SymCoeff(1) * 5 == SymCoeff(5)
+    # anything else is refused by both
+    for other in (0.5, "1", Poly.variable("lam", ("lam",))):
+        with pytest.raises(TypeError):
+            SymCoeff(1) + other
+        with pytest.raises(TypeError):
+            SymCoeff(0) + other
+        with pytest.raises(TypeError):
+            SymCoeff(1) * other
 
 
 # -- kernel rules -----------------------------------------------------------------

@@ -113,6 +113,22 @@ def test_sampler_counts_accepted_samples():
     assert full.passed and full.samples == 3 and full.diagnostics == "k=2"
 
 
+def test_seeded_checks_refuse_fewer_than_one_sample_before_any_draw():
+    # a report on 0 samples would pass with nothing checked
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    f = GaussianBump((0.2,), 1.0)
+    draws = []
+    for check in (lambda: verify._sampled("none", 0, 1e-9, draws.append),
+                  lambda: verify.check_cocycle(2, rng, samples=0),
+                  lambda: check_covariance_iterated(2, 2, rng, samples=-3),
+                  lambda: check_ks_intertwining(1, 0.9, ConformalMap(1), f, rng,
+                                                samples=0)):
+        with pytest.raises(ValueError):
+            check()
+    assert rng.bit_generator.state == state and not draws
+
+
 def test_covariance_dilation_and_translation_only():
     # affine cases close in closed form; errors are pure rounding
     rng = np.random.default_rng(2)
