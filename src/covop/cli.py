@@ -3,24 +3,31 @@ machine-readable operator export.
 
 Exit codes: 0 success / all checks passed, 1 verification failure, 2 usage
 error, 3 a quadrature that ran out of nodes before its tolerance, which
-prints one ``covop verify: ...`` line on stderr and nothing on stdout.  JSON
+prints one ``covop verify: ...`` line on stderr and nothing on stdout, and
+141 (128 + SIGPIPE) when the reader of stdout closed it before the output
+was written (``covop operator ... | head``), with no traceback.  JSON
 output keeps every coefficient exact as integer numerator and denominator
 strings, so parsing a document gives back its coefficients bit for bit.
-The operator export is streamed term by term from the coefficient classes of
-the reduced basis (``juhl.iterated``) and one lazy walk over the m' of every
-Lap'^s (``juhl.lap_prime_terms``), in the bytes ``json.dump`` with
+The operator export is streamed from the coefficient classes of the reduced
+basis (``juhl.iterated``) and one lazy walk over the prefixes of the m' of
+every Lap'^s (``juhl.lap_prime_prefixes``), in the bytes ``json.dump`` with
 ``indent=2, sort_keys=True, ensure_ascii=False`` would write for the same
-document; no term list or document dict is built.  It is encoded once per
-coefficient class and m' and goes to the stream's binary buffer in batches
-of about 64 KiB, encoded as the stream would encode it.  Every other JSON
-document is encoded in full and written in one call.
+document; no term list or document dict is built.  Its text is encoded once
+per coefficient class, multinomial and prefix, and goes to the stream's
+binary buffer in writes of ``EMIT_BATCH`` bytes plus at most one prefix
+block, encoded as the stream would encode it.  The ``coeffs`` JSON is laid
+out directly from ``coeff_table`` in those same ``json.dump`` bytes, and
+the ``verify`` document goes through ``json.dumps``; each is written in one
+call.
 """
 
 import argparse
 import json
+import os
 import sys
+from math import comb
 
-from .juhl import (iterated, juhl_coeffs, lap_prime_terms, leading_factors,
+from .juhl import (iterated, juhl_coeffs, lap_prime_prefixes, leading_factors,
                    normalization_meta, pretty_factors, pretty_lam, pretty_terms)
 from .verify import SUITES, QuadratureBudgetExceeded, run_suites
 
@@ -48,11 +55,38 @@ def _emit_json(obj, stream):
     stream.write(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def _json_list(items, indent):
+def _json_list(items, indent, brackets="[]"):
     """A non-empty JSON list of encoded items whose bracket sits at ``indent``
-    spaces, laid out as json.dump(indent=2) does."""
+    spaces, laid out as json.dump(indent=2) does; with brackets "{}" the
+    items are the encoded "key": value members of an object."""
     pad = "\n" + " " * (indent + 2)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * indent + brackets[1]
+
+
+def _emit_coeffs_json(n, N, stream):
+    """Write ``coeff_table(n, N)`` in the bytes of ``_emit_json``, laid out
+    directly: members in sorted key order, rows and poly triples through
+    ``_json_list``, and the normalization block through ``json.dumps`` with
+    each newline indented two more spaces (a JSON string holds no raw
+    newline, so only the layout moves)."""
+    table = coeff_table(n, N)
+    enc = json.encoder.encode_basestring
+    rows = []
+    for row in table["rows"]:
+        triples = [_json_list([_json_list(map(str, e), 10), enc(num), enc(den)], 8)
+                   for e, num, den in row["poly"]]
+        members = [f'"display": {enc(row["display"])}']
+        if "factored" in row:
+            members.append(f'"factored": {enc(row["factored"])}')
+        members += [f'"j": {row["j"]}',
+                    f'"poly": {_json_list(triples, 6) if triples else "[]"}']
+        rows.append(_json_list(members, 4, "{}"))
+    norm = json.dumps(table["normalization"], indent=2, sort_keys=True,
+                      ensure_ascii=False).replace("\n", "\n  ")
+    doc = _json_list([f'"N": {table["N"]}', f'"kind": {enc(table["kind"])}',
+                      f'"n": {table["n"]}', f'"normalization": {norm}',
+                      f'"rows": {_json_list(rows, 2)}'], 0, "{}")
+    stream.write(doc + "\n")
 
 
 def op_vars(n):
@@ -66,15 +100,21 @@ def _emit_operator(n, N, stream):
     exponent vector, and display) and variables, in the bytes of
     ``_emit_json``.  The terms come from ``iterated``: alpha =
     (2m', a) has the coefficient multinomial(m') * F(s, a) with |m'| = s, so
-    the coeff and display text is encoded once per (s, a, multinomial(m'))
-    and each term adds only its alpha.  The m' of every s come in
-    ascending order from one ``lap_prime_terms`` walk, never held in a list;
-    the alpha text of an m' is encoded once, and all terms of the m' are one
-    bytes join.  The class text is encoded with the stream's encoding and
-    errors and the bytes go to its binary buffer after a flush (so earlier
-    text comes first), in writes of ``EMIT_BATCH`` bytes plus at most one
-    m'.  A stream with no buffer (io.StringIO), or whose encoding does not
-    write ASCII as ASCII (UTF-16), gets the UTF-8 bytes decoded to text."""
+    the coeff and display text (the tail) is encoded once per
+    (s, a, multinomial(m')) and each term adds only its alpha.  The prefixes
+    of m' (its first n - 2 entries, of sum p and weight w) come in ascending
+    order from one ``lap_prime_prefixes`` walk, never held in a list; the m'
+    of a prefix are prefix + (t - p,) for every order t >= p, with
+    multinomial w * C(t, p).  So the terms after a prefix depend only on
+    (p, w): they are laid out once per (p, w) as a list of [head, last
+    entry, tail, separator] bytes sharing the tails, and per prefix only the
+    head (its alpha text, built once) is filled in and the list goes to the
+    batch, so one bytes join writes all of the prefix's terms.  The bytes
+    are encoded with the stream's encoding and errors and go to its binary
+    buffer after a flush (so earlier text comes first), in writes of
+    ``EMIT_BATCH`` bytes plus at most one prefix block.  A stream with no
+    buffer (io.StringIO), or whose encoding does not write ASCII as ASCII
+    (UTF-16), gets the UTF-8 bytes decoded to text."""
     variables = op_vars(n)
     lam_xin = (variables[0], variables[-1])  # the only variables that occur
     zeros = ["0"] * (n - 1)
@@ -103,21 +143,42 @@ def _emit_operator(n, N, stream):
                 f'      "display": {enc(pretty_terms(lam_xin, coeff))}\n    }}')
         return text.encode(encoding, errors)
 
-    tails = {}  # (s, multinomial(m')) -> [encoded tail for each a of s]
     pad = "\n        "
     cell = [f"{2 * x},{pad}".encode() for x in range(max(a_by_s) + 1)]  # one alpha entry
+    last = cell if n > 1 else [b""]  # n = 1 has no m': alpha is (a,)
+    tails = {}  # (s, multinomial(m')) -> [encoded tail for each a of s]
+    blocks = {}  # (p, w) -> (parts, heads, fixed bytes) of one prefix block
+
+    def block(p, w):
+        # [head, last entry, tail, separator, ...] for every term after a
+        # prefix of sum p and weight w, the heads filled in per prefix
+        parts = []
+        for t in a_by_s:
+            if t >= p:
+                key = t, w * comb(t, p)
+                texts = tails.get(key)
+                if texts is None:
+                    texts = tails[key] = [term_tail(t, a, key[1]) for a in a_by_s[t]]
+                for text in texts:
+                    parts += (b"", last[t - p], text, b",\n")
+        del parts[-1]
+        return parts, len(parts) // 4 + 1, sum(map(len, parts))
+
     open_alpha = f'    {{\n      "alpha": [{pad}'.encode()
     batch = [f'{{\n  "N": {N},\n  "kind": "operator",\n  "n": {n},\n  "terms": ['.encode()]
     size, sep = 0, b"\n"
-    # alpha = (2m', a) sorts by m' first, then by a; m' of distinct s differ
-    for m, w in lap_prime_terms(n, a_by_s):
-        s = sum(m)
-        texts = tails.get((s, w))
-        if texts is None:
-            texts = tails[s, w] = [term_tail(s, a, w) for a in a_by_s[s]]
-        head = open_alpha + b"".join(map(cell.__getitem__, m))
-        batch.append(sep + head + (b",\n" + head).join(texts))
-        size += len(batch[-1])
+    prefixes = lap_prime_prefixes(n, max(a_by_s)) if n > 1 else [((), 0, 1)]
+    # alpha = (2m', a) sorts by the prefix first, then by the last entry of
+    # m' (by the order t), then by a
+    for prefix, p, w in prefixes:
+        if (p, w) not in blocks:
+            blocks[p, w] = block(p, w)
+        parts, heads, fixed = blocks[p, w]
+        head = open_alpha + b"".join(map(cell.__getitem__, prefix))
+        parts[::4] = [head] * heads
+        batch.append(sep)
+        batch += parts
+        size += fixed + heads * len(head)
         if size >= EMIT_BATCH:
             write(b"".join(batch))
             batch, size = [], 0
@@ -171,7 +232,7 @@ def cmd_coeffs(args, stream):
         print(f"covop coeffs: {problem}", file=sys.stderr)
         return 2
     if args.format == "json":
-        _emit_json(coeff_table(args.n, args.N), stream)
+        _emit_coeffs_json(args.n, args.N, stream)
     elif args.format == "csv":
         _emit_coeffs_csv(args.n, args.N, stream)
     else:
@@ -242,12 +303,27 @@ def main(argv=None):
     """Run one command and return its exit code; may be called many times in
     one process.  The parser is built on the first call and reused, each call
     parses into a fresh namespace, and the ``cmd_*`` handler is looked up by
-    name at call time, so a handler patched after the first call runs."""
+    name at call time, so a handler patched after the first call runs.
+
+    Run as the command (``argv`` None), a reader that closes stdout early
+    ends it with exit code 141 (128 + SIGPIPE) and no traceback: stdout is
+    flushed inside the call, and on a broken pipe it is pointed at the null
+    device, so the flush at exit finds nothing to write.  Called with an
+    argv list, the ``BrokenPipeError`` reaches the caller."""
     global _parser
     if _parser is None:
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    return globals()[f"cmd_{args.command}"](args, sys.stdout)
+    handler = globals()[f"cmd_{args.command}"]
+    if argv is not None:
+        return handler(args, sys.stdout)
+    try:
+        code = handler(args, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -155,6 +155,9 @@ class Jet:
         self.dim = dim
         self.order = order
         self.terms = dict(terms) if terms else {}
+        for e in self.terms:
+            if len(e) != dim:
+                raise ValueError(f"multi-index {e} needs {dim} entries")
 
     @classmethod
     def _adopt(cls, dim, order, terms):
@@ -168,9 +171,7 @@ class Jet:
 
     @classmethod
     def constant(cls, value, dim, order):
-        if value == 0:
-            return cls(dim, order)
-        return cls(dim, order, {(0,) * dim: value})
+        return cls._adopt(dim, order, {(0,) * dim: value} if value != 0 else {})
 
     @classmethod
     def variable(cls, value, i, dim, order):
@@ -179,7 +180,7 @@ class Jet:
             t[(0,) * dim] = value
         if order >= 1:
             t[_units(dim)[i]] = 1.0
-        return cls(dim, order, t)
+        return cls._adopt(dim, order, t)
 
     # -- readout -------------------------------------------------------------
 
@@ -245,7 +246,7 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             if other == 0:
-                return Jet(self.dim, self.order)
+                return Jet._adopt(self.dim, self.order, {})
             return Jet._adopt(self.dim, self.order,
                               {e: v * other for e, v in self.terms.items()})
         other = self._like(other)

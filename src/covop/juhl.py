@@ -22,8 +22,12 @@ integer coefficients in ascending order with no trailing zero, () for 0;
 for the symbolic suite and the symbol calculus too.  ``pretty_lam`` prints
 one in lam, and ``pretty_terms`` prints a polynomial in several variables
 given as {exponent tuple: coefficient}.
-``lap_prime_terms`` is the one expansion of Lap'^s over derivative
-multi-indices; the export and the numeric covariance table read it.
+``lap_prime_prefixes`` is the one walk over the derivative multi-indices
+m' of Lap'^s: an odometer over their first n - 2 entries (the prefix),
+yielding each prefix with its sum and multinomial weight.  The operator
+export reads the prefixes; ``lap_prime_terms``, a short loop over them that
+closes the last entry on every order, is the expansion of Lap'^s the
+numeric covariance table reads.
 """
 
 from functools import lru_cache, reduce
@@ -120,35 +124,20 @@ def lam_poly(p, n):
     return substitute(p, 2, -n)
 
 
-def lap_prime_terms(n, orders):
-    """Lap'^s on R^n for every s in ``orders``, Lap' the Laplacian in
-    xi_1..xi_(n-1), as the pairs (m', multinomial(m')) of Lap'^s =
-    sum_{|m'| = s} multinomial(m') d^(2m', 0), yielded lazily in ascending m'
-    across all the orders.  One walk steps the entries before the last like
-    an odometer through every prefix whose sum stays within the largest
-    order; the last entry then closes the sum on each order the prefix has
-    not passed.  The multinomial is built along the prefix as
-    prod_k C(m_1 + ... + m_k, m_k).  For n = 1 there is no m': Lap'^0 is
-    ((), 1) and Lap'^s, s > 0, is empty."""
-    orders = sorted(set(orders))
-    if not orders:
-        return
-    if n == 1:
-        if orders[0] == 0:
-            yield (), 1
-        return
-    top = orders[-1]
-    # after a prefix of sum p the last entry is t - p with the factor C(t, p)
-    ends = [[((t - p,), comb(t, p)) for t in orders if t >= p] for p in range(top + 1)]
-    d = n - 2  # the entries before the last
+def lap_prime_prefixes(n, top):
+    """The prefixes (m_1, ..., m_(n-2)) of the m' on R^n, n >= 2, whose sum
+    p is at most ``top``, yielded lazily in ascending order as (prefix, p,
+    w) with w = prod_k C(m_1 + ... + m_k, m_k), built along the prefix.  The
+    m' of order t >= p with this prefix is prefix + (t - p,), and its
+    multinomial is w * C(t, p).  One odometer steps the rightmost entry that
+    can still grow and zeroes those after it; for n = 2 the one prefix is
+    ((), 0, 1)."""
+    d = n - 2
     m = [0] * d
     sums = [0] * (d + 1)  # sums[k] = m_1 + ... + m_k
     ws = [1] * (d + 1)  # ws[k] = prod_{j <= k} C(sums[j], m_j)
     while True:
-        head, w = tuple(m), ws[d]
-        for last, c in ends[sums[d]]:
-            yield head + last, w * c
-        # step the rightmost entry that can still grow, zeroing those after it
+        yield tuple(m), sums[d], ws[d]
         k = d - 1
         while k >= 0 and sums[k + 1] == top:
             k -= 1
@@ -161,6 +150,28 @@ def lap_prime_terms(n, orders):
             m[j] = 0
             sums[j + 1] = p
             ws[j + 1] = w
+
+
+def lap_prime_terms(n, orders):
+    """Lap'^s on R^n for every s in ``orders``, Lap' the Laplacian in
+    xi_1..xi_(n-1), as the pairs (m', multinomial(m')) of Lap'^s =
+    sum_{|m'| = s} multinomial(m') d^(2m', 0), yielded lazily in ascending m'
+    across all the orders: after each prefix of ``lap_prime_prefixes`` the
+    last entry closes the sum on each order the prefix has not passed.  For
+    n = 1 there is no m': Lap'^0 is ((), 1) and Lap'^s, s > 0, is empty."""
+    orders = sorted(set(orders))
+    if not orders:
+        return
+    if n == 1:
+        if orders[0] == 0:
+            yield (), 1
+        return
+    # after a prefix of sum p the last entry is t - p with the factor C(t, p)
+    ends = [[((t - p,), comb(t, p)) for t in orders if t >= p]
+            for p in range(orders[-1] + 1)]
+    for head, p, w in lap_prime_prefixes(n, orders[-1]):
+        for last, c in ends[p]:
+            yield head + last, w * c
 
 
 def iterated(n, N):

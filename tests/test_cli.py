@@ -104,6 +104,17 @@ def test_coeffs_match_the_benchmark_golden(capsys, tmp_path):
         assert checks.document_digest(argv, str(path)) == golden[key], key
 
 
+
+def test_coeffs_json_is_the_json_dump_of_the_table(capsys):
+    # the laid-out writer against json.dump of coeff_table for every (n, N)
+    # the CLI accepts, the empty polys of n = 1, N >= 2 included
+    for n in range(1, 9):
+        for N in range(1, 13):
+            code, out, _ = run_cli(capsys, "coeffs", "--n", str(n), "--N", str(N))
+            assert code == 0
+            assert out == _json_dump_bytes(coeff_table(n, N)), (n, N)
+    assert '"poly": []' in _json_dump_bytes(coeff_table(1, 2))
+
 def test_coeffs_range_violation(capsys):
     code, _, err = run_cli(capsys, "coeffs", "--n", "9", "--N", "1")
     assert code == 2 and "n must be" in err
@@ -174,14 +185,15 @@ class _RecordingBuffer(io.BytesIO):
         return super().write(data)
 
 
-def _largest_m_block(out):
-    # bytes of the largest run of terms sharing alpha[:-1] = 2m': the most
-    # one m' adds to a batch
+def _largest_prefix_block(out, n):
+    # bytes of the largest run of terms sharing the first n - 2 entries of
+    # alpha (the prefix of m'; the whole document for n <= 2): the most one
+    # prefix adds to a batch
     starts = [m.start() for m in re.finditer(r"\n    \{\n", out)]
     ends = starts[1:] + [out.index('\n  ],\n  "variables"')]
     blocks = {}
     for term, a, b in zip(json.loads(out)["terms"], starts, ends):
-        key = tuple(term["alpha"][:-1])
+        key = tuple(term["alpha"][:max(n - 2, 0)])
         blocks[key] = blocks.get(key, 0) + len(out[a:b].encode("utf-8"))
     return max(blocks.values())
 
@@ -189,8 +201,8 @@ def _largest_m_block(out):
 def test_operator_stream_writes_bounded_byte_batches(capsys):
     # the document goes to the stream's binary buffer in batches of
     # EMIT_BATCH bytes (the last one shorter), none longer than EMIT_BATCH
-    # plus one m' block; a stream with no buffer gets the same text
-    for n, N in ((1, 3), (2, 8), (8, 4)):
+    # plus one prefix block; a stream with no buffer gets the same text
+    for n, N in ((1, 3), (2, 8), (8, 4), (5, 7)):
         code, out, _ = run_cli(capsys, "operator", "--n", str(n), "--N", str(N))
         assert code == 0
         raw = _RecordingBuffer()
@@ -198,12 +210,12 @@ def test_operator_stream_writes_bounded_byte_batches(capsys):
         _emit_operator(n, N, stream)
         stream.flush()
         assert raw.getvalue() == out.encode("utf-8"), (n, N)
-        assert max(raw.writes) <= EMIT_BATCH + _largest_m_block(out), (n, N)
+        assert max(raw.writes) <= EMIT_BATCH + _largest_prefix_block(out, n), (n, N)
         assert all(w >= EMIT_BATCH for w in raw.writes[:-1]), (n, N)
         text = io.StringIO()
         _emit_operator(n, N, text)
         assert text.getvalue() == out, (n, N)
-    assert len(raw.writes) > 1  # (8, 4) spans several batches
+    assert len(raw.writes) > 1  # (5, 7) spans several batches
 
 
 def test_operator_bytes_follow_earlier_text(monkeypatch):
@@ -269,6 +281,70 @@ def test_operator_n8_N10_bytes_pinned(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
         "73e2e4149b02609647bbc58fd291a58f4abaed9219571db546cbb09f0c9a3463"
 
+
+
+class _HashingStream:
+    """A text stream whose binary buffer hashes what it is given."""
+    encoding, errors = "utf-8", "strict"
+
+    def __init__(self):
+        self.buffer = self
+        self.sha = hashlib.sha256()
+
+    def write(self, data):
+        self.sha.update(data)
+
+    def flush(self):
+        pass
+
+
+def test_operator_bytes_pinned_at_every_n_and_N():
+    # sha256 of the documents of N = 1..10, one after another, for each n,
+    # as written one m' at a time before the writer went one prefix of m'
+    # at a time
+    pinned = {
+        1: "d1ab138205755b8e01bcf0628fcc97112dd645301b419ea03da2b72f4739269a",
+        2: "2019b8e49d986b26cdb397cd854ba07ed012e7e90c0e78fb5287393512aad3ec",
+        3: "07bb48fe0a7c467b09e127ef449357e04d4e6d7b780f3139ea303432b296b840",
+        4: "452a9248434d388b1e74f382b6aea0033b1c62caca5c6ee9430f1494f672af28",
+        5: "bc07d99392e9c0e7ee97cb5cce91ebaf35b3c0ca3189af096c0e5f8491891e6a",
+        6: "5fa339afc0135d200458c3441e41a5e8444cdb8a6ead7b5f5c323b2e96f948f1",
+        7: "bbf76f0d93888ec80ea243aa4f44a426f29f8e6d025311ddf35531671d4aa015",
+        8: "6c5ac5d8aa85d732a1759bf969af0137ea1cf78c9a49f7ff9ca6db9d7355ae33",
+    }
+    for n, digest in pinned.items():
+        stream = _HashingStream()
+        for N in range(1, 11):
+            _emit_operator(n, N, stream)
+        assert stream.sha.hexdigest() == digest, n
+
+
+def test_broken_pipe_ends_the_command_with_141(covop_env):
+    # a reader that stops early (covop operator ... | head -c 50) ends the
+    # command with 128 + SIGPIPE and no traceback; 1 would mean a failed check
+    with subprocess.Popen([sys.executable, "-m", "covop", "operator",
+                           "--n", "8", "--N", "6"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=covop_env) as proc:
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")
+
+
+def test_broken_pipe_reaches_an_in_process_caller(monkeypatch):
+    class ClosedPipe(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    stream = io.TextIOWrapper(ClosedPipe(), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stream)
+    with pytest.raises(BrokenPipeError):
+        main(["operator", "--n", "8", "--N", "4"])
 
 def test_poly_triples_round_trip():
     p = one_step(3).terms[(0, 0, 1)]

@@ -3,14 +3,15 @@ import inspect
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
 
 import pytest
 
 from covop.cli import op_vars
 from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, lam_poly,
-                        lap_prime_terms, leading_coeff, normalization_meta)
+                        lap_prime_prefixes, lap_prime_terms, leading_coeff,
+                        normalization_meta, padd, pmul)
 from covop.verify import _restricted_table
 
 from oracles import (DiffOp, Poly, apply, decompose_tangential, expand, lam_coeffs,
@@ -97,6 +98,35 @@ def test_iterated_on_normal_powers():
                 want = want * (2 * lam + (m - n))
             assert apply(expand(n, N), xin ** N) == want
 
+
+
+def _normal_power_mismatches(N, table):
+    """The x in 0..N at which the reduced keys of ``table`` fail the action
+    on xi_n^(N+x): X^i P^j L^k takes it to perm(N+x, N+i) xi_n^x, as
+    j + 2k = N + i and Lap acts as d_n^2 there, so after dividing by
+    (N+x)!/x! the family gives sum c_(i,j,k)(u) perm(x, i), which must be
+    prod_{t=1}^{N} (u + x + N + t)."""
+    bad = []
+    for x in range(N + 1):
+        got = []
+        for (i, j, k), c in table.items():
+            got = padd(got, pmul(c, (math.perm(x, i),)))
+        want = reduce(pmul, [(x + N + t, 1) for t in range(1, N + 1)], [1])
+        if got != want:
+            bad.append(x)
+    return bad
+
+
+def test_reduced_keys_on_normal_powers_see_every_xin_power():
+    # xi_n^N alone (x = 0) sees only the i = 0 keys; as i <= N, the N + 1
+    # values of x fix both sides as polynomials in x, so every key counts
+    for N in range(1, 13):
+        assert _normal_power_mismatches(N, _reduced_iterated(N)) == [], N
+    # control: a fault in the u^0 entry of an i > 0 key is caught
+    table = dict(_reduced_iterated(4))
+    c = table[4, 0, 4]
+    table[4, 0, 4] = (c[0] + 1,) + c[1:]
+    assert _normal_power_mismatches(4, table)
 
 def test_leading_coeff_closed_form():
     lam = Poly.variable("lam", ("lam",))
@@ -213,6 +243,17 @@ def test_lap_prime_terms_walk_every_order_at_once():
             assert list(lap_prime_terms(n, orders)) == list(heapq.merge(*streams)), \
                 (n, orders)
 
+
+
+def test_lap_prime_prefixes_are_the_m_prime_heads():
+    # every head of n - 2 entries with sum p <= top, ascending, with its
+    # multinomial; for n = 2 the one head is ()
+    assert inspect.isgenerator(lap_prime_prefixes(8, 10))
+    for n in range(2, 9):
+        for top in range(6):
+            want = sorted((m, p, multinomial(m)) for p in range(top + 1)
+                          for m in weak_compositions(p, n - 2))
+            assert list(lap_prime_prefixes(n, top)) == want, (n, top)
 
 def test_operator_classes_rebuild_the_expansion():
     # d^(2m', a) has the coefficient multinomial(m') * F(s, a), |m'| = s;
