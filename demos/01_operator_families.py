@@ -15,8 +15,8 @@ integer coefficients in ascending order, printed by ``pretty_lam``.
 
 from math import comb
 
-from covop import iterated, juhl_coeffs, leading_coeff, normalization_meta
-from covop.juhl import pretty_lam, pretty_terms
+from covop.juhl import (iterated, juhl_coeffs, leading_coeff, normalization_meta,
+                        pretty_lam, pretty_terms)
 
 n = 3
 

@@ -9,9 +9,9 @@ the exact scalar 1/(4(λ-n+1)).  The whole computation happens in an exact
 symbol algebra (rational functions of λ times tracked powers of 2, √π, i).
 """
 
-from covop import check_factorization, check_ks_inversion, knapp_stein_symbol
-from covop.symbolcalc import (factorization_constant, symbol_ks_after_onestep,
-                              symbol_mult_after_ks)
+from covop.symbolcalc import (check_factorization, check_ks_inversion,
+                              factorization_constant, knapp_stein_symbol,
+                              symbol_ks_after_onestep, symbol_mult_after_ks)
 
 n = 3
 print(f"intertwiner symbol (n={n}):")

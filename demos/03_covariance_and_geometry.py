@@ -11,8 +11,8 @@ of each identity are evaluated through jets, so errors sit at rounding level.
 
 import numpy as np
 
-from covop import ConformalMap, Dilation, GaussianBump, Inversion, Translation
 from covop import verify
+from covop.conformal import ConformalMap, Dilation, GaussianBump, Inversion, Translation
 
 n = 3
 g = ConformalMap(n, [Translation((0.4, -0.2, 0.0)), Inversion(), Dilation(1.5)])

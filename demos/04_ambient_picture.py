@@ -10,9 +10,9 @@ the one-step operator once pushed through the stereographic chart.
 
 import numpy as np
 
-from covop import GaussianBump, verify
+from covop import verify
+from covop.conformal import GaussianBump
 from covop.jets import coordinate_jets
-from covop.verify import ambient_operator
 
 n = 3
 mu = 0.7
@@ -20,8 +20,8 @@ mu = 0.7
 print("B_mu on coordinate monomials (exact first principles):")
 pt = (1.1, 0.2, -0.3, 0.5, 0.4)
 coords = coordinate_jets(pt, 2)
-lin = ambient_operator(mu, lambda c: c[n + 1], coords, n)
-sq = ambient_operator(mu, lambda c: c[n + 1] * c[n + 1], coords, n)
+lin = verify.ambient_operator(mu, coords[n + 1], coords, n)
+sq = verify.ambient_operator(mu, coords[n + 1] * coords[n + 1], coords, n)
 print(f"    B_mu(x_n)   = {lin:+.6f}   (expected {-2*mu:+.6f})")
 print(f"    B_mu(x_n^2) = {sq:+.6f}   (expected {-2*(2*mu+1)*pt[n+1]:+.6f})")
 

@@ -273,7 +273,7 @@ def _eval_prefactor(prefactor, xs):
 class GaussianBump:
     """P(xi) * exp(-|xi - m|^2 / a^2): Schwartz-class test function with an
     optional polynomial prefactor P, a dict {exponent tuple: int} with one
-    exponent per coordinate."""
+    exponent, an int >= 0, per coordinate."""
 
     __slots__ = ("n", "center", "width", "prefactor")
 
@@ -285,8 +285,11 @@ class GaussianBump:
         self.width = float(width)
         if not 0 < self.width < math.inf:
             raise ValueError("width must be positive and finite")
-        if prefactor is not None and any(len(e) != self.n for e in prefactor):
-            raise ValueError(f"prefactor exponents must have length {self.n}")
+        for e in prefactor or ():
+            if len(e) != self.n:
+                raise ValueError(f"prefactor exponents must have length {self.n}")
+            if not all(isinstance(k, int) and k >= 0 for k in e):
+                raise ValueError(f"prefactor exponents must be ints >= 0, got {e}")
         self.prefactor = prefactor
 
     def eval_generic(self, xs):
@@ -369,8 +372,3 @@ def stereographic_factor(xs):
     """Conformal factor of the chart: 2/(1+|xi|^2)."""
     return 2.0 / (1.0 + _norm_sq(list(xs)))
 
-
-def chart_inverse(x):
-    """S^n -> R^n: (x_0, x') -> x'/(1+x_0); requires 1 + x_0 > 0."""
-    den = 1.0 + x[0]
-    return tuple(c / den for c in x[1:])

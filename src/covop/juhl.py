@@ -26,7 +26,7 @@ given as {exponent tuple: coefficient}.
 m' of Lap'^s: an odometer over their first n - 2 entries (the prefix),
 yielding each prefix with its sum and multinomial weight.  The operator
 export reads the prefixes; ``lap_prime_terms``, a short loop over them that
-closes the last entry on every order, is the expansion of Lap'^s the
+closes the last entry on one order s, is the expansion of Lap'^s the
 numeric covariance table reads.
 """
 
@@ -152,26 +152,19 @@ def lap_prime_prefixes(n, top):
             ws[j + 1] = w
 
 
-def lap_prime_terms(n, orders):
-    """Lap'^s on R^n for every s in ``orders``, Lap' the Laplacian in
-    xi_1..xi_(n-1), as the pairs (m', multinomial(m')) of Lap'^s =
-    sum_{|m'| = s} multinomial(m') d^(2m', 0), yielded lazily in ascending m'
-    across all the orders: after each prefix of ``lap_prime_prefixes`` the
-    last entry closes the sum on each order the prefix has not passed.  For
-    n = 1 there is no m': Lap'^0 is ((), 1) and Lap'^s, s > 0, is empty."""
-    orders = sorted(set(orders))
-    if not orders:
-        return
+def lap_prime_terms(n, s):
+    """Lap'^s on R^n, Lap' the Laplacian in xi_1..xi_(n-1), as the pairs
+    (m', multinomial(m')) of Lap'^s = sum_{|m'| = s} multinomial(m')
+    d^(2m', 0), yielded lazily in ascending m': each prefix of
+    ``lap_prime_prefixes`` closes with the last entry s - p and the factor
+    C(s, p).  For n = 1 there is no m': Lap'^0 is ((), 1) and Lap'^s, s > 0,
+    is empty."""
     if n == 1:
-        if orders[0] == 0:
+        if s == 0:
             yield (), 1
         return
-    # after a prefix of sum p the last entry is t - p with the factor C(t, p)
-    ends = [[((t - p,), comb(t, p)) for t in orders if t >= p]
-            for p in range(orders[-1] + 1)]
-    for head, p, w in lap_prime_prefixes(n, orders[-1]):
-        for last, c in ends[p]:
-            yield head + last, w * c
+    for head, p, w in lap_prime_prefixes(n, s):
+        yield head + (s - p,), w * comb(s, p)
 
 
 def iterated(n, N):

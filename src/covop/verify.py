@@ -166,6 +166,15 @@ def _sampled(name, samples, tol, draw):
     return report
 
 
+def _check_dims(n, **dims):
+    """Refuse an input whose dimension is not n: the generators and test
+    functions zip coordinates, so a surplus coordinate would be dropped
+    without a word."""
+    for what, dim in dims.items():
+        if dim != n:
+            raise ValueError(f"{what} has dimension {dim}, expected n = {n}")
+
+
 def sample_point_for(rng, g, f, on_hyperplane=False):
     """A point xi where rho_lam(g) f is healthy: xi = g(y) with y inside the
     bump, resampled until no inversion hits its singular guard.  Raises
@@ -322,10 +331,7 @@ def _restricted_table(n, N):
     table = {}
     for m, a in enumerate(juhl_coeffs(n, N)):
         terms = [(deg, c) for deg, c in enumerate(a) if c]
-        # one walk per order, not one over all: the insertion order of table
-        # is the float summation order of _apply_coeff_table, so walking
-        # every order at once would reorder those sums and move the digits
-        for mp, w in lap_prime_terms(n, (m,)):
+        for mp, w in lap_prime_terms(n, m):
             table[tuple(2 * x for x in mp) + (N - 2 * m,)] = [(deg, w * c) for deg, c in terms]
     return table
 
@@ -475,6 +481,7 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
         raise ValueError("absolute convergence needs lam > n/2")
     point = tuple(point)
     center, r0 = _effective_ball(func)
+    _check_dims(n, point=len(point), function=len(center))
     radius = float(np.linalg.norm(np.array(point) - center)) + r0 + 1.0
     norm = 1.0 / math.gamma(lam - n / 2.0)
     s = 2.0 * lam - 2.0 * n
@@ -529,6 +536,7 @@ def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5)
     weight n-lam pullback of the transformed function, at points drawn
     uniformly from [-1, 1]^n.  The report is named after n, lam and the
     generator word of g, e.g. ``ks_intertwining_n1_lam0.8_dilation``."""
+    _check_dims(n, word=g.n, function=f.n)
     pulled = PulledBack(lam, g, f)
     word = "_".join(type(w).__name__.lower() for w in g.word) or "identity"
 
@@ -614,13 +622,9 @@ def sphere_extension(n, f_sphere, degree):
     return F
 
 
-def ambient_operator(mu, F, coords, n):
-    """B_mu F = x_n Box F - 2 mu dF/dx_n at the base point of the coords."""
-    return _ambient_operator_of_jet(mu, F(coords), coords, n)
-
-
-def _ambient_operator_of_jet(mu, Fj, coords, n):
-    """``ambient_operator`` on the jet Fj = F(coords), already evaluated."""
+def ambient_operator(mu, Fj, coords, n):
+    """B_mu F = x_n Box F - 2 mu dF/dx_n at the base point of the coords,
+    from the order-2 jet Fj = F(coords)."""
     xn = coords[n + 1].value
     return xn * dalembertian(Fj, n) - 2.0 * mu * Fj.grad[n + 1]
 
@@ -629,6 +633,7 @@ def check_ambient_noncompact(n, lam, f, rng, samples=30, tol=1e-9):
     """The ambient operator at weight lam - n/2 + 1, pushed through the
     stereographic chart (including the chart weight lam+1), against minus the
     one-step operator on R^n, at points drawn uniformly from [-1.2, 1.2]^n."""
+    _check_dims(n, function=f.n)
     mu = lam - n / 2.0 + 1.0
     F = chart_family(n, lam, f)
 
@@ -636,7 +641,7 @@ def check_ambient_noncompact(n, lam, f, rng, samples=30, tol=1e-9):
         xi = tuple(float(c) for c in rng.uniform(-1.2, 1.2, n))
         x = stereographic(xi)
         coords = coordinate_jets((1.0,) + x, 2)
-        bval = ambient_operator(mu, F, coords, n)
+        bval = ambient_operator(mu, F(coords), coords, n)
         kc = stereographic_factor(xi)
         lhs = kc ** (lam + 1.0) * bval
         fj = f.jet(xi, 2)
@@ -667,7 +672,7 @@ def check_weight_conjugation(n, rng, samples=20, tol=1e-9):
             x[n] = 0.4
         coords = coordinate_jets((t,) + tuple(x), 2)
         Fj = F(coords)
-        lhs = _ambient_operator_of_jet(mu, Fj, coords, n)
+        lhs = ambient_operator(mu, Fj, coords, n)
         xn = coords[n + 1]
         Gj = (xn * xn) ** (mu / 2.0) * Fj
         rhs = _conjugated_yamabe(mu, xn.value, dalembertian(Gj, n), Fj.value)
@@ -720,7 +725,7 @@ def check_ambient_compact(n, lam, fs, rng, samples=20, tol=1e-8):
         if abs(x[n]) < 0.15 or 1.0 + x[0] < 0.4:
             return None
         coords = coordinate_jets((1.0,) + x, 2)
-        a_val = ambient_operator(mu, FA, coords, n)
+        a_val = ambient_operator(mu, FA(coords), coords, n)
 
         # conjugated Yamabe route
         b_val = _conjugated_yamabe(mu, x[n], dalembertian(FB(coords), n), fs(x))

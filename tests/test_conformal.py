@@ -7,7 +7,7 @@ import pytest
 from covop import conformal
 from covop.conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                              PulledBack, Rotation, SingularPoint, Translation,
-                             chart_inverse, full_rotation, stereographic,
+                             full_rotation, stereographic,
                              stereographic_factor, tangential_rotation)
 from covop.jets import Jet, coordinate_jets
 
@@ -278,6 +278,18 @@ def test_gaussian_rejects_a_nonpositive_or_nan_width_and_a_short_exponent():
         GaussianBump((0.0, 0.0), prefactor={(1,): 1})
 
 
+def test_gaussian_rejects_a_negative_or_fractional_exponent():
+    # xi^-1 exp(-xi^2) was evaluated as exp(-xi^2), and a fractional
+    # exponent raised TypeError only when evaluated
+    for e in ((-1,), (1.5,)):
+        with pytest.raises(ValueError, match="ints >= 0"):
+            GaussianBump((0.0,), 1.0, {e: 1})
+    with pytest.raises(ValueError, match="ints >= 0"):
+        GaussianBump((0.0, 0.0), 1.0, {(0, 0): 1, (2, -1): 3})
+    f = GaussianBump((0.0,), 1.0, {(0,): 1, (2,): 1})
+    assert f.value((2.0,)) == 5.0 * math.exp(-4.0)
+
+
 def test_gaussian_rejects_an_infinite_width_and_a_nonfinite_center():
     with pytest.raises(ValueError):
         GaussianBump((0.0,), width=math.inf)
@@ -365,7 +377,8 @@ def test_chart_unit_norm_and_inverse():
         xi = tuple(rng.uniform(-3, 3, 3))
         x = stereographic(xi)
         assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-13)
-        assert np.allclose(chart_inverse(x), xi, atol=1e-12)
+        # the inverse chart (x_0, x') -> x'/(1 + x_0)
+        assert np.allclose(np.array(x[1:]) / (1.0 + x[0]), xi, atol=1e-12)
 
 
 def test_chart_factor_values():

@@ -69,11 +69,11 @@ CONTROLS = {
                                 f(n, lam, u, xi_n) - 2 * xi_n * u.laplacian()),
     # B_(mu + 1/2) in place of B_mu
     "ambient_noncompact": wrap(verify, "ambient_operator",
-                               lambda f: lambda mu, F, coords, n: f(mu + 0.5, F, coords, n)),
+                               lambda f: lambda mu, Fj, coords, n: f(mu + 0.5, Fj, coords, n)),
     "ambient_compact": wrap(verify, "ambient_operator",
-                            lambda f: lambda mu, F, coords, n: f(mu + 0.5, F, coords, n)),
+                            lambda f: lambda mu, Fj, coords, n: f(mu + 0.5, Fj, coords, n)),
     # x_n Box F + 2 mu dF/dx_n: the first-order term's sign
-    "weight_conjugation": wrap(verify, "_ambient_operator_of_jet", lambda f: lambda mu, Fj, c, n:
+    "weight_conjugation": wrap(verify, "ambient_operator", lambda f: lambda mu, Fj, c, n:
                                f(mu, Fj, c, n) + 4.0 * mu * Fj.grad[n + 1]),
     # the extension of 1 homogeneous of degree 2 - n/2, one above 1 - n/2
     "yamabe_constant": wrap(verify, "sphere_extension",

@@ -1,8 +1,11 @@
-"""Every module-level import in src/covop is used by its module, every name
-in ``covop.__all__`` resolves, and every module-level function and class of
-src/covop is named somewhere outside its own definition."""
+"""Every module-level import in src/covop is used by its module, the package
+alone imports nothing, and every module-level function and class of
+src/covop is named somewhere in src/covop or demos/ outside its own
+definition."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import covop
@@ -16,7 +19,7 @@ KEPT = set()
 
 def unused_imports(path):
     """Names bound by the module's top-level imports that no Name node of the
-    module reads and its ``__all__`` does not list."""
+    module reads."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     bound = []
     for node in tree.body:
@@ -25,10 +28,6 @@ def unused_imports(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [a.asname or a.name for a in node.names if a.name != "*"]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= set(ast.literal_eval(node.value))
     return [name for name in bound if name not in used]
 
 
@@ -38,11 +37,17 @@ def test_no_unused_module_level_import():
     assert found == KEPT
 
 
-def test_every_public_name_resolves():
-    # the unused-import check counts ``__all__`` entries as used, so a stale
-    # entry for a name that is gone would pass it
-    missing = [name for name in covop.__all__ if not hasattr(covop, name)]
-    assert missing == []
+def test_importing_the_package_loads_no_submodule_and_no_numpy(covop_env):
+    # the package re-exports nothing: each name is imported from the module
+    # that defines it, so ``import covop`` alone costs no numpy
+    code = ("import sys, covop\n"
+            "print(covop.__version__)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('covop.') or m.split('.')[0] == 'numpy'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=covop_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{covop.__version__}\n[]\n"
 
 
 # (module, name): defined on purpose though no code names it; cli.main looks
@@ -57,8 +62,9 @@ def _names(node):
 
 
 def test_no_dead_module_level_definition():
-    # a name counts when the package, a demo or covop.__all__ names it
-    # outside the definition itself (a recursive call does not count)
+    # a name counts when code in src/covop or a demo reads it outside the
+    # definition itself (a recursive call does not count); an import alone
+    # does not count, and neither does a test
     demos = sorted(DEMOS.glob("*.py"))
     assert demos
     paths = [*sorted(SRC.glob("*.py")), *demos]
@@ -68,7 +74,6 @@ def test_no_dead_module_level_definition():
     dead = set()
     for k, (path, node) in enumerate(nodes):
         if path.parent == SRC and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if node.name not in covop.__all__ and not any(
-                    node.name in seen for j, seen in enumerate(names) if j != k):
+            if not any(node.name in seen for j, seen in enumerate(names) if j != k):
                 dead.add((path.stem, node.name))
     assert dead == KEPT_DEFINITIONS

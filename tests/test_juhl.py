@@ -1,4 +1,3 @@
-import heapq
 import inspect
 import math
 import random
@@ -225,24 +224,11 @@ def test_shift_consistency():
 def test_lap_prime_terms_match_the_weak_compositions():
     # the one expansion of Lap'^s is lazy and yields the oracle's m' in the
     # oracle's (ascending) order, each with its multinomial
-    assert inspect.isgenerator(lap_prime_terms(8, (10,)))
+    assert inspect.isgenerator(lap_prime_terms(8, 10))
     for n in range(1, 9):
         for s in range(7):
-            assert list(lap_prime_terms(n, (s,))) == \
+            assert list(lap_prime_terms(n, s)) == \
                 [(m, multinomial(m)) for m in weak_compositions(s, n - 1)], (n, s)
-
-
-def test_lap_prime_terms_walk_every_order_at_once():
-    # one walk over a set of orders is the ascending merge of the
-    # single-order streams, each of them the oracle's
-    assert inspect.isgenerator(lap_prime_terms(8, range(11)))
-    for n in range(1, 9):
-        for orders in ((), (0,), (3,), (1, 3), tuple(range(7))):
-            streams = [[(m, multinomial(m)) for m in weak_compositions(s, n - 1)]
-                       for s in orders]
-            assert list(lap_prime_terms(n, orders)) == list(heapq.merge(*streams)), \
-                (n, orders)
-
 
 
 def test_lap_prime_prefixes_are_the_m_prime_heads():

@@ -264,6 +264,26 @@ def test_ks_rejects_bad_parameters():
         knapp_stein_value(1, 0.4, f, (0.0,))  # below the convergence line
 
 
+def test_ks_value_refuses_a_function_or_point_of_the_wrong_dimension():
+    # zip dropped the surplus: a 2-d bump at a 1-d point gave 0.965
+    with pytest.raises(ValueError, match="function has dimension 2"):
+        knapp_stein_value(1, 0.8, GaussianBump((0.0, 0.0)), (0.3,))
+    with pytest.raises(ValueError, match="point has dimension 2"):
+        knapp_stein_value(1, 0.8, GaussianBump((0.0,)), (0.3, 0.1))
+
+
+def test_ks_intertwining_refuses_a_word_or_function_of_the_wrong_dimension():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="function has dimension 2"):
+        check_ks_intertwining(1, 0.9, ConformalMap(1, [Dilation(2.0)]),
+                              GaussianBump((0.2, 0.1), 1.1), rng, samples=2)
+    with pytest.raises(ValueError, match="word has dimension 2"):
+        check_ks_intertwining(1, 0.9, ConformalMap(2, [Dilation(2.0)]),
+                              GaussianBump((0.2,), 1.1), rng, samples=2)
+    assert rng.bit_generator.state == state
+
+
 def test_ks_quadrature_budget_guard():
     # an unreachable tolerance must surface as a budget error, not silence
     f = GaussianBump((0.0,), 1.0)
@@ -394,9 +414,9 @@ def test_ambient_operator_on_monomials():
         return coords[n + 1] * coords[n + 1]
 
     coords = coordinate_jets(pt, 2)
-    got_lin = verify.ambient_operator(mu, F_lin, coords, n)
+    got_lin = verify.ambient_operator(mu, F_lin(coords), coords, n)
     assert got_lin == pytest.approx(-2 * mu, rel=1e-13)
-    got_sq = verify.ambient_operator(mu, F_sq, coords, n)
+    got_sq = verify.ambient_operator(mu, F_sq(coords), coords, n)
     assert got_sq == pytest.approx(-2 * (2 * mu + 1) * pt[n + 1], rel=1e-13)
 
 
@@ -406,8 +426,8 @@ def test_weight_conjugation_mu_zero_collapses():
     f = GaussianBump((0.1, 0.2), 1.0)
     F = chart_family(n, 0.8, f)
     coords = coordinate_jets((1.0, 0.3, 0.1, 0.4), 2)
-    lhs = verify.ambient_operator(0.0, F, coords, n)
     Fj = F(coords)
+    lhs = verify.ambient_operator(0.0, Fj, coords, n)
     rhs = 0.4 * dalembertian(Fj, n)
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
@@ -425,6 +445,15 @@ def test_ambient_noncompact_small():
     f = GaussianBump((0.2, -0.1), 1.2)
     r = check_ambient_noncompact(2, 0.8, f, rng, samples=10, tol=1e-9)
     assert r.passed and r.samples == 10, r
+
+
+def test_ambient_noncompact_refuses_a_function_of_the_wrong_dimension():
+    # a 1-d bump on R^2 passed with max_rel_err 2.1e-15
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="function has dimension 1"):
+        check_ambient_noncompact(2, 0.8, GaussianBump((0.2,), 1.1), rng, samples=10)
+    assert rng.bit_generator.state == state
 
 
 def test_yamabe_constant_values():
