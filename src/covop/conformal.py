@@ -206,10 +206,19 @@ class ConformalMap:
     def inverse(self):
         return ConformalMap(self.n, tuple(g.inverse() for g in reversed(self.word)))
 
+    def _coords(self, point):
+        """The point as a list of its n coordinates; a point of another
+        length is refused, since the generators zip coordinates and would
+        drop a surplus one."""
+        xs = list(point)
+        if len(xs) != self.n:
+            raise ValueError(f"point has {len(xs)} coordinates, expected n = {self.n}")
+        return xs
+
     def act(self, point):
         """Image of the point: the word's images alone, with no cocycle
         product formed."""
-        xs = list(point)
+        xs = self._coords(point)
         for g in self.word:
             xs = g.act_and_factor(xs)[0]
         return tuple(xs)
@@ -221,7 +230,7 @@ class ConformalMap:
     def act_and_factor(self, point):
         """Image of the point and the cocycle product of the generator
         factors along its orbit, in one walk of the word."""
-        xs = list(point)
+        xs = self._coords(point)
         total = 1.0
         for g in self.word:
             xs, k = g.act_and_factor(xs)
@@ -293,7 +302,10 @@ class GaussianBump:
         self.prefactor = prefactor
 
     def eval_generic(self, xs):
-        """Evaluate at a coordinate sequence of floats, arrays, or jets."""
+        """Evaluate at a coordinate sequence of floats, arrays, or jets,
+        which must hold n coordinates."""
+        if len(xs) != self.n:
+            raise ValueError(f"{len(xs)} coordinates given, expected n = {self.n}")
         q = _norm_sq([x - c for x, c in zip(xs, self.center)])
         arg = q * (-1.0 / self.width ** 2)
         if isinstance(arg, Jet):
@@ -309,8 +321,8 @@ class GaussianBump:
     def value(self, point):
         return self.eval_generic(list(point))
 
-    def jet(self, point, order=2):
-        return self.eval_generic(coordinate_jets(point, order))
+    def jet(self, point, order=2, pure=False):
+        return self.eval_generic(coordinate_jets(point, order, pure))
 
     def times_coordinate(self, i):
         """The test function xi_i * f (stays in the class), 0 <= i < n."""
@@ -340,6 +352,9 @@ class PulledBack:
     __slots__ = ("lam", "g", "f", "g_inv")
 
     def __init__(self, lam, g, f):
+        if g.n != f.n:
+            raise ValueError(f"word of dimension {g.n} acts on a function of "
+                             f"dimension {f.n}")
         self.lam = lam
         self.g = g
         self.f = f
@@ -352,8 +367,8 @@ class PulledBack:
     def value(self, point):
         return self.eval_generic(list(point))
 
-    def jet(self, point, order=2):
-        return self.eval_generic(coordinate_jets(point, order))
+    def jet(self, point, order=2, pure=False):
+        return self.eval_generic(coordinate_jets(point, order, pure))
 
 
 # -- the chart to the sphere ------------------------------------------------------

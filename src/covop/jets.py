@@ -13,18 +13,30 @@ would change their bytes.  Dense or batched coefficient arrays would sum in
 another order, which is why jets stay dicts.
 
 * Product plans.  For each (dim, order) a pair table ``{e1: {e2: e1 + e2}}``
-  over the multi-indices of total degree <= order keeps only the pairs whose
-  sum stays within the order (Griewank--Walther, *Evaluating Derivatives*,
-  SIAM 2008, ch. 13).  A product walks its two operands' terms in insertion
-  order, and which pairs it hits depends only on the two key sequences, so
-  those hits are cached as a plan keyed by the ordered keys.  A product then
-  walks the plan over the two value lists: the same additions, in the same
-  order, as the plain double loop, without visiting the pairs above the
-  order (at (6, 2), 56 of the 420 pairs of a Horner step land within it).
+  over the jet's key set keeps only the pairs whose sum stays in it
+  (Griewank--Walther, *Evaluating Derivatives*, SIAM 2008, ch. 13).  A
+  product walks its two operands' terms in insertion order, and which pairs
+  it hits depends only on the two key sequences, so those hits are cached
+  as a plan keyed by the ordered keys.  A product then walks the plan over
+  the two value lists: the same additions, in the same order, as the plain
+  double loop, without visiting the pairs above the order (at (6, 2), 56 of
+  the 420 pairs of a Horner step land within it).
+* Pure jets.  A jet built with ``pure=True`` keeps only the keys 0 and
+  k e_i, 1 <= k <= order: the value, the gradient and the pure partials
+  d_i^k, all that a second-order operator without mixed terms reads.  That
+  key set is downward closed, so the hits e1 + e2 = e on a kept key e,
+  which all have e1 <= e and e2 <= e, are the full jet's hits on e, met in
+  the same order; each kept key is deleted and re-inserted at the same
+  moments as in the full jet.  Every kept coefficient is therefore the
+  full jet's, bit for bit and in the same key order, for sums, products,
+  powers, quotients and ``compose_series`` alike, and a product skips the
+  mixed pairs (at (6, 2), 31 of the 91 pairs of a product).  A pure jet
+  refuses a mixed partial, and mixing a pure jet with a full one.
 * A fused Horner step.  ``compose_series`` builds w = self - value and each
   step acc * w + c_k on the term dicts, through the plan, and adds the
   constants as ``+ Jet.constant(c)`` would; no constant jets or copies are
-  made, and the floats are those of the jet operators.
+  made, and the floats are those of the jet operators.  ``jet + c`` and
+  ``jet - c`` for a scalar c add to the constant key the same way.
 * A memoized reciprocal.  Jets are never mutated after construction, so
   ``a / b`` and ``c / b`` share one ``b ** -1``, computed on the first
   quotient by b; a recomputation would give the same bits.  Call sites do
@@ -45,23 +57,31 @@ def _exponents(dim, order):
 
 
 @functools.cache
-def _pair_table(dim, order):
-    """{e1: {e2: e1 + e2}} for every pair with |e1| + |e2| <= order.
+def _pair_table(dim, order, pure):
+    """{e1: {e2: e1 + e2}} for every pair of kept keys whose sum is kept.
+    A jet keeps every multi-index of total degree <= order, and a pure jet
+    only those that are not mixed: 0 and the k e_i, 1 <= k <= order.
 
-    A multi-index missing as a row or as an entry has a product above the
-    order, which truncation drops.  Shared by every product at this shape;
-    never mutated.
+    A multi-index missing as a row or as an entry has its product outside
+    the key set, which truncation drops.  Shared by every product at this
+    shape; never mutated.
     """
-    exps = _exponents(dim, order)
-    return {e1: {e2: tuple(a + b for a, b in zip(e1, e2))
-                 for e2 in exps if sum(e1) + sum(e2) <= order}
-            for e1 in exps}
+    keys = [e for e in _exponents(dim, order) if not (pure and _is_mixed(e))]
+    kept = set(keys)
+    table = {}
+    for e1 in keys:
+        row = table[e1] = {}
+        for e2 in keys:
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if e in kept:
+                row[e2] = e
+    return table
 
 
 @functools.lru_cache(maxsize=4096)
-def _product_plan(dim, order, keys1, keys2):
+def _product_plan(dim, order, pure, keys1, keys2):
     """The hits of the double loop over keys1 x keys2 whose exponent sum
-    stays within the order, in that loop's order: rows (i, ((j, e, first),
+    stays in the key set, in that loop's order: rows (i, ((j, e, first),
     ...)) for the terms keys1[i] and keys2[j] with sum e, where ``first``
     marks the first hit on e.
 
@@ -70,7 +90,7 @@ def _product_plan(dim, order, keys1, keys2):
     The cache is bounded because the keys follow the values a little: a
     coefficient that cancels to 0 is deleted and re-inserted last.
     """
-    table = _pair_table(dim, order)
+    table = _pair_table(dim, order, pure)
     plan = []
     seen = set()
     for i, e1 in enumerate(keys1):
@@ -88,7 +108,7 @@ def _product_plan(dim, order, keys1, keys2):
     return tuple(plan)
 
 
-def _mul_terms(dim, order, a, b):
+def _mul_terms(dim, order, pure, a, b):
     """The truncated product of the term dicts a and b.
 
     It does the float operations of the double loop over a and b, in its
@@ -96,7 +116,7 @@ def _mul_terms(dim, order, a, b):
     that ``t.get`` returns and, as no key can be deleted before it is
     inserted, stores the sum: that is ``0.0 + c1 * c2`` here too.
     """
-    plan = _product_plan(dim, order, tuple(a), tuple(b))
+    plan = _product_plan(dim, order, pure, tuple(a), tuple(b))
     v1 = list(a.values())
     v2 = list(b.values())
     t = {}
@@ -137,11 +157,20 @@ def _squares(dim):
     return tuple(tuple(2 * a for a in e) for e in _units(dim))
 
 
+def _is_mixed(e):
+    """Whether the multi-index e has more than one nonzero entry."""
+    return sum(1 for a in e if a) > 1
+
+
 class Jet:
     """Taylor coefficients {multi-index: value} of a function at a point.
 
     ``terms[alpha]`` is the coefficient of prod (x_i - p_i)^alpha_i, i.e.
     the partial derivative divided by alpha!.  Values may be real or complex.
+    A pure jet (``pure=True``) keeps only the value and the pure partials
+    d_i^k: the full jet's coefficients at those keys, bit for bit and in the
+    same key order.  It refuses a mixed multi-index, and the flag carries to
+    every jet computed from it.
 
     A product walks the cached plan of its operands' key sequences, so its
     floats are bit-identical to those of the plain double loop over
@@ -149,38 +178,46 @@ class Jet:
     (see the module docstring).  Jets are never mutated after construction.
     """
 
-    __slots__ = ("dim", "order", "terms", "_recip")
+    __slots__ = ("dim", "order", "pure", "terms", "_recip")
 
-    def __init__(self, dim, order, terms=None):
+    def __init__(self, dim, order, terms=None, pure=False):
         self.dim = dim
         self.order = order
+        self.pure = pure
         self.terms = dict(terms) if terms else {}
         for e in self.terms:
             if len(e) != dim:
                 raise ValueError(f"multi-index {e} needs {dim} entries")
+            if pure and _is_mixed(e):
+                raise ValueError(f"a pure jet has no mixed multi-index {e}")
 
     @classmethod
-    def _adopt(cls, dim, order, terms):
+    def _adopt(cls, dim, order, pure, terms):
         """A jet owning ``terms`` as given, without the defensive copy; only
         for dicts freshly built by jet arithmetic."""
         jet = object.__new__(cls)
         jet.dim = dim
         jet.order = order
+        jet.pure = pure
         jet.terms = terms
         return jet
 
-    @classmethod
-    def constant(cls, value, dim, order):
-        return cls._adopt(dim, order, {(0,) * dim: value} if value != 0 else {})
+    def _with(self, terms):
+        """A jet of this one's shape owning ``terms``, as ``_adopt``."""
+        return Jet._adopt(self.dim, self.order, self.pure, terms)
 
     @classmethod
-    def variable(cls, value, i, dim, order):
+    def constant(cls, value, dim, order, pure=False):
+        return cls._adopt(dim, order, pure, {(0,) * dim: value} if value != 0 else {})
+
+    @classmethod
+    def variable(cls, value, i, dim, order, pure=False):
         t = {}
         if value != 0:
             t[(0,) * dim] = value
         if order >= 1:
             t[_units(dim)[i]] = 1.0
-        return cls._adopt(dim, order, t)
+        return cls._adopt(dim, order, pure, t)
 
     # -- readout -------------------------------------------------------------
 
@@ -189,13 +226,18 @@ class Jet:
         return self.terms.get((0,) * self.dim, 0.0)
 
     def derivative(self, alpha):
-        """Partial derivative of the underlying function for multi-index alpha."""
+        """Partial derivative of the underlying function for multi-index
+        alpha; a pure jet refuses a mixed alpha, whose derivative it does
+        not hold."""
         alpha = tuple(alpha)
         c = self.terms.get(alpha)
         if c is None:
-            # every key has dim entries, so only a miss can be a bad index
+            # every key has dim entries, and a pure jet no mixed one, so only
+            # a miss can be a bad index
             if len(alpha) != self.dim:
                 raise ValueError(f"multi-index {alpha} needs {self.dim} entries")
+            if self.pure and _is_mixed(alpha):
+                raise ValueError(f"a pure jet has no mixed partial {alpha}")
             return 0.0
         fact = 1
         for a in alpha:
@@ -216,28 +258,36 @@ class Jet:
 
     def _like(self, other):
         if isinstance(other, Jet):
-            if other.dim != self.dim or other.order != self.order:
-                raise ValueError("jet dimension/order mismatch")
+            if (other.dim, other.order, other.pure) != (self.dim, self.order, self.pure):
+                raise ValueError("jet dimension/order/purity mismatch")
             return other
-        return Jet.constant(other, self.dim, self.order)
+        return Jet.constant(other, self.dim, self.order, self.pure)
 
     def __add__(self, other):
-        other = self._like(other)
         t = dict(self.terms)
-        for e, c in other.terms.items():
+        if not isinstance(other, Jet):
+            # as + Jet.constant(other) sums and deletes
+            _add_constant(t, (0,) * self.dim, other)
+            return self._with(t)
+        for e, c in self._like(other).terms.items():
             s = t.get(e, 0.0) + c
             if s == 0 and e in t:
                 del t[e]
             else:
                 t[e] = s
-        return Jet._adopt(self.dim, self.order, t)
+        return self._with(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet._adopt(self.dim, self.order, {e: -c for e, c in self.terms.items()})
+        return self._with({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, Jet):
+            # as + (-Jet.constant(other)): the negated constant, summed
+            t = dict(self.terms)
+            _add_constant(t, (0,) * self.dim, -other)
+            return self._with(t)
         return self + (-self._like(other))
 
     def __rsub__(self, other):
@@ -246,12 +296,11 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             if other == 0:
-                return Jet._adopt(self.dim, self.order, {})
-            return Jet._adopt(self.dim, self.order,
-                              {e: v * other for e, v in self.terms.items()})
+                return self._with({})
+            return self._with({e: v * other for e, v in self.terms.items()})
         other = self._like(other)
-        return Jet._adopt(self.dim, self.order,
-                          _mul_terms(self.dim, self.order, self.terms, other.terms))
+        return self._with(_mul_terms(self.dim, self.order, self.pure,
+                                     self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -274,7 +323,7 @@ class Jet:
 
     def __pow__(self, p):
         if isinstance(p, int) and p >= 0:
-            out = Jet.constant(1.0, self.dim, self.order)
+            out = Jet.constant(1.0, self.dim, self.order, self.pure)
             base = self
             k = p
             while k:
@@ -299,16 +348,16 @@ class Jet:
         Horner's rule in w = self - value, each step acc * w + derivs[k]/k!
         done on the term dicts with the same float operations as the jet
         operators would do."""
-        dim, order = self.dim, self.order
+        dim, order, pure = self.dim, self.order, self.pure
         z = (0,) * dim
         w = dict(self.terms)
         _add_constant(w, z, -self.value)
         acc = {}
         _add_constant(acc, z, derivs[order] / math.factorial(order))
         for k in range(order - 1, -1, -1):
-            acc = _mul_terms(dim, order, acc, w)
+            acc = _mul_terms(dim, order, pure, acc, w)
             _add_constant(acc, z, derivs[k] / math.factorial(k))
-        return Jet._adopt(dim, order, acc)
+        return self._with(acc)
 
     def exp(self):
         """exp of the jet, for a real value part only.  A complex value part,
@@ -317,11 +366,13 @@ class Jet:
         return self.compose_series([math.exp(self.value)] * (self.order + 1))
 
     def __repr__(self):
-        return f"Jet(dim={self.dim}, order={self.order}, value={self.value!r})"
+        return (f"Jet(dim={self.dim}, order={self.order}, pure={self.pure}, "
+                f"value={self.value!r})")
 
 
-def coordinate_jets(point, order=2):
-    """Identity-function jets at a point: the seeds for all evaluations."""
+def coordinate_jets(point, order=2, pure=False):
+    """Identity-function jets at a point: the seeds for all evaluations;
+    ``pure=True`` seeds pure jets."""
     point = tuple(point)
     d = len(point)
-    return [Jet.variable(x, i, d, order) for i, x in enumerate(point)]
+    return [Jet.variable(x, i, d, order, pure) for i, x in enumerate(point)]

@@ -305,7 +305,9 @@ def geometry_suite(n, rng):
 
 def check_covariance_one_step(n, rng, samples=50, tol=1e-9):
     """(one-step at lam) o rho_lam(g) = rho_(lam+1)(g) o (one-step at lam)
-    for hyperplane-preserving g, evaluated through jets on both sides."""
+    for hyperplane-preserving g, evaluated through jets on both sides.  The
+    one-step operator reads a jet's gradient and Laplacian only, so the jets
+    are pure (see ``covop.jets``)."""
     def draw(made):
         # the first four samples pin one generator type each
         force = made if made < 4 else None
@@ -313,10 +315,10 @@ def check_covariance_one_step(n, rng, samples=50, tol=1e-9):
         g = sample_gprime_word(rng, n, 3, force_kind=force)
         f = sample_bump(rng, n)
         xi = sample_point_for(rng, g, f)
-        uj = PulledBack(lam, g, f).jet(xi, 2)
+        uj = PulledBack(lam, g, f).jet(xi, 2, pure=True)
         lhs = one_step_from_jet(n, lam, uj, xi[n - 1])
         zeta, k = g.inverse().act_and_factor(xi)
-        fj = f.jet(zeta, 2)
+        fj = f.jet(zeta, 2, pure=True)
         rhs = k ** (lam + 1) * one_step_from_jet(n, lam, fj, zeta[n - 1])
         return (rel_err(lhs, rhs),
                 f"lam={lam}, word={[type(w).__name__ for w in g.word]}, xi={xi}")
@@ -609,14 +611,22 @@ def chart_family(n, lam, f):
     return F
 
 
+def sphere_parts(coords):
+    """(|x|^2, x/|x|) of the ambient coords (t, x_0, ..., x_n), computed once
+    for every extension evaluated at the same coords."""
+    q = _norm_sq(coords[1:])
+    r = q ** 0.5
+    return q, [c / r for c in coords[1:]]
+
+
 def sphere_extension(n, f_sphere, degree):
     """t-independent extension |x|^degree * f(x/|x|) of a sphere function
-    (f_sphere takes the n+1 components of x/|x|)."""
+    (f_sphere takes the n+1 components of x/|x|).  The extension F(coords,
+    parts) takes the ``sphere_parts(coords)`` shared with other extensions,
+    or computes them when parts is None."""
 
-    def F(coords):
-        q = _norm_sq(coords[1:])
-        r = q ** 0.5
-        args = [c / r for c in coords[1:]]
+    def F(coords, parts=None):
+        q, args = sphere_parts(coords) if parts is None else parts
         return q ** (degree / 2.0) * f_sphere(args)
 
     return F
@@ -632,7 +642,8 @@ def ambient_operator(mu, Fj, coords, n):
 def check_ambient_noncompact(n, lam, f, rng, samples=30, tol=1e-9):
     """The ambient operator at weight lam - n/2 + 1, pushed through the
     stereographic chart (including the chart weight lam+1), against minus the
-    one-step operator on R^n, at points drawn uniformly from [-1.2, 1.2]^n."""
+    one-step operator on R^n, at points drawn uniformly from [-1.2, 1.2]^n.
+    Both operators read no mixed partial, so the jets are pure."""
     _check_dims(n, function=f.n)
     mu = lam - n / 2.0 + 1.0
     F = chart_family(n, lam, f)
@@ -640,11 +651,11 @@ def check_ambient_noncompact(n, lam, f, rng, samples=30, tol=1e-9):
     def draw(_):
         xi = tuple(float(c) for c in rng.uniform(-1.2, 1.2, n))
         x = stereographic(xi)
-        coords = coordinate_jets((1.0,) + x, 2)
+        coords = coordinate_jets((1.0,) + x, 2, pure=True)
         bval = ambient_operator(mu, F(coords), coords, n)
         kc = stereographic_factor(xi)
         lhs = kc ** (lam + 1.0) * bval
-        fj = f.jet(xi, 2)
+        fj = f.jet(xi, 2, pure=True)
         rhs = -one_step_from_jet(n, lam, fj, xi[n - 1])
         return rel_err(lhs, rhs), f"lam={lam}, xi={xi}"
 
@@ -659,7 +670,8 @@ def _conjugated_yamabe(mu, xn, box, f):
 
 def check_weight_conjugation(n, rng, samples=20, tol=1e-9):
     """B_mu F = x_n |x_n|^(-mu) Box(|x_n|^mu F) + mu(mu-1) F / x_n for smooth
-    ambient F and x_n != 0 (direct two-route jet evaluation)."""
+    ambient F and x_n != 0 (direct two-route jet evaluation, on pure jets:
+    both routes read the value, gradient and d'Alembertian only)."""
     def draw(_):
         mu = float(rng.uniform(-2.0, 2.0))
         lam = float(rng.uniform(-1.0, 2.0))
@@ -670,7 +682,7 @@ def check_weight_conjugation(n, rng, samples=20, tol=1e-9):
         x[0] = max(x[0], 0.4 - t)  # keep t + x_0 away from the family's singular set
         if abs(x[n]) < 0.15:
             x[n] = 0.4
-        coords = coordinate_jets((t,) + tuple(x), 2)
+        coords = coordinate_jets((t,) + tuple(x.tolist()), 2, pure=True)
         Fj = F(coords)
         lhs = ambient_operator(mu, Fj, coords, n)
         xn = coords[n + 1]
@@ -683,14 +695,15 @@ def check_weight_conjugation(n, rng, samples=20, tol=1e-9):
 
 def check_yamabe_constant(n, rng, samples=20, tol=1e-10):
     """The conformal Laplacian of the constant function: Box of the degree
-    -(n/2-1) extension of 1 equals n(n-2)/4 on the sphere."""
+    -(n/2-1) extension of 1 equals n(n-2)/4 on the sphere, read off a pure
+    jet."""
     F = sphere_extension(n, lambda args: 1.0, -(n / 2.0 - 1.0))
     expected = n * (n - 2) / 4.0
 
     def draw(_):
         x = rng.normal(size=n + 1)
         x /= np.linalg.norm(x)
-        coords = coordinate_jets((1.0,) + tuple(x), 2)
+        coords = coordinate_jets((1.0,) + tuple(x.tolist()), 2, pure=True)
         got = dalembertian(F(coords), n)
         return (abs(got - expected) / max(1.0, abs(expected)),
                 f"x={tuple(float(c) for c in x)}")
@@ -710,6 +723,9 @@ def check_ambient_compact(n, lam, fs, rng, samples=20, tol=1e-8):
        with Delta_S realized by Box on the degree -(n/2-1) extension;
     C. minus the one-step operator on the chart transport of f, mapped back
        with the chart weight.
+
+    No route reads a mixed partial, so the jets are pure; A and B share one
+    |x|^2 and x/|x|.
     """
     mu = lam - n / 2.0 + 1.0
     FA = sphere_extension(n, fs, -lam)
@@ -724,14 +740,15 @@ def check_ambient_compact(n, lam, fs, rng, samples=20, tol=1e-8):
         x = stereographic(xi)
         if abs(x[n]) < 0.15 or 1.0 + x[0] < 0.4:
             return None
-        coords = coordinate_jets((1.0,) + x, 2)
-        a_val = ambient_operator(mu, FA(coords), coords, n)
+        coords = coordinate_jets((1.0,) + x, 2, pure=True)
+        parts = sphere_parts(coords)
+        a_val = ambient_operator(mu, FA(coords, parts), coords, n)
 
         # conjugated Yamabe route
-        b_val = _conjugated_yamabe(mu, x[n], dalembertian(FB(coords), n), fs(x))
+        b_val = _conjugated_yamabe(mu, x[n], dalembertian(FB(coords, parts), n), fs(x))
 
         # chart transport route
-        cj = coordinate_jets(xi, 2)
+        cj = coordinate_jets(xi, 2, pure=True)
         fnc = stereographic_factor(cj) ** lam * fs(stereographic(cj))
         kc = stereographic_factor(xi)
         c_val = -(kc ** (-(lam + 1.0))) * one_step_from_jet(n, lam, fnc, xi[n - 1])
@@ -749,7 +766,9 @@ def check_extension_independence(n, rng, samples=20, tol=1e-9):
     Compares the t-independent extension, a t-homogeneous one, and one
     shifted by Q * (homogeneous of degree -(n/2)-1); each extension's
     homogeneity is certified through the Euler identity, and a residual of
-    that identity above 1e-10, or NaN, at any sample fails the report.
+    that identity above 1e-10, or NaN, at any sample fails the report.  Both
+    identities read the value, gradient and d'Alembertian only, so the jets
+    are pure, and the extensions share one |x|^2 and x/|x| per sample.
     """
     d = n / 2.0 - 1.0
 
@@ -760,18 +779,7 @@ def check_extension_independence(n, rng, samples=20, tol=1e-9):
         return args[0] * args[0] + 0.5 * args[n] + 1.0
 
     F1 = sphere_extension(n, fs, -d)
-
-    # F2 and F3 take the jet F1j = F1(coords) so that it is evaluated once
-    def F2(coords, F1j):
-        # t-dependent variant: (t^2/|x|^2) is 0-homogeneous and equals 1 on the cone
-        q = _norm_sq(coords[1:])
-        return coords[0] * coords[0] / q * F1j
-
-    def F3(coords, F1j):
-        q = _norm_sq(coords[1:])
-        Q = coords[0] * coords[0] - q
-        G = sphere_extension(n, gs, -(d + 2.0))(coords)
-        return F1j + Q * G
+    G = sphere_extension(n, gs, -(d + 2.0))
 
     euler = 0.0  # the largest Euler residual of any extension at any sample
 
@@ -780,17 +788,24 @@ def check_extension_independence(n, rng, samples=20, tol=1e-9):
         x = rng.normal(size=n + 1)
         x *= float(rng.uniform(0.6, 1.8)) / np.linalg.norm(x)
         t = float(np.linalg.norm(x))
-        coords = coordinate_jets((t,) + tuple(x), 2)
-        F1j = F1(coords)
-        jets = [F1j, F2(coords, F1j), F3(coords, F1j)]
+        xs = x.tolist()
+        coords = coordinate_jets([t] + xs, 2, pure=True)
+        parts = sphere_parts(coords)
+        q, tt = parts[0], coords[0] * coords[0]
+        F1j = F1(coords, parts)
+        jets = [F1j,
+                # t-dependent: t^2/|x|^2 is 0-homogeneous and equals 1 on the cone
+                tt / q * F1j,
+                # shifted by Q G, where Q = t^2 - |x|^2 vanishes on the cone
+                F1j + (tt - q) * G(coords, parts)]
         for Fj in jets:
-            e = t * Fj.grad[0] + sum(x[i] * Fj.grad[i + 1] for i in range(n + 1))
+            e = t * Fj.grad[0] + sum(xs[i] * Fj.grad[i + 1] for i in range(n + 1))
             r = abs(e - (-d) * Fj.value) / max(1.0, abs(Fj.value))
             # a NaN residual is kept: max(euler, nan) would drop it
             euler = r if math.isnan(r) else max(euler, r)
         boxes = [dalembertian(Fj, n) for Fj in jets]
         err = max(rel_err(boxes[0], boxes[1]), rel_err(boxes[0], boxes[2]))
-        return err, f"t={t}, x={tuple(float(c) for c in x)}"
+        return err, f"t={t}, x={tuple(xs)}"
 
     report = _sampled(f"extension_independence_n{n}", samples, tol, draw)
     if not euler <= 1e-10:

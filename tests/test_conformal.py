@@ -315,6 +315,42 @@ def test_times_coordinate_rejects_an_index_outside_the_coordinates():
             pytest.approx(0.5 * f.value((0.5, 0.5)))
 
 
+# the generators and the bump zip coordinates, so a surplus one was dropped
+# and a missing one ignored without a word
+
+
+def test_a_word_refuses_a_point_of_another_dimension():
+    # act((1, 2, 3)) returned (1.1, 2.0)
+    g = ConformalMap(2, [Translation((0.1, 0.0))])
+    for point in ((1.0, 2.0, 3.0), (1.0,), [Jet.variable(1.0, 0, 1, 2)]):
+        for call in (g.act, g.act_and_factor, g.factor):
+            with pytest.raises(ValueError, match="expected n = 2"):
+                call(point)
+    assert g.act((1.0, 2.0)) == (1.1, 2.0)
+
+
+def test_a_pullback_refuses_a_word_and_function_of_different_dimensions():
+    # the 1-d word on a 2-d bump gave 0.9608 at (0.3, 0.2), the 1-d bump's
+    # value at 0.2
+    with pytest.raises(ValueError, match="dimension"):
+        PulledBack(0.8, ConformalMap(1, [Translation((0.1,))]), GaussianBump((0.0, 0.0)))
+    with pytest.raises(ValueError, match="dimension"):
+        PulledBack(0.8, ConformalMap(3), GaussianBump((0.0, 0.0)))
+
+
+def test_a_bump_refuses_a_point_of_another_dimension():
+    # value((1.0,)) on a 2-d bump gave e^-1
+    f = GaussianBump((0.0, 0.0))
+    for point in ((1.0,), (1.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="expected n = 2"):
+            f.value(point)
+        with pytest.raises(ValueError, match="expected n = 2"):
+            f.jet(point)
+    with pytest.raises(ValueError, match="expected n = 2"):
+        f.eval_generic([np.zeros(4)])
+    assert f.value((1.0, 0.0)) == math.exp(-1.0)
+
+
 def test_rho_identity_and_dilation():
     n = 2
     f = GaussianBump((0.2, -0.1), 1.0)

@@ -1,5 +1,6 @@
 """The planned Jet product, the fused Horner step and the memoized
-reciprocal against the plain loops they replaced.
+reciprocal against the plain loops they replaced, and pure jets against the
+full jets they restrict.
 
 Each must be bit-identical to its loop: the same terms, inserted in the same
 order, with the same floats (seeded reports print errors with full repr, so
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from covop import verify
-from covop.jets import Jet, _product_plan
+from covop.jets import Jet, _is_mixed, _product_plan, coordinate_jets
 
 from oracles import log_series
 
@@ -44,7 +45,7 @@ def _bits(c):
 
 
 def assert_same_jet(got, want):
-    assert (got.dim, got.order) == (want.dim, want.order)
+    assert (got.dim, got.order, got.pure) == (want.dim, want.order, want.pure)
     assert list(got.terms) == list(want.terms)  # same keys, same order
     assert got.terms == want.terms
     assert [_bits(c) for c in got.terms.values()] == \
@@ -271,3 +272,74 @@ def test_a_seeded_run_builds_a_bounded_number_of_plans():
     _product_plan.cache_clear()
     verify.run_suites("all", seed=0)
     assert _product_plan.cache_info().currsize <= 2000
+
+
+# -- pure jets: the full jet restricted, bit for bit and in key order --------------
+
+
+def restrict(x):
+    """The pure jet of x's value and pure partials, in x's key order."""
+    return Jet(x.dim, x.order, {e: c for e, c in x.terms.items() if not _is_mixed(e)},
+               pure=True)
+
+
+#: pipelines run on full and on pure operands; y has a nonzero value part
+PIPELINES = {
+    "products": lambda a, b, y: a * b * a * (b * b),
+    "sums and differences": lambda a, b, y: (a + b) * (b - a) - 2.0 + 0.5 * a - (1.0 - b),
+    "quotients": lambda a, b, y: a / y + 1.5 / y - b / 3.0,
+    "integer powers": lambda a, b, y: a ** 3 * b ** 2 + y ** 0,
+    "fractional powers": lambda a, b, y: y ** 0.5 * a + y ** -1.5 - y ** 2.0,
+}
+
+
+@pytest.mark.parametrize("dim,order", SHAPES)
+def test_a_pure_jet_is_the_full_jet_restricted(dim, order):
+    # the full operands keep their mixed keys: no mixed key can reach a pure
+    # one, as a sum landing on k e_i has both summands on the e_i axis
+    rng = random.Random(90 * dim + order)
+    for trial in range(16):
+        complex_values = trial % 4 == 1
+        coarse = trial % 2 == 0
+        a = random_jet(rng, dim, order, complex_values, coarse)
+        b = random_jet(rng, dim, order, complex_values, coarse)
+        y = random_jet(rng, dim, order, complex_values, coarse)
+        y = with_value(y, rng.choice((0.5, -1.5, 2.0)) if coarse else rng.uniform(0.5, 2.0))
+        pure = [restrict(x) for x in (a, b, y)]
+        for run in PIPELINES.values():
+            assert_same_jet(run(*pure), restrict(run(a, b, y)))
+        if not complex_values:  # exp takes a real value part
+            assert_same_jet(pure[0].exp(), restrict(a.exp()))
+            assert_same_jet(pure[2].exp() * pure[0], restrict(y.exp() * a))
+
+
+def test_pure_seeds_restrict_the_full_seeds():
+    point = (0.3, -1.2, 0.7)
+    full = coordinate_jets(point, 3)
+    pure = coordinate_jets(point, 3, pure=True)
+    f = (full[0] * full[1] + full[2]).exp() / (1.0 + full[1] * full[1])
+    g = (pure[0] * pure[1] + pure[2]).exp() / (1.0 + pure[1] * pure[1])
+    assert_same_jet(g, restrict(f))
+    assert g.grad == f.grad and g.laplacian() == f.laplacian()
+    assert g.derivative((0, 3, 0)) == f.derivative((0, 3, 0))
+
+
+def test_a_pure_jet_refuses_what_it_does_not_hold():
+    x, y = coordinate_jets((0.5, 0.2), 2, pure=True)
+    u = x * y
+    assert u.value == 0.1 and u.grad == [0.2, 0.5]
+    # the mixed partial of x y is 1, not the 0 a truncation would return
+    for alpha in ((1, 1), [1, 1]):
+        with pytest.raises(ValueError, match="mixed"):
+            u.derivative(alpha)
+    assert u.derivative((2, 0)) == 0.0 and u.derivative((0, 1)) == 0.5
+    with pytest.raises(ValueError, match="mixed"):
+        Jet(2, 2, {(1, 1): 1.0}, pure=True)
+    full = coordinate_jets((0.5, 0.2), 2)[0]
+    for op in (lambda p, q: p * q, lambda p, q: p + q, lambda p, q: p - q,
+               lambda p, q: p / q):
+        with pytest.raises(ValueError, match="purity"):
+            op(x, full)
+        with pytest.raises(ValueError, match="purity"):
+            op(full, x)
+    assert "pure=True" in repr(x) and "pure=False" in repr(full)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from covop import juhl, symbolcalc, verify
+from covop import jets, juhl, symbolcalc, verify
 from covop.conformal import ConformalMap, Dilation, GaussianBump, Translation
 from covop.jets import Jet, coordinate_jets
 from covop.verify import (CheckReport, check_ambient_compact,
@@ -168,6 +168,29 @@ def test_covariance_holds_for_complex_parameter():
     zeta, k = g.inverse().act_and_factor(xi)
     rhs = k ** (lam + 1) * verify.one_step_from_jet(n, lam, f.jet(zeta, 2), zeta[n - 1])
     assert rel_err(lhs, rhs) < 1e-12
+
+
+def test_the_second_order_checks_multiply_no_full_order_2_jet(monkeypatch):
+    # the one-step and ambient operators read value, gradient and pure second
+    # partials, so their checks run on pure jets, which skip the mixed pairs;
+    # a check that went back to full jets would give that saving back
+    full, products = [], []
+    mul = jets._mul_terms
+
+    def counted(dim, order, pure, a, b):
+        products.append(dim)
+        if order == 2 and not pure:
+            full.append(dim)
+        return mul(dim, order, pure, a, b)
+
+    monkeypatch.setattr(jets, "_mul_terms", counted)
+    verify.suite_ambient(0)
+    for n in (2, 3):
+        check_covariance_one_step(n, np.random.default_rng(n), samples=10)
+    assert products and full == []
+    # the counter sees a full order-2 product where there is one
+    check_covariance_iterated(2, 2, np.random.default_rng(0), samples=2)
+    assert full
 
 
 def test_covariance_iterated_reduces_to_one_step_at_order_one():
