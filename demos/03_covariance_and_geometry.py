@@ -19,7 +19,7 @@ g = ConformalMap(n, [Translation((0.4, -0.2, 0.0)), Inversion(), Dilation(1.5)])
 xi = (0.7, 0.3, -0.4)
 print("a conformal map word:", [type(w).__name__ for w in g.word])
 print("  image of xi:      ", tuple(round(c, 6) for c in g.act(xi)))
-print("  conformal factor: ", round(g.factor(xi), 6))
+print("  conformal factor: ", round(g.act_and_factor(xi)[1], 6))
 print("  preserves the hyperplane:", g.preserves_hyperplane())
 
 rng = np.random.default_rng(42)

@@ -4,9 +4,11 @@ the stereographic chart to the sphere, and Gaussian test functions.
 A map is a word in four generators (translation, rotation, dilation, and the
 chart-change inversion).  Each generator has one step, ``act_and_factor``,
 which returns the image of a point and the generator's conformal factor there;
-a word multiplies the factors along the orbit (the cocycle product).  A
-rotation is the pair (cos, sin) of a rotation in the (xi_1, xi_2) plane, the
-only rotations the checks use.  All evaluation code is generic over the scalar
+a word multiplies the factors along the orbit (the cocycle product), and
+``act`` is the same walk with the factors dropped.  The chart to the sphere,
+``stereographic``, takes the same one step: image and factor from one
+|xi|^2.  A rotation is the pair (cos, sin) of a rotation in the (xi_1, xi_2)
+plane, the only rotations the checks use.  All evaluation code is generic over the scalar
 type: plain floats, numpy arrays (batched points) and jets all go through the
 same formulas, so derivative information is exact to rounding wherever jets
 are fed in.  A test function's polynomial prefactor has int coefficients, so
@@ -170,14 +172,6 @@ def tangential_rotation(n, angle):
     return Rotation(n, 1.0, 0.0)
 
 
-def full_rotation(n, angle):
-    """Rotation by the angle in the (xi_1, xi_2) plane (a general conformal
-    map, moving the hyperplane when n = 2).  For n = 1: the identity."""
-    if n >= 2:
-        return Rotation(n, math.cos(angle), math.sin(angle))
-    return Rotation(n, 1.0, 0.0)
-
-
 class ConformalMap:
     """A word of generators applied left to right: word[0] acts first;
     ``ConformalMap(n)``, the empty word, is the identity.
@@ -222,10 +216,6 @@ class ConformalMap:
         for g in self.word:
             xs = g.act_and_factor(xs)[0]
         return tuple(xs)
-
-    def factor(self, point):
-        """Conformal factor kappa(self, point) via the cocycle product."""
-        return self.act_and_factor(point)[1]
 
     def act_and_factor(self, point):
         """Image of the point and the cocycle product of the generator
@@ -375,15 +365,11 @@ class PulledBack:
 
 
 def stereographic(xs):
-    """Inverse stereographic chart R^n -> S^n (source at the antipode of 1):
-    ((1-|xi|^2)/(1+|xi|^2), 2 xi_1/(1+|xi|^2), ..., 2 xi_n/(1+|xi|^2))."""
+    """The inverse stereographic chart R^n -> S^n (source at the antipode of
+    1) in one step, as a generator's ``act_and_factor``: the image
+    ((1-|xi|^2)/(1+|xi|^2), 2 xi_1/(1+|xi|^2), ..., 2 xi_n/(1+|xi|^2)) and
+    the conformal factor 2/(1+|xi|^2), both from one |xi|^2."""
     q = _norm_sq(list(xs))
     den = 1.0 + q
-    first = (1.0 - q) / den
-    return tuple([first] + [2.0 * x / den for x in xs])
-
-
-def stereographic_factor(xs):
-    """Conformal factor of the chart: 2/(1+|xi|^2)."""
-    return 2.0 / (1.0 + _norm_sq(list(xs)))
+    return tuple([(1.0 - q) / den] + [2.0 * x / den for x in xs]), 2.0 / den
 

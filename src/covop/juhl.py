@@ -24,10 +24,9 @@ one in lam, and ``pretty_terms`` prints a polynomial in several variables
 given as {exponent tuple: coefficient}.
 ``lap_prime_prefixes`` is the one walk over the derivative multi-indices
 m' of Lap'^s: an odometer over their first n - 2 entries (the prefix),
-yielding each prefix with its sum and multinomial weight.  The operator
-export reads the prefixes; ``lap_prime_terms``, a short loop over them that
-closes the last entry on one order s, is the expansion of Lap'^s the
-numeric covariance table reads.
+yielding each prefix with its sum and multinomial weight.  Its two readers,
+the operator export and the numeric covariance table, each close the last
+entry themselves.
 """
 
 from functools import lru_cache, reduce
@@ -150,21 +149,6 @@ def lap_prime_prefixes(n, top):
             m[j] = 0
             sums[j + 1] = p
             ws[j + 1] = w
-
-
-def lap_prime_terms(n, s):
-    """Lap'^s on R^n, Lap' the Laplacian in xi_1..xi_(n-1), as the pairs
-    (m', multinomial(m')) of Lap'^s = sum_{|m'| = s} multinomial(m')
-    d^(2m', 0), yielded lazily in ascending m': each prefix of
-    ``lap_prime_prefixes`` closes with the last entry s - p and the factor
-    C(s, p).  For n = 1 there is no m': Lap'^0 is ((), 1) and Lap'^s, s > 0,
-    is empty."""
-    if n == 1:
-        if s == 0:
-            yield (), 1
-        return
-    for head, p, w in lap_prime_prefixes(n, s):
-        yield head + (s - p,), w * comb(s, p)
 
 
 def iterated(n, N):

@@ -6,9 +6,9 @@ the ambient (light-cone) realization.
 Every check returns a CheckReport.  Derivatives are taken with jets (exact to
 rounding).  Integrals are taken by double-exponential (tanh-sinh) quadrature,
 batched per level (Takahasi-Mori, Publ. RIMS 9, 1974): each level evaluates
-all its new nodes in one call of the integrand, which also receives the
-nodes' distances to both endpoints, so the algebraic endpoint singularities
-of the convolution kernels cost no accuracy.  Quadrature-backed checks carry
+all its new nodes in one call of the integrand, which receives them as their
+distances to both endpoints, so the algebraic endpoint singularities of the
+convolution kernels cost no accuracy.  Quadrature-backed checks carry
 their own truncation/tolerance budget, and all sampling is seeded, so suite
 runs are reproducible.  Every seeded check takes an rng and a sample count,
 and draws each sample (points and parameters alike) inside one bounded
@@ -27,12 +27,11 @@ from fractions import Fraction
 import numpy as np
 
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
-                        PulledBack, SingularPoint, Translation, _norm_sq,
-                        full_rotation, stereographic, stereographic_factor,
-                        tangential_rotation)
+                        PulledBack, Rotation, SingularPoint, Translation,
+                        _norm_sq, stereographic, tangential_rotation)
 from .jets import Jet, _squares, coordinate_jets
-from .juhl import (_leading_product, _reduced_iterated, juhl_coeffs, lap_prime_terms,
-                   padd, pmul, substitute)
+from .juhl import (_leading_product, _reduced_iterated, juhl_coeffs,
+                   lap_prime_prefixes, padd, pmul, substitute)
 from . import juhl, symbolcalc
 
 
@@ -221,8 +220,9 @@ def check_cocycle(n, rng, samples=100, tol=1e-12):
         g1 = sample_gprime_word(rng, n, 2)
         g2 = sample_gprime_word(rng, n, 2)
         xi = tuple(float(c) for c in rng.uniform(-2.0, 2.0, n))
-        lhs = (g1 @ g2).factor(xi)
-        rhs = g1.factor(g2.act(xi)) * g2.factor(xi)
+        y, k2 = g2.act_and_factor(xi)
+        lhs = (g1 @ g2).act_and_factor(xi)[1]
+        rhs = g1.act_and_factor(y)[1] * k2
         return rel_err(lhs, rhs), f"xi={xi}"
 
     return _sampled(f"cocycle_n{n}", samples, tol, draw)
@@ -233,7 +233,7 @@ def check_factor_vs_jet(n, rng, samples=100, tol=1e-10):
     def draw(_):
         g = sample_gprime_word(rng, n, 3)
         xi = tuple(float(c) for c in rng.uniform(-2.0, 2.0, n))
-        k = g.factor(xi)
+        k = g.act_and_factor(xi)[1]
         return rel_err(_stretch(rng, g.act(coordinate_jets(xi, 1)), n), k), f"xi={xi}"
 
     return _sampled(f"factor_vs_jet_n{n}", samples, tol, draw)
@@ -254,11 +254,12 @@ def check_hyperplane_covariance(n, rng, samples=100, tol=1e-12):
 
 
 def check_chart_conformality(n, rng, samples=100, tol=1e-10):
-    """|Dc(xi) eta| = (2/(1+|xi|^2)) |eta| for the stereographic chart."""
+    """|Dc(xi) eta| = (2/(1+|xi|^2)) |eta| for the stereographic chart: the
+    stretch of the image jets against the factor of the float step."""
     def draw(_):
         xi = tuple(float(c) for c in rng.uniform(-2.0, 2.0, n))
-        stretch = _stretch(rng, stereographic(coordinate_jets(xi, 1)), n)
-        return rel_err(stretch, stereographic_factor(xi)), f"xi={xi}"
+        stretch = _stretch(rng, stereographic(coordinate_jets(xi, 1))[0], n)
+        return rel_err(stretch, stereographic(xi)[1]), f"xi={xi}"
 
     return _sampled(f"chart_conformality_n{n}", samples, tol, draw)
 
@@ -270,11 +271,10 @@ def check_chord_identity(n, rng, samples=100, tol=1e-12):
         eta = rng.uniform(-2.0, 2.0, n)
         if np.linalg.norm(xi - eta) < 0.3:
             return None
-        cx = np.array(stereographic(tuple(xi)))
-        ce = np.array(stereographic(tuple(eta)))
-        lhs = float(np.sum((cx - ce) ** 2))
-        rhs = stereographic_factor(tuple(xi)) * float(np.sum((xi - eta) ** 2)) \
-            * stereographic_factor(tuple(eta))
+        cx, kx = stereographic(tuple(xi))
+        ce, ke = stereographic(tuple(eta))
+        lhs = float(np.sum((np.array(cx) - np.array(ce)) ** 2))
+        rhs = kx * float(np.sum((xi - eta) ** 2)) * ke
         return rel_err(lhs, rhs), f"xi={tuple(float(c) for c in xi)}"
 
     return _sampled(f"chord_identity_n{n}", samples, tol, draw)
@@ -329,12 +329,20 @@ def check_covariance_one_step(n, rng, samples=50, tol=1e-9):
 def _restricted_table(n, N):
     """The restricted iterated family as {alpha: [(lam_deg, int)]}: with the
     tangential coefficients a_m of ``juhl_coeffs``, d^(2m', N - 2m) has the
-    coefficient multinomial(m') * a_m, |m'| = m, lam-degrees ascending."""
+    coefficient multinomial(m') * a_m, |m'| = m, lam-degrees ascending.  The
+    m' come in ascending order, each prefix of ``lap_prime_prefixes`` closed
+    with the last entry m - p and weight w * C(m, p).  On R^1 there is no
+    Lap', and only a_0 remains, at d_n^N."""
+    coeffs = juhl_coeffs(n, N)
+    if n == 1:
+        return {(N,): [(deg, c) for deg, c in enumerate(coeffs[0]) if c]}
     table = {}
-    for m, a in enumerate(juhl_coeffs(n, N)):
+    for m, a in enumerate(coeffs):
         terms = [(deg, c) for deg, c in enumerate(a) if c]
-        for mp, w in lap_prime_terms(n, m):
-            table[tuple(2 * x for x in mp) + (N - 2 * m,)] = [(deg, w * c) for deg, c in terms]
+        for head, p, w in lap_prime_prefixes(n, m):
+            w *= math.comb(m, p)
+            alpha = tuple(2 * x for x in head) + (2 * (m - p), N - 2 * m)
+            table[alpha] = [(deg, w * c) for deg, c in terms]
     return table
 
 
@@ -397,10 +405,10 @@ DE_ROUNDING_FLOOR = 50 * float(np.finfo(float).eps)
 @functools.cache
 def _de_level(level):
     """The nodes tanh-sinh level ``level`` adds on [-1, 1], as read-only
-    arrays (left, da, db, w): left marks t <= 0, da and db are the distances
-    to -1 and to 1 (each exact to rounding however near its endpoint the node
-    is), and w is dx/dt.  The estimate at a level is h times the sum of
-    w * f over the nodes of that level and every level before it."""
+    arrays (da, db, w): da and db are the distances to -1 and to 1 (each
+    exact to rounding however near its endpoint the node is), and w is
+    dx/dt.  The estimate at a level is h times the sum of w * f over the
+    nodes of that level and every level before it."""
     h = 2.0 ** -level
     if level == 0:
         t = np.arange(-DE_T_MAX, DE_T_MAX + 1, dtype=float)
@@ -412,44 +420,42 @@ def _de_level(level):
     db = 2.0 / (1.0 + np.exp(2.0 * u))
     # dx/dt = (pi/2) cosh t / cosh^2 u, and 1/cosh^2 u = (1 + tanh u)(1 - tanh u)
     w = 0.5 * math.pi * np.cosh(t) * da * db
-    out = (t <= 0.0, da, db, w)
+    out = (da, db, w)
     for a in out:
         a.setflags(write=False)
     return out
 
 
-def _de_quad(integrand, a, b, quad_tol, scale):
-    """int_a^b by double-exponential (tanh-sinh) quadrature, batched per level
+def _de_quad(integrand, b, quad_tol):
+    """int_0^b by double-exponential (tanh-sinh) quadrature, batched per level
     (Takahasi-Mori, Double exponential formulas for numerical integration,
     Publ. RIMS 9, 1974).
 
-    integrand(x, da, db) takes the array of a level's new nodes and their
-    distances to a and to b, so a factor singular at an endpoint is computed
-    from the distance, never from x - a or b - x.  Stops when two successive
-    levels agree within max(quad_tol * scale, quad_tol * |I|), the
-    epsabs/epsrel pair of QUADPACK; raises QuadratureBudgetExceeded when
-    DE_MAX_LEVEL is reached first, or at once for a quad_tol below
-    DE_ROUNDING_FLOOR, where two levels can agree to the last bit without
-    either being that accurate."""
+    integrand(da, db) takes a level's new nodes as two arrays, their
+    distances to 0 (the nodes themselves) and to b, so a factor singular at
+    either end is computed from a distance, never from b - x.  Stops when
+    two successive levels agree within quad_tol * max(1, b, |I|), the
+    epsabs/epsrel pair of QUADPACK with epsabs = quad_tol * max(1, b);
+    raises QuadratureBudgetExceeded when DE_MAX_LEVEL is reached first, or
+    at once for a quad_tol below DE_ROUNDING_FLOOR, where two levels can
+    agree to the last bit without either being that accurate."""
     if not quad_tol >= DE_ROUNDING_FLOOR:
         raise QuadratureBudgetExceeded(
             f"quad_tol {quad_tol:g} is below the rounding floor {DE_ROUNDING_FLOOR:.3g}")
-    half = 0.5 * (b - a)
+    half = 0.5 * b
+    scale = max(1.0, b)
     total = 0.0
     cur = diff = math.inf
     for level in range(DE_MAX_LEVEL + 1):
-        left, da, db, w = _de_level(level)
-        da = half * da
-        db = half * db
-        x = np.where(left, a + da, b - db)
-        total += float(np.sum(w * integrand(x, da, db)))
+        da, db, w = _de_level(level)
+        total += float(np.sum(w * integrand(half * da, half * db)))
         prev, cur = cur, half * 2.0 ** -level * total
         diff = abs(cur - prev)
         if diff <= quad_tol * max(scale, abs(cur)):
             return cur
     raise QuadratureBudgetExceeded(
         f"levels {DE_MAX_LEVEL - 1} and {DE_MAX_LEVEL} differ by {diff:.3g} "
-        f"on [{a:g}, {b:g}]")
+        f"on [0, {b:g}]")
 
 
 @functools.cache
@@ -490,11 +496,11 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
     if n == 1:
         x = point[0]
 
-        def folded(_, d, __):
+        def folded(d, _):
             vals = func.eval_generic([np.concatenate((x + d, x - d))])
             return d ** s * (vals[:d.size] + vals[d.size:])
 
-        return norm * _de_quad(folded, 0.0, radius, quad_tol, max(1.0, radius))
+        return norm * _de_quad(folded, radius, quad_tol)
 
     # n == 2: polar coordinates about the singular point
     x1, x2 = point
@@ -527,10 +533,10 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
                 raise QuadratureBudgetExceeded("angular average did not settle")
             rows, vals, prev = rows[~done], both[~done], cur[~done]
 
-    def outer(_, r, __):
+    def outer(r, _):
         return r ** (s + 1.0) * ring_integrals(r)
 
-    return norm * _de_quad(outer, 0.0, radius, quad_tol, max(1.0, radius))
+    return norm * _de_quad(outer, radius, quad_tol)
 
 
 def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5):
@@ -558,13 +564,13 @@ def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5)
 def _gaussian_moment(p, c, quad_tol):
     """int_0^inf r^p exp(-r^2/c) dr (p > -1) by ``_de_quad`` on [0, 1] after
     r = t/(1-t), dr = (1+r)^2 dt; r is read as da/db, exact near both ends."""
-    def integrand(_, da, db):
+    def integrand(da, db):
         r = da / db
         # r*r overflows to inf near t = 1, where the integrand is 0
         with np.errstate(over="ignore"):
             return np.exp(p * np.log(r) + 2.0 * np.log1p(r) - r * r / c)
 
-    return _de_quad(integrand, 0.0, 1.0, quad_tol, 1.0)
+    return _de_quad(integrand, 1.0, quad_tol)
 
 
 def check_kernel_pairing(n, s, quad_tol=1e-10, tol=1e-8):
@@ -650,10 +656,9 @@ def check_ambient_noncompact(n, lam, f, rng, samples=30, tol=1e-9):
 
     def draw(_):
         xi = tuple(float(c) for c in rng.uniform(-1.2, 1.2, n))
-        x = stereographic(xi)
+        x, kc = stereographic(xi)
         coords = coordinate_jets((1.0,) + x, 2, pure=True)
         bval = ambient_operator(mu, F(coords), coords, n)
-        kc = stereographic_factor(xi)
         lhs = kc ** (lam + 1.0) * bval
         fj = f.jet(xi, 2, pure=True)
         rhs = -one_step_from_jet(n, lam, fj, xi[n - 1])
@@ -737,7 +742,7 @@ def check_ambient_compact(n, lam, fs, rng, samples=20, tol=1e-8):
 
     def draw(_):
         xi = tuple(float(c) for c in rng.uniform(-1.0, 1.0, n))
-        x = stereographic(xi)
+        x, kc = stereographic(xi)
         if abs(x[n]) < 0.15 or 1.0 + x[0] < 0.4:
             return None
         coords = coordinate_jets((1.0,) + x, 2, pure=True)
@@ -748,9 +753,8 @@ def check_ambient_compact(n, lam, fs, rng, samples=20, tol=1e-8):
         b_val = _conjugated_yamabe(mu, x[n], dalembertian(FB(coords, parts), n), fs(x))
 
         # chart transport route
-        cj = coordinate_jets(xi, 2, pure=True)
-        fnc = stereographic_factor(cj) ** lam * fs(stereographic(cj))
-        kc = stereographic_factor(xi)
+        y, kj = stereographic(coordinate_jets(xi, 2, pure=True))
+        fnc = kj ** lam * fs(y)
         c_val = -(kc ** (-(lam + 1.0))) * one_step_from_jet(n, lam, fnc, xi[n - 1])
 
         err = max(rel_err(a_val, b_val), rel_err(a_val, c_val), rel_err(b_val, c_val))
@@ -928,7 +932,7 @@ def suite_numeric(seed=0, n_min=1, n_max=8):
         maps = [ConformalMap(n, [Dilation(2.0)]),
                 ConformalMap(n, [Translation((0.4,) * n)])]
         if n >= 2:
-            maps.append(ConformalMap(n, [full_rotation(n, 0.7)]))
+            maps.append(ConformalMap(n, [Rotation(2, math.cos(0.7), math.sin(0.7))]))
         else:
             maps.append(ConformalMap(n, [Dilation(0.5), Translation((-0.3,))]))
         for lam in (0.8 * n, 1.1 * n):

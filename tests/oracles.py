@@ -16,7 +16,7 @@ again after the numerator's content is taken out; and the Hessian of a jet,
 whose diagonal the library reads directly, and the series of log that
 composes a jet's logarithm.  They enumerate the
 multi-indices of Lap'^s themselves, so a test that uses them does not rest
-on ``juhl.lap_prime_terms``.
+on ``juhl.lap_prime_prefixes``.
 """
 
 from fractions import Fraction

@@ -11,8 +11,8 @@ import numpy as np
 
 from covop import verify
 from covop.cli import main as cli_main, op_vars
-from covop.conformal import (ConformalMap, Dilation, GaussianBump, Translation,
-                             full_rotation)
+from covop.conformal import (ConformalMap, Dilation, GaussianBump, Rotation,
+                             Translation)
 from covop.juhl import juhl_coeffs, leading_coeff
 from covop.symbolcalc import check_factorization, check_ks_inversion
 
@@ -125,7 +125,9 @@ def test_criterion_08_knapp_stein_intertwining():
         f = GaussianBump((0.3,) * n, 1.1)
         maps = [ConformalMap(n, [Dilation(2.0)]),
                 ConformalMap(n, [Translation((0.4,) * n)]),
-                ConformalMap(n, [full_rotation(n, 0.7)])]
+                # the rotation by 0.7 on R^2, the identity on R^1
+                ConformalMap(n, [Rotation(2, math.cos(0.7), math.sin(0.7)) if n == 2
+                                 else Rotation(1, 1.0, 0.0)])]
         for lam in (0.8 * n, 1.1 * n):
             for g in maps:
                 r = verify.check_ks_intertwining(n, lam, g, f, rng, samples=5,

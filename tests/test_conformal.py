@@ -7,8 +7,7 @@ import pytest
 from covop import conformal
 from covop.conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                              PulledBack, Rotation, SingularPoint, Translation,
-                             full_rotation, stereographic,
-                             stereographic_factor, tangential_rotation)
+                             stereographic, tangential_rotation)
 from covop.jets import Jet, coordinate_jets
 
 from oracles import Poly, hess, log_series
@@ -17,7 +16,7 @@ from oracles import Poly, hess, log_series
 def test_dilation_action_and_factor():
     g = ConformalMap(3, [Dilation(2.0)])
     assert g.act((1.0, 0.0, 0.0)) == (2.0, 0.0, 0.0)
-    assert g.factor((5.0, 1.0, -2.0)) == 2.0
+    assert g.act_and_factor((5.0, 1.0, -2.0))[1] == 2.0
 
 
 def test_inversion_at_unit_vector():
@@ -37,7 +36,7 @@ def test_inversion_is_involution_exact():
 
 def test_inversion_factor_values():
     g = ConformalMap(2, [Inversion()])
-    assert g.factor((2.0, 0.0)) == pytest.approx(0.25)
+    assert g.act_and_factor((2.0, 0.0))[1] == pytest.approx(0.25)
     # jet-based oracle |Dg(xi) eta| / |eta| at |xi| = 2
     comps = g.act(coordinate_jets((2.0, 0.0), 1))
     jac = np.array([c.grad for c in comps])
@@ -48,7 +47,7 @@ def test_inversion_factor_values():
 def test_composite_factor_via_cocycle():
     # Dilation(2) after inversion at |xi| = 1: 2 * 1 = 2
     g = ConformalMap(2, [Inversion(), Dilation(2.0)])
-    assert g.factor((1.0, 0.0)) == pytest.approx(2.0)
+    assert g.act_and_factor((1.0, 0.0))[1] == pytest.approx(2.0)
 
 
 def test_singular_guard():
@@ -75,7 +74,7 @@ def test_act_is_the_image_of_act_and_factor(monkeypatch):
     # act walks the word for the image alone, with no cocycle product, and
     # gives the same floats and the same jets
     words = [ConformalMap(3, [Translation((0.3, -0.2, 0.1)), Inversion(),
-                              Dilation(1.7), full_rotation(3, 0.4)]),
+                              Dilation(1.7), Rotation(3, math.cos(0.4), math.sin(0.4))]),
              ConformalMap(3, [Inversion(), tangential_rotation(3, 1.1),
                               Inversion(), Translation((0.0, 0.5, -0.4))])]
     points = [(0.7, -0.4, 0.9), (-1.2, 0.3, 0.25)]
@@ -151,7 +150,11 @@ def test_rotation_step_matches_matrix_rows():
 
     for n in (1, 2, 3, 4):
         for angle in (0.0, 0.7, 2.5, -1.3):
-            for rot in (full_rotation(n, angle), tangential_rotation(n, angle)):
+            # the rotation by the angle, the identity on R^1, and the one
+            # that keeps xi_n fixed
+            full = (Rotation(n, math.cos(angle), math.sin(angle)) if n >= 2
+                    else Rotation(1, 1.0, 0.0))
+            for rot in (full, tangential_rotation(n, angle)):
                 rows = _matrix_rows(rot)
                 check(rot, rows)
                 check(rot.inverse(), [list(col) for col in zip(*rows)])
@@ -188,7 +191,8 @@ def test_restrict_to_hyperplane_consistency():
     red = gp.act(xi_p)
     assert np.allclose(full[:-1], red, atol=1e-14)
     assert abs(full[-1]) < 1e-15
-    assert gp.factor(xi_p) == pytest.approx(g.factor(xi_p + (0.0,)), rel=1e-13)
+    assert gp.act_and_factor(xi_p)[1] == pytest.approx(
+        g.act_and_factor(xi_p + (0.0,))[1], rel=1e-13)
 
 
 # -- test functions and the twisted action --------------------------------------
@@ -323,7 +327,7 @@ def test_a_word_refuses_a_point_of_another_dimension():
     # act((1, 2, 3)) returned (1.1, 2.0)
     g = ConformalMap(2, [Translation((0.1, 0.0))])
     for point in ((1.0, 2.0, 3.0), (1.0,), [Jet.variable(1.0, 0, 1, 2)]):
-        for call in (g.act, g.act_and_factor, g.factor):
+        for call in (g.act, g.act_and_factor):
             with pytest.raises(ValueError, match="expected n = 2"):
                 call(point)
     assert g.act((1.0, 2.0)) == (1.1, 2.0)
@@ -396,13 +400,13 @@ def test_rho_prime_restriction_consistency():
 
 
 def test_chart_at_origin_and_equator():
-    assert stereographic((0.0, 0.0)) == (1.0, 0.0, 0.0)
-    x = stereographic((1.0, 0.0))
+    assert stereographic((0.0, 0.0))[0] == (1.0, 0.0, 0.0)
+    x = stereographic((1.0, 0.0))[0]
     assert np.allclose(x, (0.0, 1.0, 0.0))
 
 
 def test_chart_limit_towards_antipode():
-    x = stereographic((100.0, 0.0))
+    x = stereographic((100.0, 0.0))[0]
     assert x[0] == pytest.approx(-1.0, abs=3e-4)
     assert np.linalg.norm(x[1:]) < 2.1e-2
 
@@ -411,15 +415,54 @@ def test_chart_unit_norm_and_inverse():
     rng = np.random.default_rng(0)
     for _ in range(20):
         xi = tuple(rng.uniform(-3, 3, 3))
-        x = stereographic(xi)
+        x = stereographic(xi)[0]
         assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-13)
         # the inverse chart (x_0, x') -> x'/(1 + x_0)
         assert np.allclose(np.array(x[1:]) / (1.0 + x[0]), xi, atol=1e-12)
 
 
 def test_chart_factor_values():
-    assert stereographic_factor((0.0, 0.0)) == pytest.approx(2.0)
-    assert stereographic_factor((1.0, 0.0)) == pytest.approx(1.0)
+    assert stereographic((0.0, 0.0))[1] == pytest.approx(2.0)
+    assert stereographic((1.0, 0.0))[1] == pytest.approx(1.0)
+
+
+def test_chart_step_is_the_two_function_route_bit_for_bit(monkeypatch):
+    # the chart was two functions, the image and the factor 2/(1+|xi|^2),
+    # each from its own |xi|^2; the one step gives both from one |xi|^2, with
+    # the same bits on floats, numpy scalars and order-2 pure and full jets
+    def norm_sq(xs):
+        total = xs[0] * xs[0]
+        for x in xs[1:]:
+            total = total + x * x
+        return total
+
+    def old_image(xs):
+        q = norm_sq(list(xs))
+        den = 1.0 + q
+        first = (1.0 - q) / den
+        return tuple([first] + [2.0 * x / den for x in xs])
+
+    def old_factor(xs):
+        return 2.0 / (1.0 + norm_sq(list(xs)))
+
+    def bits(v):
+        if isinstance(v, Jet):
+            return v.pure, [(e, float.hex(c)) for e, c in v.terms.items()]
+        return type(v), float.hex(v)
+
+    calls = []
+    monkeypatch.setattr(conformal, "_norm_sq", lambda xs: calls.append(1) or norm_sq(xs))
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5):
+        p = rng.uniform(-2.0, 2.0, n)
+        floats = tuple(float(x) for x in p)
+        for xs in (floats, tuple(p), coordinate_jets(floats, 2, pure=True),
+                   coordinate_jets(floats, 2)):
+            calls.clear()
+            image, k = stereographic(xs)
+            assert calls == [1]
+            assert [bits(v) for v in image] == [bits(v) for v in old_image(xs)]
+            assert bits(k) == bits(old_factor(xs))
 
 
 def test_chord_product_formula():
@@ -429,10 +472,10 @@ def test_chord_product_formula():
         eta = rng.uniform(-2, 2, 3)
         if np.linalg.norm(xi - eta) < 0.2:
             continue
-        lhs = np.sum((np.array(stereographic(tuple(xi)))
-                      - np.array(stereographic(tuple(eta)))) ** 2)
-        rhs = stereographic_factor(tuple(xi)) * np.sum((xi - eta) ** 2) \
-            * stereographic_factor(tuple(eta))
+        cx, kx = stereographic(tuple(xi))
+        ce, ke = stereographic(tuple(eta))
+        lhs = np.sum((np.array(cx) - np.array(ce)) ** 2)
+        rhs = kx * np.sum((xi - eta) ** 2) * ke
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

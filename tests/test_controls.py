@@ -36,6 +36,12 @@ def inversion(change):
     return wrap(Inversion, "act_and_factor", lambda f: lambda self, xs: change(*f(self, xs)))
 
 
+def chart(change):
+    """The perturbation that passes the (image, factor) of every chart step
+    through change."""
+    return wrap(verify, "stereographic", lambda f: lambda xs: change(*f(xs)))
+
+
 CONTROLS = {
     "symbol_factorization": "test_symbolcalc.py::test_factorization_fails_with_wrong_constant",
     "kernel_hat_involution": "test_verify.py::test_hat_involution_fails_on_a_doubled_coefficient",
@@ -57,10 +63,9 @@ CONTROLS = {
     # moves xi_n to -kappa xi_n
     "hyperplane_covariance": inversion(lambda ys, k: ([-ys[0]] + ys[1:-1] + [-ys[-1]], k)),
     # the chart's 2 xi_i/(1+|xi|^2) written xi_i/(1+|xi|^2)
-    "chart_conformality": wrap(verify, "stereographic",
-                               lambda f: lambda xs: f(xs)[:1] + tuple(c / 2 for c in f(xs)[1:])),
+    "chart_conformality": chart(lambda x, k: (x[:1] + tuple(c / 2 for c in x[1:]), k)),
     # the chart's factor squared, a wrong exponent
-    "chord_identity": wrap(verify, "stereographic_factor", lambda f: lambda xs: f(xs) ** 2),
+    "chord_identity": chart(lambda x, k: (x, k ** 2)),
     # xi_i f built as xi_(i-1) f
     "mult_intertwining": wrap(GaussianBump, "times_coordinate",
                               lambda f: lambda self, i: f(self, i - 1)),

@@ -9,7 +9,7 @@ import pytest
 
 from covop.cli import op_vars
 from covop.juhl import (_reduced_iterated, iterated, juhl_coeffs, lam_poly,
-                        lap_prime_prefixes, lap_prime_terms, leading_coeff,
+                        lap_prime_prefixes, leading_coeff,
                         normalization_meta, padd, pmul)
 from covop.verify import _restricted_table
 
@@ -221,14 +221,17 @@ def test_shift_consistency():
             assert lhs == expand(n, N + 1)
 
 
-def test_lap_prime_terms_match_the_weak_compositions():
-    # the one expansion of Lap'^s is lazy and yields the oracle's m' in the
-    # oracle's (ascending) order, each with its multinomial
-    assert inspect.isgenerator(lap_prime_terms(8, 10))
-    for n in range(1, 9):
-        for s in range(7):
-            assert list(lap_prime_terms(n, s)) == \
-                [(m, multinomial(m)) for m in weak_compositions(s, n - 1)], (n, s)
+def test_restricted_table_closes_the_weak_compositions():
+    # the numeric covariance table closes each prefix of lap_prime_prefixes
+    # itself: its alpha = (2m', N - 2m) run over the oracle's m' of every
+    # Lap'^m in the oracle's (ascending) order, each a_m times multinomial(m')
+    for n in range(2, 6):
+        for N in range(1, 13):
+            want = [(tuple(2 * x for x in mp) + (N - 2 * m,),
+                     [(deg, multinomial(mp) * c) for deg, c in enumerate(a) if c])
+                    for m, a in enumerate(juhl_coeffs(n, N))
+                    for mp in weak_compositions(m, n - 1)]
+            assert list(_restricted_table(n, N).items()) == want, (n, N)
 
 
 def test_lap_prime_prefixes_are_the_m_prime_heads():

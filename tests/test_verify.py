@@ -316,15 +316,16 @@ def test_ks_quadrature_budget_guard():
 
 @pytest.mark.parametrize("s", [-0.9, -0.4, 0.4])
 def test_de_quad_endpoint_power(s):
-    # the singular factor is read off the endpoint distance, never off x - a
-    got = verify._de_quad(lambda x, da, db: da ** s, 0.0, 1.0, 1e-13, 1.0)
+    # the singular factor is read off the endpoint distance d0
+    got = verify._de_quad(lambda d0, db: d0 ** s, 1.0, 1e-13)
     assert abs(got - 1.0 / (s + 1.0)) <= 1e-12 / (s + 1.0)
 
 
 def test_de_quad_level_cap():
     # a jump inside the interval converges like h, far slower than 1e-10
     with pytest.raises(verify.QuadratureBudgetExceeded, match="levels 7 and 8"):
-        verify._de_quad(lambda x, da, db: (x > 1.0 / 3.0) * 1.0, 0.0, 1.0, 1e-10, 1.0)
+        # on [0, 1] the distance d0 to 0 is the abscissa x
+        verify._de_quad(lambda d0, db: (d0 > 1.0 / 3.0) * 1.0, 1.0, 1e-10)
 
 
 @pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 2.0])
@@ -340,10 +341,10 @@ def test_ks_value_matches_quadpack(n):
     # both sides of x for n = 1, r^(s+1) times a 2048-angle ring integral for
     # n = 2; the suite's three maps, three fixed points, lam in {0.8n, 1.1n}
     quad = pytest.importorskip("scipy.integrate").quad
-    from covop.conformal import PulledBack, full_rotation
+    from covop.conformal import PulledBack, Rotation
     f = GaussianBump((0.3,) * n, 1.1)
     third = (ConformalMap(1, [Dilation(0.5), Translation((-0.3,))]) if n == 1
-             else ConformalMap(2, [full_rotation(2, 0.7)]))
+             else ConformalMap(2, [Rotation(2, math.cos(0.7), math.sin(0.7))]))
     maps = [ConformalMap(n, [Dilation(2.0)]),
             ConformalMap(n, [Translation((0.4,) * n)]), third]
     points = ([(0.0,), (0.5,), (-0.9,)] if n == 1
