@@ -8,15 +8,16 @@ lam a formal variable.  Iterating it with shifted parameters and restricting
 to the hyperplane xi_n = 0 produces the Juhl-type tangential families.  Their
 coefficients depend on n only through u = 2 lam - n, and this module holds
 them in u: every iterate in closed form in the reduced basis xi_n^i d_n^j
-Lap^k, and the leading product, as int tuples in u cached per order N.
+Lap^k, its tangential sums and the leading product, as int tuples in u
+cached per order N.
 ``lam_poly`` turns a polynomial in u into one in lam, and only the three
 functions whose polynomials leave the module call it: ``iterated`` splits
 the iterate over derivatives into coefficient classes for the export,
-``juhl_coeffs`` reads the tangential coefficients, a tuple of polynomials,
-off the xi_n-free keys, and ``leading_coeff`` gives the first of them in
-closed form.  ``normalization_meta`` gives the Gamma-factor normalization
-block of a ``coeffs`` document in closed form, as the plain ints and
-strings the document holds.  A polynomial in u or lam is the tuple of its
+``juhl_coeffs`` substitutes u = 2 lam - n into the tangential sums, read
+once per N off the xi_n-free keys, and ``leading_coeff`` gives the first of
+them in closed form.  ``normalization_meta`` gives the Gamma-factor
+normalization block of a ``coeffs`` document in closed form, as the plain
+ints and strings the document holds.  A polynomial in u or lam is the tuple of its
 integer coefficients in ascending order with no trailing zero, () for 0;
 ``padd``, ``pmul`` and ``substitute`` are the one arithmetic of that format,
 for the symbolic suite and the symbol calculus too.  ``pretty_lam`` prints
@@ -77,7 +78,8 @@ def substitute(p, a, b):
 # iterated is the one place the basis is split over derivatives, into
 # coefficient classes of which the expansion is multinomial multiples; the
 # operator export reads them.  juhl_coeffs needs only the xi_n-free part of
-# the classes (m, N - 2m) and reads it straight from the i = 0 keys.
+# the classes (m, N - 2m), which _tangential_sums reads straight from the
+# i = 0 keys.
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +111,24 @@ def _reduced_iterated(N):
         # the product for k - 1 takes t = k
         prod = pmul(prod, (2 * k, 1))
     return out
+
+
+@lru_cache(maxsize=None)
+def _tangential_sums(N):
+    """(a_0, ..., a_(N//2)) in u, each the int tuple of
+
+        a_m = sum_{k=m}^{N//2} C(k, m) c_(0, N-2k, k)
+
+    over the xi_n-free reduced keys, the same for every n >= 2; see
+    ``juhl_coeffs``."""
+    reduced = _reduced_iterated(N)
+    sums = []
+    for m in range(N // 2 + 1):
+        a = []
+        for k in range(m, N // 2 + 1):
+            a = padd(a, pmul((comb(k, m),), reduced[0, N - 2 * k, k]))
+        sums.append(tuple(a))
+    return tuple(sums)
 
 
 @lru_cache(maxsize=None)
@@ -266,27 +286,22 @@ def juhl_coeffs(n, N):
         a_m = sum_{k=m}^{N//2} C(k, m) c_(0, N-2k, k),
 
     the xi_n-free part of the class F(m, N - 2m) of ``iterated``, read
-    without building the class table.  It is summed in u and depends on n
-    only through u.  The k = m term alone reaches the top degree N - m, with
-    a positive coefficient, so no a_m has a trailing zero.  For n = 1 there
-    is no Lap' and only a_0 survives; a_m, m > 0, is ().  a_0 is checked
-    against the closed form, so a mismatch can only mean an implementation
-    bug.
+    without building the class table.  It depends on n only through u, so
+    the sums in u are held once per N by ``_tangential_sums``, and each
+    (n, N) only substitutes u = 2 lam - n.  The k = m term alone reaches the
+    top degree N - m, with a positive coefficient, so no a_m has a trailing
+    zero.  For n = 1 there is no Lap' and only a_0 survives; a_m, m > 0, is
+    ().  a_0 is checked against the closed form, so a mismatch can only mean
+    an implementation bug.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    reduced = _reduced_iterated(N)
-    coeffs = []
-    for m in range(N // 2 + 1):
-        a = []
-        if m == 0 or n > 1:
-            for k in range(m, N // 2 + 1):
-                a = padd(a, pmul((comb(k, m),), reduced[0, N - 2 * k, k]))
-        coeffs.append(lam_poly(a, n))
+    coeffs = tuple(lam_poly(a, n) if m == 0 or n > 1 else ()
+                   for m, a in enumerate(_tangential_sums(N)))
     if coeffs[0] != leading_coeff(n, N):
         raise RuntimeError(
             f"leading tangential coefficient deviates from closed form at n={n}, N={N}")
-    return tuple(coeffs)
+    return coeffs
 
 
 # -- normalization metadata ---------------------------------------------------

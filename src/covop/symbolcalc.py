@@ -17,8 +17,13 @@ sqrt(pi) and i.  An ``HExpr`` holds its sum as one dict from the key
 and keeping s symbolic means the pole of the second rule is never evaluated:
 all identities are proved at the rational-function level.  A coefficient's
 rational function is held by SymCoeff itself, as numerator and denominator
-coefficient tuples in the arithmetic of ``covop.juhl``, and SymCoeff owns its
-one normal form and its one substitution lam -> a lam + b, ``subs``.
+coefficient tuples of Fractions in the arithmetic of ``covop.juhl``, and
+SymCoeff owns its one normal form and its one substitution lam -> a lam + b,
+``subs``.  Every other exact rational, a coefficient's exponents and a key's
+s_const and s_lam, is held as an int when it is integral and as a Fraction
+only when it is not, such as the s = 3/2 + lam of a kernel; as
+hash(Fraction(2)) == hash(2), no equality, hash or key order depends on
+which of the two holds an integer.
 """
 
 import math
@@ -35,11 +40,24 @@ def _as_fraction(c):
     raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
 
 
-def _two_adic(q):
-    """2-adic valuation of a nonzero Fraction, from the lowest set bits of
-    its numerator and denominator."""
-    num, den = abs(q.numerator), q.denominator
+def _exact(c):
+    """An exact rational as an int when it is integral, else as a Fraction."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+
+
+def _two_adic(num, den):
+    """2-adic valuation of num/den for nonzero ints, from their lowest set
+    bits."""
     return (num & -num).bit_length() - (den & -den).bit_length()
+
+
+def _times_two_power(sign, v):
+    """sign * 2^v for an int v: an int when v >= 0."""
+    return sign << v if v >= 0 else Fraction(sign, 1 << -v)
 
 
 # -- polynomials in lam as ascending coefficient tuples ---------------------------
@@ -79,9 +97,10 @@ def _ugcd(a, b):
 class SymCoeff:
     """num(lam)/den(lam) * 2^(two_a + two_b*lam) * pi^(pi_half/2) * i^i_pow.
 
-    ``num`` and ``den`` are ascending tuples of Fractions, and every
-    instance is in one normal form, so equality is a plain componentwise
-    comparison:
+    ``num`` and ``den`` are ascending tuples of Fractions.  ``two_a``,
+    ``two_b`` and ``pi_half`` are ints when integral and Fractions
+    otherwise, and ``i_pow`` is an int in 0..3.  Every instance is in one
+    normal form, so equality is a plain componentwise comparison:
     - den is monic and coprime to num.  Euclid runs only when both sides
       have degree >= 1; with a constant side the gcd is 1.
     - the rational content of num is odd and positive: its 2-part is folded
@@ -96,32 +115,30 @@ class SymCoeff:
 
     def __init__(self, num=1, den=1, *, two_a=0, two_b=0, pi_half=0, i_pow=0):
         num, den = _coeffs(num), _coeffs(den)
-        two_a, two_b = _as_fraction(two_a), _as_fraction(two_b)
-        pi_half = _as_fraction(pi_half)
+        two_a, two_b, pi_half = _exact(two_a), _exact(two_b), _exact(pi_half)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
             self.num, self.den = (), (Fraction(1),)
-            self.two_a = self.two_b = self.pi_half = Fraction(0)
-            self.i_pow = 0
+            self.two_a = self.two_b = self.pi_half = self.i_pow = 0
             return
         if len(num) > 1 and len(den) > 1:
             g = _ugcd(num, den)
             if len(g) > 1:
                 num, _ = _udivmod(num, g)
                 den, _ = _udivmod(den, g)
-        # the rational content of num, signed by its leading coefficient
+        # the rational content g/l of num; over den's leading coefficient lc
+        # it has the sign of num[-1]/lc and the 2-adic valuation v
         g, l = 0, 1
         for c in num:
             g = math.gcd(g, c.numerator)
             l = l * c.denominator // math.gcd(l, c.denominator)
         lc = den[-1]
-        content = Fraction(g if num[-1] > 0 else -g, l) / lc
+        sign = 1 if (num[-1].numerator > 0) == (lc.numerator > 0) else -1
         # num/den -> num/(lc * sign * 2^v) over den/lc: den monic, the sign
         # into i_pow, the 2-part into two_a
-        v = _two_adic(content)
-        sign = 1 if content > 0 else -1
-        scale = lc * sign * Fraction(2) ** v
+        v = _two_adic(g * lc.denominator, l * lc.numerator)
+        scale = lc * _times_two_power(sign, v)
         if scale != 1:
             num = [c / scale for c in num]
         if lc != 1:
@@ -167,8 +184,8 @@ class SymCoeff:
             return self
         if self.two_b != other.two_b or self.pi_half != other.pi_half:
             raise ValueError("cannot add symbol coefficients with different 2^lam or pi parts")
-        delta = other.two_a - self.two_a
-        if delta.denominator != 1:
+        delta = _exact(other.two_a - self.two_a)
+        if isinstance(delta, Fraction):
             raise ValueError("cannot add symbol coefficients with non-integer 2-power offset")
         di = (other.i_pow - self.i_pow) % 4
         if di == 0:
@@ -177,8 +194,9 @@ class SymCoeff:
             sign = -1
         else:
             raise ValueError("cannot add coefficients differing by an odd power of i")
-        q = sign * Fraction(2) ** delta
-        num = padd(pmul(self.num, other.den), pmul([c * q for c in other.num], self.den))
+        q = _times_two_power(sign, delta)
+        onum = other.num if q == 1 else [c * q for c in other.num]
+        num = padd(pmul(self.num, other.den), pmul(onum, self.den))
         return self._with(num, pmul(self.den, other.den))
 
     def __neg__(self):
@@ -245,18 +263,21 @@ class HExpr:
     (x) d^target Fhat / deta_n^target: ``terms`` maps each key (target,
     s_const, s_lam, eta_pow) to its SymCoeff, keys sorted, like terms merged
     and zero coefficients dropped.  ``target`` is the order of the normal
-    derivative of the transformed function (0 for Fhat itself).  Built from
-    (key, coeff) pairs in any order."""
+    derivative of the transformed function (0 for Fhat itself); it and
+    ``eta_pow`` are ints, and s_const and s_lam are ints when integral and
+    Fractions otherwise, so the keys 2 and Fraction(2) are one key.  Built
+    from (key, coeff) pairs in any order."""
 
     __slots__ = ("terms",)
 
     def __init__(self, pairs=()):
         merged = {}
         for (target, s_const, s_lam, eta_pow), coeff in pairs:
-            if not isinstance(target, int) or target < 0 or eta_pow < 0:
+            if (not isinstance(target, int) or not isinstance(eta_pow, int)
+                    or target < 0 or eta_pow < 0):
                 raise ValueError(f"target and eta_n power must be ints >= 0, "
                                  f"got {target!r} and {eta_pow!r}")
-            k = (target, _as_fraction(s_const), _as_fraction(s_lam), eta_pow)
+            k = (target, _exact(s_const), _exact(s_lam), eta_pow)
             merged[k] = merged[k] + coeff if k in merged else coeff
         self.terms = {k: merged[k] for k in sorted(merged) if not merged[k].is_zero()}
 
@@ -281,7 +302,7 @@ class HExpr:
 
     def shift(self, offset):
         """lam -> lam + offset everywhere (coefficients and kernel indices)."""
-        offset = _as_fraction(offset)
+        offset = _exact(offset)
         return HExpr(((l, sc + sl * offset, sl, a), c.subs(1, offset))
                      for (l, sc, sl, a), c in self.terms.items())
 
@@ -300,7 +321,7 @@ class HExpr:
 def hat_kernel(n, s_const, s_lam):
     """Fourier transform rule for the normalized kernel:
     hat(h_s) = 2^(n+s) pi^(n/2) h_(-n-s).  Returns (coeff, s'_const, s'_lam)."""
-    s_const, s_lam = _as_fraction(s_const), _as_fraction(s_lam)
+    s_const, s_lam = _exact(s_const), _exact(s_lam)
     coeff = SymCoeff(1, two_a=n + s_const, two_b=s_lam, pi_half=n)
     return coeff, -n - s_const, -s_lam
 
@@ -342,7 +363,7 @@ def knapp_stein_symbol(n):
     multiplication by 2^(-n+2*lam) pi^(n/2) h_{n-2*lam}."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeff, sc, sl = hat_kernel(n, Fraction(-2 * n), Fraction(2))
+    coeff, sc, sl = hat_kernel(n, -2 * n, 2)
     return HExpr([((0, sc, sl, 0), coeff)])
 
 
@@ -394,5 +415,5 @@ def check_ks_inversion(n):
     ((target, s_const, s_lam, eta_pow), c), = terms.items()
     return (not target and not eta_pow  # nor with a derivative or an eta_n power
             and 2 * s_const + n * s_lam == 0
-            and (Fraction(n, 2) + s_const / 2, s_lam / 2) == (n, -1)
+            and (n + s_const, s_lam) == (2 * n, -2)
             and c * c.subs(-1, n) == SymCoeff(1, pi_half=2 * n))

@@ -730,15 +730,9 @@ def check_ambient_compact(n, lam, fs, rng, samples=20, tol=1e-8):
        with the chart weight.
 
     No route reads a mixed partial, so the jets are pure; A and B share one
-    |x|^2 and x/|x|.
+    |x|^2, x/|x| and f(x/|x|), built as ``sphere_extension`` builds them.
     """
     mu = lam - n / 2.0 + 1.0
-    FA = sphere_extension(n, fs, -lam)
-
-    def h_sphere(args):
-        return (args[n] * args[n]) ** (mu / 2.0) * fs(args)
-
-    FB = sphere_extension(n, h_sphere, -(n / 2.0 - 1.0))
 
     def draw(_):
         xi = tuple(float(c) for c in rng.uniform(-1.0, 1.0, n))
@@ -746,11 +740,15 @@ def check_ambient_compact(n, lam, fs, rng, samples=20, tol=1e-8):
         if abs(x[n]) < 0.15 or 1.0 + x[0] < 0.4:
             return None
         coords = coordinate_jets((1.0,) + x, 2, pure=True)
-        parts = sphere_parts(coords)
-        a_val = ambient_operator(mu, FA(coords, parts), coords, n)
+        q, args = sphere_parts(coords)
+        f_val = fs(args)
+        a_val = ambient_operator(mu, q ** (-lam / 2.0) * f_val, coords, n)
 
-        # conjugated Yamabe route
-        b_val = _conjugated_yamabe(mu, x[n], dalembertian(FB(coords, parts), n), fs(x))
+        # conjugated Yamabe route, on the degree -(n/2-1) extension of
+        # |x_n|^mu f
+        h_val = (args[n] * args[n]) ** (mu / 2.0) * f_val
+        b_ext = q ** (-(n / 2.0 - 1.0) / 2.0) * h_val
+        b_val = _conjugated_yamabe(mu, x[n], dalembertian(b_ext, n), fs(x))
 
         # chart transport route
         y, kj = stereographic(coordinate_jets(xi, 2, pure=True))
@@ -895,8 +893,7 @@ def suite_symbolic(n_min=1, n_max=8):
         return _compose_first_factor(N) == _reduced_iterated(N + 1)
 
     ns = _within(range(1, 9), n_min, n_max)
-    pairs = ((Fraction(0), Fraction(2)), (Fraction(-1), Fraction(-2)),
-             (Fraction(3, 2), Fraction(1)))
+    pairs = ((0, 2), (-1, -2), (Fraction(3, 2), 1))
     grid = [(n, N) for n in _within(range(2, 7), n_min, n_max) for N in range(1, 11)]
     small = [(n, N) for n in _within((2, 3), n_min, n_max) for N in (1, 2, 3)]
     checks = [

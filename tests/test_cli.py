@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import importlib.util
 import io
@@ -85,23 +86,32 @@ def test_coeffs_bytes_pinned(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, fmt
 
 
-def test_coeffs_match_the_benchmark_golden(capsys, tmp_path):
-    # every coeffs call of the export benchmark, digested as the benchmark's
-    # own output check digests it, against its golden file
+def test_coeffs_match_the_benchmark_golden(tmp_path):
+    # every call of every benchmark workload with a golden file (the
+    # symbolic suite, each coeffs table and the operator at n = 8, N = 10),
+    # its stdout written to a file and digested as the benchmark's own
+    # output check digests it, against that golden file
     bench = Path(__file__).resolve().parent.parent / "perfbench"
     spec = importlib.util.spec_from_file_location("perfbench_checks", bench / "checks.py")
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
-    golden = json.loads((bench / "golden.json").read_text(encoding="utf-8"))["export"]
-    calls = [key for key in golden if key.startswith("coeffs ")]
-    assert len(calls) == 8 * 12 * 3
+    golden = json.loads((bench / "golden.json").read_text(encoding="utf-8"))
+    assert sorted(golden) == ["exact-grid", "export"]
+    calls = {key: digest for workload in golden.values() for key, digest in workload.items()}
+    assert len(calls) == 1 + 8 * 12 * 3 + 1
+    assert "verify --suite symbolic" in calls and "operator --n 8 --N 10" in calls
     path = tmp_path / "out"
-    for key in calls:
+    for key, digest in calls.items():
         argv = key.split()
-        code, out, _ = run_cli(capsys, *argv)
+        with open(path, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            code = main(argv)
         assert code == 0, key
-        path.write_text(out, encoding="utf-8")
-        assert checks.document_digest(argv, str(path)) == golden[key], key
+        if argv[0] == "operator":
+            got, terms = checks.operator_digest(str(path))
+            assert terms == checks.OPERATOR_TERMS[8, 10], key
+        else:
+            got = checks.document_digest(argv, str(path))
+        assert got == digest, key
 
 
 

@@ -165,9 +165,9 @@ def test_hexpr_is_canonical_whatever_the_order_of_its_pairs():
     assert len(exprs[0].terms) == 4
 
 
-def test_hexpr_rejects_a_negative_or_fractional_target_and_a_negative_eta_power():
+def test_hexpr_rejects_a_negative_or_fractional_target_or_eta_power():
     for bad in (term(SymCoeff(1), 0, 0, 0, -1), term(SymCoeff(1), 0, 0, 0, 1.0),
-                term(SymCoeff(1), -1, 0, 0)):
+                term(SymCoeff(1), -1, 0, 0), term(SymCoeff(1), 1.5, 0, 0)):
         with pytest.raises(ValueError, match="target and eta_n power"):
             HExpr([bad])
     assert HExpr([term(SymCoeff(1), 0, 0, 0, 1)]).pretty() == "1·h_(0)⊗∂f̂/∂η_n"
@@ -378,6 +378,88 @@ def test_symcoeff_rescaling_matches_renormalizing(case, q):
     want_den = L(c.den) * L(d.den)
     assert fields(c + d) == symcoeff_normal_form(
         lam_coeffs(want_num), lam_coeffs(want_den), *exps)
+
+
+def given_as(value, fraction):
+    """An exact rational as it is or, with ``fraction``, as a Fraction built
+    over the denominator 2, Fraction(4, 2) for 2."""
+    return Fraction(2 * value, 2) if fraction else value
+
+
+def composed(coeffs, a, b):
+    """The Poly p(a lam + b) of the ascending coefficients of p(lam)."""
+    lam = Poly.variable("lam", ("lam",))
+    return sum((x * (lam * a + b) ** k for k, x in enumerate(coeffs)),
+               Poly.zero(("lam",)))
+
+
+exponents = st.one_of(st.integers(-3, 3), st.sampled_from(
+    [Fraction(-3, 2), Fraction(1, 2), Fraction(5, 2)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symcoeff_cases, exponents, exponents, st.sampled_from([1, -1, 2]), exponents)
+def test_symcoeff_agrees_whether_an_exponent_is_an_int_or_a_fraction(
+        case, two_a, pi_half, a, b):
+    num, den, num2, _, two_b, _, i_pow, di = case
+    exps = (two_a, two_b, pi_half)
+
+    def coeff(num, frac, shift=0, turn=0):
+        ta, tb, ph = (given_as(e, frac) for e in (two_a + shift, two_b, pi_half))
+        return SymCoeff(num, den, two_a=ta, two_b=tb, pi_half=ph, i_pow=i_pow + turn)
+
+    results = []
+    for frac in (False, True):
+        c = coeff(num, frac)
+        # commensurable with c, its exponents given the other way
+        d = coeff(num2, not frac, shift=2, turn=di)
+        ops = [c, c * d, -c, c.subs(given_as(a, frac), given_as(b, not frac))]
+        if not (c.is_zero() or d.is_zero()):
+            ops.append(c + d)
+            # a 2-power offset of 1/2 and an odd power of i are refused
+            with pytest.raises(ValueError, match="non-integer 2-power offset"):
+                c + coeff(num2, frac, shift=Fraction(1, 2))
+            with pytest.raises(ValueError, match="odd power of i"):
+                c + coeff(num2, not frac, turn=1)
+        for e in ops:
+            # an integral exponent is held as an int, whatever it came as
+            assert all(type(x) is int for x in (e.two_a, e.two_b, e.pi_half)
+                       if x.denominator == 1), fields(e)
+        results.append([fields(e) for e in ops])
+    assert results[0] == results[1]
+    c, d = coeff(num, False), coeff(num2, False, shift=2, turn=di)
+    got = iter(results[0])
+    assert next(got) == symcoeff_normal_form(num, den, *exps, i_pow)
+    assert next(got) == symcoeff_normal_form(
+        lam_coeffs(lam_poly(c.num) * lam_poly(d.num)),
+        lam_coeffs(lam_poly(c.den) * lam_poly(d.den)),
+        c.two_a + d.two_a, c.two_b + d.two_b, c.pi_half + d.pi_half, c.i_pow + d.i_pow)
+    assert next(got) == symcoeff_normal_form(c.num, c.den, c.two_a, c.two_b,
+                                             c.pi_half, c.i_pow + 2)
+    assert next(got) == symcoeff_normal_form(
+        lam_coeffs(composed(c.num, a, b)), lam_coeffs(composed(c.den, a, b)),
+        c.two_a + c.two_b * b, c.two_b * a, c.pi_half, c.i_pow)
+    if not (c.is_zero() or d.is_zero()):
+        sign = 1 if (d.i_pow - c.i_pow) % 4 == 0 else -1
+        q = sign * Fraction(2) ** (d.two_a - c.two_a)
+        L = lam_poly
+        assert next(got) == symcoeff_normal_form(
+            lam_coeffs(L(c.num) * L(d.den) + L(d.num) * q * L(c.den)),
+            lam_coeffs(L(c.den) * L(d.den)), c.two_a, c.two_b, c.pi_half, c.i_pow)
+
+
+@settings(max_examples=30, deadline=None)
+@given(exponents, exponents)
+def test_hexpr_keys_are_one_whether_given_as_ints_or_fractions(s_const, s_lam):
+    # the same kernel index given both ways is one key, and the two unit
+    # coefficients on it merge into one term
+    pairs = [term(SymCoeff(1), 0, given_as(s_const, frac), given_as(s_lam, frac))
+             for frac in (False, True)]
+    for e in (HExpr(pairs), HExpr(pairs[::-1])):
+        ((key, c),) = e.terms.items()
+        assert key == (0, s_const, s_lam, 0) and c == SymCoeff(2)
+        assert all(type(x) is int for x in key if x.denominator == 1), key
+        assert e.shift(given_as(1, True)) == e.shift(1)
 
 
 def test_suite_symbolic_runs_euclid_only_on_nonconstant_pairs(monkeypatch):
