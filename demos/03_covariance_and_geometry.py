@@ -2,8 +2,8 @@
 """Conformal geometry and numerical covariance checks.
 
 Conformal maps of R^n are words in translations, rotations, dilations, and
-the chart-change inversion; their conformal factors satisfy the cocycle
-identity.  The one-step operator intertwines the weight-λ and weight-(λ+1)
+the chart-change inversion; a word's conformal factor is checked against the
+Jacobian of its image jets.  The one-step operator intertwines the weight-λ and weight-(λ+1)
 actions of every hyperplane-preserving map, and the restricted iterated
 family intertwines weight λ with weight λ+N one dimension down.  Both sides
 of each identity are evaluated through jets, so errors sit at rounding level.

@@ -174,9 +174,7 @@ def tangential_rotation(n, angle):
 
 class ConformalMap:
     """A word of generators applied left to right: word[0] acts first;
-    ``ConformalMap(n)``, the empty word, is the identity.
-
-    ``g1 @ g2`` composes as operators (g2 applied first).  The conformal
+    ``ConformalMap(n)``, the empty word, is the identity.  The conformal
     factor of a word is the cocycle product of the generator factors along
     the orbit of the point; the jet-based Jacobian is the independent check.
     """
@@ -190,12 +188,6 @@ class ConformalMap:
             if g.dim is not None and g.dim != n:
                 raise ValueError(f"generator {g!r} has wrong dimension for n={n}")
         self.word = word
-
-    def __matmul__(self, other):
-        """self o other: other applied first."""
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return ConformalMap(self.n, other.word + self.word)
 
     def inverse(self):
         return ConformalMap(self.n, tuple(g.inverse() for g in reversed(self.word)))

@@ -186,11 +186,8 @@ def test_criterion_12_geometric_identities():
     worst = 0.0
     for n in (2, 3):
         checks = [
-            verify.check_cocycle(n, rng, 100, tol=1e-10),
             verify.check_factor_vs_jet(n, rng, 100, tol=1e-10),
-            verify.check_hyperplane_covariance(n, rng, 100, tol=1e-10),
-            verify.check_chart_conformality(n, rng, 100, tol=1e-10),
-            verify.check_chord_identity(n, rng, 100, tol=1e-10),
+            verify.check_mult_intertwining(n, rng, 100, tol=1e-10),
         ]
         for r in checks:
             ok = ok and r.passed

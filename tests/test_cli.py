@@ -16,6 +16,7 @@ from covop.cli import EMIT_BATCH, _emit_operator, coeff_table, main, op_vars
 from covop.juhl import juhl_coeffs, leading_coeff
 from covop import verify
 
+from pins import GOLDEN, assert_golden, first_difference
 from oracles import (expand, lam_coeffs, lam_poly, one_step, operator_from_dict,
                      poly_from_triples, poly_to_triples)
 
@@ -369,8 +370,7 @@ def test_verify_symbolic_exit_zero(capsys):
     assert doc["passed"] is True
     assert all(r["passed"] for r in doc["reports"])
     # the exact path's bytes, as written before the reduced basis went integer
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
-        "ebae12978583a96651eb085b015dc0b4d8b4130a604e4f2a467ee06ef18a2253"
+    assert_golden("verify_symbolic.json", out)
 
 
 def test_verify_deterministic_reports(capsys):
@@ -383,37 +383,28 @@ def test_verify_deterministic_reports(capsys):
 
 
 def test_verify_seeded_bytes_pinned(capsys):
-    # sha256 of the stdout written before the jet products were table-driven:
     # the reports print errors with full repr, so every float is pinned
-    pinned = {
-        # the numeric digests were written after the third n = 1 Knapp-Stein
-        # map became an affine composite instead of the identity, which
-        # changed the two ks_intertwining_n1 reports of that map only; they
-        # were re-pinned when the covariance_iterated table came to be read
-        # off juhl_coeffs with lam-degrees ascending, which moved max_rel_err
-        # of covariance_iterated_n2_N3 at seed 7 and of n2_N2 and n2_N3 at
-        # seed 0 at rounding level.  The numeric digests of seeds 0, 7 and 11
-        # were re-pinned when the four ks_inversion_symbol reports became one
-        # exact case each instead of 20 sampled lam; that check was the last
-        # to draw from the rng, so no other report moved.  They were re-pinned
-        # again when the Gamma values came from math.gamma instead of a port
-        # of scipy's Cephes Gamma, which moved max_rel_err (and with it the
-        # worst-sample diagnostics) of some ks_intertwining and kernel_pairing
-        # reports at rounding level, and when each ks_intertwining name took
-        # the generator word of its map as a suffix
-        ("numeric", "7"): "f7e97def1f4b01bc27e6620d44478de216a17bb782e81f8d8b9338644c297b75",
-        ("numeric", "0"): "ba1125d597a4bbe0c11444c228016111ae75a20e0a863a9b0561ec52863af81f",
-        ("ambient", "7"): "f4d41df3645e0b6d179ec5073d3742bd581f37855f1178a2a9f69d9422cf4869",
-        # written while the ambient point lists were drawn ahead of the checks
-        ("ambient", "0"): "c6a64cac6660a43138133f834ee30774df6407caac4153f3da3f07732b0486d1",
-        ("numeric", "11"): "988fa325249f7fdf9793ee44ed87a24bb0df8e1a8136544a139c372a098d9845",
-        # written while a rotation was a numpy-validated matrix
-        ("ambient", "11"): "43585eb65630a241a1303b7b917bdc6ca6e1720e74d8d95e4ff97eca798cff1b",
-    }
-    for (suite, seed), digest in pinned.items():
-        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)
-        assert code == 0
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, (suite, seed)
+    for suite in ("numeric", "ambient"):
+        for seed in ("0", "7", "11"):
+            code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", seed)
+            assert code == 0
+            assert_golden(f"verify_{suite}_seed{seed}.json", out)
+
+
+def test_a_pin_mismatch_names_the_first_report_that_moved():
+    want = (GOLDEN / "verify_ambient_seed0.json").read_text(encoding="utf-8")
+    doc = json.loads(want)
+    old = doc["reports"][1]["max_rel_err"]
+    doc["reports"][1]["max_rel_err"] = 1e-3
+    doc["reports"][4]["max_rel_err"] = 2e-3
+    got = json.dumps(doc, indent=2, sort_keys=True)
+    assert first_difference(want, got) == (
+        f"report 1: weight_conjugation_n2 max_rel_err {old!r}"
+        " -> weight_conjugation_n2 max_rel_err 0.001")
+    del doc["reports"][1:]
+    assert first_difference(want, json.dumps(doc)).startswith(
+        "report 1: weight_conjugation_n2 max_rel_err ")
+    assert first_difference("a\nb\n", "a\nc\n") == "line 2: 'b' -> 'c'"
 
 
 def test_verify_quadrature_budget_exits_3(capsys, monkeypatch):

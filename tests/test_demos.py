@@ -1,7 +1,6 @@
 """Every demo script runs to completion against this checkout and prints its
-pinned text, and the README's examples match the package."""
+pinned text (tests/golden/demo_*.txt), and the README's examples match the package."""
 
-import hashlib
 import shlex
 import subprocess
 import sys
@@ -10,22 +9,9 @@ from pathlib import Path
 import pytest
 
 from covop.cli import build_parser
+from pins import assert_golden
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
-
-
-# stdout sha256 of every demo, pinned byte for byte: the family demo prints
-# the exact classes and tangential coefficients, the symbol demo coefficients
-# and kernels through SymCoeff.pretty and HExpr.pretty's term printer, and
-# the covariance and ambient demos seeded errors of the float checks
-PINNED = {"01_operator_families.py":
-          "4d3c39a3423b552b301b68741fe429acfa816d2c41f65d775ea67a4d4f5dd41e",
-          "02_symbol_factorization.py":
-          "08ae7a4e31ca76209b21357fbb37a85cf0803429422ede4f66f48ee31609c3d0",
-          "03_covariance_and_geometry.py":
-          "8d8d25e8728071e00a2891436dbeda385af861c7b799663a070037dcd17332fa",
-          "04_ambient_picture.py":
-          "2ffab09a0cfa947b6a896bd7692e3b9cb5475a4406bda8c12fcf8aa061818845"}
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -33,8 +19,10 @@ def test_demo_runs(path, covop_env):
     proc = subprocess.run([sys.executable, str(path)], capture_output=True,
                           env={**covop_env, "PYTHONIOENCODING": "utf-8"})
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
-    if path.name in PINNED:
-        assert hashlib.sha256(proc.stdout).hexdigest() == PINNED[path.name]
+    # pinned byte for byte: the family demo prints the exact classes and
+    # tangential coefficients, the symbol demo coefficients and kernels, and
+    # the covariance and ambient demos seeded errors of the float checks
+    assert_golden(f"demo_{path.stem}.txt", proc.stdout)
 
 
 def test_readme_example_prints_what_its_comment_says(covop_env):
