@@ -9,8 +9,6 @@ family intertwines weight λ with weight λ+N one dimension down.  Both sides
 of each identity are evaluated through jets, so errors sit at rounding level.
 """
 
-import numpy as np
-
 from covop import verify
 from covop.conformal import ConformalMap, Dilation, GaussianBump, Inversion, Translation
 
@@ -22,7 +20,7 @@ print("  image of xi:      ", tuple(round(c, 6) for c in g.act(xi)))
 print("  conformal factor: ", round(g.act_and_factor(xi)[1], 6))
 print("  preserves the hyperplane:", g.preserves_hyperplane())
 
-rng = np.random.default_rng(42)
+rng = verify.Stream(42)
 print("\ngeometric identities (100 seeded samples each, 50 for mult_intertwining):")
 for r in verify.geometry_suite(n, rng):
     print(f"    {r.name:32s} max_rel_err={r.max_rel_err:.2e}  passed={r.passed}")

@@ -10,17 +10,25 @@ all its new nodes in one call of the integrand, which receives them as their
 distances to both endpoints, so the algebraic endpoint singularities of the
 convolution kernels cost no accuracy.  Quadrature-backed checks carry
 their own truncation/tolerance budget, and all sampling is seeded, so suite
-runs are reproducible.  Every seeded check takes an rng and a sample count,
-and draws each sample (points and parameters alike) inside one bounded
-sampler, ``_sampled``: it makes at most DRAWS_PER_SAMPLE draws per requested
-sample, and a check that accepts fewer samples than it asked for fails and
-says how many it got.  The suites share one n range, 1..8 by default; a
-check with no case in the range is left out, so a suite with no check in the
-range returns no reports.
+runs are reproducible.  Every seeded check takes an rng (a ``Stream``) and a
+sample count, and draws each sample (points and parameters alike) inside one
+bounded sampler, ``_sampled``: it makes at most DRAWS_PER_SAMPLE draws per
+requested sample, and a check that accepts fewer samples than it asked for
+fails and says how many it got.  The suites share one n range, 1..8 by
+default; a check with no case in the range is left out, so a suite with no
+check in the range returns no reports.
+
+A ``Stream`` builds every draw from ``random.Random(seed).random`` alone, by
+formulas written in this module.  Python's documentation promises that
+random() repeats its sequence for a seed; numpy promises that only for its
+bit generators, not for ``Generator.uniform``, ``normal`` or ``integers``
+(NEP 19).  So the draws of a seed depend on no numpy version, and a suite
+run loads neither numpy's random module nor the OpenSSL behind its seeding.
 """
 
 import functools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,15 +102,57 @@ def _apply_coeff_table(coeffs, jet):
 # -- seeded sampling -------------------------------------------------------------
 
 
+#: cube points Stream.direction tries before it rejects the sample
+DIRECTION_TRIES = 100
+
+
+class Stream:
+    """The seeded draws of the seeded checks, each built from floats in
+    [0, 1) of ``random``: ``random.Random(seed).random``, or any callable
+    put in its place."""
+
+    def __init__(self, seed):
+        self.random = random.Random(seed).random
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """low + (high - low) * random(): a float, or a list of ``size``."""
+        if size is None:
+            return low + (high - low) * self.random()
+        return [low + (high - low) * self.random() for _ in range(size)]
+
+    def integers(self, low, high):
+        """An int in [low, high): low + int((high - low) * random())."""
+        return low + int((high - low) * self.random())
+
+    def direction(self, d):
+        """A point drawn uniformly from the unit sphere of R^d, as a list:
+        x uniform in the cube [-1, 1]^d, kept when 0 < |x|^2 <= 1, over
+        sqrt(|x|^2).  Raises SingularPoint when DIRECTION_TRIES cube points
+        are all rejected, which rejects the sample in ``_sampled``."""
+        for _ in range(DIRECTION_TRIES):
+            x = self.uniform(-1.0, 1.0, d)
+            q = math.fsum(c * c for c in x)
+            if 0.0 < q <= 1.0:
+                r = math.sqrt(q)
+                return [c / r for c in x]
+        raise SingularPoint(f"no cube point of {DIRECTION_TRIES} lay in the unit ball")
+
+
+def _length(xs):
+    """|x| of a short vector: math.fsum rounds the sum of the squares once,
+    so its bits depend on no summation order and no numpy kernel."""
+    return math.sqrt(math.fsum(x * x for x in xs))
+
+
 def sample_bump(rng, n, near_hyperplane=False):
     center = rng.uniform(-0.8, 0.8, n)
     if near_hyperplane:
         center[n - 1] *= 0.3
-    width = float(rng.uniform(0.8, 1.4))
+    width = rng.uniform(0.8, 1.4)
     pre = None
     if rng.uniform() < 0.3:
-        i = int(rng.integers(1, n + 1))
-        c = int(rng.integers(-2, 3))
+        i = rng.integers(1, n + 1)
+        c = rng.integers(-2, 3)
         # 1 + c xi_i
         pre = {(0,) * n: 1}
         if c:
@@ -116,9 +166,9 @@ def _generator(rng, n, kind):
         v[n - 1] = 0.0
         return Translation(tuple(v))
     if kind == 1:
-        return tangential_rotation(n, float(rng.uniform(0.0, 2 * math.pi)))
+        return tangential_rotation(n, rng.uniform(0.0, 2 * math.pi))
     if kind == 2:
-        return Dilation(float(np.exp(rng.uniform(-0.7, 0.7))))
+        return Dilation(math.exp(rng.uniform(-0.7, 0.7)))
     return Inversion()
 
 
@@ -127,8 +177,8 @@ def sample_gprime_word(rng, n, max_len=3, force_kind=None):
     generator so every generator type is guaranteed coverage."""
     if force_kind is not None:
         return ConformalMap(n, [_generator(rng, n, force_kind)])
-    length = int(rng.integers(1, max_len + 1))
-    return ConformalMap(n, [_generator(rng, n, int(rng.integers(0, 4)))
+    length = rng.integers(1, max_len + 1)
+    return ConformalMap(n, [_generator(rng, n, rng.integers(0, 4))
                             for _ in range(length)])
 
 
@@ -181,7 +231,7 @@ def sample_point_for(rng, g, f, on_hyperplane=False):
     sample in ``_sampled``."""
     n = f.n
     for _ in range(POINT_TRIES):
-        y = np.array(f.center) + rng.uniform(-1.0, 1.0, n) * 0.8 * f.width
+        y = [c + u * 0.8 * f.width for c, u in zip(f.center, rng.uniform(-1.0, 1.0, n))]
         if on_hyperplane:
             y[n - 1] = 0.0
         try:
@@ -207,12 +257,12 @@ def check_factor_vs_jet(n, rng, samples=100, tol=1e-10):
     sphere of R^n."""
     def draw(_):
         g = sample_gprime_word(rng, n, 3)
-        xi = tuple(float(c) for c in rng.uniform(-2.0, 2.0, n))
+        xi = tuple(rng.uniform(-2.0, 2.0, n))
         k = g.act_and_factor(xi)[1]
-        jac = np.array([c.grad for c in g.act(coordinate_jets(xi, 1))])
-        eta = rng.normal(size=n)
-        eta /= np.linalg.norm(eta)
-        return rel_err(float(np.linalg.norm(jac @ eta)), k), f"xi={xi}"
+        jac = [c.grad for c in g.act(coordinate_jets(xi, 1))]
+        eta = rng.direction(n)
+        stretch = _length([math.fsum(a * e for a, e in zip(row, eta)) for row in jac])
+        return rel_err(stretch, k), f"xi={xi}"
 
     return _sampled(f"factor_vs_jet_n{n}", samples, tol, draw)
 
@@ -220,7 +270,7 @@ def check_factor_vs_jet(n, rng, samples=100, tol=1e-10):
 def check_mult_intertwining(n, rng, samples=50, tol=1e-12):
     """xi_n * rho_lam(g) f = rho_(lam-1)(g) (xi_n f), pointwise."""
     def draw(_):
-        lam = float(rng.uniform(-1.5, 2.5))
+        lam = rng.uniform(-1.5, 2.5)
         g = sample_gprime_word(rng, n, 3)
         f = sample_bump(rng, n)
         xi = sample_point_for(rng, g, f)
@@ -246,7 +296,7 @@ def check_covariance_one_step(n, rng, samples=50, tol=1e-9):
     def draw(made):
         # the first four samples pin one generator type each
         force = made if made < 4 else None
-        lam = float(rng.uniform(-1.5, 2.5))
+        lam = rng.uniform(-1.5, 2.5)
         g = sample_gprime_word(rng, n, 3, force_kind=force)
         f = sample_bump(rng, n)
         xi = sample_point_for(rng, g, f)
@@ -289,7 +339,7 @@ def check_covariance_iterated(n, N, rng, samples=20, tol=1e-8):
     restricted = _restricted_table(n, N)
 
     def draw(_):
-        lam = float(rng.uniform(-1.5, 2.5))
+        lam = rng.uniform(-1.5, 2.5)
         # c * lam * ... * lam summed in order of ascending lam-degree
         coeffs = {alpha: sum(math.prod((c,) + (lam,) * deg) for deg, c in terms)
                   for alpha, terms in restricted.items()}
@@ -315,13 +365,13 @@ def _effective_ball(func):
     """(center, radius) bounding the effective support of a test function or
     of its pullback under an affine map."""
     if isinstance(func, GaussianBump):
-        return np.array(func.center), func.effective_radius(1e-18)
+        return func.center, func.effective_radius(1e-18)
     if isinstance(func, PulledBack):
         if not func.g.is_affine():
             raise ValueError("effective support only available for affine words")
         c0, r0 = _effective_ball(func.f)
-        center, k = func.g.act_and_factor(tuple(c0))
-        return np.array(center), r0 * k
+        center, k = func.g.act_and_factor(c0)
+        return center, r0 * k
     raise TypeError(f"unsupported integrand {type(func).__name__}")
 
 
@@ -425,7 +475,7 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
     point = tuple(point)
     center, r0 = _effective_ball(func)
     _check_dims(n, point=len(point), function=len(center))
-    radius = float(np.linalg.norm(np.array(point) - center)) + r0 + 1.0
+    radius = _length([p - c for p, c in zip(point, center)]) + r0 + 1.0
     norm = 1.0 / math.gamma(lam - n / 2.0)
     s = 2.0 * lam - 2.0 * n
     if n == 1:
@@ -484,7 +534,7 @@ def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5)
     word = "_".join(type(w).__name__.lower() for w in g.word) or "identity"
 
     def draw(_):
-        xi = tuple(float(c) for c in rng.uniform(-1.0, 1.0, n))
+        xi = tuple(rng.uniform(-1.0, 1.0, n))
         lhs = knapp_stein_value(n, lam, pulled, xi, quad_tol)
         zeta, k = g.inverse().act_and_factor(xi)
         rhs = k ** (n - lam) * knapp_stein_value(n, lam, f, zeta, quad_tol)
@@ -596,7 +646,7 @@ def check_ambient_noncompact(n, lam, f, rng, samples=30, tol=1e-9):
     F = chart_family(n, lam, f)
 
     def draw(_):
-        xi = tuple(float(c) for c in rng.uniform(-1.2, 1.2, n))
+        xi = tuple(rng.uniform(-1.2, 1.2, n))
         x, kc = stereographic(xi)
         coords = coordinate_jets((1.0,) + x, 2, pure=True)
         bval = ambient_operator(mu, F(coords), coords, n)
@@ -619,22 +669,22 @@ def check_weight_conjugation(n, rng, samples=20, tol=1e-9):
     ambient F and x_n != 0 (direct two-route jet evaluation, on pure jets:
     both routes read the value, gradient and d'Alembertian only)."""
     def draw(_):
-        mu = float(rng.uniform(-2.0, 2.0))
-        lam = float(rng.uniform(-1.0, 2.0))
+        mu = rng.uniform(-2.0, 2.0)
+        lam = rng.uniform(-1.0, 2.0)
         f = sample_bump(rng, n)
         F = chart_family(n, lam, f)
-        t = float(rng.uniform(0.6, 1.6))
+        t = rng.uniform(0.6, 1.6)
         x = rng.uniform(-0.8, 0.8, n + 1)
         x[0] = max(x[0], 0.4 - t)  # keep t + x_0 away from the family's singular set
         if abs(x[n]) < 0.15:
             x[n] = 0.4
-        coords = coordinate_jets((t,) + tuple(x.tolist()), 2, pure=True)
+        coords = coordinate_jets((t,) + tuple(x), 2, pure=True)
         Fj = F(coords)
         lhs = ambient_operator(mu, Fj, coords, n)
         xn = coords[n + 1]
         Gj = (xn * xn) ** (mu / 2.0) * Fj
         rhs = _conjugated_yamabe(mu, xn.value, dalembertian(Gj, n), Fj.value)
-        return rel_err(lhs, rhs), f"mu={mu}, t={t}, x={tuple(float(c) for c in x)}"
+        return rel_err(lhs, rhs), f"mu={mu}, t={t}, x={tuple(x)}"
 
     return _sampled(f"weight_conjugation_n{n}", samples, tol, draw)
 
@@ -647,12 +697,10 @@ def check_yamabe_constant(n, rng, samples=20, tol=1e-10):
     expected = n * (n - 2) / 4.0
 
     def draw(_):
-        x = rng.normal(size=n + 1)
-        x /= np.linalg.norm(x)
-        coords = coordinate_jets((1.0,) + tuple(x.tolist()), 2, pure=True)
+        x = tuple(rng.direction(n + 1))
+        coords = coordinate_jets((1.0,) + x, 2, pure=True)
         got = dalembertian(F(coords), n)
-        return (abs(got - expected) / max(1.0, abs(expected)),
-                f"x={tuple(float(c) for c in x)}")
+        return abs(got - expected) / max(1.0, abs(expected)), f"x={x}"
 
     return _sampled(f"yamabe_constant_n{n}", samples, tol, draw)
 
@@ -677,7 +725,7 @@ def check_ambient_compact(n, lam, fs, rng, samples=20, tol=1e-8):
     mu = lam - n / 2.0 + 1.0
 
     def draw(_):
-        xi = tuple(float(c) for c in rng.uniform(-1.0, 1.0, n))
+        xi = tuple(rng.uniform(-1.0, 1.0, n))
         x, kc = stereographic(xi)
         if abs(x[n]) < 0.15 or 1.0 + x[0] < 0.4:
             return None
@@ -729,10 +777,10 @@ def check_extension_independence(n, rng, samples=20, tol=1e-9):
 
     def draw(_):
         nonlocal euler
-        x = rng.normal(size=n + 1)
-        x *= float(rng.uniform(0.6, 1.8)) / np.linalg.norm(x)
-        t = float(np.linalg.norm(x))
-        xs = x.tolist()
+        x = rng.direction(n + 1)
+        radius = rng.uniform(0.6, 1.8)
+        xs = [radius * c for c in x]
+        t = _length(xs)
         coords = coordinate_jets([t] + xs, 2, pure=True)
         parts = sphere_parts(coords)
         q, tt = parts[0], coords[0] * coords[0]
@@ -857,7 +905,7 @@ def suite_symbolic(n_min=1, n_max=8):
 
 
 def suite_numeric(seed=0, n_min=1, n_max=8):
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     reports = []
     for n in _within((2, 3), n_min, n_max):
         reports.extend(geometry_suite(n, rng))
@@ -889,11 +937,11 @@ def suite_numeric(seed=0, n_min=1, n_max=8):
 
 
 def suite_ambient(seed=0, n_min=1, n_max=8):
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     reports = []
     for n in _within((2, 3, 4), n_min, n_max):
         f = sample_bump(rng, n)
-        lam = float(rng.uniform(0.3, 1.5))
+        lam = rng.uniform(0.3, 1.5)
         reports.append(check_ambient_noncompact(n, lam, f, rng))
         reports.append(check_weight_conjugation(n, rng))
         reports.append(check_yamabe_constant(n, rng))

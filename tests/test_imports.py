@@ -50,6 +50,21 @@ def test_importing_the_package_loads_no_submodule_and_no_numpy(covop_env):
     assert proc.stdout == f"{covop.__version__}\n[]\n"
 
 
+def test_a_seeded_verify_run_loads_no_numpy_random_and_no_hashlib(covop_env):
+    # the suites draw from covop.verify.Stream over Python's random(); the
+    # first numpy Generator would import numpy.random, and with it secrets,
+    # hashlib and OpenSSL, several MB of peak RSS
+    code = ("import contextlib, io, sys\n"
+            "from covop import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['verify', '--suite', 'all', '--seed', '0'])\n"
+            "print(code, sorted({'numpy.random', 'secrets', 'hashlib'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=covop_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 []\n"
+
+
 # (module, name): defined on purpose though no code names it; cli.main looks
 # its subcommand handlers up by name.
 KEPT_DEFINITIONS = {("cli", "cmd_coeffs"), ("cli", "cmd_operator"), ("cli", "cmd_verify")}

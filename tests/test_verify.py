@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from covop import jets, juhl, symbolcalc, verify
 from covop.conformal import ConformalMap, Dilation, GaussianBump, Translation
 from covop.jets import Jet, coordinate_jets
-from covop.verify import (CheckReport, check_ambient_compact,
+from covop.verify import (CheckReport, Stream, check_ambient_compact,
                           check_ambient_noncompact, check_covariance_iterated,
                           check_covariance_one_step, check_extension_independence,
                           check_kernel_pairing, check_ks_intertwining,
@@ -17,15 +16,16 @@ from covop.verify import (CheckReport, check_ambient_compact,
 import oracles
 
 
-class StubRng:
-    """Stands in for a numpy Generator: uniform() hands out ``values`` in
-    turn, whatever its bounds."""
+def stub_stream(random):
+    """A Stream whose draws are built from ``random`` in place of the seeded
+    random()."""
+    rng = Stream(0)
+    rng.random = random
+    return rng
 
-    def __init__(self, values):
-        self._values = iter(values)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return next(self._values)
+def no_draw():
+    raise AssertionError("a draw was made")
 
 
 def test_report_pass_criterion():
@@ -87,6 +87,55 @@ def test_sampler_lets_other_errors_propagate():
         verify._sampled("recursing", 3, 1e-9, recurse)
 
 
+def test_stream_uniform_is_pythons_random_at_the_seed():
+    # Python promises random()'s sequence for a seed; a change to it shows here
+    rng = Stream(0)
+    assert [rng.uniform() for _ in range(5)] == [
+        0.8444218515250481, 0.7579544029403025, 0.420571580830845,
+        0.25891675029296335, 0.5112747213686085]
+    rng = Stream(0)
+    assert rng.uniform(-1.0, 3.0, 2) == [-1.0 + 4.0 * 0.8444218515250481,
+                                         -1.0 + 4.0 * 0.7579544029403025]
+
+
+def test_stream_integers_stay_below_high():
+    # random() < 1, and (high - low) * random() rounds below high - low even
+    # at the largest double under 1
+    for value in (0.0, 0.5, 1.0 - 2.0 ** -53):
+        rng = stub_stream(lambda: value)
+        for low, high in ((0, 4), (1, 4), (-2, 3), (1, 2), (0, 10**6 + 3), (-7, -6)):
+            k = rng.integers(low, high)
+            assert type(k) is int and low <= k < high, (value, low, high)
+    assert stub_stream(lambda: 1.0 - 2.0 ** -53).integers(-2, 3) == 2
+
+
+def test_stream_direction_lies_on_the_unit_sphere():
+    rng = Stream(3)
+    for d in range(1, 6):
+        for _ in range(50):
+            x = rng.direction(d)
+            assert len(x) == d
+            assert abs(math.fsum(c * c for c in x) - 1.0) <= 4 * 2.0 ** -52, (d, x)
+
+
+def test_stream_direction_raises_singular_point_when_every_try_is_rejected():
+    # random() = 0.5 draws the cube's centre, where x = 0 has no direction;
+    # random() = 0 draws the corner (-1, ..., -1), outside the ball for d >= 2
+    calls = []
+    rng = stub_stream(lambda: calls.append(1) or 0.5)
+    for d in range(1, 6):
+        calls.clear()
+        with pytest.raises(verify.SingularPoint):
+            rng.direction(d)
+        assert len(calls) == verify.DIRECTION_TRIES * d
+    with pytest.raises(verify.SingularPoint):
+        stub_stream(lambda: 0.0).direction(2)
+    assert stub_stream(lambda: 0.0).direction(1) == [-1.0]
+    # a sample whose direction is rejected is rejected by _sampled
+    r = verify.check_yamabe_constant(3, rng, samples=2)
+    assert not r.passed and r.samples == 0
+
+
 def test_point_sampler_rejects_a_word_by_singular_point():
     # a word with no regular point near the bump raises SingularPoint, which
     # _sampled counts as a rejected sample
@@ -96,9 +145,9 @@ def test_point_sampler_rejects_a_word_by_singular_point():
 
     f = GaussianBump((0.0, 0.0), 1.0)
     with pytest.raises(verify.SingularPoint):
-        verify.sample_point_for(np.random.default_rng(0), Singular(), f)
+        verify.sample_point_for(Stream(0), Singular(), f)
     r = verify._sampled("singular", 2, 1e-9, lambda k: verify.sample_point_for(
-        np.random.default_rng(k), Singular(), f))
+        Stream(k), Singular(), f))
     assert not r.passed and r.samples == 0
 
 
@@ -115,8 +164,7 @@ def test_sampler_counts_accepted_samples():
 
 def test_seeded_checks_refuse_fewer_than_one_sample_before_any_draw():
     # a report on 0 samples would pass with nothing checked
-    rng = np.random.default_rng(4)
-    state = rng.bit_generator.state
+    rng = stub_stream(no_draw)
     f = GaussianBump((0.2,), 1.0)
     draws = []
     for check in (lambda: verify._sampled("none", 0, 1e-9, draws.append),
@@ -126,7 +174,7 @@ def test_seeded_checks_refuse_fewer_than_one_sample_before_any_draw():
                                                 samples=0)):
         with pytest.raises(ValueError):
             check()
-    assert rng.bit_generator.state == state and not draws
+    assert not draws
 
 
 def test_every_seeded_report_passes_at_ten_seeds():
@@ -139,7 +187,7 @@ def test_every_seeded_report_passes_at_ten_seeds():
 
 def test_covariance_dilation_and_translation_only():
     # affine cases close in closed form; errors are pure rounding
-    rng = np.random.default_rng(2)
+    rng = Stream(2)
     n = 2
     f = GaussianBump((0.3, -0.2), 1.0)
     for word in ([Dilation(1.9)], [Translation((0.5, 0.0))]):
@@ -157,7 +205,7 @@ def test_covariance_dilation_and_translation_only():
 
 
 def test_covariance_inversion_case():
-    rng = np.random.default_rng(3)
+    rng = Stream(3)
     r = check_covariance_one_step(3, rng, samples=25, tol=1e-9)
     assert r.passed, r
 
@@ -194,28 +242,28 @@ def test_the_second_order_checks_multiply_no_full_order_2_jet(monkeypatch):
     monkeypatch.setattr(jets, "_mul_terms", counted)
     verify.suite_ambient(0)
     for n in (2, 3):
-        check_covariance_one_step(n, np.random.default_rng(n), samples=10)
+        check_covariance_one_step(n, Stream(n), samples=10)
     assert products and full == []
     # the counter sees a full order-2 product where there is one
-    check_covariance_iterated(2, 2, np.random.default_rng(0), samples=2)
+    check_covariance_iterated(2, 2, Stream(0), samples=2)
     assert full
 
 
 def test_covariance_iterated_reduces_to_one_step_at_order_one():
-    rng = np.random.default_rng(4)
+    rng = Stream(4)
     r1 = check_covariance_iterated(2, 1, rng, samples=10, tol=1e-9)
     assert r1.passed, r1
 
 
 def test_covariance_iterated_at_the_numeric_cap():
     # N = 4 needs order-4 jets internally
-    rng = np.random.default_rng(77)
+    rng = Stream(77)
     r = check_covariance_iterated(2, 4, rng, samples=5, tol=1e-8)
     assert r.passed, r
 
 
 def test_covariance_iterated_cap():
-    rng = np.random.default_rng(5)
+    rng = Stream(5)
     with pytest.raises(ValueError):
         check_covariance_iterated(2, 5, rng)
 
@@ -231,7 +279,7 @@ def test_covariance_iterated_fails_on_a_doubled_a1(monkeypatch):
     monkeypatch.setattr(verify, "juhl_coeffs", doubled)
     for n in (2, 3):
         for N in (2, 3):
-            r = check_covariance_iterated(n, N, np.random.default_rng(0), samples=10, tol=1e-8)
+            r = check_covariance_iterated(n, N, Stream(0), samples=10, tol=1e-8)
             assert not r.passed, r
 
 
@@ -248,7 +296,7 @@ def test_j1_gaussian_is_one():
 def test_ks_identity_map_trivial():
     f = GaussianBump((0.2,), 1.0)
     r = check_ks_intertwining(1, 0.9, ConformalMap(1), f,
-                              np.random.default_rng(10), samples=2,
+                              Stream(10), samples=2,
                               quad_tol=1e-8, tol=1e-10)
     assert r.passed and r.samples == 2
 
@@ -256,7 +304,7 @@ def test_ks_identity_map_trivial():
 def test_ks_dilation_n2():
     f = GaussianBump((0.3, 0.3), 1.1)
     g = ConformalMap(2, [Dilation(2.0)])
-    r = check_ks_intertwining(2, 1.3, g, f, np.random.default_rng(11), samples=2,
+    r = check_ks_intertwining(2, 1.3, g, f, Stream(11), samples=2,
                               quad_tol=1e-6, tol=1e-5)
     assert r.passed and r.samples == 2, r
 
@@ -304,15 +352,13 @@ def test_ks_value_refuses_a_function_or_point_of_the_wrong_dimension():
 
 
 def test_ks_intertwining_refuses_a_word_or_function_of_the_wrong_dimension():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
+    rng = stub_stream(no_draw)
     with pytest.raises(ValueError, match="function has dimension 2"):
         check_ks_intertwining(1, 0.9, ConformalMap(1, [Dilation(2.0)]),
                               GaussianBump((0.2, 0.1), 1.1), rng, samples=2)
     with pytest.raises(ValueError, match="word has dimension 2"):
         check_ks_intertwining(1, 0.9, ConformalMap(2, [Dilation(2.0)]),
                               GaussianBump((0.2,), 1.1), rng, samples=2)
-    assert rng.bit_generator.state == state
 
 
 def test_ks_quadrature_budget_guard():
@@ -473,7 +519,7 @@ def test_dalembertian_reads_the_hessian_diagonal():
 
 
 def test_ambient_noncompact_small():
-    rng = np.random.default_rng(6)
+    rng = Stream(6)
     f = GaussianBump((0.2, -0.1), 1.2)
     r = check_ambient_noncompact(2, 0.8, f, rng, samples=10, tol=1e-9)
     assert r.passed and r.samples == 10, r
@@ -481,22 +527,20 @@ def test_ambient_noncompact_small():
 
 def test_ambient_noncompact_refuses_a_function_of_the_wrong_dimension():
     # a 1-d bump on R^2 passed with max_rel_err 2.1e-15
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
     with pytest.raises(ValueError, match="function has dimension 1"):
-        check_ambient_noncompact(2, 0.8, GaussianBump((0.2,), 1.1), rng, samples=10)
-    assert rng.bit_generator.state == state
+        check_ambient_noncompact(2, 0.8, GaussianBump((0.2,), 1.1),
+                                 stub_stream(no_draw), samples=10)
 
 
 def test_yamabe_constant_values():
-    rng = np.random.default_rng(7)
+    rng = Stream(7)
     for n in (2, 3, 4):
         r = check_yamabe_constant(n, rng, samples=10)
         assert r.passed
 
 
 def test_extension_independence_and_euler():
-    rng = np.random.default_rng(8)
+    rng = Stream(8)
     for n in (2, 3):
         r = check_extension_independence(n, rng, samples=10)
         assert r.passed, r
@@ -509,7 +553,7 @@ def test_extension_off_its_degree_fails_the_report(monkeypatch):
     extension = verify.sphere_extension
     monkeypatch.setattr(verify, "sphere_extension",
                         lambda n, fs, degree: extension(n, fs, degree + 1.0))
-    r = check_extension_independence(3, np.random.default_rng(0), samples=10)
+    r = check_extension_independence(3, Stream(0), samples=10)
     assert not r.passed and math.isfinite(r.max_rel_err)
     assert r.diagnostics.startswith("Euler homogeneity identity residual ")
     reports = verify.run_suites("ambient", n_min=3, n_max=3)
@@ -523,13 +567,13 @@ def test_extension_independence_fails_on_a_nan_euler_residual(monkeypatch):
     grad = Jet.grad.fget
     for bad in (1e3, math.nan):
         monkeypatch.setattr(Jet, "grad", property(lambda j, bad=bad: [bad] + grad(j)[1:]))
-        r = check_extension_independence(2, np.random.default_rng(0), samples=5)
+        r = check_extension_independence(2, Stream(0), samples=5)
         assert not r.passed, bad
         assert r.diagnostics.startswith("Euler homogeneity identity residual ")
 
 
 def test_ambient_compact_three_routes():
-    rng = np.random.default_rng(9)
+    rng = Stream(9)
     n = 4
     r = check_ambient_compact(n, 1.2, lambda x: x[0] * x[n] + x[1] * x[1], rng,
                               samples=10, tol=1e-8)
@@ -537,11 +581,10 @@ def test_ambient_compact_three_routes():
 
 
 def test_ambient_compact_fails_when_every_draw_misses_the_guards():
-    # xi = 0 maps to the pole (1, 0, ..., 0), where x_n = 0: every draw is
-    # rejected, and the check reports the shortfall instead of raising
-    n = 3
-    r = check_ambient_compact(n, 1.2, lambda x: x[1] * x[1],
-                              StubRng(itertools.repeat(np.zeros(n))))
+    # random() = 0.5 draws xi = 0, which maps to the pole (1, 0, ..., 0),
+    # where x_n = 0: every draw is rejected, and the check reports the
+    # shortfall instead of raising
+    r = check_ambient_compact(3, 1.2, lambda x: x[1] * x[1], stub_stream(lambda: 0.5))
     assert not r.passed and r.samples == 0
     assert r.diagnostics == "accepted 0 of 20 samples in 200 draws"
 
