@@ -7,36 +7,32 @@ the second-order operators; higher orders are used when composed operator
 families are evaluated numerically.  A jet holds floats or complex values;
 ``exp`` takes a real value part.
 
-Nothing here reorders a float operation; the speed comes from not redoing
-work.  Seeded reports print errors with full ``repr``, so a reordered sum
-would change their bytes.  Dense or batched coefficient arrays would sum in
-another order, which is why jets stay dicts.
-
-* Product plans.  For each (dim, order) a pair table ``{e1: {e2: e1 + e2}}``
-  over the jet's key set keeps only the pairs whose sum stays in it
-  (Griewank--Walther, *Evaluating Derivatives*, SIAM 2008, ch. 13).  A
-  product walks its two operands' terms in insertion order, and which pairs
-  it hits depends only on the two key sequences, so those hits are cached
-  as a plan keyed by the ordered keys.  A product then walks the plan over
-  the two value lists: the same additions, in the same order, as the plain
-  double loop, without visiting the pairs above the order (at (6, 2), 56 of
-  the 420 pairs of a Horner step land within it).
+* Dense layout.  A jet is one list of coefficients in the fixed key order of
+  its shape (Griewank--Walther, *Evaluating Derivatives*, SIAM 2008, ch. 13).
+  A shape is cached once per (dim, order, pure) and holds the keys in
+  ``_exponents`` order, value first, the key -> index map, the product rows
+  ``(i, ((j, k), ...))`` of every pair of keys whose sum is the key k, the
+  gradient and pure-square indices and the factorials ``derivative`` uses.
+  Sums, differences and scalar operations are list comprehensions, and one
+  product function walks the rows for ``*``, integer powers and every
+  Horner step of ``compose_series``.  Coefficients stay Python floats or
+  complex values, never numpy arrays: no operation goes through a SIMD
+  dispatch, so the bits of a seeded report do not depend on the CPU.
+* A skipped zero.  A product skips the row of a zero left coefficient.  Each
+  sum starts at +0.0, and a sum that starts at +0.0 never becomes -0.0, as
+  round-to-nearest gives -0.0 only for (-0.0) + (-0.0); adding the signed
+  zero 0 * b to it therefore changes no bit, for every finite b.
 * Pure jets.  A jet built with ``pure=True`` keeps only the keys 0 and
   k e_i, 1 <= k <= order: the value, the gradient and the pure partials
-  d_i^k, all that a second-order operator without mixed terms reads.  That
-  key set is downward closed, so the hits e1 + e2 = e on a kept key e,
-  which all have e1 <= e and e2 <= e, are the full jet's hits on e, met in
-  the same order; each kept key is deleted and re-inserted at the same
-  moments as in the full jet.  Every kept coefficient is therefore the
-  full jet's, bit for bit and in the same key order, for sums, products,
-  powers, quotients and ``compose_series`` alike, and a product skips the
-  mixed pairs (at (6, 2), 31 of the 91 pairs of a product).  A pure jet
-  refuses a mixed partial, and mixing a pure jet with a full one.
-* A fused Horner step.  ``compose_series`` builds w = self - value and each
-  step acc * w + c_k on the term dicts, through the plan, and adds the
-  constants as ``+ Jet.constant(c)`` would; no constant jets or copies are
-  made, and the floats are those of the jet operators.  ``jet + c`` and
-  ``jet - c`` for a scalar c add to the constant key the same way.
+  d_i^k, all that a second-order operator without mixed terms reads.  Its
+  shape keeps the full shape's key order, and every pair of keys that sums
+  to a pure key is itself pure (both summands lie on its axis), so the rows
+  of a pure key list the full shape's pairs in the full shape's order.
+  Every coefficient of a pure jet is therefore the full jet's, bit for bit,
+  for sums, products, powers, quotients and ``compose_series`` alike, and a
+  product skips the mixed pairs (at (6, 2), 31 of the 91 pairs of a
+  product).  A pure jet refuses a mixed partial, and mixing a pure jet with
+  a full one.
 * A memoized reciprocal.  Jets are never mutated after construction, so
   ``a / b`` and ``c / b`` share one ``b ** -1``, computed on the first
   quotient by b; a recomputation would give the same bits.  Call sites do
@@ -46,6 +42,7 @@ another order, which is why jets stay dicts.
 
 import functools
 import math
+from types import MappingProxyType
 
 
 def _exponents(dim, order):
@@ -56,251 +53,193 @@ def _exponents(dim, order):
             for rest in _exponents(dim - 1, order - a)]
 
 
-@functools.cache
-def _pair_table(dim, order, pure):
-    """{e1: {e2: e1 + e2}} for every pair of kept keys whose sum is kept.
-    A jet keeps every multi-index of total degree <= order, and a pure jet
-    only those that are not mixed: 0 and the k e_i, 1 <= k <= order.
-
-    A multi-index missing as a row or as an entry has its product outside
-    the key set, which truncation drops.  Shared by every product at this
-    shape; never mutated.
-    """
-    keys = [e for e in _exponents(dim, order) if not (pure and _is_mixed(e))]
-    kept = set(keys)
-    table = {}
-    for e1 in keys:
-        row = table[e1] = {}
-        for e2 in keys:
-            e = tuple(a + b for a, b in zip(e1, e2))
-            if e in kept:
-                row[e2] = e
-    return table
-
-
-@functools.lru_cache(maxsize=4096)
-def _product_plan(dim, order, pure, keys1, keys2):
-    """The hits of the double loop over keys1 x keys2 whose exponent sum
-    stays in the key set, in that loop's order: rows (i, ((j, e, first),
-    ...)) for the terms keys1[i] and keys2[j] with sum e, where ``first``
-    marks the first hit on e.
-
-    The keys are the operands' terms in insertion order.  A plan keyed by
-    their set would walk them in another order and sum in another order.
-    The cache is bounded because the keys follow the values a little: a
-    coefficient that cancels to 0 is deleted and re-inserted last.
-    """
-    table = _pair_table(dim, order, pure)
-    plan = []
-    seen = set()
-    for i, e1 in enumerate(keys1):
-        row = table.get(e1)
-        if row is None:
-            continue
-        hits = []
-        for j, e2 in enumerate(keys2):
-            e = row.get(e2)
-            if e is not None:
-                hits.append((j, e, e not in seen))
-                seen.add(e)
-        if hits:
-            plan.append((i, tuple(hits)))
-    return tuple(plan)
-
-
-def _mul_terms(dim, order, pure, a, b):
-    """The truncated product of the term dicts a and b.
-
-    It does the float operations of the double loop over a and b, in its
-    order.  On the first hit on a key the loop adds the product to the 0.0
-    that ``t.get`` returns and, as no key can be deleted before it is
-    inserted, stores the sum: that is ``0.0 + c1 * c2`` here too.
-    """
-    plan = _product_plan(dim, order, pure, tuple(a), tuple(b))
-    v1 = list(a.values())
-    v2 = list(b.values())
-    t = {}
-    for i, hits in plan:
-        c1 = v1[i]
-        for j, e, first in hits:
-            if first:
-                t[e] = 0.0 + c1 * v2[j]
-                continue
-            s = t.get(e, 0.0) + c1 * v2[j]
-            if s == 0 and e in t:
-                del t[e]
-            else:
-                t[e] = s
-    return t
-
-
-def _add_constant(t, z, c):
-    """t + c in place, as ``+ Jet.constant(c)`` sums and deletes."""
-    if c == 0:
-        return
-    s = t.get(z, 0.0) + c
-    if s == 0 and z in t:
-        del t[z]
-    else:
-        t[z] = s
-
-
-@functools.cache
-def _units(dim):
-    """The multi-indices e_i of the first partials."""
-    return tuple(tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim))
-
-
-@functools.cache
-def _squares(dim):
-    """The multi-indices 2 e_i of the pure second partials."""
-    return tuple(tuple(2 * a for a in e) for e in _units(dim))
-
-
 def _is_mixed(e):
     """Whether the multi-index e has more than one nonzero entry."""
     return sum(1 for a in e if a) > 1
 
 
-class Jet:
-    """Taylor coefficients {multi-index: value} of a function at a point.
+class _Shape:
+    """The key set of a jet and everything its arithmetic reads off it.
 
-    ``terms[alpha]`` is the coefficient of prod (x_i - p_i)^alpha_i, i.e.
-    the partial derivative divided by alpha!.  Values may be real or complex.
-    A pure jet (``pure=True``) keeps only the value and the pure partials
-    d_i^k: the full jet's coefficients at those keys, bit for bit and in the
-    same key order.  It refuses a mixed multi-index, and the flag carries to
-    every jet computed from it.
-
-    A product walks the cached plan of its operands' key sequences, so its
-    floats are bit-identical to those of the plain double loop over
-    ``terms``; a jet keeps its reciprocal once a quotient has needed it
-    (see the module docstring).  Jets are never mutated after construction.
+    A jet keeps every multi-index of total degree <= order, and a pure jet
+    only those that are not mixed.  ``rows`` lists, for each key i, the
+    pairs (j, k) with keys[i] + keys[j] = keys[k]; a pair whose sum leaves
+    the key set is dropped, as truncation would drop its product.  ``grad``
+    and ``squares`` index the keys e_i and 2 e_i, with None where the order
+    is too low to hold one.  Shared by every jet of this shape; never
+    mutated.
     """
 
-    __slots__ = ("dim", "order", "pure", "terms", "_recip")
+    __slots__ = ("dim", "order", "pure", "keys", "index", "rows", "grad",
+                 "squares", "fact")
+
+    def __init__(self, dim, order, pure):
+        self.dim, self.order, self.pure = dim, order, pure
+        self.keys = tuple(e for e in _exponents(dim, order) if not (pure and _is_mixed(e)))
+        self.index = index = {e: k for k, e in enumerate(self.keys)}
+        rows = []
+        for i, e1 in enumerate(self.keys):
+            sums = (index.get(tuple(a + b for a, b in zip(e1, e2))) for e2 in self.keys)
+            rows.append((i, tuple((j, k) for j, k in enumerate(sums) if k is not None)))
+        self.rows = tuple(rows)
+        units = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+        self.grad = [index.get(e) for e in units]
+        self.squares = [index.get(tuple(2 * a for a in e)) for e in units]
+        self.fact = [math.prod(map(math.factorial, e)) for e in self.keys]
+
+    def check(self, e, what):
+        """Raise ValueError for a multi-index e that no jet of this dim and
+        purity holds; ``what`` names it in the message."""
+        if len(e) != self.dim:
+            raise ValueError(f"{what} {e} needs {self.dim} entries")
+        if self.pure and _is_mixed(e):
+            raise ValueError(f"a pure jet has no mixed {what} {e}")
+
+
+@functools.cache
+def _shape_for(dim, order, pure):
+    """The one shape of (dim, order, pure), built on first use; a seeded run
+    of every suite builds 11."""
+    return _Shape(dim, order, pure)
+
+
+def _product(shape, a, b):
+    """The truncated product of the coefficient lists a and b of a shape:
+    the rows in order, each sum started at +0.0, a zero left coefficient's
+    row skipped (see the module docstring)."""
+    out = [0.0] * len(a)
+    for i, pairs in shape.rows:
+        c = a[i]
+        if c:
+            for j, k in pairs:
+                out[k] += c * b[j]
+    return out
+
+
+class Jet:
+    """Taylor coefficients of a function at a point, one per key of a shape.
+
+    The coefficient of the key alpha is that of prod (x_i - p_i)^alpha_i,
+    i.e. the partial derivative divided by alpha!.  Values may be real or
+    complex.  ``terms`` reads them as a read-only {multi-index: value} of
+    the nonzero ones, in key order.  A pure jet (``pure=True``) keeps only
+    the value and the pure partials d_i^k, bit for bit the full jet's; it
+    refuses a mixed multi-index, and the flag carries to every jet computed
+    from it.  A jet keeps its reciprocal once a quotient has needed it (see
+    the module docstring).  Jets are never mutated after construction.
+    """
+
+    __slots__ = ("_shape", "_coeffs", "_recip")
 
     def __init__(self, dim, order, terms=None, pure=False):
-        self.dim = dim
-        self.order = order
-        self.pure = pure
-        self.terms = dict(terms) if terms else {}
-        for e in self.terms:
-            if len(e) != dim:
-                raise ValueError(f"multi-index {e} needs {dim} entries")
-            if pure and _is_mixed(e):
-                raise ValueError(f"a pure jet has no mixed multi-index {e}")
+        """The jet of the coefficients ``terms`` {multi-index: value}; any
+        other key's is 0.  A multi-index outside the shape (of another
+        length, mixed for a pure jet, or above the order) raises
+        ValueError."""
+        shape = self._shape = _shape_for(dim, order, pure)
+        self._coeffs = [0.0] * len(shape.keys)
+        for e, c in (terms or {}).items():
+            k = shape.index.get(e)
+            if k is None:
+                shape.check(e, "multi-index")
+                raise ValueError(f"multi-index {e} is above the order {order}")
+            self._coeffs[k] = c
 
     @classmethod
-    def _adopt(cls, dim, order, pure, terms):
-        """A jet owning ``terms`` as given, without the defensive copy; only
-        for dicts freshly built by jet arithmetic."""
+    def _of(cls, shape, coeffs):
+        """A jet of ``shape`` owning ``coeffs`` as given; only for lists
+        freshly built by jet arithmetic."""
         jet = object.__new__(cls)
-        jet.dim = dim
-        jet.order = order
-        jet.pure = pure
-        jet.terms = terms
+        jet._shape = shape
+        jet._coeffs = coeffs
         return jet
-
-    def _with(self, terms):
-        """A jet of this one's shape owning ``terms``, as ``_adopt``."""
-        return Jet._adopt(self.dim, self.order, self.pure, terms)
 
     @classmethod
     def constant(cls, value, dim, order, pure=False):
-        return cls._adopt(dim, order, pure, {(0,) * dim: value} if value != 0 else {})
+        shape = _shape_for(dim, order, pure)
+        return cls._of(shape, [value] + [0.0] * (len(shape.keys) - 1))
 
     @classmethod
     def variable(cls, value, i, dim, order, pure=False):
-        t = {}
-        if value != 0:
-            t[(0,) * dim] = value
+        jet = cls.constant(value, dim, order, pure)
         if order >= 1:
-            t[_units(dim)[i]] = 1.0
-        return cls._adopt(dim, order, pure, t)
+            jet._coeffs[jet._shape.grad[i]] = 1.0
+        return jet
 
     # -- readout -------------------------------------------------------------
 
+    dim = property(lambda self: self._shape.dim)
+    order = property(lambda self: self._shape.order)
+    pure = property(lambda self: self._shape.pure)
+
+    @property
+    def terms(self):
+        """A read-only {multi-index: value} of the nonzero coefficients."""
+        return MappingProxyType({e: c for e, c in zip(self._shape.keys, self._coeffs) if c})
+
     @property
     def value(self):
-        return self.terms.get((0,) * self.dim, 0.0)
+        return self._coeffs[0]
 
     def derivative(self, alpha):
         """Partial derivative of the underlying function for multi-index
         alpha; a pure jet refuses a mixed alpha, whose derivative it does
         not hold."""
         alpha = tuple(alpha)
-        c = self.terms.get(alpha)
-        if c is None:
-            # every key has dim entries, and a pure jet no mixed one, so only
-            # a miss can be a bad index
-            if len(alpha) != self.dim:
-                raise ValueError(f"multi-index {alpha} needs {self.dim} entries")
-            if self.pure and _is_mixed(alpha):
-                raise ValueError(f"a pure jet has no mixed partial {alpha}")
+        k = self._shape.index.get(alpha)
+        if k is None:
+            self._shape.check(alpha, "partial")
             return 0.0
-        fact = 1
-        for a in alpha:
-            fact *= math.factorial(a)
-        return c * fact
+        return self._coeffs[k] * self._shape.fact[k]
+
+    def _read(self, indices):
+        """The coefficients at the indices of the shape, None reading 0."""
+        return [0.0 if k is None else self._coeffs[k] for k in indices]
 
     @property
     def grad(self):
-        get = self.terms.get
-        return [get(e, 0.0) for e in _units(self.dim)]
+        return self._read(self._shape.grad)
+
+    def hessian_diagonal(self):
+        """The pure second partials d_i^2: 2 * (coefficient of x_i^2)."""
+        return [2.0 * c for c in self._read(self._shape.squares)]
 
     def laplacian(self):
-        # the diagonal of the Hessian: 2 * (coefficient of x_i^2)
-        get = self.terms.get
-        return sum(2.0 * get(e, 0.0) for e in _squares(self.dim))
+        return sum(self.hessian_diagonal())
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _like(self, other):
-        if isinstance(other, Jet):
-            if (other.dim, other.order, other.pure) != (self.dim, self.order, self.pure):
-                raise ValueError("jet dimension/order/purity mismatch")
-            return other
-        return Jet.constant(other, self.dim, self.order, self.pure)
+    def _coeffs_of(self, other):
+        """other's coefficients, if other is a jet of this shape."""
+        if other._shape is not self._shape:
+            raise ValueError("jet dimension/order/purity mismatch")
+        return other._coeffs
 
     def __add__(self, other):
-        t = dict(self.terms)
-        if not isinstance(other, Jet):
-            # as + Jet.constant(other) sums and deletes
-            _add_constant(t, (0,) * self.dim, other)
-            return self._with(t)
-        for e, c in self._like(other).terms.items():
-            s = t.get(e, 0.0) + c
-            if s == 0 and e in t:
-                del t[e]
-            else:
-                t[e] = s
-        return self._with(t)
+        c = self._coeffs
+        if isinstance(other, Jet):
+            return self._of(self._shape, [x + y for x, y in zip(c, self._coeffs_of(other))])
+        return self._of(self._shape, [c[0] + other] + c[1:])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._with({e: -c for e, c in self.terms.items()})
+        return self._of(self._shape, [-x for x in self._coeffs])
 
     def __sub__(self, other):
-        if not isinstance(other, Jet):
-            # as + (-Jet.constant(other)): the negated constant, summed
-            t = dict(self.terms)
-            _add_constant(t, (0,) * self.dim, -other)
-            return self._with(t)
-        return self + (-self._like(other))
+        c = self._coeffs
+        if isinstance(other, Jet):
+            return self._of(self._shape, [x - y for x, y in zip(c, self._coeffs_of(other))])
+        return self._of(self._shape, [c[0] - other] + c[1:])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Jet):
-            if other == 0:
-                return self._with({})
-            return self._with({e: v * other for e, v in self.terms.items()})
-        other = self._like(other)
-        return self._with(_mul_terms(self.dim, self.order, self.pure,
-                                     self.terms, other.terms))
+        if isinstance(other, Jet):
+            return self._of(self._shape, _product(self._shape, self._coeffs,
+                                                  self._coeffs_of(other)))
+        return self._of(self._shape, [x * other for x in self._coeffs])
 
     __rmul__ = __mul__
 
@@ -345,19 +284,15 @@ class Jet:
     def compose_series(self, derivs):
         """Compose with a scalar function given by its derivatives at self.value.
 
-        Horner's rule in w = self - value, each step acc * w + derivs[k]/k!
-        done on the term dicts with the same float operations as the jet
-        operators would do."""
-        dim, order, pure = self.dim, self.order, self.pure
-        z = (0,) * dim
-        w = dict(self.terms)
-        _add_constant(w, z, -self.value)
-        acc = {}
-        _add_constant(acc, z, derivs[order] / math.factorial(order))
+        Horner's rule in w = self - value: each step is the product w * acc
+        plus derivs[k]/k! on the value coefficient."""
+        shape, order = self._shape, self.order
+        w = [0.0] + self._coeffs[1:]
+        acc = [derivs[order] / math.factorial(order)] + [0.0] * (len(w) - 1)
         for k in range(order - 1, -1, -1):
-            acc = _mul_terms(dim, order, pure, acc, w)
-            _add_constant(acc, z, derivs[k] / math.factorial(k))
-        return self._with(acc)
+            acc = _product(shape, w, acc)
+            acc[0] += derivs[k] / math.factorial(k)
+        return self._of(shape, acc)
 
     def exp(self):
         """exp of the jet, for a real value part only.  A complex value part,

@@ -37,7 +37,7 @@ import numpy as np
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, Rotation, SingularPoint, Translation,
                         _norm_sq, stereographic, tangential_rotation)
-from .jets import _squares, coordinate_jets
+from .jets import coordinate_jets
 from .juhl import (_leading_product, _reduced_iterated, juhl_coeffs,
                    lap_prime_prefixes, padd, pmul, substitute)
 from . import juhl, symbolcalc
@@ -584,9 +584,7 @@ def check_kernel_pairing(n, s, quad_tol=1e-10, tol=1e-8):
 def dalembertian(jet, n):
     """Box F = F_tt - sum_j F_(x_j x_j) from an order-2 ambient jet
     (variables ordered t, x_0, ..., x_n)."""
-    # the diagonal of the Hessian, read directly: 2 * (coefficient of y_i^2)
-    get = jet.terms.get
-    diag = [2.0 * get(e, 0.0) for e in _squares(n + 2)]
+    diag = jet.hessian_diagonal()
     return diag[0] - sum(diag[1:])
 
 

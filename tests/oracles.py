@@ -13,8 +13,9 @@ parsing an operator or coefficient document back, writing a restricted
 operator in the tangential basis with a zero-residual certificate, and the
 normal form of a symbol coefficient by Euclid at every degree, normalizing
 again after the numerator's content is taken out; and the Hessian of a jet,
-whose diagonal the library reads directly, and the series of log that
-composes a jet's logarithm.  They enumerate the
+whose diagonal the library reads directly, the series of log that composes
+a jet's logarithm, and the truncated product of two jets' coefficients as
+the plain double loop in exact arithmetic.  They enumerate the
 multi-indices of Lap'^s themselves, so a test that uses them does not rest
 on ``juhl.lap_prime_prefixes``.
 """
@@ -507,3 +508,26 @@ def log_series(v, order):
     of value part v, they give the jet's logarithm."""
     return [log(v)] + [(-1.0) ** (k - 1) * factorial(k - 1) / v ** k
                        for k in range(1, order + 1)]
+
+
+def exact_terms(jet):
+    """A jet's nonzero coefficients, each as the exact pair (real, imag) of
+    Fractions."""
+    return {e: (Fraction(complex(c).real), Fraction(complex(c).imag))
+            for e, c in jet.terms.items()}
+
+
+def exact_product(s, t, order):
+    """The truncated product of the exact coefficient dicts s and t (as
+    ``exact_terms`` gives them) of two jets: the plain double loop over every
+    pair, a sum above the order dropped with its product.  Zero results are
+    dropped."""
+    out = {}
+    for e1, (x1, y1) in s.items():
+        for e2, (x2, y2) in t.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if sum(e) > order:
+                continue
+            x, y = out.get(e, (0, 0))
+            out[e] = (x + x1 * x2 - y1 * y2, y + x1 * y2 + y1 * x2)
+    return {e: c for e, c in out.items() if c != (0, 0)}

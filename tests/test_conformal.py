@@ -513,11 +513,12 @@ def test_jet_derivative_refuses_a_multi_index_of_the_wrong_length():
 
 def test_jet_refuses_a_key_of_the_wrong_length():
     # a key of another length would be read back by derivative() as if it
-    # named a derivative; keys above the order stay (truncation drops them)
+    # named a derivative, and a jet holds no coefficient above its order
     for terms in ({(1,): 1.0}, {(0, 0): 1.0, (1, 0, 0): 2.0}, {(): 3.0}):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="entries"):
             Jet(2, 2, terms)
-    assert Jet(2, 2, {(3, 0): 1.0}).terms == {(3, 0): 1.0}
+    with pytest.raises(ValueError, match="above the order"):
+        Jet(2, 2, {(3, 0): 1.0})
     assert Jet.constant(0.0, 2, 2).terms == {}
     assert Jet.constant(2.5, 2, 2).terms == {(0, 0): 2.5}
     assert (Jet.variable(0.5, 1, 2, 2) * 0).terms == {}

@@ -65,6 +65,24 @@ def test_a_seeded_verify_run_loads_no_numpy_random_and_no_hashlib(covop_env):
     assert proc.stdout == "0 []\n"
 
 
+def test_the_jets_import_only_the_standard_library(covop_env):
+    # jets hold Python floats and complex values, so no jet operation goes
+    # through numpy's SIMD dispatch and a seed's report bits cannot depend on
+    # the CPU (ROADMAP item 19); vectorized jets would reopen that
+    tree = ast.parse((SRC / "jets.py").read_text(encoding="utf-8"))
+    modules = [a.name for node in tree.body if isinstance(node, ast.Import)
+               for a in node.names]
+    modules += [node.module for node in tree.body
+                if isinstance(node, ast.ImportFrom) and not node.level]
+    assert modules and all(m.split(".")[0] in sys.stdlib_module_names for m in modules)
+    assert not any(isinstance(node, ast.ImportFrom) and node.level for node in tree.body)
+    code = "import sys, covop.jets\nprint('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=covop_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 # (module, name): defined on purpose though no code names it; cli.main looks
 # its subcommand handlers up by name.
 KEPT_DEFINITIONS = {("cli", "cmd_coeffs"), ("cli", "cmd_operator"), ("cli", "cmd_verify")}

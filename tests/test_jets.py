@@ -1,43 +1,28 @@
-"""The planned Jet product, the fused Horner step and the memoized
-reciprocal against the plain loops they replaced, and pure jets against the
-full jets they restrict.
+"""The dense Jet product, integer powers and ``compose_series`` against the
+plain double loop in exact arithmetic, the memoized reciprocal, the refusal
+of a key outside the shape, and pure jets against the full jets they
+restrict.
 
-Each must be bit-identical to its loop: the same terms, inserted in the same
-order, with the same floats (seeded reports print errors with full repr, so
-a reordered sum would change their bytes).
+On small dyadic coefficients every float operation of a product is exact,
+so a product, a power or a Horner step must equal the exact loop; on random
+floats each coefficient must lie within the rounding bound of its sum.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from covop import verify
-from covop.jets import Jet, _is_mixed, _product_plan, coordinate_jets
+from covop.jets import Jet, _exponents, _is_mixed, coordinate_jets
 
-from oracles import log_series
+from oracles import exact_product, exact_terms, log_series
 
 SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2),
           (6, 2), (1, 5), (3, 4)]
 
-
-def reference_mul(a, b):
-    """The tuple-sum product: every pair, degree filter on each sum."""
-    t = {}
-    order = a.order
-    for e1, c1 in a.terms.items():
-        if sum(e1) > order:
-            continue
-        for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if sum(e) > order:
-                continue
-            s = t.get(e, 0.0) + c1 * c2
-            if s == 0 and e in t:
-                del t[e]
-            else:
-                t[e] = s
-    return Jet(a.dim, a.order, t)
+#: the machine epsilon 2^-52, twice the unit roundoff
+EPS = 2.0 ** -52
 
 
 def _bits(c):
@@ -46,10 +31,9 @@ def _bits(c):
 
 def assert_same_jet(got, want):
     assert (got.dim, got.order, got.pure) == (want.dim, want.order, want.pure)
-    assert list(got.terms) == list(want.terms)  # same keys, same order
     assert got.terms == want.terms
-    assert [_bits(c) for c in got.terms.values()] == \
-        [_bits(c) for c in want.terms.values()]
+    assert [(e, _bits(c)) for e, c in got.terms.items()] == \
+        [(e, _bits(c)) for e, c in want.terms.items()]
 
 
 def random_exponent(rng, dim, degree):
@@ -60,8 +44,9 @@ def random_exponent(rng, dim, degree):
 
 
 def random_jet(rng, dim, order, complex_values, coarse):
-    """Terms in random insertion order; coarse values (small dyadic ones)
-    make products cancel to exactly 0 often, so the delete branch runs."""
+    """Some keys of the shape drawn at random, the others 0.  Coarse values
+    are small dyadic ones, on which a product's float operations are exact
+    and often cancel to exactly 0."""
     def value():
         if coarse:
             v = rng.choice((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
@@ -78,105 +63,60 @@ def random_jet(rng, dim, order, complex_values, coarse):
 
 @pytest.mark.parametrize("dim,order", SHAPES)
 def test_product_matches_the_tuple_sum_loop(dim, order):
+    # on dyadic coefficients, exactly
     rng = random.Random(1000 * dim + order)
     for trial in range(40):
         complex_values = trial % 4 in (1, 3)
-        coarse = trial % 2 == 0
-        a = random_jet(rng, dim, order, complex_values, coarse)
-        b = random_jet(rng, dim, order, complex_values and trial % 8 != 1, coarse)
-        assert_same_jet(a * b, reference_mul(a, b))
-        assert_same_jet(b * a, reference_mul(b, a))
-        assert_same_jet(a * a, reference_mul(a, a))
+        a = random_jet(rng, dim, order, complex_values, True)
+        b = random_jet(rng, dim, order, complex_values and trial % 8 != 1, True)
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert exact_terms(x * y) == exact_product(exact_terms(x), exact_terms(y), order)
+
+
+def _magnitudes(s):
+    return {e: (abs(x) + abs(y), 0) for e, (x, y) in s.items()}
+
+
+def _ones(s):
+    return {e: (1, 0) for e in s}
 
 
 @pytest.mark.parametrize("dim,order", SHAPES)
-def test_a_term_above_the_order_is_skipped(dim, order):
-    # such a term only arrives through the public constructor; both the row
-    # lookup (left operand) and the entry lookup (right operand) must drop it
-    rng = random.Random(7 * dim + order)
-    a = random_jet(rng, dim, order, False, False)
-    high = random_exponent(rng, dim, order + 1)
-    a = Jet(dim, order, {**a.terms, high: 3.0})
-    b = random_jet(rng, dim, order, True, False)
-    for x, y in ((a, b), (b, a), (a, a)):
-        got = x * y
-        assert_same_jet(got, reference_mul(x, y))
-        assert all(sum(e) <= order for e in got.terms)
+def test_a_product_of_float_jets_is_the_exact_loop_within_rounding(dim, order):
+    # each coefficient is a sum of m products: within (m + 1) eps sum |a_i b_j|
+    # of the exact sum, for real and complex values alike
+    rng = random.Random(2000 * dim + order)
+    for trial in range(20):
+        complex_values = trial % 2 == 1
+        a = random_jet(rng, dim, order, complex_values, False)
+        b = random_jet(rng, dim, order, False, False)
+        for x, y in ((a, b), (b, a), (a, a)):
+            s, t = exact_terms(x), exact_terms(y)
+            want = exact_product(s, t, order)
+            size = exact_product(_magnitudes(s), _magnitudes(t), order)
+            count = exact_product(_ones(s), _ones(t), order)
+            got = exact_terms(x * y)
+            for e in set(got) | set(want) | set(size):
+                (gx, gy), (wx, wy) = got.get(e, (0, 0)), want.get(e, (0, 0))
+                bound = (count[e][0] + 1) * EPS * size[e][0] if e in size else 0
+                assert abs(gx - wx) + abs(gy - wy) <= bound, e
 
 
-def test_a_cancelled_coefficient_is_deleted_and_reinserted_last():
-    # (1 + x)(1 - x): the x coefficient is -1, then -1 + 1 = 0, and is deleted
-    one_plus = Jet(1, 2, {(0,): 1.0, (1,): 1.0})
-    one_minus = Jet(1, 2, {(0,): 1.0, (1,): -1.0})
-    got = one_plus * one_minus
-    assert_same_jet(got, reference_mul(one_plus, one_minus))
-    assert got.terms == {(0,): 1.0, (2,): -1.0}
-    # (1 + x + y)(1 - y + x + xy): the xy coefficient cancels on the x row
-    # and comes back on the y row, so it moves to the end of the key order
-    a = Jet(2, 2, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
-    b = Jet(2, 2, {(0, 0): 1.0, (0, 1): -1.0, (1, 0): 1.0, (1, 1): 1.0})
-    got = a * b
-    assert_same_jet(got, reference_mul(a, b))
-    assert list(got.terms.items()) == [((0, 0), 1.0), ((1, 0), 2.0), ((2, 0), 1.0),
-                                       ((0, 2), -1.0), ((1, 1), 1.0)]
-
-
-def test_mismatched_shapes_raise():
-    a = Jet(2, 2, {(0, 0): 1.0})
-    for b in (Jet(3, 2, {(0, 0, 0): 1.0}), Jet(2, 3, {(0, 0): 1.0})):
-        with pytest.raises(ValueError):
-            a * b
-        with pytest.raises(ValueError):
-            b * a
-
-
-def test_public_constructor_copies_its_terms():
-    terms = {(0, 0): 1.0}
-    j = Jet(2, 2, terms)
-    terms[(1, 0)] = 2.0
-    assert j.terms == {(0, 0): 1.0}
-
-
-# -- plans keyed by the ordered keys -------------------------------------------------
-
-
-@pytest.mark.parametrize("dim,order", SHAPES)
-def test_the_same_key_set_in_another_order_gets_its_own_plan(dim, order):
-    # a plan keyed by the set (or the sorted tuple) of an operand's keys would
-    # walk the second operand's values in the first one's order
-    rng = random.Random(31 * dim + order)
-    for trial in range(10):
-        a = random_jet(rng, dim, order, trial % 2 == 1, trial % 3 == 0)
-        b = random_jet(rng, dim, order, False, trial % 3 == 0)
-        items = list(a.terms.items())
-        for perm in (items[::-1], rng.sample(items, len(items))):
-            a2 = Jet(dim, order, dict(perm))
-            for x, y in ((a, b), (a2, b), (b, a), (b, a2), (a2, a), (a, a2)):
-                assert_same_jet(x * y, reference_mul(x, y))
-
-
-# -- compose_series, powers and quotients against the unfused Horner loop -----------
+# -- compose_series, powers and quotients ---------------------------------------------
 
 
 def reference_compose(x, derivs):
-    """Horner's rule in x - value through jet operators and reference_mul."""
+    """Horner's rule in x - value through the jet operators."""
     w = x - x.value
     acc = Jet.constant(derivs[x.order] / math.factorial(x.order), x.dim, x.order)
     for k in range(x.order - 1, -1, -1):
-        acc = reference_mul(acc, w) + derivs[k] / math.factorial(k)
+        acc = w * acc + derivs[k] / math.factorial(k)
     return acc
 
 
 def reference_pow(x, p):
-    if isinstance(p, int) and p >= 0:
-        out = Jet.constant(1.0, x.dim, x.order)
-        base = x
-        while p:
-            if p & 1:
-                out = reference_mul(out, base)
-            base = reference_mul(base, base)
-            p >>= 1
-        return out
+    """x ** p for a fractional or negative p: reference_compose with the
+    derivatives of t ** p at the value."""
     v = x.value
     derivs = []
     fall = 1.0
@@ -186,27 +126,55 @@ def reference_pow(x, p):
     return reference_compose(x, derivs)
 
 
+def exact_power(x, p):
+    """x ** p for an integer p >= 0 by the exact loop, one factor at a time."""
+    out = {(0,) * x.dim: (1, 0)}
+    for _ in range(p):
+        out = exact_product(out, exact_terms(x), x.order)
+    return out
+
+
+def exact_compose(x, derivs):
+    """Horner's rule in x - value by the exact loop, from the float
+    constants derivs[k] / k! that ``compose_series`` adds."""
+    z = (0,) * x.dim
+    w = {e: c for e, c in exact_terms(x).items() if e != z}
+    acc = {}
+    for k in range(x.order, -1, -1):
+        acc = exact_product(w, acc, x.order)
+        c = complex(derivs[k] / math.factorial(k))
+        re, im = acc.get(z, (0, 0))
+        acc[z] = (re + Fraction(c.real), im + Fraction(c.imag))
+        acc = {e: v for e, v in acc.items() if v != (0, 0)}
+    return acc
+
+
 def with_value(x, v):
-    """x with its value part set to v (moved to the end of the key order)."""
-    terms = {e: c for e, c in x.terms.items() if any(e)}
-    terms[(0,) * x.dim] = v
-    return Jet(x.dim, x.order, terms)
+    """x with its value part set to v."""
+    return x - x.value + v
 
 
 # 1.0 and 2.0 are float powers whose top derivatives are exactly 0
-POWERS = (-1, -2, -0.5, 0.5, 1.0, 1.5, 2.0, 0, 3)
+POWERS = (-1, -2, -0.5, 0.5, 1.0, 1.5, 2.0)
 
 
 @pytest.mark.parametrize("dim,order", SHAPES)
 def test_powers_match_the_unfused_horner_loop(dim, order):
+    # integer powers and compose_series on dyadic coefficients equal the exact
+    # loop; fractional powers equal Horner's rule through the jet operators
     rng = random.Random(50 * dim + order)
     for trial in range(8):
         complex_values = trial % 4 == 1
-        coarse = trial % 2 == 0
-        x = random_jet(rng, dim, order, complex_values, coarse)
-        x = with_value(x, rng.choice((0.5, -1.5, 2.0)) if coarse else rng.uniform(0.3, 2.0))
+        x = random_jet(rng, dim, order, complex_values, True)
+        for p in (0, 1, 2, 3):
+            assert exact_terms(x ** p) == exact_power(x, p)
+        # derivs[k] / k! is dyadic, so Horner's float operations are exact too
+        derivs = [rng.choice((-1.5, 0.5, 2.0)) * math.factorial(k) for k in range(order + 1)]
+        assert exact_terms(x.compose_series(derivs)) == exact_compose(x, derivs)
+        y = random_jet(rng, dim, order, complex_values, trial % 2 == 0)
+        y = with_value(y, rng.choice((0.5, -1.5, 2.0)) if trial % 2 == 0 else rng.uniform(0.3, 2.0))
         for p in POWERS:
-            assert_same_jet(x ** p, reference_pow(x, p))
+            assert_same_jet(y ** p, reference_pow(y, p))
 
 
 @pytest.mark.parametrize("dim,order", [(2, 2), (3, 3), (1, 5)])
@@ -214,7 +182,7 @@ def test_powers_of_a_jet_with_zero_value(dim, order):
     rng = random.Random(dim + 10 * order)
     x = with_value(random_jet(rng, dim, order, False, True), 0.0)
     for p in (0, 1, 2, 3):
-        assert_same_jet(x ** p, reference_pow(x, p))
+        assert exact_terms(x ** p) == exact_power(x, p)
     for p in (-1, -0.5, 0.5, 1.5):
         with pytest.raises(ZeroDivisionError):
             x ** p
@@ -234,11 +202,34 @@ def test_exp_log_and_quotients_match_the_unfused_horner_loop(dim, order):
         if not complex_values:  # exp takes a real value part
             e = math.exp(x.value)
             assert_same_jet(x.exp(), reference_compose(x, [e] * (order + 1)))
-        assert_same_jet(x / y, reference_mul(x, reference_pow(y, -1)))
+        assert_same_jet(x / y, x * reference_pow(y, -1))
         assert_same_jet(1.5 / y, reference_pow(y, -1) * 1.5)
         pos = with_value(random_jet(rng, dim, order, False, coarse), rng.uniform(0.5, 2.0))
         logs = log_series(pos.value, order)
         assert_same_jet(pos.compose_series(logs), reference_compose(pos, logs))
+
+
+def _close(got, want, tol):
+    g, w = got.terms, want.terms
+    return all(abs(g.get(e, 0.0) - w.get(e, 0.0)) <= tol for e in set(g) | set(w))
+
+
+@pytest.mark.parametrize("dim,order", SHAPES)
+def test_fractional_powers_exp_log_and_quotients_keep_their_meaning(dim, order):
+    # the identities of the functions they compose with, to rounding
+    rng = random.Random(80 * dim + order)
+    one = Jet.constant(1.0, dim, order)
+    for trial in range(8):
+        x = 0.25 * random_jet(rng, dim, order, False, False)
+        y = with_value(x, rng.uniform(0.5, 2.0))
+        assert _close(y ** 0.5 * y ** 0.5, y, 1e-12)
+        assert _close(y ** 1.5, y * y ** 0.5, 1e-12)
+        assert _close(y / y, one, 1e-12) and _close(y * y ** -1, one, 1e-12)
+        assert _close(y.compose_series(log_series(y.value, order)).exp(), y, 1e-12)
+        assert _close(x.exp() * (-x).exp(), one, 1e-12)
+        neg = with_value(x, -1.5) ** 0.5  # a complex jet
+        assert isinstance(neg.value, complex)
+        assert _close(neg * neg, with_value(x, -1.5), 1e-12)
 
 
 def test_exp_of_a_complex_jet_raises_type_error():
@@ -266,19 +257,50 @@ def test_the_reciprocal_is_computed_once_and_not_shared_by_a_copy():
     assert_same_jet(2.5 / fresh, first)
 
 
-def test_a_seeded_run_builds_a_bounded_number_of_plans():
-    # the plans of every suite at seed 0 (353 when this test was written); a
-    # plan key that came to depend on values would grow past the bound
-    _product_plan.cache_clear()
-    verify.run_suites("all", seed=0)
-    assert _product_plan.cache_info().currsize <= 2000
+# -- the shape ------------------------------------------------------------------------
 
 
-# -- pure jets: the full jet restricted, bit for bit and in key order --------------
+def test_mismatched_shapes_raise():
+    a = Jet(2, 2, {(0, 0): 1.0})
+    for b in (Jet(3, 2, {(0, 0, 0): 1.0}), Jet(2, 3, {(0, 0): 1.0})):
+        with pytest.raises(ValueError):
+            a * b
+        with pytest.raises(ValueError):
+            b * a
+
+
+def test_public_constructor_copies_its_terms():
+    terms = {(0, 0): 1.0}
+    j = Jet(2, 2, terms)
+    terms[(1, 0)] = 2.0
+    assert j.terms == {(0, 0): 1.0}
+
+
+@pytest.mark.parametrize("dim,order", SHAPES)
+def test_a_key_above_the_order_is_refused(dim, order):
+    rng = random.Random(7 * dim + order)
+    high = random_exponent(rng, dim, order + 1)
+    with pytest.raises(ValueError, match="above the order"):
+        Jet(dim, order, {(0,) * dim: 1.0, high: 3.0})
+
+
+def test_terms_are_a_read_only_view_of_the_nonzero_coefficients_in_key_order():
+    x, y = coordinate_jets((0.5, 0.0), 2)
+    u = x * y + x * x
+    # the coefficient of y^2 is 0 and left out; the others follow _exponents
+    assert list(u.terms.items()) == [((0, 0), 0.25), ((0, 1), 0.5), ((1, 0), 1.0),
+                                     ((1, 1), 1.0), ((2, 0), 1.0)]
+    assert [e for e in _exponents(2, 2) if e in u.terms] == list(u.terms)
+    with pytest.raises(TypeError):
+        u.terms[(0, 0)] = 1.0
+    assert (u - u).terms == {}
+
+
+# -- pure jets: the full jet restricted, bit for bit ----------------------------------
 
 
 def restrict(x):
-    """The pure jet of x's value and pure partials, in x's key order."""
+    """The pure jet of x's value and pure partials."""
     return Jet(x.dim, x.order, {e: c for e, c in x.terms.items() if not _is_mixed(e)},
                pure=True)
 
@@ -321,6 +343,8 @@ def test_pure_seeds_restrict_the_full_seeds():
     g = (pure[0] * pure[1] + pure[2]).exp() / (1.0 + pure[1] * pure[1])
     assert_same_jet(g, restrict(f))
     assert g.grad == f.grad and g.laplacian() == f.laplacian()
+    assert g.hessian_diagonal() == f.hessian_diagonal() == \
+        [f.derivative(e) for e in ((2, 0, 0), (0, 2, 0), (0, 0, 2))]
     assert g.derivative((0, 3, 0)) == f.derivative((0, 3, 0))
 
 

@@ -231,15 +231,15 @@ def test_the_second_order_checks_multiply_no_full_order_2_jet(monkeypatch):
     # partials, so their checks run on pure jets, which skip the mixed pairs;
     # a check that went back to full jets would give that saving back
     full, products = [], []
-    mul = jets._mul_terms
+    product = jets._product
 
-    def counted(dim, order, pure, a, b):
-        products.append(dim)
-        if order == 2 and not pure:
-            full.append(dim)
-        return mul(dim, order, pure, a, b)
+    def counted(shape, a, b):
+        products.append(shape.dim)
+        if shape.order == 2 and not shape.pure:
+            full.append(shape.dim)
+        return product(shape, a, b)
 
-    monkeypatch.setattr(jets, "_mul_terms", counted)
+    monkeypatch.setattr(jets, "_product", counted)
     verify.suite_ambient(0)
     for n in (2, 3):
         check_covariance_one_step(n, Stream(n), samples=10)
