@@ -9,15 +9,13 @@ a word multiplies the factors along the orbit (the cocycle product), and
 ``stereographic``, takes the same one step: image and factor from one
 |xi|^2.  A rotation is the pair (cos, sin) of a rotation in the (xi_1, xi_2)
 plane, the only rotations the checks use.  All evaluation code is generic over the scalar
-type: plain floats, numpy arrays (batched points) and jets all go through the
-same formulas, so derivative information is exact to rounding wherever jets
-are fed in.  A test function's polynomial prefactor has int coefficients, so
-a float input gives floats and an array input a float64 array.
+type: plain floats and jets go through the same formulas, so derivative
+information is exact to rounding wherever jets are fed in.  A test
+function's polynomial prefactor has int coefficients, so a float input
+gives floats.
 """
 
 import math
-
-import numpy as np
 
 from .jets import Jet, coordinate_jets
 
@@ -38,12 +36,10 @@ def _norm_sq(xs):
 
 
 def _too_small(q):
-    """Generic singular-set test on |xi|^2 (works for floats, Fractions, jets,
-    and batched numpy arrays)."""
+    """Generic singular-set test on |xi|^2 (works for floats, Fractions and
+    jets, a jet by its value)."""
     if isinstance(q, Jet):
         q = q.value
-    if isinstance(q, np.ndarray):
-        return bool(np.min(q) < GUARD_RADIUS * GUARD_RADIUS)
     return float(q) < GUARD_RADIUS * GUARD_RADIUS
 
 
@@ -284,18 +280,13 @@ class GaussianBump:
         self.prefactor = prefactor
 
     def eval_generic(self, xs):
-        """Evaluate at a coordinate sequence of floats, arrays, or jets,
-        which must hold n coordinates."""
+        """Evaluate at a coordinate sequence of floats or jets, which must
+        hold n coordinates."""
         if len(xs) != self.n:
             raise ValueError(f"{len(xs)} coordinates given, expected n = {self.n}")
         q = _norm_sq([x - c for x, c in zip(xs, self.center)])
         arg = q * (-1.0 / self.width ** 2)
-        if isinstance(arg, Jet):
-            e = arg.exp()
-        elif isinstance(arg, np.ndarray):
-            e = np.exp(arg)
-        else:
-            e = math.exp(arg)
+        e = arg.exp() if isinstance(arg, Jet) else math.exp(arg)
         if self.prefactor is None:
             return e
         return _eval_prefactor(self.prefactor, xs) * e

@@ -5,18 +5,22 @@ the ambient (light-cone) realization.
 
 Every check returns a CheckReport.  Derivatives are taken with jets (exact to
 rounding).  Integrals are taken by double-exponential (tanh-sinh) quadrature,
-batched per level (Takahasi-Mori, Publ. RIMS 9, 1974): each level evaluates
-all its new nodes in one call of the integrand, which receives them as their
-distances to both endpoints, so the algebraic endpoint singularities of the
-convolution kernels cost no accuracy.  Quadrature-backed checks carry
-their own truncation/tolerance budget, and all sampling is seeded, so suite
-runs are reproducible.  Every seeded check takes an rng (a ``Stream``) and a
-sample count, and draws each sample (points and parameters alike) inside one
-bounded sampler, ``_sampled``: it makes at most DRAWS_PER_SAMPLE draws per
-requested sample, and a check that accepts fewer samples than it asked for
-fails and says how many it got.  The suites share one n range, 1..8 by
-default; a check with no case in the range is left out, so a suite with no
-check in the range returns no reports.
+level by level (Takahasi-Mori, Publ. RIMS 9, 1974): the integrand receives
+each node as its distances to both endpoints, so the algebraic endpoint
+singularities of the convolution kernels cost no accuracy, and a level's
+estimate is one math.fsum.  The Knapp-Stein transform of a Gaussian bump is
+a Kummer function in closed form, which stands in for the quadrature
+wherever the quadrature is not itself under test.  The module computes with
+the standard library alone, so no report depends on a SIMD kernel's
+dispatch.  Quadrature-backed checks carry their own truncation/tolerance
+budget, and all sampling is seeded, so suite runs are reproducible.  Every
+seeded check takes an rng (a ``Stream``) and a sample count, and draws each
+sample (points and parameters alike) inside one bounded sampler,
+``_sampled``: it makes at most DRAWS_PER_SAMPLE draws per requested sample,
+and a check that accepts fewer samples than it asked for fails and says how
+many it got.  The suites share one n range, 1..8 by default; a check with
+no case in the range is left out, so a suite with no check in the range
+returns no reports.
 
 A ``Stream`` builds every draw from ``random.Random(seed).random`` alone, by
 formulas written in this module.  Python's documentation promises that
@@ -29,10 +33,9 @@ run loads neither numpy's random module nor the OpenSSL behind its seeding.
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                         PulledBack, Rotation, SingularPoint, Translation,
@@ -44,9 +47,8 @@ from . import juhl, symbolcalc
 
 
 class QuadratureBudgetExceeded(Exception):
-    """The double-exponential quadrature, batched per level (Takahasi-Mori
-    1974), or the doubling ring of the n = 2 angular average ran out of nodes
-    before it reached its requested accuracy."""
+    """The double-exponential quadrature (Takahasi-Mori 1974) ran out of
+    levels before it reached its requested accuracy."""
 
 
 @dataclass
@@ -64,7 +66,8 @@ class CheckReport:
     def from_errors(cls, name, errs, tol, diags=None):
         if not errs:
             return cls(name, 0, 0.0, tol, True, "no samples")
-        # the first NaN, else the first largest error, as np.argmax picks
+        # the first NaN, else the first largest error: max keeps the first
+        # of equal keys
         worst = max(range(len(errs)), key=lambda k: (math.isnan(errs[k]), errs[k]))
         diag = diags[worst] if diags else f"sample {worst}"
         return cls(name, len(errs), float(errs[worst]), tol,
@@ -140,7 +143,7 @@ class Stream:
 
 def _length(xs):
     """|x| of a short vector: math.fsum rounds the sum of the squares once,
-    so its bits depend on no summation order and no numpy kernel."""
+    so its bits depend on no summation order."""
     return math.sqrt(math.fsum(x * x for x in xs))
 
 
@@ -358,7 +361,7 @@ def check_covariance_iterated(n, N, rng, samples=20, tol=1e-8):
     return _sampled(f"covariance_iterated_n{n}_N{N}", samples, tol, draw)
 
 
-# -- Knapp-Stein intertwining by quadrature ----------------------------------------
+# -- Knapp-Stein intertwining ------------------------------------------------------
 
 
 def _effective_ball(func):
@@ -384,43 +387,43 @@ DE_T_MAX = 6
 #: the last level tried: 12 * 2**DE_MAX_LEVEL + 1 nodes in all
 DE_MAX_LEVEL = 8
 #: the least quad_tol a level difference can certify: 50 ulps, as QUADPACK
-DE_ROUNDING_FLOOR = 50 * float(np.finfo(float).eps)
+DE_ROUNDING_FLOOR = 50 * sys.float_info.epsilon
 
 
 @functools.cache
 def _de_level(level):
-    """The nodes tanh-sinh level ``level`` adds on [-1, 1], as read-only
-    arrays (da, db, w): da and db are the distances to -1 and to 1 (each
-    exact to rounding however near its endpoint the node is), and w is
-    dx/dt.  The estimate at a level is h times the sum of w * f over the
-    nodes of that level and every level before it."""
+    """The nodes tanh-sinh level ``level`` adds on [-1, 1], as a tuple of
+    (da, db, w) in ascending order: da and db are the node's distances to -1
+    and to 1 (each exact to rounding however near its endpoint the node is),
+    and w is dx/dt there.  The estimate at a level is h times the sum of
+    w * f over the nodes of that level and every level before it."""
     h = 2.0 ** -level
     if level == 0:
-        t = np.arange(-DE_T_MAX, DE_T_MAX + 1, dtype=float)
+        ts = [float(t) for t in range(-DE_T_MAX, DE_T_MAX + 1)]
     else:
-        t = np.arange(h, DE_T_MAX, 2.0 * h)
-        t = np.concatenate((-t[::-1], t))
-    u = 0.5 * math.pi * np.sinh(t)
-    da = 2.0 / (1.0 + np.exp(-2.0 * u))
-    db = 2.0 / (1.0 + np.exp(2.0 * u))
-    # dx/dt = (pi/2) cosh t / cosh^2 u, and 1/cosh^2 u = (1 + tanh u)(1 - tanh u)
-    w = 0.5 * math.pi * np.cosh(t) * da * db
-    out = (da, db, w)
-    for a in out:
-        a.setflags(write=False)
-    return out
+        right = [k * h for k in range(1, DE_T_MAX * 2 ** level, 2)]
+        ts = [-t for t in reversed(right)] + right
+    nodes = []
+    for t in ts:
+        u = 0.5 * math.pi * math.sinh(t)
+        da = 2.0 / (1.0 + math.exp(-2.0 * u))
+        db = 2.0 / (1.0 + math.exp(2.0 * u))
+        # dx/dt = (pi/2) cosh t / cosh^2 u, and 1/cosh^2 u = (1 + tanh u)(1 - tanh u)
+        nodes.append((da, db, 0.5 * math.pi * math.cosh(t) * da * db))
+    return tuple(nodes)
 
 
 def _de_quad(integrand, b, quad_tol):
-    """int_0^b by double-exponential (tanh-sinh) quadrature, batched per level
+    """int_0^b by double-exponential (tanh-sinh) quadrature, level by level
     (Takahasi-Mori, Double exponential formulas for numerical integration,
     Publ. RIMS 9, 1974).
 
-    integrand(da, db) takes a level's new nodes as two arrays, their
-    distances to 0 (the nodes themselves) and to b, so a factor singular at
-    either end is computed from a distance, never from b - x.  Stops when
-    two successive levels agree within quad_tol * max(1, b, |I|), the
-    epsabs/epsrel pair of QUADPACK with epsabs = quad_tol * max(1, b);
+    integrand(da, db) takes one node as its distances to 0 (the node itself)
+    and to b, so a factor singular at either end is computed from a
+    distance, never from b - x.  Each level's estimate is the math.fsum of
+    w * f over every node so far, so it depends on no summation order.
+    Stops when two successive levels agree within quad_tol * max(1, b, |I|),
+    the epsabs/epsrel pair of QUADPACK with epsabs = quad_tol * max(1, b);
     raises QuadratureBudgetExceeded when DE_MAX_LEVEL is reached first, or
     at once for a quad_tol below DE_ROUNDING_FLOOR, where two levels can
     agree to the last bit without either being that accurate."""
@@ -429,12 +432,11 @@ def _de_quad(integrand, b, quad_tol):
             f"quad_tol {quad_tol:g} is below the rounding floor {DE_ROUNDING_FLOOR:.3g}")
     half = 0.5 * b
     scale = max(1.0, b)
-    total = 0.0
+    parts = []
     cur = diff = math.inf
     for level in range(DE_MAX_LEVEL + 1):
-        da, db, w = _de_level(level)
-        total += float(np.sum(w * integrand(half * da, half * db)))
-        prev, cur = cur, half * 2.0 ** -level * total
+        parts += [w * integrand(half * da, half * db) for da, db, w in _de_level(level)]
+        prev, cur = cur, half * 2.0 ** -level * math.fsum(parts)
         diff = abs(cur - prev)
         if diff <= quad_tol * max(scale, abs(cur)):
             return cur
@@ -443,92 +445,106 @@ def _de_quad(integrand, b, quad_tol):
         f"on [0, {b:g}]")
 
 
-@functools.cache
-def _ring_angles(k):
-    """(cos, sin) of k equally spaced angles on [0, 2 pi), as read-only
-    arrays shared by every ring of that size."""
-    theta = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
-    out = (np.cos(theta), np.sin(theta))
-    for a in out:
-        a.setflags(write=False)
-    return out
+#: the largest |x - c|^2 / w^2 at which e^(-z) is a normal float, so the
+#: first term of ``_scaled_kummer`` keeps full precision
+KUMMER_Z_MAX = 700.0
+
+
+def _scaled_kummer(a, b, z):
+    """e^(-z) M(a, b, z), Kummer's M(a, b, z) = sum_k (a)_k / (b)_k z^k / k!,
+    for a, b > 0 and 0 <= z <= KUMMER_Z_MAX.  The terms carry e^(-z) from
+    the first one on, so none exceeds the result and none overflows.  Every
+    term is positive, so their math.fsum is the sum to rounding.  It stops
+    at the first term t_k below 2^-56 of the sum so far with
+    rho = max(1, (a + k)/(b + k)) z/(k + 1) at most 1/2: no later ratio of
+    terms exceeds rho, so the tail is at most t_k."""
+    if not 0.0 <= z <= KUMMER_Z_MAX:
+        raise ValueError(f"the Kummer series is summed for 0 <= z <= {KUMMER_Z_MAX:g}, "
+                         f"got z = {z:g}")
+    term = total = math.exp(-z)
+    terms = [term]
+    k = 0
+    while True:
+        term *= (a + k) * z / ((b + k) * (k + 1))
+        terms.append(term)
+        total += term
+        k += 1
+        if (max(1.0, (a + k) / (b + k)) * z <= 0.5 * (k + 1)
+                and term <= 2.0 ** -56 * total):
+            return math.fsum(terms)
+
+
+def _gaussian_form(func):
+    """(weight, center, width) with func = weight * exp(-|xi - center|^2 /
+    width^2), for a Gaussian bump without a prefactor and for its pullback
+    under an affine word g: the bump of center g(c) and width w k_g(c),
+    times kappa(g^-1, xi)^lam, a constant.  None for any other function."""
+    if isinstance(func, GaussianBump):
+        return (1.0, func.center, func.width) if func.prefactor is None else None
+    if isinstance(func, PulledBack) and func.g.is_affine() and func.f.prefactor is None:
+        image, k = func.g.act_and_factor(func.f.center)
+        return func.g_inv.act_and_factor(image)[1] ** func.lam, image, func.f.width * k
+    return None
 
 
 def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
     """(1/Gamma(lam - n/2)) * int |point-eta|^(2 lam - 2 n) func(eta) d eta
-    over R^n (n = 1 or 2 only), by double-exponential quadrature, batched per
-    level (Takahasi-Mori 1974; see ``_de_quad``), on a ball that provably
-    contains the integrand mass up to the Gaussian tail.
+    over R^n, lam > n/2.
 
-    The radius of that ball reaches 1 past the effective support of func
-    (``_effective_ball``), seen from the point.  n = 1 folds the two sides of
-    the point onto d = |point - eta| in [0, radius]; n = 2 integrates
-    r^(2 lam - 3) times the angular integral of func over the circle of
-    radius r about the point, where each radius doubles its periodic
-    trapezoid ring (32, 64, ..., 4096 angles) until two sizes agree to
-    quad_tol / 10.  Raises QuadratureBudgetExceeded when either rule runs out
-    of nodes."""
-    if n not in (1, 2):
-        raise ValueError("quadrature-backed intertwining checks cover n = 1, 2")
+    A Gaussian bump without a prefactor, of center c and width w, has it in
+    closed form for every n: with z = |point - c|^2 / w^2,
+    w^(2 lam - n) pi^(n/2) / Gamma(n/2) * e^(-z) M(lam - n/2, n/2, z) (see
+    ``_scaled_kummer``), from
+    int |x - y|^(-2a) e^(-|y|^2) dy = pi^(n/2) Gamma(n/2 - a) / Gamma(n/2)
+    * M(a, n/2, -|x|^2) and Kummer's transformation (DLMF 13.2.39); the
+    1/Gamma(lam - n/2) cancels.  At n >= 2 an affine pullback of such a bump
+    is a bump too (``_gaussian_form``) and takes the same closed form; no
+    other function is accepted there.
+
+    At n = 1 every other function (a pullback, or a bump with a prefactor)
+    is integrated by double-exponential quadrature (Takahasi-Mori 1974; see
+    ``_de_quad``), quad_tol its tolerance: the two sides of the point fold
+    onto d = |point - eta| in [0, radius], where the radius reaches 1 past
+    the effective support of func (``_effective_ball``), seen from the
+    point, so the ball holds the integrand mass up to the Gaussian tail.
+    Raises QuadratureBudgetExceeded when the rule runs out of levels."""
     if not (lam > n / 2):
         raise ValueError("absolute convergence needs lam > n/2")
     point = tuple(point)
-    center, r0 = _effective_ball(func)
-    _check_dims(n, point=len(point), function=len(center))
-    radius = _length([p - c for p, c in zip(point, center)]) + r0 + 1.0
-    norm = 1.0 / math.gamma(lam - n / 2.0)
-    s = 2.0 * lam - 2.0 * n
-    if n == 1:
+    form = None if n == 1 and isinstance(func, PulledBack) else _gaussian_form(func)
+    if form is None and n == 1:
+        center, r0 = _effective_ball(func)
+        _check_dims(n, point=len(point), function=len(center))
         x = point[0]
+        s = 2.0 * lam - 2.0
+        value = func.eval_generic
 
         def folded(d, _):
-            vals = func.eval_generic([np.concatenate((x + d, x - d))])
-            return d ** s * (vals[:d.size] + vals[d.size:])
+            return d ** s * (value([x + d]) + value([x - d]))
 
-        return norm * _de_quad(folded, radius, quad_tol)
-
-    # n == 2: polar coordinates about the singular point
-    x1, x2 = point
-
-    def ring_integrals(r):
-        # rows, vals, prev: the radii not yet settled, their values on the
-        # k-ring and its integral; the k-ring is the even columns of the
-        # 2k-ring, so each angle is evaluated once
-        out = np.empty(r.size)
-        rows = np.arange(r.size)
-        rr = r[:, None]
-        k = 32
-        cos, sin = _ring_angles(k)
-        vals = func.eval_generic([x1 + rr * cos, x2 + rr * sin])
-        prev = np.mean(vals, axis=1) * (2.0 * math.pi)
-        while True:
-            cos, sin = _ring_angles(2 * k)
-            rr = r[rows, None]
-            both = np.empty((rows.size, 2 * k))
-            both[:, ::2] = vals
-            both[:, 1::2] = func.eval_generic([x1 + rr * cos[1::2],
-                                               x2 + rr * sin[1::2]])
-            cur = np.mean(both, axis=1) * (2.0 * math.pi)
-            done = np.abs(cur - prev) <= quad_tol * 0.1 * np.maximum(1.0, np.abs(cur))
-            out[rows[done]] = cur[done]
-            if done.all():
-                return out
-            k *= 2
-            if k >= 4096:
-                raise QuadratureBudgetExceeded("angular average did not settle")
-            rows, vals, prev = rows[~done], both[~done], cur[~done]
-
-    def outer(r, _):
-        return r ** (s + 1.0) * ring_integrals(r)
-
-    return norm * _de_quad(outer, radius, quad_tol)
+        radius = abs(x - center[0]) + r0 + 1.0
+        return _de_quad(folded, radius, quad_tol) / math.gamma(lam - 0.5)
+    if form is None:
+        raise ValueError("at n >= 2 the Knapp-Stein value is taken only of a Gaussian "
+                         "bump without a prefactor or an affine pullback of one")
+    weight, center, width = form
+    _check_dims(n, point=len(point), function=len(center))
+    z = math.fsum((p - c) * (p - c) for p, c in zip(point, center)) / (width * width)
+    return (weight * width ** (2.0 * lam - n) * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+            * _scaled_kummer(lam - n / 2.0, n / 2.0, z))
 
 
 def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5):
     """Convolution intertwiner applied to the twisted pullback against the
     weight n-lam pullback of the transformed function, at points drawn
-    uniformly from [-1, 1]^n.  The report is named after n, lam and the
-    generator word of g, e.g. ``ks_intertwining_n1_lam0.8_dilation``."""
+    uniformly from [-1, 1]^n.  The right side is the closed form of the
+    bump f at g^-1(xi) (see ``knapp_stein_value``).  The left side is a
+    quadrature at n = 1, so each report compares a quadrature with a closed
+    form; at n >= 2 it is the closed form of the pulled-back bump, whose
+    center g(c), width w k_g(c) and weight come from the word, so the report
+    checks the word's action and conformal factor against its inverse.  The
+    report is named after n, lam and the generator word of g, e.g.
+    ``ks_intertwining_n1_lam0.8_dilation``."""
     _check_dims(n, word=g.n, function=f.n)
     pulled = PulledBack(lam, g, f)
     word = "_".join(type(w).__name__.lower() for w in g.word) or "identity"
@@ -551,9 +567,8 @@ def _gaussian_moment(p, c, quad_tol):
     r = t/(1-t), dr = (1+r)^2 dt; r is read as da/db, exact near both ends."""
     def integrand(da, db):
         r = da / db
-        # r*r overflows to inf near t = 1, where the integrand is 0
-        with np.errstate(over="ignore"):
-            return np.exp(p * np.log(r) + 2.0 * np.log1p(r) - r * r / c)
+        # r*r overflows to inf near t = 1, where exp gives the integrand's 0
+        return math.exp(p * math.log(r) + 2.0 * math.log1p(r) - r * r / c)
 
     return _de_quad(integrand, 1.0, quad_tol)
 

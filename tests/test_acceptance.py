@@ -137,7 +137,8 @@ def test_criterion_08_knapp_stein_intertwining():
     gauss_err = max(abs(verify.knapp_stein_value(1, 1.0, f1, (x,), quad_tol=1e-10) - 1.0)
                     for x in (-1.2, 0.0, 0.8))
     ok = ok and gauss_err <= 1e-8
-    _report(8, "convolution intertwining by quadrature, n=1,2",
+    _report(8, "convolution intertwining, quadrature against closed form (n=1), "
+                "closed forms (n=2)",
             ok, f"max_rel_err {worst:.2e} (tol 1e-5), gaussian case {gauss_err:.2e}")
 
 

@@ -391,6 +391,31 @@ def test_verify_seeded_bytes_pinned(capsys):
             assert_golden(f"verify_{suite}_seed{seed}.json", out)
 
 
+#: numpy's SIMD dispatch pinned below AVX2 and OpenBLAS pinned to Nehalem:
+#: with numpy in the seeded path, 9-12 reports per seed moved under it
+OTHER_SIMD_TARGET = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR X86_V3",
+                     "OPENBLAS_CORETYPE": "Nehalem"}
+
+
+def test_verify_all_prints_the_goldens_under_another_simd_target(covop_env):
+    # the document of every suite is the committed symbolic, numeric and
+    # ambient goldens' reports in one verification document; a child with
+    # the default environment and one with another dispatch target, set for
+    # that child only, both print it
+    docs = [json.loads((GOLDEN / name).read_text(encoding="utf-8")) for name in
+            ("verify_symbolic.json", "verify_numeric_seed0.json", "verify_ambient_seed0.json")]
+    want = dict(docs[0], suite="all", seed=0,
+                passed=all(d["passed"] for d in docs),
+                reports=[r for d in docs for r in d["reports"]])
+    want = json.dumps(want, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    argv = [sys.executable, "-m", "covop", "verify", "--suite", "all", "--seed", "0"]
+    for extra in ({}, OTHER_SIMD_TARGET):
+        proc = subprocess.run(argv, capture_output=True, env={**covop_env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        got = proc.stdout.decode("utf-8")
+        assert got == want, (extra, first_difference(want, got))
+
+
 def test_a_pin_mismatch_names_the_first_report_that_moved():
     want = (GOLDEN / "verify_ambient_seed0.json").read_text(encoding="utf-8")
     doc = json.loads(want)

@@ -124,8 +124,6 @@ def _row_loop(rows, xs):
 def _bits(v):
     if isinstance(v, Jet):
         return tuple(v.terms), tuple(float.hex(c) for c in v.terms.values())
-    if isinstance(v, np.ndarray):
-        return v.dtype.str, v.tobytes()
     # a Fraction the rows would have turned into a float passes through
     # exactly; the float the rows made is float() of it
     return float.hex(float(v))
@@ -138,7 +136,6 @@ def test_rotation_step_matches_matrix_rows():
         p = tuple(float(x) for x in rng.uniform(-2.0, 2.0, n))
         yield p
         yield tuple(Fraction(int(k), 7) for k in rng.integers(-20, 21, n))
-        yield [rng.uniform(-2.0, 2.0, 4) for _ in range(n)]
         for order in (1, 2, 3):
             yield coordinate_jets(p, order)
 
@@ -249,17 +246,6 @@ def test_prefactor_matches_the_poly_oracle_bit_for_bit():
                 oracle.evaluate(list(xi)) * plain.value(xi))
             assert _hex_terms(f.jet(xi, 2)) == _hex_terms(
                 oracle.evaluate(cj) * plain.eval_generic(cj))
-
-
-def test_prefactored_bump_on_an_array_is_float64():
-    # int coefficients keep a batched evaluation in float64; a Fraction
-    # coefficient would turn the array into one of Python objects
-    f = GaussianBump((0.1, -0.2), 1.0, {(0, 0): 1, (1, 0): -2}).times_coordinate(1)
-    xs = [np.linspace(-1.0, 1.0, 5), np.linspace(0.0, 1.0, 5)]
-    got = f.eval_generic(xs)
-    assert got.dtype == np.float64
-    want = [f.value((a, b)) for a, b in zip(*xs)]
-    assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 def test_dilation_rejects_a_nonpositive_or_nonfinite_ratio():

@@ -65,6 +65,27 @@ def test_a_seeded_verify_run_loads_no_numpy_random_and_no_hashlib(covop_env):
     assert proc.stdout == "0 []\n"
 
 
+def test_the_cli_and_its_commands_load_no_numpy(covop_env):
+    # covop computes with the standard library alone: the quadrature nodes
+    # are math tuples summed by math.fsum, and the Knapp-Stein transform of a
+    # Gaussian is a Kummer series, so no numpy import reaches any command
+    code = ("import contextlib, io, sys\n"
+            "import covop.cli\n"
+            "seen = [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
+            "for argv in (['verify', '--suite', 'all', '--seed', '0'],\n"
+            "             ['coeffs', '--n', '3', '--N', '2'],\n"
+            "             ['operator', '--n', '2', '--N', '2']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = covop.cli.main(argv)\n"
+            "    seen += [m for m in sys.modules if m.split('.')[0] == 'numpy']\n"
+            "    print(argv[0], code)\n"
+            "print(sorted(set(seen)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=covop_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "verify 0\ncoeffs 0\noperator 0\n[]\n"
+
+
 def test_the_jets_import_only_the_standard_library(covop_env):
     # jets hold Python floats and complex values, so no jet operation goes
     # through numpy's SIMD dispatch and a seed's report bits cannot depend on

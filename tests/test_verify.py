@@ -1,10 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from covop import jets, juhl, symbolcalc, verify
-from covop.conformal import ConformalMap, Dilation, GaussianBump, Translation
+from covop.conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
+                             PulledBack, Rotation, Translation)
 from covop.jets import Jet, coordinate_jets
 from covop.verify import (CheckReport, Stream, check_ambient_compact,
                           check_ambient_noncompact, check_covariance_iterated,
@@ -36,8 +36,8 @@ def test_report_pass_criterion():
 
 
 def test_nan_error_fails_its_report():
-    # a NaN error is the worst sample: np.argmax returns its index, and the
-    # NaN <= tol comparison is False
+    # a NaN error is the worst sample, and the NaN <= tol comparison is
+    # False
     r = CheckReport.from_errors("x", [0.0, math.nan], 1.0)
     assert r.passed is False
     assert r.diagnostics == "sample 1"
@@ -213,7 +213,6 @@ def test_covariance_inversion_case():
 def test_covariance_holds_for_complex_parameter():
     # the twisted action is defined for complex weights; the identity is
     # holomorphic in the parameter, so it must close there too
-    from covop.conformal import Inversion, PulledBack
     n = 2
     lam = 0.7 + 0.4j
     g = ConformalMap(n, [Translation((0.3, 0.0)), Inversion()])
@@ -287,10 +286,12 @@ def test_covariance_iterated_fails_on_a_doubled_a1(monkeypatch):
 
 
 def test_j1_gaussian_is_one():
+    # in closed form for the bump, by quadrature for its identity pullback
     f = GaussianBump((0.0,), 1.0)
-    for x in (0.0, 0.6, -1.1):
-        v = knapp_stein_value(1, 1.0, f, (x,), quad_tol=1e-10)
-        assert abs(v - 1.0) <= 1e-8
+    for func in (f, PulledBack(1.0, ConformalMap(1), f)):
+        for x in (0.0, 0.6, -1.1):
+            v = knapp_stein_value(1, 1.0, func, (x,), quad_tol=1e-10)
+            assert abs(v - 1.0) <= 1e-8
 
 
 def test_ks_identity_map_trivial():
@@ -311,8 +312,9 @@ def test_ks_dilation_n2():
 
 def test_ks_truncation_self_consistency(monkeypatch):
     # doubling the effective support radius, and so nearly doubling the
-    # truncation radius, moves the value by far less than tol/10
-    f = GaussianBump((0.1,), 1.0)
+    # truncation radius, moves the quadrature of a pullback by far less than
+    # tol/10
+    f = PulledBack(0.8, ConformalMap(1, [Translation((0.2,))]), GaussianBump((0.1,), 1.0))
     quad_tol = 1e-6
     v1 = knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=quad_tol)
     ball = verify._effective_ball
@@ -362,8 +364,9 @@ def test_ks_intertwining_refuses_a_word_or_function_of_the_wrong_dimension():
 
 
 def test_ks_quadrature_budget_guard():
-    # an unreachable tolerance must surface as a budget error, not silence
-    f = GaussianBump((0.0,), 1.0)
+    # an unreachable tolerance must surface as a budget error, not silence;
+    # a pullback on R^1 is the function that goes through the quadrature
+    f = PulledBack(0.8, ConformalMap(1), GaussianBump((0.0,), 1.0))
     with pytest.raises(verify.QuadratureBudgetExceeded):
         knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=1e-30)
 
@@ -389,53 +392,133 @@ def test_gaussian_moment_closed_form(p):
     assert abs(verify._gaussian_moment(p, 1.0, 1e-13) - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_ks_value_matches_quadpack(n):
-    # scipy's QUADPACK is the oracle on the same integrand: |x - eta|^s f over
-    # both sides of x for n = 1, r^(s+1) times a 2048-angle ring integral for
-    # n = 2; the suite's three maps, three fixed points, lam in {0.8n, 1.1n}
+#: the suite's maps of R^n as (r, theta, v), for g(y) = r R_theta y + v with
+#: R_theta the rotation of the (xi_1, xi_2) plane: a dilation, a translation,
+#: and a rotation (a dilation and a translation on R^1)
+SUITE_MAPS = {1: [(2.0, 0.0, (0.0,)), (1.0, 0.0, (0.4,)), (0.5, 0.0, (-0.3,))],
+              2: [(2.0, 0.0, (0.0,) * 2), (1.0, 0.0, (0.4,) * 2), (1.0, 0.7, (0.0,) * 2)],
+              3: [(2.0, 0.0, (0.0,) * 3), (1.0, 0.0, (0.4,) * 3), (1.0, 0.7, (0.0,) * 3)]}
+
+QUADPACK_POINTS = {1: [(0.0,), (0.5,), (-0.9,)],
+                   2: [(0.0, 0.0), (0.5, -0.25), (-0.9, 0.7)],
+                   3: [(0.0, 0.0, 0.0), (-0.9, 0.7, -0.4)]}
+
+
+def _word(n, r, theta, v):
+    """The covop word of g(y) = r R_theta y + v."""
+    word = [Rotation(n, math.cos(theta), math.sin(theta))] if theta else []
+    word += [Dilation(r)] if r != 1.0 else []
+    word += [Translation(v)] if any(v) else []
+    return ConformalMap(n, word)
+
+
+def _pulled_back_bump(lam, r, theta, v, center, width):
+    """rho_lam(g) of exp(-|xi - center|^2 / width^2) for g(y) = r R_theta y + v,
+    on an array of points of shape (n, m), written here in numpy: g^-1 xi is
+    R_-theta (xi - v) / r, and kappa(g^-1, xi) is 1/r."""
+    np = pytest.importorskip("numpy")
+    v, center = np.array(v)[:, None], np.array(center)[:, None]
+
+    def value(pts):
+        y = (pts - v) / r
+        if theta:
+            c, s = math.cos(theta), math.sin(theta)
+            y = np.concatenate(([c * y[0] + s * y[1]], [-s * y[0] + c * y[1]], y[2:]))
+        return r ** -lam * np.exp(-np.sum((y - center) ** 2, axis=0) / width ** 2)
+
+    return value
+
+
+def _quadpack_knapp_stein(n, lam, value, x, radius):
+    """(1/Gamma(lam - n/2)) int |x - eta|^(2 lam - 2 n) value(eta) d eta by
+    scipy's QUADPACK in r = |x - eta| on [0, radius]: on R^1 over both sides
+    of x; on R^2 times a 2048-angle periodic trapezoid over the circle; on R^3
+    times a product rule over the sphere, 64 Gauss-Legendre nodes in
+    cos(theta) by a 128-angle trapezoid in phi."""
+    np = pytest.importorskip("numpy")
     quad = pytest.importorskip("scipy.integrate").quad
-    from covop.conformal import PulledBack, Rotation
-    f = GaussianBump((0.3,) * n, 1.1)
-    third = (ConformalMap(1, [Dilation(0.5), Translation((-0.3,))]) if n == 1
-             else ConformalMap(2, [Rotation(2, math.cos(0.7), math.sin(0.7))]))
-    maps = [ConformalMap(n, [Dilation(2.0)]),
-            ConformalMap(n, [Translation((0.4,) * n)]), third]
-    points = ([(0.0,), (0.5,), (-0.9,)] if n == 1
-              else [(0.0, 0.0), (0.5, -0.25), (-0.9, 0.7)])
-    cos, sin = verify._ring_angles(2048)
+    s = 2.0 * lam - 2.0 * n
+    if n == 1:
+        total = quad(lambda e: abs(x[0] - e) ** s * value(np.array([[e]]))[0]
+                     if e != x[0] else 0.0, x[0] - radius, x[0] + radius,
+                     points=[x[0]], epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+    else:
+        if n == 2:
+            phi = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+            dirs = np.array([np.cos(phi), np.sin(phi)])
+            weights = np.full(2048, 2.0 * math.pi / 2048)
+        else:
+            t, wt = np.polynomial.legendre.leggauss(64)
+            phi = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)
+            t, phi = np.meshgrid(t, phi, indexing="ij")
+            sin_t = np.sqrt(1.0 - t * t)
+            dirs = np.array([sin_t * np.cos(phi), sin_t * np.sin(phi), t]).reshape(3, -1)
+            weights = np.repeat(wt * (2.0 * math.pi / 128), 128)
+        xs = np.array(x)[:, None]
+        total = quad(lambda r: r ** (s + n - 1.0) * float(weights @ value(xs + r * dirs))
+                     if r > 0.0 else 0.0, 0.0, radius,
+                     epsabs=1e-14, epsrel=1e-13, limit=500)[0]
+    return total / math.gamma(lam - n / 2.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ks_value_matches_quadpack(n):
+    # QUADPACK is the oracle of both routes of knapp_stein_value: the closed
+    # form of a plain bump (every n) and of an affine pullback (n >= 2), and
+    # the tanh-sinh quadrature of a pullback on R^1; the integrand is this
+    # test's own numpy code, through no covop evaluation
+    center, width = (0.3,) * n, 1.1
+    f = GaussianBump(center, width)
     for lam in (0.8 * n, 1.1 * n):
-        s = 2.0 * lam - 2.0 * n
-        norm = 1.0 / math.gamma(lam - n / 2.0)
-        for g in maps:
-            func = PulledBack(lam, g, f)
-            center, r0 = verify._effective_ball(func)
-            for p in points:
-                radius = float(np.linalg.norm(np.array(p) - center)) + r0 + 1.0
-                got = knapp_stein_value(n, lam, func, p, quad_tol=1e-10)
-                if n == 1:
-                    x = p[0]
-                    want = quad(lambda e: abs(x - e) ** s * func.value((e,))
-                                if e != x else 0.0, x - radius, x + radius,
-                                points=[x], epsabs=1e-14, epsrel=1e-13, limit=500)[0]
-                else:
-                    want = quad(lambda r: r ** (s + 1.0) * 2.0 * math.pi * float(np.mean(
-                        func.eval_generic([p[0] + r * cos, p[1] + r * sin])))
-                        if r > 0.0 else 0.0, 0.0, radius,
-                        epsabs=1e-14, epsrel=1e-13, limit=500)[0]
-                assert rel_err(got, norm * want) <= 1e-9, (lam, g.word, p)
+        cases = [(f, _pulled_back_bump(lam, 1.0, 0.0, (0.0,) * n, center, width),
+                  center, width)]
+        for r, theta, v in SUITE_MAPS[n]:
+            g = _word(n, r, theta, v)
+            image = g.act(center)
+            cases.append((PulledBack(lam, g, f),
+                          _pulled_back_bump(lam, r, theta, v, center, width),
+                          image, r * width))
+        for func, value, c, w in cases:
+            for x in QUADPACK_POINTS[n]:
+                # 14 widths past the bump's center the Gaussian is below 1e-85
+                radius = math.dist(x, c) + 14.0 * w
+                got = knapp_stein_value(n, lam, func, x, quad_tol=1e-10)
+                want = _quadpack_knapp_stein(n, lam, value, x, radius)
+                assert rel_err(got, want) <= 1e-12, (lam, func, x)
 
 
-def test_ring_angles_match_linspace_bit_for_bit():
-    # every ring size the angular average can reach: 32, 64, ..., 4096
-    k = 32
-    while k <= 4096:
-        theta = np.linspace(0.0, 2.0 * math.pi, k, endpoint=False)
-        cos, sin = verify._ring_angles(k)
-        assert cos.tobytes() == np.cos(theta).tobytes()
-        assert sin.tobytes() == np.sin(theta).tobytes()
-        assert not cos.flags.writeable and not sin.flags.writeable
-        k *= 2
+def test_scaled_kummer_special_cases():
+    # e^-z M(a, a, z) = 1, and M(1, 2, z) = (e^z - 1)/z
+    for z in (0.0, 1e-3, 0.7, 5.0, 40.0, 300.0, verify.KUMMER_Z_MAX):
+        for a in (0.1, 1.0, 2.5):
+            assert verify._scaled_kummer(a, a, z) == pytest.approx(1.0, rel=5e-14)
+        if z:
+            want = -math.expm1(-z) / z
+            assert verify._scaled_kummer(1.0, 2.0, z) == pytest.approx(want, rel=5e-14)
+
+
+def test_scaled_kummer_matches_scipy():
+    hyp1f1 = pytest.importorskip("scipy.special").hyp1f1
+    for a in (0.05, 0.4, 1.5, 4.0):
+        for b in (0.5, 1.0, 1.5, 4.0):
+            for z in (0.0, 0.3, 2.0, 9.0, 30.0):
+                want = math.exp(-z) * hyp1f1(a, b, z)
+                assert verify._scaled_kummer(a, b, z) == pytest.approx(want, rel=1e-12)
+
+
+def test_ks_value_refuses_what_it_has_no_route_for():
+    bump = GaussianBump((0.1, 0.2), 1.0)
+    # no closed form at n >= 2 for a prefactor or a word with an inversion
+    with pytest.raises(ValueError, match="without a prefactor"):
+        knapp_stein_value(2, 1.3, bump.times_coordinate(0), (0.3, 0.1))
+    with pytest.raises(ValueError, match="without a prefactor"):
+        knapp_stein_value(2, 1.3, PulledBack(1.3, ConformalMap(2, [Inversion()]), bump),
+                          (0.3, 0.1))
+    # the Kummer series stops where e^-z leaves the normal floats
+    far = GaussianBump((0.0,), 0.1)
+    assert knapp_stein_value(1, 0.8, far, (2.6,)) > 0.0
+    with pytest.raises(ValueError, match="Kummer series"):
+        knapp_stein_value(1, 0.8, far, (2.7,))
 
 
 # -- pairing -----------------------------------------------------------------------
