@@ -9,8 +9,11 @@ a word multiplies the factors along the orbit (the cocycle product), and
 ``stereographic``, takes the same one step: image and factor from one
 |xi|^2.  A rotation is the pair (cos, sin) of a rotation in the (xi_1, xi_2)
 plane, the only rotations the checks use.  All evaluation code is generic over the scalar
-type: plain floats and jets go through the same formulas, so derivative
-information is exact to rounding wherever jets are fed in.  A test
+type: plain floats, jets and batches (``covop.verify.Batch``, a list of
+floats under elementwise arithmetic) go through the same formulas, so
+derivative information is exact to rounding wherever jets are fed in, and
+each element of a batch has the bits of its scalar evaluation.  A step
+that needs one float, the inversion's guard, refuses a batch.  A test
 function's polynomial prefactor has int coefficients, so a float input
 gives floats.
 """
@@ -37,7 +40,7 @@ def _norm_sq(xs):
 
 def _too_small(q):
     """Generic singular-set test on |xi|^2 (works for floats, Fractions and
-    jets, a jet by its value)."""
+    jets, a jet by its value; a batch has no float, so it raises TypeError)."""
     if isinstance(q, Jet):
         q = q.value
     return float(q) < GUARD_RADIUS * GUARD_RADIUS
@@ -280,13 +283,13 @@ class GaussianBump:
         self.prefactor = prefactor
 
     def eval_generic(self, xs):
-        """Evaluate at a coordinate sequence of floats or jets, which must
-        hold n coordinates."""
+        """Evaluate at a coordinate sequence of floats, jets or batches,
+        which must hold n coordinates."""
         if len(xs) != self.n:
             raise ValueError(f"{len(xs)} coordinates given, expected n = {self.n}")
         q = _norm_sq([x - c for x, c in zip(xs, self.center)])
         arg = q * (-1.0 / self.width ** 2)
-        e = arg.exp() if isinstance(arg, Jet) else math.exp(arg)
+        e = math.exp(arg) if isinstance(arg, float) else arg.exp()
         if self.prefactor is None:
             return e
         return _eval_prefactor(self.prefactor, xs) * e

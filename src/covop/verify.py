@@ -3,24 +3,24 @@ families: covariance under hyperplane-preserving conformal maps, intertwining
 of the convolution operators by quadrature, the kernel Fourier pairing, and
 the ambient (light-cone) realization.
 
-Every check returns a CheckReport.  Derivatives are taken with jets (exact to
-rounding).  Integrals are taken by double-exponential (tanh-sinh) quadrature,
-level by level (Takahasi-Mori, Publ. RIMS 9, 1974): the integrand receives
-each node as its distances to both endpoints, so the algebraic endpoint
-singularities of the convolution kernels cost no accuracy, and a level's
-estimate is one math.fsum.  The Knapp-Stein transform of a Gaussian bump is
-a Kummer function in closed form, which stands in for the quadrature
-wherever the quadrature is not itself under test.  The module computes with
-the standard library alone, so no report depends on a SIMD kernel's
-dispatch.  Quadrature-backed checks carry their own truncation/tolerance
-budget, and all sampling is seeded, so suite runs are reproducible.  Every
-seeded check takes an rng (a ``Stream``) and a sample count, and draws each
-sample (points and parameters alike) inside one bounded sampler,
-``_sampled``: it makes at most DRAWS_PER_SAMPLE draws per requested sample,
-and a check that accepts fewer samples than it asked for fails and says how
-many it got.  The suites share one n range, 1..8 by default; a check with
-no case in the range is left out, so a suite with no check in the range
-returns no reports.
+Every check returns a CheckReport.  Derivatives are taken with jets (exact
+to rounding).  Integrals are taken by double-exponential (tanh-sinh)
+quadrature, level by level (Takahasi-Mori, Publ. RIMS 9, 1974): the
+integrand receives the nodes of a level at once, each as its distances to
+both endpoints, so the algebraic endpoint singularities of the convolution
+kernels cost no accuracy, and a level's estimate is one math.fsum.  The
+Knapp-Stein transform of a Gaussian bump is a Kummer function in closed
+form, which stands in for the quadrature wherever the quadrature is not
+itself under test.  The module computes with the standard library alone, so
+no report depends on a SIMD kernel's dispatch.  Quadrature-backed checks
+carry their own truncation/tolerance budget, and all sampling is seeded, so
+suite runs are reproducible.  Every seeded check takes an rng (a ``Stream``)
+and a sample count, and draws each sample (points and parameters alike)
+inside one bounded sampler, ``_sampled``: it makes at most DRAWS_PER_SAMPLE
+draws per requested sample, and a check that accepts fewer samples than it
+asked for fails and says how many it got.  The suites share one n range,
+1..8 by default; a check with no case in the range is left out, so a suite
+with no check in the range returns no reports.
 
 A ``Stream`` builds every draw from ``random.Random(seed).random`` alone, by
 formulas written in this module.  Python's documentation promises that
@@ -31,10 +31,11 @@ run loads neither numpy's random module nor the OpenSSL behind its seeding.
 """
 
 import functools
+import itertools
 import math
+import operator
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
@@ -51,16 +52,22 @@ class QuadratureBudgetExceeded(Exception):
     levels before it reached its requested accuracy."""
 
 
-@dataclass
 class CheckReport:
     """Outcome of one verification: passed iff max_rel_err <= tolerance."""
 
-    name: str
-    samples: int
-    max_rel_err: float
-    tolerance: float
-    passed: bool
-    diagnostics: str = ""
+    __slots__ = ("name", "samples", "max_rel_err", "tolerance", "passed", "diagnostics")
+
+    def __init__(self, name, samples, max_rel_err, tolerance, passed, diagnostics=""):
+        self.name = name
+        self.samples = samples
+        self.max_rel_err = max_rel_err
+        self.tolerance = tolerance
+        self.passed = passed
+        self.diagnostics = diagnostics
+
+    def __repr__(self):
+        return (f"CheckReport({self.name!r}, {self.samples!r}, {self.max_rel_err!r}, "
+                f"{self.tolerance!r}, {self.passed!r}, {self.diagnostics!r})")
 
     @classmethod
     def from_errors(cls, name, errs, tol, diags=None):
@@ -378,6 +385,64 @@ def _effective_ball(func):
     raise TypeError(f"unsupported integrand {type(func).__name__}")
 
 
+def _elementwise(op, reflected=False):
+    """The Batch method of the binary float operator op: with a Batch of
+    the same length element by element, with an int or a float (the left
+    operand when reflected) against every element."""
+    def method(self, other):
+        if isinstance(other, Batch):
+            if len(other.values) != len(self.values):
+                raise ValueError("batches of different lengths")
+            return Batch(list(map(op, self.values, other.values)))
+        if not isinstance(other, (int, float)):
+            return NotImplemented
+        if reflected:
+            return Batch(list(map(op, itertools.repeat(other), self.values)))
+        return Batch(list(map(op, self.values, itertools.repeat(other))))
+
+    return method
+
+
+class Batch:
+    """A list of floats that the generic formulas of ``covop.conformal``
+    evaluate at once: + - * / (either side a Batch, an int or a float),
+    unary -, ** by an int or a float, and exp() apply the float operation to
+    every element, so each element has the bits of the scalar evaluation.
+    Anything else raises TypeError: there is no float(), no comparison and
+    no truth value, so a scalar-only step, such as the inversion's guard,
+    fails loudly on a batch instead of deciding for all its elements."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
+
+    __add__ = _elementwise(operator.add)
+    __radd__ = _elementwise(operator.add, reflected=True)
+    __sub__ = _elementwise(operator.sub)
+    __rsub__ = _elementwise(operator.sub, reflected=True)
+    __mul__ = _elementwise(operator.mul)
+    __rmul__ = _elementwise(operator.mul, reflected=True)
+    __truediv__ = _elementwise(operator.truediv)
+    __rtruediv__ = _elementwise(operator.truediv, reflected=True)
+
+    def __pow__(self, p):
+        if not isinstance(p, (int, float)):
+            return NotImplemented
+        return Batch(list(map(operator.pow, self.values, itertools.repeat(p))))
+
+    def __neg__(self):
+        return Batch(list(map(operator.neg, self.values)))
+
+    def exp(self):
+        return Batch(list(map(math.exp, self.values)))
+
+    def _scalar_only(self, *_):
+        raise TypeError("a Batch has elementwise arithmetic and exp() only")
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _scalar_only
+
+
 #: tanh-sinh nodes lie at t = k h on [-DE_T_MAX, DE_T_MAX]: level 0 has h = 1,
 #: each further level halves h and adds only the new (odd) nodes.  At
 #: |t| = DE_T_MAX the node is ~1e-275 (relative) from its endpoint, so an
@@ -392,25 +457,27 @@ DE_ROUNDING_FLOOR = 50 * sys.float_info.epsilon
 
 @functools.cache
 def _de_level(level):
-    """The nodes tanh-sinh level ``level`` adds on [-1, 1], as a tuple of
-    (da, db, w) in ascending order: da and db are the node's distances to -1
-    and to 1 (each exact to rounding however near its endpoint the node is),
-    and w is dx/dt there.  The estimate at a level is h times the sum of
-    w * f over the nodes of that level and every level before it."""
+    """The nodes tanh-sinh level ``level`` adds on [-1, 1], in ascending
+    order, as three tuples (das, dbs, ws): da and db are a node's distances
+    to -1 and to 1 (each exact to rounding however near its endpoint the
+    node is), and w is dx/dt there.  The estimate at a level is h times the
+    sum of w * f over the nodes of that level and every level before it."""
     h = 2.0 ** -level
     if level == 0:
         ts = [float(t) for t in range(-DE_T_MAX, DE_T_MAX + 1)]
     else:
         right = [k * h for k in range(1, DE_T_MAX * 2 ** level, 2)]
         ts = [-t for t in reversed(right)] + right
-    nodes = []
+    das, dbs, ws = [], [], []
     for t in ts:
         u = 0.5 * math.pi * math.sinh(t)
         da = 2.0 / (1.0 + math.exp(-2.0 * u))
         db = 2.0 / (1.0 + math.exp(2.0 * u))
+        das.append(da)
+        dbs.append(db)
         # dx/dt = (pi/2) cosh t / cosh^2 u, and 1/cosh^2 u = (1 + tanh u)(1 - tanh u)
-        nodes.append((da, db, 0.5 * math.pi * math.cosh(t) * da * db))
-    return tuple(nodes)
+        ws.append(0.5 * math.pi * math.cosh(t) * da * db)
+    return tuple(das), tuple(dbs), tuple(ws)
 
 
 def _de_quad(integrand, b, quad_tol):
@@ -418,10 +485,13 @@ def _de_quad(integrand, b, quad_tol):
     (Takahasi-Mori, Double exponential formulas for numerical integration,
     Publ. RIMS 9, 1974).
 
-    integrand(da, db) takes one node as its distances to 0 (the node itself)
-    and to b, so a factor singular at either end is computed from a
+    integrand(da, db) takes the nodes one level adds, all at once: da and
+    db are lists of their distances to 0 (the nodes themselves) and to b,
+    and it returns a list of the integrand's values there, one per node in
+    the same order.  A factor singular at either end is computed from a
     distance, never from b - x.  Each level's estimate is the math.fsum of
-    w * f over every node so far, so it depends on no summation order.
+    w * f over every node so far, so it depends on no summation order, nor
+    on how the integrand evaluates a level.
     Stops when two successive levels agree within quad_tol * max(1, b, |I|),
     the epsabs/epsrel pair of QUADPACK with epsabs = quad_tol * max(1, b);
     raises QuadratureBudgetExceeded when DE_MAX_LEVEL is reached first, or
@@ -435,7 +505,9 @@ def _de_quad(integrand, b, quad_tol):
     parts = []
     cur = diff = math.inf
     for level in range(DE_MAX_LEVEL + 1):
-        parts += [w * integrand(half * da, half * db) for da, db, w in _de_level(level)]
+        das, dbs, ws = _de_level(level)
+        values = integrand([half * da for da in das], [half * db for db in dbs])
+        parts += [w * f for w, f in zip(ws, values, strict=True)]
         prev, cur = cur, half * 2.0 ** -level * math.fsum(parts)
         diff = abs(cur - prev)
         if diff <= quad_tol * max(scale, abs(cur)):
@@ -507,7 +579,10 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
     onto d = |point - eta| in [0, radius], where the radius reaches 1 past
     the effective support of func (``_effective_ball``), seen from the
     point, so the ball holds the integrand mass up to the Gaussian tail.
-    Raises QuadratureBudgetExceeded when the rule runs out of levels."""
+    The fold takes a level's distances d as one ``Batch``, so func's word
+    and formulas are walked once per level, not once per node; each value
+    has the bits of the node-by-node walk.  Raises QuadratureBudgetExceeded
+    when the rule runs out of levels."""
     if not (lam > n / 2):
         raise ValueError("absolute convergence needs lam > n/2")
     point = tuple(point)
@@ -519,8 +594,9 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
         s = 2.0 * lam - 2.0
         value = func.eval_generic
 
-        def folded(d, _):
-            return d ** s * (value([x + d]) + value([x - d]))
+        def folded(da, _):
+            d = Batch(da)
+            return (d ** s * (value([x + d]) + value([x - d]))).values
 
         radius = abs(x - center[0]) + r0 + 1.0
         return _de_quad(folded, radius, quad_tol) / math.gamma(lam - 0.5)
@@ -565,10 +641,10 @@ def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5)
 def _gaussian_moment(p, c, quad_tol):
     """int_0^inf r^p exp(-r^2/c) dr (p > -1) by ``_de_quad`` on [0, 1] after
     r = t/(1-t), dr = (1+r)^2 dt; r is read as da/db, exact near both ends."""
-    def integrand(da, db):
-        r = da / db
+    def integrand(das, dbs):
         # r*r overflows to inf near t = 1, where exp gives the integrand's 0
-        return math.exp(p * math.log(r) + 2.0 * math.log1p(r) - r * r / c)
+        return [math.exp(p * math.log(r) + 2.0 * math.log1p(r) - r * r / c)
+                for r in map(operator.truediv, das, dbs)]
 
     return _de_quad(integrand, 1.0, quad_tol)
 

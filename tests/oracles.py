@@ -15,7 +15,8 @@ normal form of a symbol coefficient by Euclid at every degree, normalizing
 again after the numerator's content is taken out; and the Hessian of a jet,
 whose diagonal the library reads directly, the series of log that composes
 a jet's logarithm, and the truncated product of two jets' coefficients as
-the plain double loop in exact arithmetic.  They enumerate the
+the plain double loop in exact arithmetic; and the n = 1 Knapp-Stein
+quadrature with its fold evaluated one node at a time.  They enumerate the
 multi-indices of Lap'^s themselves, so a test that uses them does not rest
 on ``juhl.lap_prime_prefixes``.
 """
@@ -23,8 +24,9 @@ on ``juhl.lap_prime_prefixes``.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from math import comb, factorial, gcd, log
+from math import comb, factorial, fsum, gamma, gcd, inf, log
 
+from covop import verify
 from covop.cli import op_vars
 from covop.juhl import iterated, pretty_terms
 from covop.symbolcalc import _as_fraction, _udivmod, _ugcd
@@ -531,3 +533,27 @@ def exact_product(s, t, order):
             x, y = out.get(e, (0, 0))
             out[e] = (x + x1 * x2 - y1 * y2, y + x1 * y2 + y1 * x2)
     return {e: c for e, c in out.items() if c != (0, 0)}
+
+
+def scalar_knapp_stein_n1(lam, func, point, quad_tol):
+    """``verify.knapp_stein_value`` at n = 1 on its quadrature route, one
+    node at a time: the fold d^(2 lam - 2) (func(x + d) + func(x - d)) is
+    evaluated at each float node of ``verify._de_level`` in turn, and the
+    levels are summed and stopped as ``verify._de_quad`` does."""
+    center, r0 = verify._effective_ball(func)
+    x = point[0]
+    s = 2.0 * lam - 2.0
+    b = abs(x - center[0]) + r0 + 1.0
+    half, scale = 0.5 * b, max(1.0, b)
+    parts = []
+    cur = inf
+    for level in range(verify.DE_MAX_LEVEL + 1):
+        das, _, ws = verify._de_level(level)
+        for da, w in zip(das, ws):
+            d = half * da
+            parts.append(w * (d ** s * (func.eval_generic([x + d])
+                                        + func.eval_generic([x - d]))))
+        prev, cur = cur, half * 2.0 ** -level * fsum(parts)
+        if abs(cur - prev) <= quad_tol * max(scale, abs(cur)):
+            return cur / gamma(lam - 0.5)
+    raise verify.QuadratureBudgetExceeded(f"no convergence on [0, {b:g}]")

@@ -86,6 +86,17 @@ def test_the_cli_and_its_commands_load_no_numpy(covop_env):
     assert proc.stdout == "verify 0\ncoeffs 0\noperator 0\n[]\n"
 
 
+def test_the_cli_loads_no_dataclasses_and_no_inspect(covop_env):
+    # dataclasses imports inspect, and inspect ast, dis and tokenize: about a
+    # sixth of the import of covop.cli, for a report class that needs none
+    code = ("import sys, covop.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=covop_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_the_jets_import_only_the_standard_library(covop_env):
     # jets hold Python floats and complex values, so no jet operation goes
     # through numpy's SIMD dispatch and a seed's report bits cannot depend on

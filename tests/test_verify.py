@@ -1,12 +1,15 @@
 import math
+import operator
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covop import jets, juhl, symbolcalc, verify
 from covop.conformal import (ConformalMap, Dilation, GaussianBump, Inversion,
                              PulledBack, Rotation, Translation)
 from covop.jets import Jet, coordinate_jets
-from covop.verify import (CheckReport, Stream, check_ambient_compact,
+from covop.verify import (Batch, CheckReport, Stream, check_ambient_compact,
                           check_ambient_noncompact, check_covariance_iterated,
                           check_covariance_one_step, check_extension_independence,
                           check_kernel_pairing, check_ks_intertwining,
@@ -374,7 +377,7 @@ def test_ks_quadrature_budget_guard():
 @pytest.mark.parametrize("s", [-0.9, -0.4, 0.4])
 def test_de_quad_endpoint_power(s):
     # the singular factor is read off the endpoint distance d0
-    got = verify._de_quad(lambda d0, db: d0 ** s, 1.0, 1e-13)
+    got = verify._de_quad(lambda d0, db: [d ** s for d in d0], 1.0, 1e-13)
     assert abs(got - 1.0 / (s + 1.0)) <= 1e-12 / (s + 1.0)
 
 
@@ -382,7 +385,96 @@ def test_de_quad_level_cap():
     # a jump inside the interval converges like h, far slower than 1e-10
     with pytest.raises(verify.QuadratureBudgetExceeded, match="levels 7 and 8"):
         # on [0, 1] the distance d0 to 0 is the abscissa x
-        verify._de_quad(lambda d0, db: (d0 > 1.0 / 3.0) * 1.0, 1.0, 1e-10)
+        verify._de_quad(lambda d0, db: [(d > 1.0 / 3.0) * 1.0 for d in d0], 1.0, 1e-10)
+
+
+#: floats with the special values drawn often: +-0.0, +-inf and nan
+BATCH_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan,
+                                          1.0, -1.0, 0.5, 2.0]), st.floats())
+#: the scalars a batch meets in the generic formulas: floats and small ints
+BATCH_SCALARS = st.one_of(BATCH_FLOATS, st.integers(-3, 3))
+
+
+def _bits(v):
+    """The bytes of a float, or of a complex (a negative float to a
+    fractional power)."""
+    if isinstance(v, complex):
+        return struct.pack("<dd", v.real, v.imag)
+    return struct.pack("<d", v)
+
+
+def _assert_elementwise(batch_op, scalar_op, *columns):
+    """batch_op() holds scalar_op of each row of the columns, bit for bit;
+    where a row raises, the batch raises the first row's exception."""
+    want = []
+    for row in zip(*columns):
+        try:
+            want.append(_bits(scalar_op(*row)))
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc)):
+                batch_op()
+            return
+    assert [_bits(v) for v in batch_op().values] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(BATCH_FLOATS, min_size=1, max_size=6), st.data())
+def test_batch_operations_are_the_scalar_ones_bit_for_bit(xs, data):
+    ys = data.draw(st.lists(BATCH_FLOATS, min_size=len(xs), max_size=len(xs)))
+    c, p = data.draw(BATCH_SCALARS), data.draw(BATCH_SCALARS)
+    cs = [c] * len(xs)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        _assert_elementwise(lambda: op(Batch(xs), Batch(ys)), op, xs, ys)
+        _assert_elementwise(lambda: op(Batch(xs), c), op, xs, cs)
+        _assert_elementwise(lambda: op(c, Batch(xs)), op, cs, xs)
+    _assert_elementwise(lambda: Batch(xs) ** p, lambda a: a ** p, xs)
+    _assert_elementwise(lambda: -Batch(xs), operator.neg, xs)
+    _assert_elementwise(lambda: Batch(xs).exp(), math.exp, xs)
+
+
+def test_a_batch_refuses_every_scalar_only_step():
+    b = Batch([0.5, 2.0])
+    steps = [float, bool, abs, len, iter, hash, math.exp, lambda v: v < 1.0,
+             lambda v: 1.0 >= v, lambda v: v == v, lambda v: v != 0.0,
+             lambda v: v ** v, lambda v: 2.0 ** v, lambda v: v + "1",
+             lambda v: v * (1 + 0j), lambda v: v ** (1 + 0j)]
+    for step in steps:
+        with pytest.raises(TypeError):
+            step(b)
+    # the inversion's guard reads float(|xi|^2), so a batch never passes it
+    with pytest.raises(TypeError):
+        Inversion().act_and_factor([b])
+    with pytest.raises(ValueError, match="different lengths"):
+        b + Batch([1.0])
+
+
+@pytest.mark.parametrize("func", [
+    PulledBack(0.9, ConformalMap(1), GaussianBump((0.3,), 1.1)),
+    PulledBack(0.9, ConformalMap(1, [Dilation(0.5), Translation((-0.3,))]),
+               GaussianBump((0.3,), 1.1)),
+    # 0 + (-2) * xi, then + 1: int * batch, 0 + batch and batch + int
+    GaussianBump((0.3,), 1.1, {(1,): -2, (0,): 1}),
+], ids=["identity", "dilation_translation", "prefactored"])
+def test_ks_n1_quadrature_is_the_scalar_fold_bit_for_bit(func):
+    # the fold walks the word once per level on a Batch; every value is the
+    # one a node-by-node walk gives, and so is the sum
+    for lam in (0.8, 1.1):
+        for x in (0.0, 0.45, -0.9):
+            for quad_tol in (1e-6, 1e-10):
+                got = knapp_stein_value(1, lam, func, (x,), quad_tol)
+                want = oracles.scalar_knapp_stein_n1(lam, func, (x,), quad_tol)
+                assert _bits(got) == _bits(want), (lam, x, quad_tol)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 24: the n = 1 fold is not split at "
+                   "d = |x - g(c)|, so every tanh-sinh level misses a narrow bump far "
+                   "from the point and two levels agree on a value near 0")
+def test_ks_n1_quadrature_finds_a_narrow_bump_far_from_the_point():
+    bump = GaussianBump((0.0,), 0.1)
+    closed = knapp_stein_value(1, 0.8, bump, (2.6,))
+    assert closed == pytest.approx(0.040437, rel=1e-4)
+    got = knapp_stein_value(1, 0.8, PulledBack(0.8, ConformalMap(1), bump), (2.6,))
+    assert rel_err(got, closed) <= 1e-6, got
 
 
 @pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 2.0])
