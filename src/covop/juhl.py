@@ -24,10 +24,10 @@ for the symbolic suite and the symbol calculus too.  ``pretty_lam`` prints
 one in lam, and ``pretty_terms`` prints a polynomial in several variables
 given as {exponent tuple: coefficient}.
 ``lap_prime_prefixes`` is the one walk over the derivative multi-indices
-m' of Lap'^s: an odometer over their first n - 2 entries (the prefix),
-yielding each prefix with its sum and multinomial weight.  Its two readers,
-the operator export and the numeric covariance table, each close the last
-entry themselves.
+m' of Lap'^s: a recursive walk over their first n - 2 entries (the
+prefix), one entry at a time, yielding each prefix with its sum and
+multinomial weight.  Its two readers, the operator export and the numeric
+covariance table, each close the last entry themselves.
 """
 
 from functools import lru_cache, reduce
@@ -148,27 +148,19 @@ def lap_prime_prefixes(n, top):
     p is at most ``top``, yielded lazily in ascending order as (prefix, p,
     w) with w = prod_k C(m_1 + ... + m_k, m_k), built along the prefix.  The
     m' of order t >= p with this prefix is prefix + (t - p,), and its
-    multinomial is w * C(t, p).  One odometer steps the rightmost entry that
-    can still grow and zeroes those after it; for n = 2 the one prefix is
-    ((), 0, 1)."""
+    multinomial is w * C(t, p).  A recursive walk over the next entry
+    extends the head built so far by each m from 0 up, and yields the head
+    once it has n - 2 entries; for n = 2 the one prefix is ((), 0, 1)."""
     d = n - 2
-    m = [0] * d
-    sums = [0] * (d + 1)  # sums[k] = m_1 + ... + m_k
-    ws = [1] * (d + 1)  # ws[k] = prod_{j <= k} C(sums[j], m_j)
-    while True:
-        yield tuple(m), sums[d], ws[d]
-        k = d - 1
-        while k >= 0 and sums[k + 1] == top:
-            k -= 1
-        if k < 0:
+
+    def walk(head, p, w):
+        if len(head) == d:
+            yield head, p, w
             return
-        m[k] += 1
-        p = sums[k + 1] = sums[k + 1] + 1
-        w = ws[k + 1] = ws[k] * comb(p, m[k])
-        for j in range(k + 1, d):
-            m[j] = 0
-            sums[j + 1] = p
-            ws[j + 1] = w
+        for m in range(top - p + 1):
+            yield from walk(head + (m,), p + m, w * comb(p + m, m))
+
+    return walk((), 0, 1)
 
 
 def iterated(n, N):

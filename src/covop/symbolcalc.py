@@ -208,6 +208,17 @@ class SymCoeff:
         return self._with(substitute(self.num, a, b), substitute(self.den, a, b),
                           two_a=self.two_a + self.two_b * b, two_b=self.two_b * a)
 
+    def at(self, lam):
+        """The coefficient at a real lam, as a float.  A coefficient with an
+        odd power of i is not real there, and is refused."""
+        if self.i_pow % 2:
+            raise ValueError(f"{self.pretty()} carries an odd power of i, so it is not real")
+        num, den = (math.fsum(float(c) * lam ** k for k, c in enumerate(p))
+                    for p in (self.num, self.den))
+        return ((1.0 - self.i_pow) * num / den
+                * 2.0 ** (float(self.two_a) + float(self.two_b) * lam)
+                * math.pi ** (float(self.pi_half) / 2.0))
+
     def pretty(self):
         bits = []
         if self.i_pow == 1:

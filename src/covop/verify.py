@@ -1,17 +1,17 @@
 """Numerical verification of the analytic identities behind the operator
 families: covariance under hyperplane-preserving conformal maps, intertwining
-of the convolution operators by quadrature, the kernel Fourier pairing, and
-the ambient (light-cone) realization.
+of the convolution operators by quadrature, the intertwiner's Fourier symbol
+against its space-side value, and the ambient (light-cone) realization.
 
 Every check returns a CheckReport.  Derivatives are taken with jets (exact
-to rounding).  Integrals are taken by double-exponential (tanh-sinh)
-quadrature, level by level (Takahasi-Mori, Publ. RIMS 9, 1974): the
-integrand receives the nodes of a level at once, each as its distances to
-both endpoints, so the algebraic endpoint singularities of the convolution
-kernels cost no accuracy, and a level's estimate is one math.fsum.  The
-Knapp-Stein transform of a Gaussian bump is a Kummer function in closed
-form, which stands in for the quadrature wherever the quadrature is not
-itself under test.  The module computes with the standard library alone, so
+to rounding).  The Knapp-Stein transform of a Gaussian bump, and of an
+affine pullback of one, is a Kummer function in closed form.  The one
+integral left, the n = 1 transform of any other function, is taken by
+double-exponential (tanh-sinh) quadrature, level by level (Takahasi-Mori,
+Publ. RIMS 9, 1974): the integrand receives the nodes of a level at once,
+as their distances to the kernel's singular end 0, so the algebraic
+singularity there costs no accuracy, and a level's estimate is one
+math.fsum.  The module computes with the standard library alone, so
 no report depends on a SIMD kernel's dispatch.  Quadrature-backed checks
 carry their own truncation/tolerance budget, and all sampling is seeded, so
 suite runs are reproducible.  Every seeded check takes an rng (a ``Stream``)
@@ -182,12 +182,13 @@ def _generator(rng, n, kind):
     return Inversion()
 
 
-def sample_gprime_word(rng, n, max_len=3, force_kind=None):
-    """A random hyperplane-preserving word; force_kind pins a single
-    generator so every generator type is guaranteed coverage."""
+def sample_gprime_word(rng, n, force_kind=None):
+    """A random hyperplane-preserving word of one to three generators;
+    force_kind pins a single generator so every generator type is
+    guaranteed coverage."""
     if force_kind is not None:
         return ConformalMap(n, [_generator(rng, n, force_kind)])
-    length = rng.integers(1, max_len + 1)
+    length = rng.integers(1, 4)
     return ConformalMap(n, [_generator(rng, n, rng.integers(0, 4))
                             for _ in range(length)])
 
@@ -266,7 +267,7 @@ def check_factor_vs_jet(n, rng, samples=100, tol=1e-10):
     jet-based Jacobian J of the image, eta drawn uniformly from the unit
     sphere of R^n."""
     def draw(_):
-        g = sample_gprime_word(rng, n, 3)
+        g = sample_gprime_word(rng, n)
         xi = tuple(rng.uniform(-2.0, 2.0, n))
         k = g.act_and_factor(xi)[1]
         jac = [c.grad for c in g.act(coordinate_jets(xi, 1))]
@@ -281,7 +282,7 @@ def check_mult_intertwining(n, rng, samples=50, tol=1e-12):
     """xi_n * rho_lam(g) f = rho_(lam-1)(g) (xi_n f), pointwise."""
     def draw(_):
         lam = rng.uniform(-1.5, 2.5)
-        g = sample_gprime_word(rng, n, 3)
+        g = sample_gprime_word(rng, n)
         f = sample_bump(rng, n)
         xi = sample_point_for(rng, g, f)
         lhs = xi[n - 1] * PulledBack(lam, g, f).value(xi)
@@ -307,7 +308,7 @@ def check_covariance_one_step(n, rng, samples=50, tol=1e-9):
         # the first four samples pin one generator type each
         force = made if made < 4 else None
         lam = rng.uniform(-1.5, 2.5)
-        g = sample_gprime_word(rng, n, 3, force_kind=force)
+        g = sample_gprime_word(rng, n, force_kind=force)
         f = sample_bump(rng, n)
         xi = sample_point_for(rng, g, f)
         uj = PulledBack(lam, g, f).jet(xi, 2, pure=True)
@@ -353,7 +354,7 @@ def check_covariance_iterated(n, N, rng, samples=20, tol=1e-8):
         # c * lam * ... * lam summed in order of ascending lam-degree
         coeffs = {alpha: sum(math.prod((c,) + (lam,) * deg) for deg, c in terms)
                   for alpha, terms in restricted.items()}
-        g = sample_gprime_word(rng, n, 3)
+        g = sample_gprime_word(rng, n)
         f = sample_bump(rng, n, near_hyperplane=True)
         xi = sample_point_for(rng, g, f, on_hyperplane=True)
         uj = PulledBack(lam, g, f).jet(xi, N)
@@ -371,18 +372,21 @@ def check_covariance_iterated(n, N, rng, samples=20, tol=1e-8):
 # -- Knapp-Stein intertwining ------------------------------------------------------
 
 
-def _effective_ball(func):
-    """(center, radius) bounding the effective support of a test function or
-    of its pullback under an affine map."""
+def _bump_image(func):
+    """(bump, center, k, weight) for a Gaussian bump, and for its pullback
+    kappa(g^-1, xi)^lam bump(g^-1 xi) under an affine word g: the bump, the
+    image g(c) of its center, the word's factor k = k_g(c), and the weight
+    kappa(g^-1, g(c))^lam, a constant.  An affine g maps the bump's balls
+    about c to balls about g(c) scaled by k, and a bump without a prefactor
+    to the bump of center g(c) and width w k times the weight.  A bump is its
+    own image: (func, c, 1.0, 1.0).  None for any other function."""
     if isinstance(func, GaussianBump):
-        return func.center, func.effective_radius(1e-18)
-    if isinstance(func, PulledBack):
-        if not func.g.is_affine():
-            raise ValueError("effective support only available for affine words")
-        c0, r0 = _effective_ball(func.f)
-        center, k = func.g.act_and_factor(c0)
-        return center, r0 * k
-    raise TypeError(f"unsupported integrand {type(func).__name__}")
+        return func, func.center, 1.0, 1.0
+    if (isinstance(func, PulledBack) and isinstance(func.f, GaussianBump)
+            and func.g.is_affine()):
+        image, k = func.g.act_and_factor(func.f.center)
+        return func.f, image, k, func.g_inv.act_and_factor(image)[1] ** func.lam
+    return None
 
 
 def _elementwise(op, reflected=False):
@@ -458,26 +462,25 @@ DE_ROUNDING_FLOOR = 50 * sys.float_info.epsilon
 @functools.cache
 def _de_level(level):
     """The nodes tanh-sinh level ``level`` adds on [-1, 1], in ascending
-    order, as three tuples (das, dbs, ws): da and db are a node's distances
-    to -1 and to 1 (each exact to rounding however near its endpoint the
-    node is), and w is dx/dt there.  The estimate at a level is h times the
-    sum of w * f over the nodes of that level and every level before it."""
+    order, as two tuples (das, ws): da is a node's distance to -1 (exact to
+    rounding however near -1 the node is), and w is dx/dt there, from both
+    distances, to -1 and to 1.  The estimate at a level is h times the sum
+    of w * f over the nodes of that level and every level before it."""
     h = 2.0 ** -level
     if level == 0:
         ts = [float(t) for t in range(-DE_T_MAX, DE_T_MAX + 1)]
     else:
         right = [k * h for k in range(1, DE_T_MAX * 2 ** level, 2)]
         ts = [-t for t in reversed(right)] + right
-    das, dbs, ws = [], [], []
+    das, ws = [], []
     for t in ts:
         u = 0.5 * math.pi * math.sinh(t)
         da = 2.0 / (1.0 + math.exp(-2.0 * u))
         db = 2.0 / (1.0 + math.exp(2.0 * u))
         das.append(da)
-        dbs.append(db)
         # dx/dt = (pi/2) cosh t / cosh^2 u, and 1/cosh^2 u = (1 + tanh u)(1 - tanh u)
         ws.append(0.5 * math.pi * math.cosh(t) * da * db)
-    return tuple(das), tuple(dbs), tuple(ws)
+    return tuple(das), tuple(ws)
 
 
 def _de_quad(integrand, b, quad_tol):
@@ -485,13 +488,13 @@ def _de_quad(integrand, b, quad_tol):
     (Takahasi-Mori, Double exponential formulas for numerical integration,
     Publ. RIMS 9, 1974).
 
-    integrand(da, db) takes the nodes one level adds, all at once: da and
-    db are lists of their distances to 0 (the nodes themselves) and to b,
-    and it returns a list of the integrand's values there, one per node in
-    the same order.  A factor singular at either end is computed from a
-    distance, never from b - x.  Each level's estimate is the math.fsum of
-    w * f over every node so far, so it depends on no summation order, nor
-    on how the integrand evaluates a level.
+    integrand(d) takes the nodes one level adds, all at once, as the list d
+    of their distances to 0 (the nodes themselves, exact to rounding however
+    near 0 they are, so a factor singular at 0 costs no accuracy), and
+    returns a list of the integrand's values there, one per node in the same
+    order.  Each level's estimate is the math.fsum of w * f over every node
+    so far, so it depends on no summation order, nor on how the integrand
+    evaluates a level.
     Stops when two successive levels agree within quad_tol * max(1, b, |I|),
     the epsabs/epsrel pair of QUADPACK with epsabs = quad_tol * max(1, b);
     raises QuadratureBudgetExceeded when DE_MAX_LEVEL is reached first, or
@@ -505,8 +508,8 @@ def _de_quad(integrand, b, quad_tol):
     parts = []
     cur = diff = math.inf
     for level in range(DE_MAX_LEVEL + 1):
-        das, dbs, ws = _de_level(level)
-        values = integrand([half * da for da in das], [half * db for db in dbs])
+        das, ws = _de_level(level)
+        values = integrand([half * da for da in das])
         parts += [w * f for w, f in zip(ws, values, strict=True)]
         prev, cur = cur, half * 2.0 ** -level * math.fsum(parts)
         diff = abs(cur - prev)
@@ -546,22 +549,13 @@ def _scaled_kummer(a, b, z):
             return math.fsum(terms)
 
 
-def _gaussian_form(func):
-    """(weight, center, width) with func = weight * exp(-|xi - center|^2 /
-    width^2), for a Gaussian bump without a prefactor and for its pullback
-    under an affine word g: the bump of center g(c) and width w k_g(c),
-    times kappa(g^-1, xi)^lam, a constant.  None for any other function."""
-    if isinstance(func, GaussianBump):
-        return (1.0, func.center, func.width) if func.prefactor is None else None
-    if isinstance(func, PulledBack) and func.g.is_affine() and func.f.prefactor is None:
-        image, k = func.g.act_and_factor(func.f.center)
-        return func.g_inv.act_and_factor(image)[1] ** func.lam, image, func.f.width * k
-    return None
-
-
 def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
     """(1/Gamma(lam - n/2)) * int |point-eta|^(2 lam - 2 n) func(eta) d eta
-    over R^n, lam > n/2.
+    over R^n, lam > n/2: the convolution with the kernel h_(2 lam - 2n) of
+    ``covop.symbolcalc``, h_s = |x|^s / Gamma((n + s)/2), whose Fourier
+    transform is ``symbolcalc.knapp_stein_symbol`` (``check_ks_symbol_bridge``
+    ties the two normalizations).  func is a Gaussian bump or an affine
+    pullback of one (``_bump_image``).
 
     A Gaussian bump without a prefactor, of center c and width w, has it in
     closed form for every n: with z = |point - c|^2 / w^2,
@@ -570,15 +564,15 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
     int |x - y|^(-2a) e^(-|y|^2) dy = pi^(n/2) Gamma(n/2 - a) / Gamma(n/2)
     * M(a, n/2, -|x|^2) and Kummer's transformation (DLMF 13.2.39); the
     1/Gamma(lam - n/2) cancels.  At n >= 2 an affine pullback of such a bump
-    is a bump too (``_gaussian_form``) and takes the same closed form; no
-    other function is accepted there.
+    is the bump of center g(c) and width w k times a weight, and takes the
+    same closed form; no other function is accepted there.
 
-    At n = 1 every other function (a pullback, or a bump with a prefactor)
-    is integrated by double-exponential quadrature (Takahasi-Mori 1974; see
-    ``_de_quad``), quad_tol its tolerance: the two sides of the point fold
-    onto d = |point - eta| in [0, radius], where the radius reaches 1 past
-    the effective support of func (``_effective_ball``), seen from the
-    point, so the ball holds the integrand mass up to the Gaussian tail.
+    At n = 1 a pullback, or a bump with a prefactor, is integrated by
+    double-exponential quadrature (Takahasi-Mori 1974; see ``_de_quad``),
+    quad_tol its tolerance: the two sides of the point fold onto
+    d = |point - eta| in [0, radius], where the radius reaches 1 past the
+    ball of radius r0 k about g(c), r0 the bump's effective radius, seen from
+    the point, so the ball holds the integrand mass up to the Gaussian tail.
     The fold takes a level's distances d as one ``Batch``, so func's word
     and formulas are walked once per level, not once per node; each value
     has the bits of the node-by-node walk.  Raises QuadratureBudgetExceeded
@@ -586,25 +580,24 @@ def knapp_stein_value(n, lam, func, point, quad_tol=1e-6):
     if not (lam > n / 2):
         raise ValueError("absolute convergence needs lam > n/2")
     point = tuple(point)
-    form = None if n == 1 and isinstance(func, PulledBack) else _gaussian_form(func)
-    if form is None and n == 1:
-        center, r0 = _effective_ball(func)
-        _check_dims(n, point=len(point), function=len(center))
+    image = _bump_image(func)
+    if image is None or (n > 1 and image[0].prefactor is not None):
+        raise ValueError("the Knapp-Stein value is taken of a Gaussian bump or an affine "
+                         "pullback of one, and at n >= 2 only without a prefactor")
+    bump, center, k, weight = image
+    _check_dims(n, point=len(point), function=len(center))
+    if n == 1 and (isinstance(func, PulledBack) or bump.prefactor is not None):
         x = point[0]
         s = 2.0 * lam - 2.0
         value = func.eval_generic
 
-        def folded(da, _):
-            d = Batch(da)
+        def folded(d):
+            d = Batch(d)
             return (d ** s * (value([x + d]) + value([x - d]))).values
 
-        radius = abs(x - center[0]) + r0 + 1.0
+        radius = abs(x - center[0]) + bump.effective_radius(1e-18) * k + 1.0
         return _de_quad(folded, radius, quad_tol) / math.gamma(lam - 0.5)
-    if form is None:
-        raise ValueError("at n >= 2 the Knapp-Stein value is taken only of a Gaussian "
-                         "bump without a prefactor or an affine pullback of one")
-    weight, center, width = form
-    _check_dims(n, point=len(point), function=len(center))
+    width = bump.width * k
     z = math.fsum((p - c) * (p - c) for p, c in zip(point, center)) / (width * width)
     return (weight * width ** (2.0 * lam - n) * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
             * _scaled_kummer(lam - n / 2.0, n / 2.0, z))
@@ -635,38 +628,41 @@ def check_ks_intertwining(n, lam, g, f, rng, samples=5, quad_tol=1e-6, tol=1e-5)
     return _sampled(f"ks_intertwining_n{n}_lam{lam:g}_{word}", samples, tol, draw)
 
 
-# -- kernel Fourier pairing ---------------------------------------------------------
+# -- the symbol against the space side ----------------------------------------------
 
 
-def _gaussian_moment(p, c, quad_tol):
-    """int_0^inf r^p exp(-r^2/c) dr (p > -1) by ``_de_quad`` on [0, 1] after
-    r = t/(1-t), dr = (1+r)^2 dt; r is read as da/db, exact near both ends."""
-    def integrand(das, dbs):
-        # r*r overflows to inf near t = 1, where exp gives the integrand's 0
-        return [math.exp(p * math.log(r) + 2.0 * math.log1p(r) - r * r / c)
-                for r in map(operator.truediv, das, dbs)]
-
-    return _de_quad(integrand, 1.0, quad_tol)
-
-
-def check_kernel_pairing(n, s, quad_tol=1e-10, tol=1e-8):
-    """Weak form of hat(h_s) = 2^(n+s) pi^(n/2) h_(-n-s) against a Gaussian:
-    <h_s, hat g> = <hat h_s, g> for g = exp(-|xi|^2), both sides reduced to
-    radial integrals and cross-checked against their closed Gamma forms."""
-    if not (-n < s < 0):
-        raise ValueError("need -n < s < 0 for both pairings to converge absolutely")
-    omega = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    i1 = _gaussian_moment(s + n - 1, 4.0, quad_tol)
-    i1_closed = 0.5 * 2.0 ** (s + n) * math.gamma((s + n) / 2.0)
-    i2 = _gaussian_moment(-s - 1, 1.0, quad_tol)
-    i2_closed = 0.5 * math.gamma(-s / 2.0)
-
-    lhs = math.pi ** (n / 2.0) / math.gamma((n + s) / 2.0) * omega * i1
-    rhs = 2.0 ** (n + s) * math.pi ** (n / 2.0) / math.gamma(-s / 2.0) * omega * i2
-    errs = [rel_err(lhs, rhs), rel_err(i1, i1_closed), rel_err(i2, i2_closed)]
-    diags = ["pairing lhs vs rhs", "radial integral vs closed form (lhs)",
-             "radial integral vs closed form (rhs)"]
-    return CheckReport.from_errors(f"kernel_pairing_n{n}_s{s:g}", errs, tol, diags)
+def check_ks_symbol_bridge(n, tol=1e-13):
+    """The Fourier symbol C(lam) h_s of ``symbolcalc.knapp_stein_symbol``
+    against the space side ``knapp_stein_value``, at the center 0 of
+    f = exp(-|xi|^2 / w^2), w = 1.1, for lam = 0.6 n, 0.75 n and 0.9 n in
+    (n/2, n), with s = s_const + s_lam lam read off the symbol's one term.
+    With fhat(eta) = pi^(n/2) w^n exp(-w^2 |eta|^2 / 4) and polar
+    coordinates, the symbol applied to f is, at 0,
+    (2 pi)^-n int C h_s fhat d eta = (2 pi)^-n C / Gamma((n+s)/2)
+    * pi^(n/2) w^n * pi^(n/2) Gamma((n+s)/2) / (Gamma(n/2) (w^2/4)^((n+s)/2)),
+    and the space side is the closed form of the bump.  Both sides are
+    closed forms, so a wrong constant or sign of either normalization fails
+    the report, and so does a wrong kernel index, as w != 2.  The term's
+    shape (no eta_n power, no derivative) is ``check_ks_inversion``'s; a
+    symbol that is not one term with a real coefficient fails the report."""
+    name = f"ks_symbol_bridge_n{n}"
+    lams = (0.6 * n, 0.75 * n, 0.9 * n)
+    try:
+        ((_, s_const, s_lam, _), c), = symbolcalc.knapp_stein_symbol(n).terms.items()
+        cs = [c.at(lam) for lam in lams]
+    except ValueError as exc:
+        return CheckReport(name, len(lams), math.inf, tol, False, str(exc))
+    w = 1.1
+    f = GaussianBump((0.0,) * n, w)
+    errs = []
+    for lam, c_lam in zip(lams, cs):
+        a = (n + float(s_const) + float(s_lam) * lam) / 2.0
+        fourier = ((2.0 * math.pi) ** -n * c_lam / math.gamma(a)
+                   * math.pi ** (n / 2.0) * w ** n
+                   * math.pi ** (n / 2.0) * math.gamma(a)
+                   / (math.gamma(n / 2.0) * (w * w / 4.0) ** a))
+        errs.append(rel_err(fourier, knapp_stein_value(n, lam, f, (0.0,) * n)))
+    return CheckReport.from_errors(name, errs, tol, [f"lam={lam}" for lam in lams])
 
 
 # -- ambient-space checks ---------------------------------------------------------------
@@ -1014,9 +1010,8 @@ def suite_numeric(seed=0, n_min=1, n_max=8):
         for lam in (0.8 * n, 1.1 * n):
             for g in maps:
                 reports.append(check_ks_intertwining(n, lam, g, f, rng))
-    for n in _within((1, 2, 3), n_min, n_max):
-        # s = -n/2, where h_s and its transform have the same order
-        reports.append(check_kernel_pairing(n, -n / 2))
+    for n in _within((1, 2, 3, 4), n_min, n_max):
+        reports.append(check_ks_symbol_bridge(n))
     for n in _within((1, 2, 3, 4), n_min, n_max):
         reports.append(_exact_report(
             f"ks_inversion_symbol_n{n}", [(n,)], symbolcalc.check_ks_inversion,

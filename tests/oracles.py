@@ -540,15 +540,15 @@ def scalar_knapp_stein_n1(lam, func, point, quad_tol):
     node at a time: the fold d^(2 lam - 2) (func(x + d) + func(x - d)) is
     evaluated at each float node of ``verify._de_level`` in turn, and the
     levels are summed and stopped as ``verify._de_quad`` does."""
-    center, r0 = verify._effective_ball(func)
+    bump, center, k, _ = verify._bump_image(func)
     x = point[0]
     s = 2.0 * lam - 2.0
-    b = abs(x - center[0]) + r0 + 1.0
+    b = abs(x - center[0]) + bump.effective_radius(1e-18) * k + 1.0
     half, scale = 0.5 * b, max(1.0, b)
     parts = []
     cur = inf
     for level in range(verify.DE_MAX_LEVEL + 1):
-        das, _, ws = verify._de_level(level)
+        das, ws = verify._de_level(level)
         for da, w in zip(das, ws):
             d = half * da
             parts.append(w * (d ** s * (func.eval_generic([x + d])

@@ -142,15 +142,12 @@ def test_criterion_08_knapp_stein_intertwining():
             ok, f"max_rel_err {worst:.2e} (tol 1e-5), gaussian case {gauss_err:.2e}")
 
 
-def test_criterion_09_kernel_pairing():
-    worst = 0.0
-    ok = True
-    for n, s in ((1, -0.5), (2, -1.0), (3, -1.5)):
-        r = verify.check_kernel_pairing(n, s, tol=1e-8)
-        worst = max(worst, r.max_rel_err)
-        ok = ok and r.passed
-    _report(9, "kernel Fourier pairing against closed Gamma forms",
-            ok, f"max_rel_err {worst:.2e}, tol 1e-8")
+def test_criterion_09_ks_symbol_bridge():
+    reports = [verify.check_ks_symbol_bridge(n) for n in range(1, 9)]
+    worst = max(r.max_rel_err for r in reports)
+    _report(9, "Knapp-Stein Fourier symbol against the space-side value, closed forms "
+               "(n=1..8)",
+            all(r.passed for r in reports), f"max_rel_err {worst:.2e}, tol 1e-13")
 
 
 def test_criterion_10_inversion_constant():

@@ -141,7 +141,7 @@ CASES = {
 
 #: the paper's checks, which stay in the suites whatever the matrix shows
 PAPER_CHECKS = {"covariance_one_step", "covariance_iterated", "ks_intertwining",
-                "kernel_pairing", "ks_inversion_symbol", "ambient_noncompact",
+                "ks_symbol_bridge", "ks_inversion_symbol", "ambient_noncompact",
                 "weight_conjugation", "yamabe_constant", "extension_independence",
                 "ambient_compact"}
 
@@ -154,7 +154,7 @@ NAMED_CONTROLS = {
     "tangential_zero_residual": "test_verify.py::test_zero_residual_fails_on_an_off_span_term",
     "shift_consistency":
         "test_verify.py::test_shift_consistency_fails_on_a_changed_pure_normal_coefficient",
-    "kernel_pairing": "test_verify.py::test_kernel_pairing_fails_on_a_perturbed_radial_integral",
+    "ks_symbol_bridge": "test_verify.py::test_ks_symbol_bridge_fails_on_a_negated_symbol",
     "ks_inversion_symbol": "test_verify.py::test_ks_inversion_fails_on_a_perturbed_symbol",
 }
 

@@ -9,20 +9,21 @@ from pathlib import Path
 import pytest
 
 from covop.cli import build_parser
-from pins import assert_golden
+from pins import PINNED, assert_golden
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+#: the golden files of the demo scripts, each pinned by its script
+DEMOS = [name for name in PINNED if name.startswith("demo_")]
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(path, covop_env):
-    proc = subprocess.run([sys.executable, str(path)], capture_output=True,
+@pytest.mark.parametrize("name", DEMOS, ids=lambda name: Path(PINNED[name][0]).name)
+def test_demo_runs(name, covop_env):
+    proc = subprocess.run([sys.executable, *PINNED[name]], capture_output=True,
                           env={**covop_env, "PYTHONIOENCODING": "utf-8"})
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     # pinned byte for byte: the family demo prints the exact classes and
     # tangential coefficients, the symbol demo coefficients and kernels, and
     # the covariance and ambient demos seeded errors of the float checks
-    assert_golden(f"demo_{path.stem}.txt", proc.stdout)
+    assert_golden(name, proc.stdout)
 
 
 def test_readme_example_prints_what_its_comment_says(covop_env):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,20 @@ def test_symcoeff_subs_scales_lam():
     half = c.subs(1, Fraction(1, 2))
     assert half.subs(1, Fraction(1, 2)) == c.subs(1, 1)
     assert c.subs(1, 1) == SymCoeff((2, 1), (-2, 1), two_a=4, two_b=3, pi_half=2, i_pow=1)
+
+
+def test_symcoeff_at_a_real_lam():
+    # -(1 + lam)/(3 - lam) 2^(1/2 + 3 lam/2) pi^(3/2) at lam = 0.5 and 2
+    c = SymCoeff((1, 1), (3, -1), two_a=Fraction(1, 2), two_b=Fraction(3, 2),
+                 pi_half=3, i_pow=2)
+    for lam in (0.5, 2.0):
+        want = -(1 + lam) / (3 - lam) * 2 ** (0.5 + 1.5 * lam) * math.pi ** 1.5
+        assert c.at(lam) == pytest.approx(want, rel=1e-15)
+    assert isinstance(SymCoeff(3).at(1.0), float) and SymCoeff(3).at(1.0) == 3.0
+    assert SymCoeff(0).at(0.7) == 0.0
+    for i_pow in (1, 3):
+        with pytest.raises(ValueError, match="odd power of i"):
+            SymCoeff(1, i_pow=i_pow).at(0.5)
 
 
 def test_symcoeff_sum_and_product_coerce_the_same_operands():

@@ -12,7 +12,7 @@ from covop.jets import Jet, coordinate_jets
 from covop.verify import (Batch, CheckReport, Stream, check_ambient_compact,
                           check_ambient_noncompact, check_covariance_iterated,
                           check_covariance_one_step, check_extension_independence,
-                          check_kernel_pairing, check_ks_intertwining,
+                          check_ks_intertwining, check_ks_symbol_bridge,
                           check_yamabe_constant, chart_family,
                           dalembertian, knapp_stein_value, rel_err)
 
@@ -314,16 +314,17 @@ def test_ks_dilation_n2():
 
 
 def test_ks_truncation_self_consistency(monkeypatch):
-    # doubling the effective support radius, and so nearly doubling the
+    # doubling the bump's effective radius, and so nearly doubling the
     # truncation radius, moves the quadrature of a pullback by far less than
     # tol/10
     f = PulledBack(0.8, ConformalMap(1, [Translation((0.2,))]), GaussianBump((0.1,), 1.0))
     quad_tol = 1e-6
     v1 = knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=quad_tol)
-    ball = verify._effective_ball
-    monkeypatch.setattr(verify, "_effective_ball",
-                        lambda func: (ball(func)[0], 2.0 * ball(func)[1]))
+    radius = GaussianBump.effective_radius
+    monkeypatch.setattr(GaussianBump, "effective_radius",
+                        lambda bump, eps=1e-16: 2.0 * radius(bump, eps))
     v2 = knapp_stein_value(1, 0.8, f, (0.3,), quad_tol=quad_tol)
+    assert v1 != v2
     assert abs(v1 - v2) < quad_tol / 10.0
 
 
@@ -377,7 +378,7 @@ def test_ks_quadrature_budget_guard():
 @pytest.mark.parametrize("s", [-0.9, -0.4, 0.4])
 def test_de_quad_endpoint_power(s):
     # the singular factor is read off the endpoint distance d0
-    got = verify._de_quad(lambda d0, db: [d ** s for d in d0], 1.0, 1e-13)
+    got = verify._de_quad(lambda d0: [d ** s for d in d0], 1.0, 1e-13)
     assert abs(got - 1.0 / (s + 1.0)) <= 1e-12 / (s + 1.0)
 
 
@@ -385,7 +386,7 @@ def test_de_quad_level_cap():
     # a jump inside the interval converges like h, far slower than 1e-10
     with pytest.raises(verify.QuadratureBudgetExceeded, match="levels 7 and 8"):
         # on [0, 1] the distance d0 to 0 is the abscissa x
-        verify._de_quad(lambda d0, db: [(d > 1.0 / 3.0) * 1.0 for d in d0], 1.0, 1e-10)
+        verify._de_quad(lambda d0: [(d > 1.0 / 3.0) * 1.0 for d in d0], 1.0, 1e-10)
 
 
 #: floats with the special values drawn often: +-0.0, +-inf and nan
@@ -475,13 +476,6 @@ def test_ks_n1_quadrature_finds_a_narrow_bump_far_from_the_point():
     assert closed == pytest.approx(0.040437, rel=1e-4)
     got = knapp_stein_value(1, 0.8, PulledBack(0.8, ConformalMap(1), bump), (2.6,))
     assert rel_err(got, closed) <= 1e-6, got
-
-
-@pytest.mark.parametrize("p", [-0.5, 0.0, 0.5, 2.0])
-def test_gaussian_moment_closed_form(p):
-    # int_0^inf r^p exp(-r^2) dr = Gamma((p+1)/2)/2, through r = t/(1-t)
-    want = 0.5 * math.gamma((p + 1.0) / 2.0)
-    assert abs(verify._gaussian_moment(p, 1.0, 1e-13) - want) <= 1e-12 * want
 
 
 #: the suite's maps of R^n as (r, theta, v), for g(y) = r R_theta y + v with
@@ -613,41 +607,46 @@ def test_ks_value_refuses_what_it_has_no_route_for():
         knapp_stein_value(1, 0.8, far, (2.7,))
 
 
-# -- pairing -----------------------------------------------------------------------
+# -- the symbol against the space side ---------------------------------------------
 
 
-@pytest.mark.parametrize("n,s", [(1, -0.5), (2, -1.0), (3, -1.5)])
-def test_kernel_pairing(n, s):
-    r = check_kernel_pairing(n, s)
-    assert r.passed and r.max_rel_err <= 1e-8
+@pytest.mark.parametrize("n", range(1, 9))
+def test_ks_symbol_bridge_holds(n):
+    r = check_ks_symbol_bridge(n)
+    assert r.name == f"ks_symbol_bridge_n{n}" and r.samples == 3, r
+    assert r.passed and r.max_rel_err <= 1e-15, r
 
 
-def test_kernel_pairing_range_check():
-    with pytest.raises(ValueError):
-        check_kernel_pairing(2, 0.5)
-    with pytest.raises(ValueError):
-        check_kernel_pairing(2, -2.5)
+def test_ks_symbol_bridge_fails_on_a_negated_symbol(monkeypatch):
+    # the factorization and the inversion constant are even in the symbol, so
+    # only the bridge sees its sign
+    symbol = symbolcalc.knapp_stein_symbol
+    monkeypatch.setattr(symbolcalc, "knapp_stein_symbol", lambda n: symbol(n).scale(-1))
+    failed = [r.name for r in verify.run_suites("all", seed=0) if not r.passed]
+    assert failed == [f"ks_symbol_bridge_n{n}" for n in (1, 2, 3, 4)]
 
 
-def test_kernel_pairing_continuity_towards_zero():
-    # the normalized family stays continuous as s -> 0^-: the rhs radial
-    # integral grows like Gamma(-s/2) while its normalizer 1/Gamma(-s/2)
-    # falls to 0, and the pairing still holds near rounding level
-    for s in (-0.2, -0.1, -0.05):
-        r = check_kernel_pairing(2, s)
-        assert r.passed and r.max_rel_err <= 1e-12, (s, r)
-
-
-def test_kernel_pairing_fails_on_a_perturbed_radial_integral(monkeypatch):
-    # the same factor on both radial integrals cancels in the pairing, so
-    # only the closed Gamma forms can catch it
-    moment = verify._gaussian_moment
-    monkeypatch.setattr(verify, "_gaussian_moment",
-                        lambda p, c, quad_tol: moment(p, c, quad_tol) * (1.0 + 1e-6))
-    reports = [r for r in verify.suite_numeric(seed=0)
-               if r.name.startswith("kernel_pairing")]
-    assert len(reports) == 3
+def test_ks_symbol_bridge_fails_on_a_scaled_kummer_series(monkeypatch):
+    # the space side's closed form, off by one part in 1e9
+    kummer = verify._scaled_kummer
+    monkeypatch.setattr(verify, "_scaled_kummer",
+                        lambda a, b, z: kummer(a, b, z) * (1.0 + 1e-9))
+    reports = [check_ks_symbol_bridge(n) for n in (1, 2, 3, 4)]
     assert not any(r.passed for r in reports)
+    assert all(r.max_rel_err == pytest.approx(1e-9, rel=1e-3) for r in reports)
+
+
+@pytest.mark.parametrize("change, why", [
+    (lambda e: e.scale(symbolcalc.SymCoeff(1, i_pow=1)), "odd power of i"),
+    (lambda e: e + e.mul_eta(), "too many values"),
+], ids=["not_real", "two_terms"])
+def test_ks_symbol_bridge_fails_on_a_symbol_that_is_not_one_real_term(monkeypatch, change,
+                                                                        why):
+    # a failed report, not an exception that ends the suite
+    symbol = symbolcalc.knapp_stein_symbol
+    monkeypatch.setattr(symbolcalc, "knapp_stein_symbol", lambda n: change(symbol(n)))
+    r = check_ks_symbol_bridge(2)
+    assert not r.passed and why in r.diagnostics, r
 
 
 # -- ambient -----------------------------------------------------------------------
